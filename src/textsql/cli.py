@@ -26,12 +26,13 @@ from pathlib import Path
 from .data import (
     DataFormatError,
     index_by_id,
+    iter_jsonl,
     load_questions,
     load_tables,
     validate_record,
 )
-from .eg import CandidateList, eg_gain, eg_select
-from .engine import TableCache
+from .eg import CandidateList, eg_gain
+from .engine import MaterializeError
 from .evaluation import execution_accuracy, render_report_table, report_to_json
 from .gate import (
     CopyTaskConfig,
@@ -69,25 +70,13 @@ def _write_text(path: str, text: str):
 
 
 def _write_jsonl(path: str, objs) -> int:
-    lines = [json.dumps(o, sort_keys=True, ensure_ascii=True) for o in objs]
-    _write_text(path, "".join(line + "\n" for line in lines))
-    return len(lines)
-
-
-def _read_jsonl(path: str) -> list:
-    objs = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    objs.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return objs
+    """Write one sorted-key JSON object per line, streaming from ``objs``."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for o in objs:
+            fh.write(json.dumps(o, sort_keys=True, ensure_ascii=True) + "\n")
+            n += 1
+    return n
 
 
 def _log(msg: str):
@@ -245,7 +234,6 @@ def _cmd_silver(cfg: dict) -> int:
         max_conds=int(cfg["max_conds"]),
         allow_zero_conds=not cfg["no_zero_conds"],
         numeric_agg_only=not cfg["any_agg"],
-        seed=int(cfg["seed"]),
     )
     rng = random.Random(int(cfg["seed"]))
     run = generate_silver(tables, int(cfg["n"]), TemplateQuestionGenerator(), rng, sampler_cfg)
@@ -297,12 +285,12 @@ def _cmd_eval(cfg: dict) -> int:
 def _cmd_eg(cfg: dict) -> int:
     out_selections = _require_path(cfg, "out_selections")
     out_report = _require_path(cfg, "out_report")
-    entries = _read_jsonl(_require_path(cfg, "candidates"))
+    candidates = _require_path(cfg, "candidates")
     records, tables = _load_inputs(cfg)
     beam_width = int(cfg["beam_width"])
     pred_sets, golds, tabs, qids = [], [], [], []
-    for lineno, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict) or "qid" not in entry or "candidates" not in entry:
+    for lineno, entry in iter_jsonl(candidates):
+        if "qid" not in entry or "candidates" not in entry:
             raise DataError(f"candidates line {lineno}: need keys 'qid' and 'candidates'")
         qid = entry["qid"]
         texts = entry["candidates"]
@@ -318,11 +306,10 @@ def _cmd_eg(cfg: dict) -> int:
         golds.append(rec.lf)
         tabs.append(tab)
         qids.append(qid)
-    cache = TableCache()
-    selections = []
-    for qid, cands, tab in zip(qids, pred_sets, tabs):
-        sel = eg_select(cands, tab, cache)
-        selections.append(
+    gain = eg_gain(pred_sets, golds, tabs)
+    _write_jsonl(
+        out_selections,
+        (
             {
                 "qid": qid,
                 "chosen": sel.chosen_sql,
@@ -332,9 +319,9 @@ def _cmd_eg(cfg: dict) -> int:
                     {"index": o.index, "ok": o.ok, "error": o.error, "kind": o.kind} for o in sel.outcomes
                 ],
             }
-        )
-    gain = eg_gain(pred_sets, golds, tabs, cache)
-    _write_jsonl(out_selections, selections)
+            for qid, sel in zip(qids, gain.selections)
+        ),
+    )
     report = {
         "n": gain.n,
         "correct_top1": gain.correct_top1,
@@ -522,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         _log(f"usage error: {exc}")
         return 1
-    except (DataError, DataFormatError, ComposeError, OSError) as exc:
+    except (DataError, DataFormatError, ComposeError, MaterializeError, OSError) as exc:
         _log(f"data error: {exc}")
         return 2
     except SystemExit:

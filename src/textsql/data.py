@@ -127,7 +127,7 @@ class ValidationReport:
         return not self.violations
 
 
-def _iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
+def iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -152,7 +152,7 @@ def load_tables(path: str | Path) -> list[Table]:
     or duplicate table ids."""
     tables: list[Table] = []
     seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in iter_jsonl(path):
         table_id = _require(obj, "id", path, lineno)
         header = _require(obj, "header", path, lineno)
         types = _require(obj, "types", path, lineno)
@@ -185,7 +185,7 @@ def index_by_id(tables: Iterable[Table]) -> dict[str, Table]:
 def load_questions(path: str | Path) -> list[QuestionRecord]:
     """Load a WikiSQL questions file, preserving file order."""
     records: list[QuestionRecord] = []
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in iter_jsonl(path):
         phase = _require(obj, "phase", path, lineno)
         table_id = _require(obj, "table_id", path, lineno)
         question = _require(obj, "question", path, lineno)

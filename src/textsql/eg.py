@@ -63,7 +63,7 @@ def error_kind(message: str) -> str:
     return "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateOutcome:
     """Execution outcome of one tried candidate."""
 
@@ -77,7 +77,7 @@ class CandidateOutcome:
         return None if self.ok else error_kind(self.error or "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EgSelection:
     chosen_sql: str
     chosen_index: int
@@ -134,6 +134,7 @@ class EgGainReport:
     delta: float
     dropped_by_kind: dict[str, int]
     all_failed_count: int
+    selections: tuple[EgSelection, ...]
 
 
 def eg_gain(
@@ -146,6 +147,10 @@ def eg_gain(
 
     All three sequences align index by index (one table per example;
     repeats are fine, the per-table cache deduplicates the databases).
+    Each beam is selected over once. The top candidate is always tried
+    first and is chosen whenever it executes, so top-1 is correct exactly
+    when it executed and the selection is correct. The selections are
+    returned in input order.
     """
     if len(pred_sets) != len(golds):
         raise ValueError(f"got {len(pred_sets)} candidate lists for {len(golds)} golds")
@@ -156,14 +161,14 @@ def eg_gain(
     correct_eg = 0
     dropped: Counter[str] = Counter()
     all_failed = 0
+    selections = []
     for cands, gold, tab in zip(pred_sets, golds, tables):
-        db = cache.get(tab)
-        gold_res = execute(render(compose(gold, tab)), db)
-        top_res = execute(cands.beam()[0], db)
+        gold_res = execute(render(compose(gold, tab)), cache.get(tab))
         selection = eg_select(cands, tab, cache)
-        eg_res = selection.chosen_result
-        correct_top1 += results_equal(top_res, gold_res)
-        correct_eg += results_equal(eg_res, gold_res)
+        selections.append(selection)
+        eg_ok = results_equal(selection.chosen_result, gold_res)
+        correct_top1 += eg_ok and selection.outcomes[0].ok
+        correct_eg += eg_ok
         all_failed += selection.all_failed
         for outcome in selection.outcomes:
             if not outcome.ok:
@@ -178,4 +183,5 @@ def eg_gain(
         delta=(correct_eg - correct_top1) / n if n else 0.0,
         dropped_by_kind=dict(sorted(dropped.items())),
         all_failed_count=all_failed,
+        selections=tuple(selections),
     )

@@ -2,7 +2,8 @@
 
 SQLite accepts bracket-quoted identifiers but not the ``]]`` escape the wire
 format uses, so an identifier-mapping pass rewrites ``[...]`` identifiers to
-standard double-quoted ones before execution. Execution never raises for bad
+backtick-quoted ones before execution (see ``_quote`` for why not double
+quotes). Execution never raises for bad
 SQL; engine rejections come back as ``ExecResult`` error variants. An empty
 result is a success, never an error.
 
@@ -28,7 +29,7 @@ class MaterializeError(ValueError):
     names after lowercasing)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecResult:
     """Outcome of executing one statement: either rows or a runtime error."""
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .data import LogicalForm, QuestionRecord, Table
 from .engine import TableCache, execute, results_equal
 from .normalize import format_number, normalize_question, normalize_text
-from .sql import AGG_BY_NAME, ParseFailure, RawStatement, SqlStatement, compose, parse_raw, render
+from .sql import ParseFailure, RawStatement, SqlStatement, compose, parse_raw, render, resolve
 
 
 class Kind(str, Enum):
@@ -50,8 +50,6 @@ SLOT_ORDER = (
 
 # Invalid where_value means hallucinated content rather than a schema slip.
 _HALLUCINATION_SLOTS = frozenset({Slot.SELECT_COLUMN, Slot.WHERE_COLUMN, Slot.WHERE_VALUE})
-
-_KNOWN_OPS = frozenset({"=", ">", "<"})
 
 
 @dataclass(frozen=True)
@@ -87,16 +85,22 @@ def _value_forms(value) -> tuple[str, ...]:
     return (text,)
 
 
-def _first_invalid(raw: RawStatement, tab: Table, question: str) -> Slot | None:
-    """First Invalid condition that fires, in the fixed slot order."""
+def _first_invalid(
+    raw: RawStatement, stmt: SqlStatement | ParseFailure, tab: Table, question: str
+) -> Slot | None:
+    """First Invalid condition that fires, in the fixed slot order.
+
+    ``stmt`` is ``resolve(raw)``: its failure at the aggregation token marks
+    an unknown function, any other failure an unknown operator.
+    """
     headers = {normalize_text(h) for h in tab.headers}
-    if raw.agg_token is not None and raw.agg_token.lower() not in AGG_BY_NAME:
+    if isinstance(stmt, ParseFailure) and stmt.token_index == raw.agg_index:
         return Slot.AGG_FUNCTION
     if normalize_text(raw.sel_col) not in headers:
         return Slot.SELECT_COLUMN
     if any(normalize_text(col) not in headers for col, _, _ in raw.conds):
         return Slot.WHERE_COLUMN
-    if any(op not in _KNOWN_OPS for _, op, _ in raw.conds):
+    if isinstance(stmt, ParseFailure):
         return Slot.WHERE_OPER
     haystack = normalize_question(question)
     for _, _, value in raw.conds:
@@ -110,11 +114,6 @@ def _cond_key(col: str, op: str, value) -> tuple:
     if isinstance(value, str):
         return (normalize_text(col), op, "s", normalize_text(value))
     return (normalize_text(col), op, "n", float(value))
-
-
-def _raw_to_statement(raw: RawStatement) -> SqlStatement:
-    agg = 0 if raw.agg_token is None else AGG_BY_NAME[raw.agg_token.lower()]
-    return SqlStatement(agg=agg, sel_col=raw.sel_col, table_id=raw.table_id, conds=raw.conds)
 
 
 def _first_wrong(pred: SqlStatement, gold: SqlStatement) -> Slot | None:
@@ -143,10 +142,11 @@ def classify_error(pred_text: str, gold: LogicalForm, tab: Table, question: str)
     raw = parse_raw(pred_text)
     if isinstance(raw, ParseFailure):
         return PARSE_FAILURE
-    invalid = _first_invalid(raw, tab, question)
+    stmt = resolve(raw)
+    invalid = _first_invalid(raw, stmt, tab, question)
     if invalid is not None:
         return ErrorClass(Kind.INVALID, invalid)
-    wrong = _first_wrong(_raw_to_statement(raw), compose(gold, tab))
+    wrong = _first_wrong(stmt, compose(gold, tab))
     if wrong is not None:
         return ErrorClass(Kind.WRONG, wrong)
     return CORRECT
@@ -161,7 +161,7 @@ def hallucination_flag(pred_text: str, tab: Table, question: str) -> bool:
     raw = parse_raw(pred_text)
     if isinstance(raw, ParseFailure):
         return False
-    return _first_invalid(raw, tab, question) in _HALLUCINATION_SLOTS
+    return _first_invalid(raw, resolve(raw), tab, question) in _HALLUCINATION_SLOTS
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,10 @@ def execution_accuracy(
         gold_res = execute(render(compose(gold, tab)), db)
         pred_res = execute(pred, db)
         exec_correct += results_equal(pred_res, gold_res)
-        counts[classify_error(pred, gold, tab, rec.question)] += 1
-        halluc += hallucination_flag(pred, tab, rec.question)
+        label = classify_error(pred, gold, tab, rec.question)
+        counts[label] += 1
+        # Same as hallucination_flag, read off the label without a reparse.
+        halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
     n = len(preds)
     return EvalReport(
         n=n,

@@ -138,6 +138,11 @@ def _unary(a: Tensor, out_data, da_fn) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward_fn=backward)
 
 
+def transpose(a: Tensor) -> Tensor:
+    """Swap the two axes of a 2-D tensor."""
+    return _unary(a, a.data.T, lambda g, y: g.T)
+
+
 def relu(a: Tensor) -> Tensor:
     return _unary(a, np.maximum(a.data, 0.0), lambda g, y: g * (a.data > 0.0))
 

@@ -27,6 +27,7 @@ from .autodiff import (
     sigmoid,
     softmax,
     sub,
+    transpose,
 )
 
 
@@ -94,22 +95,11 @@ def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, T
     _check_states(h_dec, d, "h_dec")
     q = matmul(h_dec, params.w_q)
     kv = matmul(h_enc, params.w_kv)
-    score = matmul(q, _transpose(kv))
+    score = matmul(q, transpose(kv))
     attn = softmax(score)
     read = matmul(attn, kv)
     context = relu(add(matmul(read, params.ff_w), params.ff_b))
     return score, attn, context
-
-
-def _transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T, _parents=(a,))
-
-    def backward(o: Tensor):
-        if a.requires_grad:
-            a._accumulate(o.grad.T)
-
-    out._backward_fn = backward
-    return out
 
 
 def extraction_gate(h_dec, context, params: GateParams) -> Tensor:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, log, matmul, mul, relu, softmax, take_rows, tmean, tsum
+from .autodiff import Tensor, add, log, matmul, mul, relu, softmax, take_rows, tmean, transpose, tsum
 from .layers import GateActivations, GateParams, run_gate
 
 PARAMS_FORMAT_VERSION = 1
@@ -144,7 +144,7 @@ class GateModel:
         q = matmul(x, p[f"{side}.wq"])
         k = matmul(x, p[f"{side}.wk"])
         v = matmul(x, p[f"{side}.wv"])
-        score = mul(matmul(q, _t(k)), Tensor(scale))
+        score = mul(matmul(q, transpose(k)), Tensor(scale))
         if mask is not None:
             score = add(score, Tensor(mask))
         attended = matmul(matmul(softmax(score), v), p[f"{side}.wo"])
@@ -209,17 +209,6 @@ class GateModel:
             tensors, _ = self._graph(src_ids, dec_in)
             out.append(int(np.argmax(tensors["o_final"].data[-1])))
         return out
-
-
-def _t(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T, _parents=(a,))
-
-    def backward(o: Tensor):
-        if a.requires_grad:
-            a._accumulate(o.grad.T)
-
-    out._backward_fn = backward
-    return out
 
 
 # ----------------------------------------------------------------------

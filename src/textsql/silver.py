@@ -46,7 +46,6 @@ class SamplerConfig:
     max_conds: int = 3
     allow_zero_conds: bool = True
     numeric_agg_only: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_conds < 0:
@@ -91,21 +90,14 @@ class TemplateQuestionGenerator:
         return template_question(stmt, tab)
 
 
-def _table_db(tab: Table, cache: TableCache | None):
-    return (cache or _probe_cache).get(tab)
-
-
-_probe_cache = TableCache()
-
-
-def _cond_matches(tab: Table, col: int, op_idx: int, value, cache: TableCache | None) -> bool:
+def _cond_matches(tab: Table, col: int, op_idx: int, value, cache: TableCache) -> bool:
     """True when the single condition selects at least one row, judged by the
     engine itself so the check shares its comparison semantics."""
     stmt = compose(
         LogicalForm(sel=col, agg=AGG_NONE, conds=(Condition(col=col, op=op_idx, value=value),)),
         tab,
     )
-    result = execute(render(stmt), _table_db(tab, cache))
+    result = execute(render(stmt), cache.get(tab))
     return not result.is_error and len(result.rows) > 0
 
 
@@ -122,9 +114,7 @@ def _sample_value(tab: Table, col: int, rng: random.Random):
     return None
 
 
-def _sample_condition(
-    tab: Table, rng: random.Random, cache: TableCache | None
-) -> Condition:
+def _sample_condition(tab: Table, rng: random.Random, cache: TableCache) -> Condition:
     col = rng.randrange(tab.n_cols)
     if tab.col_types[col] == "text":
         op = 0
@@ -161,10 +151,12 @@ def sample_logical_form(
     over all six slots but redrawn from the non-numeric ones when the select
     column is text and ``numeric_agg_only`` is set; the condition count is
     uniform over 0..max_conds (1..max_conds when zero is disallowed).
-    Deterministic given the rng state.
+    Deterministic given the rng state. Probes run in ``cache``, or in a
+    fresh one when none is given.
     """
     if tab.n_rows == 0 or tab.n_cols == 0:
         raise SamplerError("cannot sample from empty table")
+    cache = cache if cache is not None else TableCache()
     sel = rng.randrange(tab.n_cols)
     agg = rng.randrange(6)
     if cfg.numeric_agg_only and tab.col_types[sel] == "text" and agg in (AGG_SUM, AGG_AVG):
@@ -207,6 +199,7 @@ def generate_silver(
     """
     if not tables:
         raise SamplerError("no tables to sample from")
+    cache = cache if cache is not None else TableCache()
     run = SilverRun()
     seen: set[str] = set()
     for _ in range(n):

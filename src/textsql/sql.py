@@ -197,7 +197,7 @@ def _tokenize(text: str) -> list[tuple[str, object]] | ParseFailure:
 
 def parse_raw(text: str) -> RawStatement | ParseFailure:
     """Parse the statement shape, accepting any aggregation-function word and
-    any operator token. Strict slot validation happens in ``parse``."""
+    any operator token. Strict slot validation happens in ``resolve``."""
     tokens = _tokenize(text)
     if isinstance(tokens, ParseFailure):
         return tokens
@@ -286,13 +286,11 @@ def parse_raw(text: str) -> RawStatement | ParseFailure:
     )
 
 
-def parse(text: str) -> SqlStatement | ParseFailure:
-    """Inverse of ``render`` on its image; tolerant of surrounding whitespace
-    and keyword case. Failures are values so that evaluation can count
-    malformed generations instead of crashing."""
-    raw = parse_raw(text)
-    if isinstance(raw, ParseFailure):
-        return raw
+def resolve(raw: RawStatement) -> SqlStatement | ParseFailure:
+    """Strict slot validation of a shape-level parse: the aggregation word
+    must name a known function and every operator must be renderable. The
+    aggregation is checked first, so a failure at ``raw.agg_index`` means an
+    unknown function and any other failure an unknown operator."""
     if raw.agg_token is None:
         agg = AGG_NONE
     else:
@@ -305,3 +303,13 @@ def parse(text: str) -> SqlStatement | ParseFailure:
         if op not in RENDER_OPS:
             return ParseFailure(f"unknown operator {op!r}", op_idx)
     return SqlStatement(agg=agg, sel_col=raw.sel_col, table_id=raw.table_id, conds=raw.conds)
+
+
+def parse(text: str) -> SqlStatement | ParseFailure:
+    """Inverse of ``render`` on its image; tolerant of surrounding whitespace
+    and keyword case. Failures are values so that evaluation can count
+    malformed generations instead of crashing."""
+    raw = parse_raw(text)
+    if isinstance(raw, ParseFailure):
+        return raw
+    return resolve(raw)

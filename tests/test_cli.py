@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from textsql import dump_tables
+from textsql import Table, dump_tables
 from textsql.cli import main
 
 from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL
@@ -239,6 +239,64 @@ class TestEg:
         questions, tables = corpus
         cands = tmp_path / "cands.jsonl"
         cands.write_text(json.dumps({"qid": 0, "candidates": []}) + "\n")
+        code = main([
+            "eg", "--candidates", str(cands), "--questions", str(questions),
+            "--tables", str(tables), "--out-selections", str(tmp_path / "s"),
+            "--out-report", str(tmp_path / "r"),
+        ])
+        assert code == 2
+
+
+    def _run_eg(self, corpus, tmp_path, lines):
+        questions, tables = corpus
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text("".join(line + "\n" for line in lines))
+        return main([
+            "eg", "--candidates", str(cands), "--questions", str(questions),
+            "--tables", str(tables), "--out-selections", str(tmp_path / "s"),
+            "--out-report", str(tmp_path / "r"),
+        ])
+
+    def test_error_names_the_file_line_after_a_blank_line(self, corpus, tmp_path, capsys):
+        good = json.dumps({"qid": 0, "candidates": [PLATES_SQL]})
+        code = self._run_eg(corpus, tmp_path, [good, "", json.dumps({"qid": 0})])
+        assert code == 2
+        assert "candidates line 3:" in capsys.readouterr().err
+
+    def test_non_object_line_rejected(self, corpus, tmp_path):
+        assert self._run_eg(corpus, tmp_path, [json.dumps([0, [PLATES_SQL]])]) == 2
+
+
+class TestHeaderCollision:
+    """Headers equal after lowercasing cannot be materialized: bad data, not
+    an internal error."""
+
+    @pytest.fixture
+    def collision_corpus(self, tmp_path):
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([
+            Table(table_id="1-2-3", headers=("A", "a"), col_types=("text", "text"), rows=(("x", "y"),))
+        ]))
+        questions = tmp_path / "questions.jsonl"
+        rec = {"phase": 1, "table_id": "1-2-3", "question": "what is a", "sql": {"sel": 0, "agg": 0, "conds": []}}
+        questions.write_text(json.dumps(rec) + "\n")
+        return questions, tables
+
+    def test_eval_exits_with_data_error(self, collision_corpus, tmp_path, capsys):
+        questions, tables = collision_corpus
+        preds = tmp_path / "preds.txt"
+        preds.write_text("select [a] from [1-2-3]\n")
+        code = main([
+            "eval", "--preds", str(preds), "--questions", str(questions),
+            "--tables", str(tables), "--out-json", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "duplicate column names" in capsys.readouterr().err
+
+    def test_eg_exits_with_data_error(self, collision_corpus, tmp_path):
+        questions, tables = collision_corpus
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": 0, "candidates": ["select [a] from [1-2-3]"]}) + "\n")
         code = main([
             "eg", "--candidates", str(cands), "--questions", str(questions),
             "--tables", str(tables), "--out-selections", str(tmp_path / "s"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import textsql.eg
 from textsql import (
     CandidateList,
     Condition,
@@ -14,7 +15,9 @@ from textsql import (
     compose,
     eg_gain,
     eg_select,
+    execute,
     render,
+    results_equal,
 )
 from textsql.eg import DEFAULT_BEAM_WIDTH, error_kind
 
@@ -175,6 +178,63 @@ class TestEgGain:
             eg_gain([cands], [], [points_table])
         with pytest.raises(ValueError, match="tables"):
             eg_gain([cands], [LogicalForm(sel=0, agg=0)], [])
+
+
+class TestEgGainSinglePass:
+    """eg_gain selects over each beam once and reads top-1 off that
+    selection."""
+
+    def _random_set(self, seed):
+        rng = random.Random(seed)
+        tables, golds, pred_sets = [], [], []
+        for _ in range(8):
+            tab = make_table(rng, n_cols=rng.randrange(1, 4), n_rows=rng.randrange(0, 5))
+            gold = LogicalForm(sel=rng.randrange(tab.n_cols), agg=0)
+            pool = [
+                render(compose(gold, tab)),
+                good_sql(tab, sel=rng.randrange(tab.n_cols)),
+                f"select [no such col] from [{tab.table_id}]",
+                "select garbage («",
+            ]
+            texts = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+            tables.append(tab)
+            golds.append(gold)
+            pred_sets.append(CandidateList.from_texts(texts, beam_width=rng.randrange(1, 4)))
+        return pred_sets, golds, tables
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_top1_and_selections_match_direct_computation(self, seed):
+        pred_sets, golds, tables = self._random_set(seed)
+        report = eg_gain(pred_sets, golds, tables)
+        cache = TableCache()
+        expected_top1 = 0
+        for cands, gold, tab, selection in zip(pred_sets, golds, tables, report.selections):
+            db = cache.get(tab)
+            gold_res = execute(render(compose(gold, tab)), db)
+            expected_top1 += results_equal(execute(cands.beam()[0], db), gold_res)
+            assert selection == eg_select(cands, tab, cache)
+        assert report.correct_top1 == expected_top1
+        assert len(report.selections) == report.n
+
+    def test_gold_and_each_tried_candidate_execute_once(self, monkeypatch):
+        pred_sets, golds, tables = self._random_set(3)
+        calls = []
+        real_execute = textsql.eg.execute
+
+        def counting_execute(sql_text, db):
+            calls.append(sql_text)
+            return real_execute(sql_text, db)
+
+        monkeypatch.setattr(textsql.eg, "execute", counting_execute)
+        report = eg_gain(pred_sets, golds, tables)
+        # The set has runner-up recoveries and an all-failed beam.
+        assert report.correct_eg > report.correct_top1 and report.all_failed_count
+        expected = []
+        for gold, tab, selection in zip(golds, tables, report.selections):
+            expected.append(render(compose(gold, tab)))
+            expected.extend(o.sql_text for o in selection.outcomes)
+        assert calls == expected
 
 
 class TestSelectionProperty:

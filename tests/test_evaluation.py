@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from textsql import (
 )
 from textsql.evaluation import CORRECT, PARSE_FAILURE, SLOT_ORDER
 from textsql.silver import SamplerConfig
+from textsql.sql import quote_ident
 
 from conftest import make_table
 
@@ -301,3 +303,43 @@ class TestClassifierProperties:
         question = template_question(stmt, tab)
         assert classify_error(render(stmt), gold, tab, question) == CORRECT
         assert not hallucination_flag(render(stmt), tab, question)
+
+
+def _planted_pred(stmt, rng):
+    """A prediction from a random taxonomy family, built from a gold
+    statement."""
+    sel, tid = quote_ident(stmt.sel_col), quote_ident(stmt.table_id)
+    preds = [
+        render(stmt),
+        render(replace(stmt, agg=(stmt.agg + 1) % 6)),
+        render(replace(stmt, sel_col="no such column")),
+        f"select median({sel}) from {tid}",
+        f"select {sel} from {tid} where {sel} >= 1",
+        "select from",
+    ]
+    if stmt.conds:
+        (col, op, value), rest = stmt.conds[0], stmt.conds[1:]
+        preds.append(render(replace(stmt, conds=((col, op, "value not in question"),) + rest)))
+        preds.append(render(replace(stmt, conds=(("ghost column", op, value),) + rest)))
+    return rng.choice(preds)
+
+
+class TestSinglePassScoring:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_hallucination_count_matches_the_flag(self, seed):
+        """execution_accuracy reads the flag off the classifier's label; the
+        standalone flag stays the reference."""
+        rng = random.Random(seed)
+        tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(1, 6))
+        preds, golds, records = [], [], []
+        for _ in range(12):
+            gold = sample_logical_form(tab, rng, SamplerConfig())
+            stmt = compose(gold, tab)
+            question = template_question(stmt, tab)
+            preds.append(_planted_pred(stmt, rng))
+            golds.append(gold)
+            records.append(QuestionRecord(phase=1, table_id=tab.table_id, question=question, lf=gold))
+        report = execution_accuracy(preds, golds, records, {tab.table_id: tab})
+        expected = sum(hallucination_flag(p, tab, r.question) for p, r in zip(preds, records))
+        assert report.hallucination_count == expected
