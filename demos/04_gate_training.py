@@ -33,7 +33,7 @@ print("epsilon sweep:")
 for eps, err in epsilon_sweep(model, src_ids, tgt_ids, [1e-3, 1e-5, 1e-7]):
     print(f"  eps={eps:.0e} -> {err:.2e}")
 
-# A small copy-task configuration keeps this demo under a minute; the
+# A small copy-task configuration keeps this demo to a few seconds; the
 # defaults reproduce the same separation with wider margins.
 cfg = CopyTaskConfig(d_model=16, steps=150, batch_size=8, eval_size=40, seed=0)
 

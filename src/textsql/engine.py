@@ -71,15 +71,25 @@ def _store_cell(value, col_type: str):
     return s
 
 
-def materialize(tab: Table) -> sqlite3.Connection:
-    """Create a fresh in-memory database holding one relation named by the
-    table id, with lowercased column names."""
+def column_names(tab: Table) -> list[str]:
+    """The table's lowercased column names, as the engine names them.
+
+    Raises ``MaterializeError`` when two headers collide after lowercasing:
+    statements over such a table cannot name each column apart.
+    """
     cols = [normalize_text(h) for h in tab.headers]
     if len(set(cols)) != len(cols):
         dupes = sorted({c for c in cols if cols.count(c) > 1})
         raise MaterializeError(
             f"table {tab.table_id!r}: duplicate column names after lowercasing: {dupes}"
         )
+    return cols
+
+
+def materialize(tab: Table) -> sqlite3.Connection:
+    """Create a fresh in-memory database holding one relation named by the
+    table id, with lowercased column names."""
+    cols = column_names(tab)
     conn = sqlite3.connect(":memory:")
     col_defs = ", ".join(
         f'{_quote(c)} {_SQL_TYPES[t]}' for c, t in zip(cols, tab.col_types)

@@ -139,6 +139,11 @@ def classify_error(pred_text: str, gold: LogicalForm, tab: Table, question: str)
     Cascade: unparseable shape, then Invalid conditions (checked against the
     table and question only), then Wrong slots against the composed gold.
     """
+    return _classify(pred_text, compose(gold, tab), tab, question)
+
+
+def _classify(pred_text: str, gold: SqlStatement, tab: Table, question: str) -> ErrorClass:
+    """``classify_error`` against an already composed gold statement."""
     raw = parse_raw(pred_text)
     if isinstance(raw, ParseFailure):
         return PARSE_FAILURE
@@ -146,7 +151,7 @@ def classify_error(pred_text: str, gold: LogicalForm, tab: Table, question: str)
     invalid = _first_invalid(raw, stmt, tab, question)
     if invalid is not None:
         return ErrorClass(Kind.INVALID, invalid)
-    wrong = _first_wrong(stmt, compose(gold, tab))
+    wrong = _first_wrong(stmt, gold)
     if wrong is not None:
         return ErrorClass(Kind.WRONG, wrong)
     return CORRECT
@@ -206,10 +211,11 @@ def execution_accuracy(
         if tab is None:
             raise ValueError(f"no table {rec.table_id!r} for record {rec.question!r}")
         db = cache.get(tab)
-        gold_res = execute(render(compose(gold, tab)), db)
+        gold_stmt = compose(gold, tab)
+        gold_res = execute(render(gold_stmt), db)
         pred_res = execute(pred, db)
         exec_correct += results_equal(pred_res, gold_res)
-        label = classify_error(pred, gold, tab, rec.question)
+        label = _classify(pred, gold_stmt, tab, rec.question)
         counts[label] += 1
         # Same as hallucination_flag, read off the label without a reparse.
         halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS

@@ -3,13 +3,37 @@
 A deliberately small tape: just the operations the encoder-decoder and the
 extraction gate need. Every op records a closure that routes the output
 gradient to its parents; ``backward()`` on a scalar walks the graph once in
-reverse topological order. All math is double precision so finite-difference
-checks resolve well below the acceptance tolerance.
+reverse topological order and drops each interior node's gradient once it
+has been passed on, so only the leaves keep theirs. All math is double
+precision so finite-difference checks resolve well below the acceptance
+tolerance.
+
+Ops work on a leading batch axis: ``matmul`` and ``transpose`` act on the
+last two axes of ``(..., T, d)`` arrays, ``take_rows`` gathers with id
+arrays of any shape, and broadcasting a parameter over the batch sums its
+gradient back down. One tape therefore covers a whole batch. Inside
+``no_grad()`` ops record neither parents nor closures, for forward-only
+passes such as decoding and finite differences.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
+
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording the graph: outputs are constants."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -29,19 +53,23 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.grad: np.ndarray | None = None
-        self._parents = _parents
-        self._backward_fn = _backward_fn
+        if _parents and _grad_enabled.get() and any(p.requires_grad for p in _parents):
+            self.requires_grad = True
+            self._parents = _parents
+            self._backward_fn = _backward_fn
+        else:
+            self.requires_grad = requires_grad
+            self._parents = ()
+            self._backward_fn = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        # Never in place: ``grad`` may be shared with another node.
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self):
         """Backpropagate from a scalar root."""
@@ -65,6 +93,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node)
+                node.grad = None
 
     # Operator sugar for the common arithmetic.
     def __add__(self, other):
@@ -118,14 +147,25 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, broadcast over leading ones."""
     out_data = a.data @ b.data
 
     def backward(out: Tensor):
+        g = out.grad
         if a.requires_grad:
-            a._accumulate(out.grad @ b.data.T)
+            a._accumulate(_unbroadcast(g @ _swap(b.data), a.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ out.grad)
+            if b.data.ndim == 2 and a.data.ndim > 2:
+                # A weight shared over the batch: fold the batch into rows.
+                rows = a.data.reshape(-1, a.shape[-1])
+                b._accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
+            else:
+                b._accumulate(_unbroadcast(_swap(a.data) @ g, b.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward_fn=backward)
 
@@ -139,8 +179,8 @@ def _unary(a: Tensor, out_data, da_fn) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the two axes of a 2-D tensor."""
-    return _unary(a, a.data.T, lambda g, y: g.T)
+    """Swap the last two axes."""
+    return _unary(a, _swap(a.data), lambda g, y: _swap(g))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -216,14 +256,15 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
 
 
 def take_rows(a: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D tensor by integer ids (embedding lookup)."""
+    """Gather rows of a 2-D tensor by integer ids (embedding lookup); ids of
+    shape ``(...)`` give an output of shape ``(..., a.shape[1])``."""
     ids = np.asarray(ids, dtype=np.int64)
     out_data = a.data[ids]
 
     def backward(out: Tensor):
         if a.requires_grad:
             grad = np.zeros_like(a.data)
-            np.add.at(grad, ids, out.grad)
+            np.add.at(grad, ids.reshape(-1), out.grad.reshape(-1, a.shape[1]))
             a._accumulate(grad)
 
     return Tensor(out_data, _parents=(a,), _backward_fn=backward)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ForwardPass, GateConfig, GateModel
+from .autodiff import no_grad
+from .model import GateConfig, GateModel
 
 QUESTION_WORDS = ("what", "is", "when")
 TARGET_WORDS = ("select", "from", "where", "eq", "tab")
@@ -27,6 +28,8 @@ SRC_COND_POS = 4
 SRC_VALUE_POS = 6
 TGT_VALUE_POS = 7
 TGT_KEYWORD_POS = (0, 2, 4)  # select, from, where
+# Held-out examples per batched decode; the default training batch size.
+_EVAL_CHUNK = 16
 
 
 class TrainingDiverged(RuntimeError):
@@ -134,21 +137,28 @@ class TrainResult:
     metrics: CopyMetrics
 
 
+def _draw_batch(vocab: CopyVocab, rng: np.random.Generator, n: int, heldout: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` examples stacked into (n, SRC_LEN) and (n, TGT_LEN) id arrays."""
+    pairs = [make_example(vocab, rng, heldout=heldout) for _ in range(n)]
+    return np.stack([src for src, _ in pairs]), np.stack([tgt for _, tgt in pairs])
+
+
 def evaluate_copy_model(model: GateModel, vocab: CopyVocab, n_examples: int, rng: np.random.Generator) -> CopyMetrics:
-    """Greedy decoding plus gate statistics on held-out values."""
+    """Greedy decoding plus gate statistics on held-out values, a chunk of
+    examples at a time and without a tape."""
     value_hits = 0
     seq_hits = 0
     p_value: list[float] = []
     p_keyword: list[float] = []
-    for _ in range(n_examples):
-        src, tgt = make_example(vocab, rng, heldout=True)
-        decoded = model.decode_greedy(src, TGT_LEN)
-        value_hits += decoded[TGT_VALUE_POS] == tgt[TGT_VALUE_POS]
-        seq_hits += decoded == list(tgt)
-        fp: ForwardPass = model.forward(src, tgt)
-        gate = fp.activations.p_ext[:, 0]
-        p_value.append(float(gate[TGT_VALUE_POS]))
-        p_keyword.extend(float(gate[k]) for k in TGT_KEYWORD_POS)
+    for start in range(0, n_examples, _EVAL_CHUNK):
+        src, tgt = _draw_batch(vocab, rng, min(_EVAL_CHUNK, n_examples - start), heldout=True)
+        decoded = np.asarray(model.decode_greedy(src, TGT_LEN))
+        value_hits += int(np.sum(decoded[:, TGT_VALUE_POS] == tgt[:, TGT_VALUE_POS]))
+        seq_hits += int(np.sum(np.all(decoded == tgt, axis=1)))
+        with no_grad():
+            gate = model.forward(src, tgt).activations.p_ext[..., 0]
+        p_value.extend(gate[:, TGT_VALUE_POS].tolist())
+        p_keyword.extend(gate[:, TGT_KEYWORD_POS].ravel().tolist())
     return CopyMetrics(
         n_examples=n_examples,
         value_copy_accuracy=value_hits / n_examples,
@@ -170,21 +180,11 @@ def train_copy_model(cfg: CopyTaskConfig, gated: bool = True, log_every: int = 2
     train_rng = np.random.default_rng(train_seed)
     history: list[tuple[int, float]] = []
     for step in range(cfg.steps):
-        total = 0.0
-        summed: dict[str, np.ndarray] = {}
-        for _ in range(cfg.batch_size):
-            src, tgt = make_example(vocab, train_rng, heldout=False)
-            loss, grads = model.loss_and_grads(src, tgt)
-            total += loss
-            for name, g in grads.items():
-                if name in summed:
-                    summed[name] += g
-                else:
-                    summed[name] = g
-        mean_loss = total / cfg.batch_size
+        src, tgt = _draw_batch(vocab, train_rng, cfg.batch_size, heldout=False)
+        mean_loss, grads = model.loss_and_grads(src, tgt)
         if not np.isfinite(mean_loss):
             raise TrainingDiverged(step, mean_loss)
-        model.sgd_step({n: g / cfg.batch_size for n, g in summed.items()}, cfg.lr)
+        model.sgd_step(grads, cfg.lr)
         if step % log_every == 0 or step == cfg.steps - 1:
             history.append((step, mean_loss))
     metrics = evaluate_copy_model(model, vocab, cfg.eval_size, np.random.default_rng(eval_seed))

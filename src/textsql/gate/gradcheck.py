@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import no_grad
 from .model import GateConfig, GateModel
 
 REL_FLOOR = 1e-6
@@ -48,10 +49,11 @@ def grad_check(
         worst = 0.0
         for i in range(flat.size):
             kept = flat[i]
-            flat[i] = kept + epsilon
-            up = model.forward(src_ids, tgt_ids).loss
-            flat[i] = kept - epsilon
-            down = model.forward(src_ids, tgt_ids).loss
+            with no_grad():
+                flat[i] = kept + epsilon
+                up = model.forward(src_ids, tgt_ids).loss
+                flat[i] = kept - epsilon
+                down = model.forward(src_ids, tgt_ids).loss
             flat[i] = kept
             numeric = (up - down) / (2.0 * epsilon)
             rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), REL_FLOOR)

@@ -6,7 +6,9 @@ much probability mass to take from a generation softmax versus from copying
 source tokens directly through the attention weights.
 
 All functions accept either ``Tensor`` nodes (differentiable path used in
-training) or plain numpy arrays (coerced to constants).
+training) or plain numpy arrays (coerced to constants). States are
+``(positions, d)`` for one sequence or ``(batch, positions, d)`` for a
+batch; every output then carries the same leading batch axis.
 """
 
 from __future__ import annotations
@@ -75,9 +77,14 @@ class GateParams:
         return self.out_w.shape[1]
 
 
+def one_hot(ids: np.ndarray, n: int) -> np.ndarray:
+    """Float one-hot rows over ``n`` classes, shape ``(*ids.shape, n)``."""
+    return (np.asarray(ids)[..., None] == np.arange(n)).astype(np.float64)
+
+
 def _check_states(h: Tensor, d: int, name: str):
-    if h.data.ndim != 2 or h.shape[1] != d:
-        raise ValueError(f"{name} must have shape (positions, {d}), got {h.shape}")
+    if h.data.ndim not in (2, 3) or h.shape[-1] != d:
+        raise ValueError(f"{name} must have shape ([batch,] positions, {d}), got {h.shape}")
 
 
 def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, Tensor]:
@@ -86,13 +93,16 @@ def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, T
     Queries come from the decoder, keys and values share one projection of
     the encoder. Scores are raw dot products (no scaling). The attention
     readout passes through a single ReLU feed-forward to form the context.
-    Returns (score, attn, context) with shapes (T, S), (T, S), (T, d).
+    Returns (score, attn, context) with shapes (T, S), (T, S), (T, d),
+    each with a leading batch axis when the states have one.
     """
     h_enc = _as_tensor(h_enc)
     h_dec = _as_tensor(h_dec)
     d = params.d_model
     _check_states(h_enc, d, "h_enc")
     _check_states(h_dec, d, "h_dec")
+    if h_enc.shape[:-2] != h_dec.shape[:-2]:
+        raise ValueError(f"h_enc and h_dec must share a batch shape, got {h_enc.shape} and {h_dec.shape}")
     q = matmul(h_dec, params.w_q)
     kv = matmul(h_enc, params.w_kv)
     score = matmul(q, transpose(kv))
@@ -103,7 +113,7 @@ def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, T
 
 
 def extraction_gate(h_dec, context, params: GateParams) -> Tensor:
-    """Per-position copy probability in (0, 1), shape (T, 1).
+    """Per-position copy probability in (0, 1), shape ([B,] T, 1).
 
     Decoder state and context are layer-normalized independently, then a
     linear map of their concatenation feeds a sigmoid.
@@ -113,7 +123,7 @@ def extraction_gate(h_dec, context, params: GateParams) -> Tensor:
     d = params.d_model
     _check_states(h_dec, d, "h_dec")
     _check_states(context, d, "context")
-    if h_dec.shape[0] != context.shape[0]:
+    if h_dec.shape[:-1] != context.shape[:-1]:
         raise ValueError("h_dec and context must align by position")
     n_dec = layer_norm(h_dec, params.ln_dec_gain, params.ln_dec_bias)
     n_ctx = layer_norm(context, params.ln_ctx_gain, params.ln_ctx_bias)
@@ -122,30 +132,30 @@ def extraction_gate(h_dec, context, params: GateParams) -> Tensor:
 
 
 def generation_head(h_dec, params: GateParams) -> Tensor:
-    """Vocabulary softmax over decoder states, shape (T, v)."""
+    """Vocabulary softmax over decoder states, shape ([B,] T, v)."""
     h_dec = _as_tensor(h_dec)
     _check_states(h_dec, params.d_model, "h_dec")
     return softmax(add(matmul(h_dec, params.out_w), params.out_b))
 
 
 def copy_distribution(attn, src_ids, vocab_size: int) -> Tensor:
-    """Scatter attention mass onto the vocabulary, shape (T, v).
+    """Scatter attention mass onto the vocabulary, shape ([B,] T, v).
 
     Position t assigns each source token's attention weight to that token's
     vocabulary id; repeated ids accumulate. Rows sum to 1 whenever the
-    attention rows do.
+    attention rows do. ``src_ids`` is (S,) for attention of shape (T, S),
+    or (B, S) for attention of shape (B, T, S).
     """
     attn = _as_tensor(attn)
     ids = np.asarray(src_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError("src_ids must be a flat id sequence")
-    if attn.data.ndim != 2 or attn.shape[1] != ids.shape[0]:
-        raise ValueError(f"attn must have shape (positions, {ids.shape[0]}), got {attn.shape}")
+    if ids.ndim not in (1, 2):
+        raise ValueError("src_ids must be a flat id sequence or a batch of them")
+    expected = (*ids.shape[:-1], "positions", ids.shape[-1])
+    if attn.data.ndim != ids.ndim + 1 or attn.shape[-1] != ids.shape[-1] or attn.shape[:-2] != ids.shape[:-1]:
+        raise ValueError(f"attn must have shape ({', '.join(map(str, expected))}), got {attn.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError("src_ids out of vocabulary range")
-    onehot = np.zeros((ids.shape[0], vocab_size))
-    onehot[np.arange(ids.shape[0]), ids] = 1.0
-    return matmul(attn, Tensor(onehot))
+    return matmul(attn, Tensor(one_hot(ids, vocab_size)))
 
 
 def merge(o_gen, o_ext, p_ext) -> Tensor:
@@ -159,15 +169,17 @@ def merge(o_gen, o_ext, p_ext) -> Tensor:
     p_ext = _as_tensor(p_ext)
     if o_gen.shape != o_ext.shape:
         raise ValueError("o_gen and o_ext must share a shape")
-    if p_ext.shape != (o_gen.shape[0], 1):
-        raise ValueError(f"p_ext must have shape ({o_gen.shape[0]}, 1), got {p_ext.shape}")
+    if p_ext.shape != (*o_gen.shape[:-1], 1):
+        expected = ", ".join(map(str, (*o_gen.shape[:-1], 1)))
+        raise ValueError(f"p_ext must have shape ({expected}), got {p_ext.shape}")
     keep = sub(Tensor(1.0), p_ext)
     return add(mul(keep, o_gen), mul(p_ext, o_ext))
 
 
 @dataclass(frozen=True)
 class GateActivations:
-    """Numpy snapshot of one pass through the extraction layer."""
+    """Numpy snapshot of one pass through the extraction layer; arrays carry
+    a leading batch axis when the pass had one."""
 
     score: np.ndarray
     attn: np.ndarray

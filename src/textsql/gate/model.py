@@ -4,6 +4,10 @@ One self-attention + feed-forward block on each side with learned positional
 embeddings and a shared token embedding. The decoder has no cross-attention
 block of its own: every bit of source information reaches the output through
 the gate layer, which makes the copy-versus-generate split observable.
+
+Id arrays are one sequence, shape (S,) or (T,), or a batch of equal-length
+sequences, shape (B, S) or (B, T). A batch is one graph; a single sequence
+runs as a batch of one and comes back without the batch axis.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, log, matmul, mul, relu, softmax, take_rows, tmean, transpose, tsum
-from .layers import GateActivations, GateParams, run_gate
+from .autodiff import Tensor, add, log, matmul, mul, no_grad, relu, softmax, take_rows, tmean, transpose, tsum
+from .layers import GateActivations, GateParams, one_hot, run_gate
 
 PARAMS_FORMAT_VERSION = 1
 _LOG_FLOOR = 1e-12
@@ -45,7 +49,11 @@ class GateConfig:
 
 @dataclass(frozen=True)
 class ForwardPass:
-    """Teacher-forced pass: activations plus the training loss."""
+    """Teacher-forced pass: activations plus the training loss.
+
+    For a batch, ``per_position_loss`` is (B, T) and ``loss`` is the batch
+    mean of each example's mean NLL.
+    """
 
     activations: GateActivations
     per_position_loss: np.ndarray
@@ -129,14 +137,15 @@ class GateModel:
     # Forward
 
     def _check_ids(self, ids: np.ndarray, limit: int, name: str) -> np.ndarray:
+        """Validate an id sequence or batch; always returns a (B, n) batch."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValueError(f"{name} must be a non-empty flat id sequence")
-        if ids.size > limit:
-            raise ValueError(f"{name} longer than the configured maximum ({ids.size} > {limit})")
+        if ids.ndim not in (1, 2) or ids.size == 0:
+            raise ValueError(f"{name} must be a non-empty flat id sequence or a batch of them")
+        if ids.shape[-1] > limit:
+            raise ValueError(f"{name} longer than the configured maximum ({ids.shape[-1]} > {limit})")
         if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:
             raise ValueError(f"{name} out of vocabulary range")
-        return ids
+        return ids.reshape(-1, ids.shape[-1])
 
     def _block(self, x: Tensor, side: str, mask: np.ndarray | None) -> Tensor:
         p = self.params
@@ -153,62 +162,83 @@ class GateModel:
         return add(h, add(ff, p[f"{side}.ff_b2"]))
 
     def _encode(self, src_ids: np.ndarray) -> Tensor:
-        x = add(take_rows(self.params["emb"], src_ids), take_rows(self.params["pos_src"], np.arange(src_ids.size)))
+        n = src_ids.shape[-1]
+        x = add(take_rows(self.params["emb"], src_ids), take_rows(self.params["pos_src"], np.arange(n)))
         return self._block(x, "enc", None)
 
     def _decode_states(self, dec_in: np.ndarray) -> Tensor:
-        n = dec_in.size
+        n = dec_in.shape[-1]
         x = add(take_rows(self.params["emb"], dec_in), take_rows(self.params["pos_tgt"], np.arange(n)))
         mask = np.triu(np.full((n, n), _MASK_OFF), k=1)
         return self._block(x, "dec", mask)
 
-    def _graph(self, src_ids: np.ndarray, dec_in: np.ndarray) -> tuple[dict, GateActivations]:
-        h_enc = self._encode(src_ids)
-        h_dec = self._decode_states(dec_in)
+    def _gate(self, h_enc: Tensor, h_dec: Tensor, src_ids: np.ndarray) -> tuple[dict, GateActivations]:
         return run_gate(h_enc, h_dec, src_ids, self.gate_params(), p_ext_scale=1.0 if self.gated else 0.0)
 
     def forward(self, src_ids, tgt_ids) -> ForwardPass:
         """Teacher-forced pass with per-position negative log likelihood."""
-        src_ids = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")
-        tgt_ids = self._check_ids(tgt_ids, self.cfg.max_tgt_len, "tgt_ids")
-        dec_in = np.concatenate([[self.cfg.start_id], tgt_ids[:-1]])
-        tensors, snapshot = self._graph(src_ids, dec_in)
-        onehot = np.zeros((tgt_ids.size, self.cfg.vocab_size))
-        onehot[np.arange(tgt_ids.size), tgt_ids] = 1.0
-        picked = tsum(mul(tensors["o_final"], Tensor(onehot)), axis=-1)
+        single = np.ndim(src_ids) == 1
+        src = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")
+        tgt = self._check_ids(tgt_ids, self.cfg.max_tgt_len, "tgt_ids")
+        if np.ndim(tgt_ids) != np.ndim(src_ids) or src.shape[0] != tgt.shape[0]:
+            raise ValueError(f"src_ids and tgt_ids must agree on the batch: {np.shape(src_ids)} vs {np.shape(tgt_ids)}")
+        start = np.full((tgt.shape[0], 1), self.cfg.start_id)
+        dec_in = np.concatenate([start, tgt[:, :-1]], axis=1)
+        tensors, snapshot = self._gate(self._encode(src), self._decode_states(dec_in), src)
+        picked = tsum(mul(tensors["o_final"], Tensor(one_hot(tgt, self.cfg.vocab_size))), axis=-1)
         nll = mul(log(add(picked, Tensor(_LOG_FLOOR))), Tensor(-1.0))
+        # Equal lengths, so the mean over every position is the batch mean
+        # of the per-example means.
         loss = tmean(nll)
+        per_position = nll.data.copy()
+        if single:
+            snapshot = GateActivations(**{k: v[0] for k, v in vars(snapshot).items()})
+            per_position = per_position[0]
         return ForwardPass(
             activations=snapshot,
-            per_position_loss=nll.data.copy(),
+            per_position_loss=per_position,
             loss=float(loss.data),
             loss_tensor=loss,
         )
 
     def loss_and_grads(self, src_ids, tgt_ids) -> tuple[float, dict[str, np.ndarray]]:
-        """One backward pass; gradients are returned, not stored."""
+        """One backward pass over one example or a batch; gradients (batch
+        means for a batch) are returned, not stored."""
         for t in self.params.values():
             t.grad = None
         fp = self.forward(src_ids, tgt_ids)
         fp.loss_tensor.backward()
-        grads = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy()) for name, t in self.params.items()}
+        grads = {}
+        for name, t in self.params.items():
+            grads[name] = np.zeros_like(t.data) if t.grad is None else t.grad
+            t.grad = None
         return fp.loss, grads
 
     def sgd_step(self, grads: dict[str, np.ndarray], lr: float):
         for name, t in self.params.items():
             t.data = t.data - lr * grads[name]
 
-    def decode_greedy(self, src_ids, n_steps: int) -> list[int]:
-        """Argmax decoding for a fixed number of steps."""
+    def decode_greedy(self, src_ids, n_steps: int) -> list[int] | list[list[int]]:
+        """Argmax decoding for a fixed number of steps: a token list for one
+        source sequence, one list per row for a batch.
+
+        The encoder runs once. Each step reruns the causal decoder over the
+        prefix and reads the gate at the last position only, with no tape.
+        """
+        single = np.ndim(src_ids) == 1
         src_ids = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")
         if not 1 <= n_steps <= self.cfg.max_tgt_len:
             raise ValueError("n_steps must fit the configured target length")
-        out: list[int] = []
-        for _ in range(n_steps):
-            dec_in = np.asarray([self.cfg.start_id] + out, dtype=np.int64)
-            tensors, _ = self._graph(src_ids, dec_in)
-            out.append(int(np.argmax(tensors["o_final"].data[-1])))
-        return out
+        out = np.full((src_ids.shape[0], 1), self.cfg.start_id, dtype=np.int64)
+        with no_grad():
+            h_enc = self._encode(src_ids)
+            for _ in range(n_steps):
+                last = Tensor(self._decode_states(out).data[:, -1:])
+                tensors, _ = self._gate(h_enc, last, src_ids)
+                step = np.argmax(tensors["o_final"].data[:, -1], axis=-1)
+                out = np.concatenate([out, step[:, None]], axis=1)
+        tokens = out[:, 1:].tolist()
+        return tokens[0] if single else tokens
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .data import (
     LogicalForm,
     Table,
 )
-from .engine import TableCache, execute
+from .engine import TableCache, column_names, execute
 from .normalize import cell_text
 from .sql import SqlStatement, compose, render
 
@@ -195,10 +195,14 @@ def generate_silver(
 
     Tables are chosen uniformly. Identical rendered statements are
     de-duplicated by resampling up to a retry bound, after which the
-    duplicate is kept and counted in the run report.
+    duplicate is kept and counted in the run report. A table whose headers
+    collide after lowercasing raises ``MaterializeError`` before any
+    sampling, since no statement over it could execute.
     """
     if not tables:
         raise SamplerError("no tables to sample from")
+    for tab in tables:
+        column_names(tab)
     cache = cache if cache is not None else TableCache()
     run = SilverRun()
     seen: set[str] = set()

@@ -12,6 +12,7 @@ from textsql.gate.autodiff import (
     log,
     matmul,
     mul,
+    no_grad,
     power,
     relu,
     sigmoid,
@@ -19,6 +20,7 @@ from textsql.gate.autodiff import (
     sub,
     take_rows,
     tmean,
+    transpose,
     tsum,
 )
 
@@ -117,6 +119,30 @@ class TestMatmul:
         a, b, c = rand((2, 3), 14), rand((3, 3), 15), rand((3, 2), 16)
         check_grads(lambda x, y, z: tsum(matmul(matmul(x, y), z)), a, b, c)
 
+    def test_batch_against_shared_weight(self):
+        # The weight's gradient folds the batch into rows.
+        a, b, w = rand((3, 2, 4), 40), rand((4, 5), 41), rand((3, 2, 5), 42)
+        check_grads(lambda x, y: tsum(mul(matmul(x, y), Tensor(w))), a, b)
+
+    def test_batch_against_batch(self):
+        a, b, w = rand((2, 3, 4), 43), rand((2, 4, 3), 44), rand((2, 3, 3), 45)
+        check_grads(lambda x, y: tsum(mul(matmul(x, y), Tensor(w))), a, b)
+
+    def test_shared_left_operand(self):
+        a, b, w = rand((3, 4), 46), rand((2, 4, 2), 47), rand((2, 3, 2), 48)
+        check_grads(lambda x, y: tsum(mul(matmul(x, y), Tensor(w))), a, b)
+
+    def test_batch_equals_each_matrix(self):
+        a, b = rand((3, 2, 4), 49), rand((4, 5), 50)
+        out = matmul(Tensor(a), Tensor(b)).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], a[i] @ b, rtol=1e-15, atol=1e-15)
+
+    def test_transpose_swaps_last_two_axes(self):
+        a, w = rand((2, 3, 4), 51), rand((2, 4, 3), 52)
+        assert transpose(Tensor(a)).shape == (2, 4, 3)
+        check_grads(lambda x: tsum(mul(transpose(x), Tensor(w))), a)
+
 
 class TestSoftmax:
     def test_rows_sum_to_one(self):
@@ -184,6 +210,13 @@ class TestStructural:
         w = rand((3, 3), 34)
         check_grads(lambda x: tsum(mul(take_rows(x, ids), Tensor(w))), emb)
 
+    def test_take_rows_batched_ids(self):
+        emb = rand((5, 3), 53)
+        ids = np.array([[1, 1, 4], [0, 4, 4]])
+        w = rand((2, 3, 3), 54)
+        assert take_rows(Tensor(emb), ids).shape == (2, 3, 3)
+        check_grads(lambda x: tsum(mul(take_rows(x, ids), Tensor(w))), emb)
+
     def test_layer_norm_standardizes_rows(self):
         x = rand((4, 8), 35, scale=3.0, offset=5.0)
         out = layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)))
@@ -237,3 +270,40 @@ class TestTape:
         out = tsum(mul(t, t))
         out.backward()
         assert t.grad.dtype == np.float64
+
+    def test_backward_frees_interior_gradients(self):
+        x = Tensor(rand((2, 3), 55), requires_grad=True)
+        h = mul(x, x)
+        out = tsum(exp(h))
+        out.backward()
+        assert h.grad is None and out.grad is None
+        np.testing.assert_allclose(x.grad, 2 * x.data * np.exp(x.data**2))
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        x = Tensor(rand((2, 3), 56), requires_grad=True)
+        with no_grad():
+            y = tsum(softmax(matmul(x, transpose(x))))
+        assert y._parents == ()
+        assert y._backward_fn is None
+        assert not y.requires_grad
+
+    def test_values_are_bit_identical(self):
+        x = Tensor(rand((2, 3, 4), 57), requires_grad=True)
+        w = Tensor(rand((4, 4), 58), requires_grad=True)
+
+        def graph():
+            return tmean(layer_norm(matmul(x, w), Tensor(np.ones(4)), Tensor(np.zeros(4))))
+
+        with no_grad():
+            quiet = graph()
+        assert quiet.data.tobytes() == graph().data.tobytes()
+
+    def test_nesting_restores_recording(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not mul(x, x).requires_grad
+        assert mul(x, x).requires_grad

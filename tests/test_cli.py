@@ -304,6 +304,20 @@ class TestHeaderCollision:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "col_types, row",
+        [(("text", "text"), ("x", "y")), (("real", "real"), (1.0, 2.0))],
+        ids=["text_only", "real"],
+    )
+    def test_silver_exits_with_data_error(self, tmp_path, capsys, col_types, row):
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([Table(table_id="1-2-3", headers=("A", "a"), col_types=col_types, rows=(row,))]))
+        out = tmp_path / "silver.jsonl"
+        code = main(["silver", "--tables", str(tables), "--n", "20", "--no-zero-conds", "--out", str(out)])
+        assert code == 2
+        assert "duplicate column names" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGateCheck:
     def test_report_contents(self, tmp_path):

@@ -1,5 +1,7 @@
 """Synthetic copy grammar and the gate-vs-ablation training harness."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,39 @@ class TestTraining:
         result = train_copy_model(FAST)
         assert result.history[-1][1] < result.history[0][1] * 0.1
 
+    def test_one_batched_backward_per_step(self, monkeypatch):
+        """Each step stacks the batch the per-example stream would draw and
+        takes one loss_and_grads call over it."""
+        cfg = CopyTaskConfig(d_model=8, steps=5, batch_size=4, eval_size=3, seed=2)
+        seen = []
+        real = GateModel.loss_and_grads
+
+        def counting(self, src, tgt):
+            seen.append((src.copy(), tgt.copy()))
+            return real(self, src, tgt)
+
+        monkeypatch.setattr(GateModel, "loss_and_grads", counting)
+        train_copy_model(cfg)
+        assert len(seen) == cfg.steps
+        vocab = build_vocab(cfg)
+        train_seed, _ = np.random.SeedSequence(cfg.seed).spawn(2)
+        rng = np.random.default_rng(train_seed)
+        for src, tgt in seen:
+            assert src.shape == (cfg.batch_size, SRC_LEN) and tgt.shape == (cfg.batch_size, TGT_LEN)
+            for row_src, row_tgt in zip(src, tgt):
+                ref_src, ref_tgt = make_example(vocab, rng, heldout=False)
+                np.testing.assert_array_equal(row_src, ref_src)
+                np.testing.assert_array_equal(row_tgt, ref_tgt)
+
+    def test_trained_batched_decode_matches_single(self):
+        result = train_copy_model(FAST)
+        rng = np.random.default_rng(3)
+        pairs = [make_example(result.vocab, rng, heldout=bool(i % 2)) for i in range(20)]
+        src = np.stack([s for s, _ in pairs])
+        batched = result.model.decode_greedy(src, TGT_LEN)
+        assert batched == [result.model.decode_greedy(s, TGT_LEN) for s in src]
+        assert sum(row == list(t) for row, (_, t) in zip(batched, pairs)) >= 18
+
     def test_divergence_detected(self, monkeypatch):
         def bad_loss(self, src, tgt):
             return float("nan"), {n: np.zeros_like(p.data) for n, p in self.params.items()}
@@ -150,3 +185,34 @@ class TestEvaluate:
         assert 0.0 <= metrics.value_copy_accuracy <= 1.0
         assert 0.0 <= metrics.sequence_exact_match <= metrics.value_copy_accuracy
         assert 0.0 < metrics.mean_p_ext_value < 1.0
+
+    def test_metrics_are_plain_numbers(self):
+        vocab = build_vocab(FAST)
+        model = GateModel(gate_config_for(FAST, vocab))
+        metrics = evaluate_copy_model(model, vocab, 20, np.random.default_rng(1))
+        assert type(metrics.n_examples) is int
+        for f in fields(metrics):
+            if f.name != "n_examples":
+                assert type(getattr(metrics, f.name)) is float, f.name
+
+    def test_chunked_evaluation_matches_per_example_reference(self):
+        """Reference: the per-example loop, one decode and one forward each."""
+        vocab = build_vocab(FAST)
+        model = GateModel(gate_config_for(FAST, vocab))
+        n = 37  # not a multiple of the chunk size
+        metrics = evaluate_copy_model(model, vocab, n, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        value_hits = seq_hits = 0
+        p_value, p_keyword = [], []
+        for _ in range(n):
+            src, tgt = make_example(vocab, rng, heldout=True)
+            decoded = model.decode_greedy(src, TGT_LEN)
+            value_hits += decoded[TGT_VALUE_POS] == tgt[TGT_VALUE_POS]
+            seq_hits += decoded == list(tgt)
+            gate = model.forward(src, tgt).activations.p_ext[:, 0]
+            p_value.append(gate[TGT_VALUE_POS])
+            p_keyword.extend(gate[k] for k in TGT_KEYWORD_POS)
+        assert metrics.value_copy_accuracy == value_hits / n
+        assert metrics.sequence_exact_match == seq_hits / n
+        assert metrics.mean_p_ext_value == pytest.approx(np.mean(p_value), rel=1e-12)
+        assert metrics.mean_p_ext_keyword == pytest.approx(np.mean(p_keyword), rel=1e-12)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -324,22 +325,48 @@ def _planted_pred(stmt, rng):
     return rng.choice(preds)
 
 
+def _planted_batch(seed: int, n: int = 12):
+    """One random table plus ``n`` planted predictions with their golds."""
+    rng = random.Random(seed)
+    tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(1, 6))
+    preds, golds, records = [], [], []
+    for _ in range(n):
+        gold = sample_logical_form(tab, rng, SamplerConfig())
+        stmt = compose(gold, tab)
+        question = template_question(stmt, tab)
+        preds.append(_planted_pred(stmt, rng))
+        golds.append(gold)
+        records.append(QuestionRecord(phase=1, table_id=tab.table_id, question=question, lf=gold))
+    return tab, preds, golds, records
+
+
 class TestSinglePassScoring:
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_hallucination_count_matches_the_flag(self, seed):
         """execution_accuracy reads the flag off the classifier's label; the
         standalone flag stays the reference."""
-        rng = random.Random(seed)
-        tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(1, 6))
-        preds, golds, records = [], [], []
-        for _ in range(12):
-            gold = sample_logical_form(tab, rng, SamplerConfig())
-            stmt = compose(gold, tab)
-            question = template_question(stmt, tab)
-            preds.append(_planted_pred(stmt, rng))
-            golds.append(gold)
-            records.append(QuestionRecord(phase=1, table_id=tab.table_id, question=question, lf=gold))
+        tab, preds, golds, records = _planted_batch(seed)
         report = execution_accuracy(preds, golds, records, {tab.table_id: tab})
         expected = sum(hallucination_flag(p, tab, r.question) for p, r in zip(preds, records))
         assert report.hallucination_count == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gold_composed_once_per_example(self, seed, monkeypatch):
+        """One compose per gold serves both its execution and the Wrong-slot
+        comparison; the labels still match classify_error's."""
+        import textsql.evaluation as evaluation
+
+        tab, preds, golds, records = _planted_batch(seed, n=20)
+        expected = Counter(classify_error(p, g, tab, r.question) for p, g, r in zip(preds, golds, records))
+        calls = []
+        real_compose = evaluation.compose
+
+        def counting_compose(lf, t):
+            calls.append(lf)
+            return real_compose(lf, t)
+
+        monkeypatch.setattr(evaluation, "compose", counting_compose)
+        report = execution_accuracy(preds, golds, records, {tab.table_id: tab})
+        assert len(calls) <= len(preds)
+        assert report.error_counts == dict(expected)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textsql.gate import (
     GateConfig,
@@ -22,7 +24,7 @@ from textsql.gate import (
     run_gate,
     save_params,
 )
-from textsql.gate.autodiff import Tensor
+from textsql.gate.autodiff import Tensor, no_grad
 
 
 def rand_params(d, vocab, seed):
@@ -123,6 +125,19 @@ class TestLayerOracle:
         np.testing.assert_allclose(snap.o_gen, o_gen, atol=1e-12)
         np.testing.assert_allclose(snap.o_ext, o_ext, atol=1e-12)
         np.testing.assert_allclose(snap.o_final, o_final, atol=1e-12)
+
+    def test_batched_pass_stacks_per_example_passes(self):
+        d, vocab, B = 4, 9, 3
+        rng = np.random.default_rng(43)
+        h_enc = rng.standard_normal((B, 3, d))
+        h_dec = rng.standard_normal((B, 2, d))
+        src_ids = rng.integers(0, vocab, size=(B, 3))
+        params = rand_params(d, vocab, 1)
+        _, batched = run_gate(h_enc, h_dec, src_ids, params)
+        for i in range(B):
+            _, one = run_gate(h_enc[i], h_dec[i], src_ids[i], params)
+            for name in ("score", "attn", "context", "p_ext", "o_gen", "o_ext", "o_final"):
+                np.testing.assert_allclose(getattr(batched, name)[i], getattr(one, name), rtol=1e-13, atol=1e-15)
 
     def test_scores_are_unscaled_dot_products(self):
         # No 1/sqrt(d) factor on the extraction read.
@@ -231,6 +246,128 @@ class TestShapeValidation:
         o = np.full((2, 3), 1 / 3)
         with pytest.raises(ValueError, match="p_ext"):
             merge(o, o, np.zeros((2,)))
+
+
+class TestBatchedShapeValidation:
+    def test_states_must_match_width(self):
+        params = rand_params(4, 6, 0)
+        with pytest.raises(ValueError, match="shape"):
+            cross_attention(np.zeros((2, 3, 5)), np.zeros((2, 2, 4)), params)
+
+    def test_states_must_share_a_batch(self):
+        params = rand_params(4, 6, 0)
+        with pytest.raises(ValueError, match="batch"):
+            cross_attention(np.zeros((2, 3, 4)), np.zeros((3, 2, 4)), params)
+        with pytest.raises(ValueError, match="batch"):
+            cross_attention(np.zeros((3, 4)), np.zeros((2, 2, 4)), params)
+
+    def test_states_rank_bounded(self):
+        params = rand_params(4, 6, 0)
+        with pytest.raises(ValueError, match="shape"):
+            cross_attention(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3, 4)), params)
+
+    def test_gate_requires_aligned_positions(self):
+        params = rand_params(4, 6, 0)
+        with pytest.raises(ValueError, match="align"):
+            extraction_gate(np.zeros((2, 2, 4)), np.zeros((2, 3, 4)), params)
+        with pytest.raises(ValueError, match="align"):
+            extraction_gate(np.zeros((2, 2, 4)), np.zeros((3, 2, 4)), params)
+
+    def test_copy_rejects_out_of_range_ids(self):
+        attn = np.full((2, 1, 2), 0.5)
+        with pytest.raises(ValueError, match="range"):
+            copy_distribution(attn, np.array([[0, 1], [0, 7]]), vocab_size=5)
+
+    def test_copy_rejects_mismatched_ids(self):
+        attn = np.full((2, 1, 2), 0.5)
+        for ids in (np.zeros((2, 3), dtype=int), np.zeros((3, 2), dtype=int), np.zeros(2, dtype=int)):
+            with pytest.raises(ValueError, match="shape"):
+                copy_distribution(attn, ids, vocab_size=5)
+
+    def test_merge_rejects_bad_gate_shape(self):
+        o = np.full((2, 2, 3), 1 / 3)
+        with pytest.raises(ValueError, match="p_ext"):
+            merge(o, o, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="p_ext"):
+            merge(o, o, np.zeros((2, 1)))
+
+    def test_model_rejects_misaligned_batches(self):
+        model = GateModel(TestGateModel.CFG)
+        with pytest.raises(ValueError, match="batch"):
+            model.forward(np.ones((2, 3), dtype=int), np.ones((3, 2), dtype=int))
+        with pytest.raises(ValueError, match="batch"):
+            model.forward(np.ones((2, 3), dtype=int), np.ones(2, dtype=int))
+
+    def test_model_id_bounds_enforced(self):
+        model = GateModel(TestGateModel.CFG)
+        with pytest.raises(ValueError, match="range"):
+            model.forward(np.array([[1, 2], [1, 99]]), np.array([[1], [1]]))
+        with pytest.raises(ValueError, match="longer"):
+            model.forward(np.ones((2, 7), dtype=int), np.ones((2, 1), dtype=int))
+        with pytest.raises(ValueError, match="non-empty"):
+            model.decode_greedy(np.ones((2, 2, 2), dtype=int), n_steps=2)
+        with pytest.raises(ValueError, match="non-empty"):
+            model.forward(np.zeros((0, 3), dtype=int), np.zeros((0, 2), dtype=int))
+
+
+def _batch_instance(seed: int, batch: int):
+    cfg = GateConfig(vocab_size=20, d_model=8, max_src_len=5, max_tgt_len=4, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    src = rng.integers(0, cfg.vocab_size, size=(batch, cfg.max_src_len))
+    tgt = rng.integers(0, cfg.vocab_size, size=(batch, cfg.max_tgt_len))
+    return cfg, src, tgt
+
+
+class TestBatchedModel:
+    @given(seed=st.integers(0, 10**6), batch=st.integers(1, 16), gated=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_loss_and_grads_are_per_example_means(self, seed, batch, gated):
+        cfg, src, tgt = _batch_instance(seed, batch)
+        model = GateModel(cfg, gated=gated)
+        loss, grads = model.loss_and_grads(src, tgt)
+        singles = [model.loss_and_grads(s, t) for s, t in zip(src, tgt)]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12, abs=1e-12)
+        for name, g in grads.items():
+            expected = np.mean([one[name] for _, one in singles], axis=0)
+            np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_batched_forward_stacks_single_passes(self):
+        cfg, src, tgt = _batch_instance(5, 4)
+        model = GateModel(cfg)
+        fp = model.forward(src, tgt)
+        assert fp.per_position_loss.shape == (4, cfg.max_tgt_len)
+        assert fp.activations.o_final.shape == (4, cfg.max_tgt_len, cfg.vocab_size)
+        for i in range(4):
+            one = model.forward(src[i], tgt[i])
+            assert one.per_position_loss.shape == (cfg.max_tgt_len,)
+            np.testing.assert_allclose(fp.per_position_loss[i], one.per_position_loss, rtol=1e-13)
+            np.testing.assert_allclose(fp.activations.p_ext[i], one.activations.p_ext, rtol=1e-13)
+
+    def test_no_grad_forward_records_nothing_and_matches(self):
+        cfg, src, tgt = _batch_instance(6, 3)
+        model = GateModel(cfg)
+        taped = model.forward(src, tgt)
+        with no_grad():
+            quiet = model.forward(src, tgt)
+        assert quiet.loss_tensor._parents == ()
+        assert quiet.loss_tensor._backward_fn is None
+        assert taped.loss_tensor._parents != ()
+        assert quiet.loss == taped.loss
+        assert quiet.per_position_loss.tobytes() == taped.per_position_loss.tobytes()
+
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_batched_decode_matches_single_and_teacher_forced(self, gated):
+        cfg, src, _ = _batch_instance(7, 6)
+        model = GateModel(cfg, gated=gated)
+        batched = model.decode_greedy(src, n_steps=cfg.max_tgt_len)
+        assert batched == [model.decode_greedy(s, n_steps=cfg.max_tgt_len) for s in src]
+        # Reference: argmax of a full teacher-forced pass over each prefix.
+        for s, tokens in zip(src, batched):
+            prefix: list[int] = []
+            for _ in range(cfg.max_tgt_len):
+                o_final = model.forward(s, np.array(prefix + [0])).activations.o_final
+                prefix.append(int(np.argmax(o_final[-1])))
+            assert tokens == prefix
 
 
 class TestGateModel:
