@@ -22,8 +22,6 @@ from textsql import (
     index_by_id,
     parse,
     render,
-    results_equal,
-    rewrite_brackets,
     validate_record,
 )
 
@@ -81,15 +79,18 @@ result = execute(sql_text, db)
 print("result rows: ", result.rows)
 
 # Norway appears twice, so SUM over the filtered rows gives 16 + 2.
-expected = execute("select sum(`gold`) from `1-demo-1` where `nation` = 'norway'", db)
-print("matches hand-written SQL:", results_equal(result, expected))
+print("sum matches hand computation:", result.rows == ((16 + 2,),))
 
-# The wire format quotes identifiers with brackets precisely because SQLite
-# treats an unknown double-quoted identifier as a string literal and silently
-# matches nothing. Bracket quoting is rewritten to backticks, so a column
-# that does not exist is a loud error instead of an empty result.
-bad = rewrite_brackets("select [silver] from [1-demo-1]")
-print("rewritten:", bad)
-print("unknown column is an error:", execute(bad, db).error)
+# The wire format quotes identifiers with brackets, and the engine runs them
+# backtick-quoted rather than double-quoted: SQLite treats an unknown
+# double-quoted identifier as a string literal and silently matches nothing,
+# so here a column that does not exist is a loud error instead.
+print("unknown column is an error:", execute("select [silver] from [1-demo-1]", db).error)
+
+# Execution speaks only the dialect that parse defines. Text outside it, such
+# as an `or` tail or a query of SQLite's own catalogue, is rejected before it
+# reaches the engine, so it can never count as a clean execution.
+for off_dialect in (sql_text + " or 1=1", "select * from sqlite_master"):
+    print("rejected:", off_dialect, "->", execute(off_dialect, db).error)
 
 cache.close()

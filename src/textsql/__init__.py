@@ -17,14 +17,13 @@ from .data import (
     OP_NAMES,
     QuestionRecord,
     Table,
-    ValidationReport,
     dump_tables,
     index_by_id,
     load_questions,
     load_tables,
     validate_record,
 )
-from .eg import CandidateList, EgGainReport, EgSelection, eg_gain, eg_select
+from .eg import CandidateList, eg_gain, eg_select
 from .engine import (
     ExecResult,
     MaterializeError,
@@ -32,7 +31,6 @@ from .engine import (
     execute,
     materialize,
     results_equal,
-    rewrite_brackets,
 )
 from .evaluation import (
     ErrorClass,
@@ -48,8 +46,6 @@ from .evaluation import (
 )
 from .linearize import (
     LinearizeConfig,
-    LinearizedExample,
-    LinearizedFields,
     build_example,
     delinearize,
     linearize,
@@ -60,8 +56,6 @@ from .linearize import (
 from .normalize import cell_text, format_number, normalize_question, normalize_text
 from .silver import (
     SamplerConfig,
-    SilverExample,
-    SilverRun,
     TemplateQuestionGenerator,
     generate_silver,
     sample_logical_form,
@@ -89,15 +83,12 @@ __all__ = [
     "LogicalForm",
     "QuestionRecord",
     "Table",
-    "ValidationReport",
     "dump_tables",
     "index_by_id",
     "load_questions",
     "load_tables",
     "validate_record",
     "CandidateList",
-    "EgGainReport",
-    "EgSelection",
     "eg_gain",
     "eg_select",
     "ExecResult",
@@ -106,7 +97,6 @@ __all__ = [
     "execute",
     "materialize",
     "results_equal",
-    "rewrite_brackets",
     "cell_text",
     "format_number",
     "normalize_question",
@@ -122,8 +112,6 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "LinearizeConfig",
-    "LinearizedExample",
-    "LinearizedFields",
     "build_example",
     "delinearize",
     "linearize",
@@ -131,8 +119,6 @@ __all__ = [
     "linearize_baseline",
     "token_dropout",
     "SamplerConfig",
-    "SilverExample",
-    "SilverRun",
     "TemplateQuestionGenerator",
     "generate_silver",
     "sample_logical_form",

@@ -3,8 +3,9 @@
 A generator proposes several SQL strings per question, best first. Instead
 of trusting the top one, run them against the table's database and keep the
 first that executes cleanly; an empty result set is a legitimate answer,
-only runtime errors disqualify. When every candidate errors, fall back to
-the top candidate so each example still yields a definite prediction.
+only text outside the SQL dialect and runtime errors disqualify. When every
+candidate errors, fall back to the top candidate so each example still
+yields a definite prediction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from .data import LogicalForm, Table
 from .engine import ExecResult, TableCache, execute, results_equal
-from .sql import compose, render
+from .sql import compose
 
 DEFAULT_BEAM_WIDTH = 3
 
@@ -58,8 +59,6 @@ def error_kind(message: str) -> str:
         return "unknown_table"
     if "syntax error" in m or "unrecognized token" in m or "incomplete input" in m:
         return "malformed"
-    if "only select statements" in m:
-        return "not_select"
     return "other"
 
 
@@ -163,7 +162,7 @@ def eg_gain(
     all_failed = 0
     selections = []
     for cands, gold, tab in zip(pred_sets, golds, tables):
-        gold_res = execute(render(compose(gold, tab)), cache.get(tab))
+        gold_res = execute(compose(gold, tab), cache.get(tab))
         selection = eg_select(cands, tab, cache)
         selections.append(selection)
         eg_ok = results_equal(selection.chosen_result, gold_res)

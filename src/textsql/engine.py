@@ -1,11 +1,11 @@
 """Materialize tables into in-memory SQLite and execute statements.
 
-SQLite accepts bracket-quoted identifiers but not the ``]]`` escape the wire
-format uses, so an identifier-mapping pass rewrites ``[...]`` identifiers to
-backtick-quoted ones before execution (see ``_quote`` for why not double
-quotes). Execution never raises for bad
-SQL; engine rejections come back as ``ExecResult`` error variants. An empty
-result is a success, never an error.
+Execution speaks only the wire dialect that ``sql.parse`` defines: text is
+parsed first, and SQLite only ever runs a ``SqlStatement`` rendered by
+``sql.render``'s code with backtick-quoted identifiers (see ``_quote`` for
+why not double quotes or the wire format's brackets). Execution never
+raises for bad SQL; a parse failure or an engine rejection comes back as an
+``ExecResult`` error variant. An empty result is a success, never an error.
 
 A connection is confined to one thread of control at a time; the per-table
 cache hands out one independent in-memory database per table so evaluation
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .data import Table
 from .normalize import normalize_text
+from .sql import ParseFailure, SqlStatement, _render, parse
 
 _SQL_TYPES = {"text": "TEXT", "real": "REAL"}
 
@@ -111,73 +112,27 @@ def _quote(ident: str) -> str:
     # Backticks, not double quotes: the engine silently reads an unknown
     # double-quoted identifier as a string literal, which would turn a
     # nonexistent-column query into a clean (wrong) result instead of a
-    # runtime error. Backticked names always resolve as identifiers.
+    # runtime error. Backticked names always resolve as identifiers, and
+    # unlike SQLite's brackets they can escape every character.
     return "`" + ident.replace("`", "``") + "`"
 
 
-def rewrite_brackets(sql_text: str) -> str:
-    """Rewrite bracket-quoted identifiers (with ``]]`` escapes) to the
-    engine's identifier quoting. String literals are left untouched; an
-    unterminated bracket or string is passed through for the engine to
-    reject."""
-    out: list[str] = []
-    i = 0
-    n = len(sql_text)
-    while i < n:
-        ch = sql_text[i]
-        if ch == "'":
-            j = i + 1
-            while j < n:
-                if sql_text[j] == "'":
-                    if j + 1 < n and sql_text[j + 1] == "'":
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                j += 1
-            else:
-                out.append(sql_text[i:])
-                break
-            out.append(sql_text[i:j])
-            i = j
-        elif ch == "[":
-            j = i + 1
-            content: list[str] = []
-            closed = False
-            while j < n:
-                if sql_text[j] == "]":
-                    if j + 1 < n and sql_text[j + 1] == "]":
-                        content.append("]")
-                        j += 2
-                        continue
-                    closed = True
-                    j += 1
-                    break
-                content.append(sql_text[j])
-                j += 1
-            if not closed:
-                out.append(sql_text[i:])
-                break
-            out.append(_quote("".join(content)))
-            i = j
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def execute(sql_text: str, db: sqlite3.Connection) -> ExecResult:
+def execute(statement: SqlStatement | str, db: sqlite3.Connection) -> ExecResult:
     """Run one statement against a materialized table.
 
-    Arbitrary strings are allowed; anything the engine rejects (unknown
-    column, syntax error, type misuse) becomes an error variant. Only select
-    statements are permitted since materialized tables are read-only.
+    Text is parsed with ``sql.parse`` first; text outside the dialect (a
+    second statement, ``or``, ``*``, an unknown function or operator) comes
+    back as a ``syntax error`` variant without reaching the engine. Anything
+    the engine rejects (unknown column or table) becomes an error variant too.
     """
-    stripped = sql_text.lstrip()
-    if not stripped[:6].lower() == "select":
-        return ExecResult.from_error("only select statements are supported")
+    if isinstance(statement, str):
+        statement = parse(statement)
+        if isinstance(statement, ParseFailure):
+            return ExecResult.from_error(
+                f"syntax error at token {statement.token_index}: {statement.message}"
+            )
     try:
-        cur = db.execute(rewrite_brackets(sql_text))
+        cur = db.execute(_render(statement, _quote))
         return ExecResult.from_rows(cur.fetchall())
     except (sqlite3.Error, sqlite3.Warning) as exc:
         return ExecResult.from_error(str(exc))

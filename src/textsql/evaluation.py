@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .data import LogicalForm, QuestionRecord, Table
 from .engine import TableCache, execute, results_equal
 from .normalize import format_number, normalize_question, normalize_text
-from .sql import ParseFailure, RawStatement, SqlStatement, compose, parse_raw, render, resolve
+from .sql import ParseFailure, RawStatement, SqlStatement, compose, parse_raw, resolve
 
 
 class Kind(str, Enum):
@@ -139,15 +139,17 @@ def classify_error(pred_text: str, gold: LogicalForm, tab: Table, question: str)
     Cascade: unparseable shape, then Invalid conditions (checked against the
     table and question only), then Wrong slots against the composed gold.
     """
-    return _classify(pred_text, compose(gold, tab), tab, question)
-
-
-def _classify(pred_text: str, gold: SqlStatement, tab: Table, question: str) -> ErrorClass:
-    """``classify_error`` against an already composed gold statement."""
     raw = parse_raw(pred_text)
     if isinstance(raw, ParseFailure):
         return PARSE_FAILURE
-    stmt = resolve(raw)
+    return _classify(raw, resolve(raw), compose(gold, tab), tab, question)
+
+
+def _classify(
+    raw: RawStatement, stmt: SqlStatement | ParseFailure, gold: SqlStatement, tab: Table, question: str
+) -> ErrorClass:
+    """``classify_error`` past the parse: ``stmt`` is ``resolve(raw)`` and
+    ``gold`` the composed gold statement."""
     invalid = _first_invalid(raw, stmt, tab, question)
     if invalid is not None:
         return ErrorClass(Kind.INVALID, invalid)
@@ -197,8 +199,10 @@ def execution_accuracy(
 ) -> EvalReport:
     """Execute every prediction against its gold and tally the taxonomy.
 
-    Predictions that fail to parse or execute simply score zero; a missing
-    table is a data error and raises.
+    Each prediction is parsed once; the statement feeds both the taxonomy and
+    the execution, so a prediction outside the dialect is never executed and
+    scores zero, as does one that fails to execute. A missing table is a data
+    error and raises.
     """
     if not (len(preds) == len(golds) == len(records)):
         raise ValueError(f"misaligned inputs: {len(preds)} preds, {len(golds)} golds, {len(records)} records")
@@ -210,15 +214,21 @@ def execution_accuracy(
         tab = tables.get(rec.table_id)
         if tab is None:
             raise ValueError(f"no table {rec.table_id!r} for record {rec.question!r}")
+        # Materialized even for a prediction that is never executed, so a
+        # table the engine cannot hold is a data error whatever is predicted.
         db = cache.get(tab)
         gold_stmt = compose(gold, tab)
-        gold_res = execute(render(gold_stmt), db)
-        pred_res = execute(pred, db)
-        exec_correct += results_equal(pred_res, gold_res)
-        label = _classify(pred, gold_stmt, tab, rec.question)
+        raw = parse_raw(pred)
+        if isinstance(raw, ParseFailure):
+            counts[PARSE_FAILURE] += 1
+            continue
+        stmt = resolve(raw)
+        label = _classify(raw, stmt, gold_stmt, tab, rec.question)
         counts[label] += 1
         # Same as hallucination_flag, read off the label without a reparse.
         halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
+        if not isinstance(stmt, ParseFailure):
+            exec_correct += results_equal(execute(stmt, db), execute(gold_stmt, db))
     n = len(preds)
     return EvalReport(
         n=n,

@@ -10,9 +10,10 @@ row sampling is on, the cell values from the first k rows of that column::
 
     <bos>question<sep>table-id<sep>col1<sep>type1<sep>cell[0,1]<sep>cell[1,1]<sep>col2<sep>...<eos>
 
-Everything except the table id is lowercased; the table id is emitted
-verbatim. All functions are pure; dropout takes an explicit seeded random
-source so parallel workers can use independent streams.
+Everything except the table id is lowercased and the question's whitespace
+runs collapse to one space (``normalize_question``); the table id is
+emitted verbatim. All functions are pure; dropout takes an explicit seeded
+random source so parallel workers can use independent streams.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .data import Table
-from .normalize import cell_text
+from .normalize import cell_text, normalize_question
 
 DEFAULT_BOS = "<bos>"
 DEFAULT_SEP = "<sep>"
@@ -64,10 +65,6 @@ class LinearizedExample:
     config: LinearizeConfig
 
 
-def _question_text(question: str) -> str:
-    return question.strip().lower()
-
-
 def _cell(value, cfg: LinearizeConfig) -> str:
     if value is None:
         return ""
@@ -78,7 +75,7 @@ def linearize_baseline(question: str, tab: Table, cfg: LinearizeConfig) -> str:
     """Question, table id, and column names only."""
     if cfg.include_types or cfg.sample_rows != 0:
         raise LinearizeError("baseline mode requires include_types=False and sample_rows=0")
-    parts = [_question_text(question), tab.table_id]
+    parts = [normalize_question(question), tab.table_id]
     parts.extend(h.lower() for h in tab.headers)
     return cfg.bos + cfg.sep.join(parts) + cfg.eos
 
@@ -89,7 +86,7 @@ def linearize_augmented(question: str, tab: Table, cfg: LinearizeConfig) -> str:
     if not cfg.include_types:
         raise LinearizeError("augmented mode requires include_types=True")
     k = min(cfg.sample_rows, tab.n_rows)
-    parts = [_question_text(question), tab.table_id]
+    parts = [normalize_question(question), tab.table_id]
     for j, (header, col_type) in enumerate(zip(tab.headers, tab.col_types)):
         parts.append(header.lower())
         parts.append(col_type)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import re
 
-_WS = re.compile(r"\s+")
-
 # Matches a complete numeric literal (integer, decimal, or scientific).
 NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
@@ -21,8 +19,9 @@ def normalize_text(s: str) -> str:
 
 
 def normalize_question(q: str) -> str:
-    """Lowercase and collapse runs of whitespace; used for substring tests."""
-    return _WS.sub(" ", q.strip().lower())
+    """Lowercase, trim and collapse runs of whitespace; used for substring
+    tests and model inputs."""
+    return " ".join(q.lower().split())
 
 
 def format_number(x: int | float) -> str:

@@ -97,7 +97,7 @@ def _cond_matches(tab: Table, col: int, op_idx: int, value, cache: TableCache) -
         LogicalForm(sel=col, agg=AGG_NONE, conds=(Condition(col=col, op=op_idx, value=value),)),
         tab,
     )
-    result = execute(render(stmt), cache.get(tab))
+    result = execute(stmt, cache.get(tab))
     return not result.is_error and len(result.rows) > 0
 
 

@@ -7,7 +7,7 @@ from model-generated text.
 
 Wire format (keywords emitted lowercase, identifiers bracket-quoted with
 ``]`` escaped as ``]]``, string literals single-quoted with ``'`` doubled,
-numeric literals unquoted)::
+numeric literals unquoted and finite)::
 
     select [col] from [table-id]
     select agg([col]) from [table-id] where [c1] = 'v1' and [c2] > 3
@@ -18,11 +18,12 @@ concurrent use.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from .data import AGG_NAMES, AGG_NONE, LogicalForm, OP_OTHER, Table
-from .normalize import format_number, normalize_text
+from .normalize import NUMBER_RE, format_number, normalize_text
 
 RENDER_OPS = ("=", ">", "<")
 
@@ -74,7 +75,8 @@ def compose(lf: LogicalForm, tab: Table) -> SqlStatement:
     Column indices become lowercased header names; string condition values
     are lowercased. Numeric values pass through and render unquoted, while
     string-typed values stay quoted even when they look numeric; comparison
-    semantics for those are the engine's concern.
+    semantics for those are the engine's concern. NaN and infinite values
+    have no literal in the wire format and raise ``ComposeError``.
     """
     if not 0 <= lf.sel < tab.n_cols:
         raise ComposeError(f"sel index out of range: {lf.sel}")
@@ -93,6 +95,8 @@ def compose(lf: LogicalForm, tab: Table) -> SqlStatement:
             value = normalize_text(value)
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ComposeError(f"unsupported value type: {type(cond.value).__name__}")
+        elif not math.isfinite(value):
+            raise ComposeError(f"non-finite condition value: {value!r}")
         conds.append((normalize_text(tab.headers[cond.col]), RENDER_OPS[cond.op], value))
     return SqlStatement(
         agg=lf.agg,
@@ -105,13 +109,19 @@ def compose(lf: LogicalForm, tab: Table) -> SqlStatement:
 def render(stmt: SqlStatement) -> str:
     """Render to the wire format. Deterministic: equal statements render to
     byte-identical strings."""
-    sel = quote_ident(stmt.sel_col)
+    return _render(stmt, quote_ident)
+
+
+def _render(stmt: SqlStatement, quote) -> str:
+    """``render`` with ``quote`` as the identifier quoting; the engine swaps
+    in its own so that SQLite runs the same text the wire format names."""
+    sel = quote(stmt.sel_col)
     if stmt.agg != AGG_NONE:
         sel = f"{AGG_NAMES[stmt.agg]}({sel})"
-    text = f"select {sel} from {quote_ident(stmt.table_id)}"
+    text = f"select {sel} from {quote(stmt.table_id)}"
     if stmt.conds:
         clauses = " and ".join(
-            f"{quote_ident(col)} {op} {format_literal(value)}" for col, op, value in stmt.conds
+            f"{quote(col)} {op} {format_literal(value)}" for col, op, value in stmt.conds
         )
         text += f" where {clauses}"
     return text
@@ -119,16 +129,19 @@ def render(stmt: SqlStatement) -> str:
 
 # --- parsing ----------------------------------------------------------------
 
+# One match per token, leading whitespace included; the last group catches
+# any character no token can start with.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<bracket>\[(?:[^\]]|\]\])*\])
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>[=<>!]+)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
+    rf"""
+    \s*(?:
+        (\[(?:[^\]]|\]\])*\])
+      | ('(?:[^']|'')*')
+      | ({NUMBER_RE.pattern})
+      | ([A-Za-z_][A-Za-z0-9_]*)
+      | ([=<>!]+)
+      | ([()])
+      | (\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -167,31 +180,27 @@ class RawStatement:
 
 def _tokenize(text: str) -> list[tuple[str, object]] | ParseFailure:
     tokens: list[tuple[str, object]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            return ParseFailure(f"unexpected character {text[pos]!r}", len(tokens))
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        raw = m.group()
-        if kind == "bracket":
-            tokens.append(("ident", raw[1:-1].replace("]]", "]")))
-        elif kind == "string":
-            tokens.append(("string", raw[1:-1].replace("''", "'")))
-        elif kind == "number":
-            if re.fullmatch(r"[+-]?\d+", raw):
-                tokens.append(("number", int(raw)))
-            else:
-                tokens.append(("number", float(raw)))
-        elif kind == "word":
-            tokens.append(("word", raw))
-        elif kind == "op":
-            tokens.append(("op", raw))
+    for ident, string, number, word, op, paren, bad in _TOKEN_RE.findall(text):
+        if ident:
+            tokens.append(("ident", ident[1:-1].replace("]]", "]")))
+        elif string:
+            tokens.append(("string", string[1:-1].replace("''", "'")))
+        elif number:
+            try:
+                value = int(number) if number.lstrip("+-").isdigit() else float(number)
+            except ValueError:  # more digits than int() converts
+                value = math.inf
+            if isinstance(value, float) and math.isinf(value):
+                return ParseFailure(f"numeric literal out of range {number!r}", len(tokens))
+            tokens.append(("number", value))
+        elif word:
+            tokens.append(("word", word))
+        elif op:
+            tokens.append(("op", op))
+        elif paren:
+            tokens.append(("lparen" if paren == "(" else "rparen", paren))
         else:
-            tokens.append((kind, raw))
+            return ParseFailure(f"unexpected character {bad!r}", len(tokens))
     return tokens
 
 

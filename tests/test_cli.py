@@ -319,6 +319,37 @@ class TestHeaderCollision:
         assert not out.exists()
 
 
+class TestNonFiniteConditionValue:
+    """JSON NaN/Infinity load as floats but have no wire literal: bad data."""
+
+    @pytest.fixture(params=["NaN", "Infinity", "-Infinity"])
+    def nan_corpus(self, request, corpus):
+        questions, tables = corpus
+        questions.write_text(
+            '{"phase": 1, "table_id": "%s", "question": "q", "sql": {"sel": 5, "agg": 0, '
+            '"conds": [[3, 1, %s]]}}\n' % (PLATES_ID, request.param)
+        )
+        return questions, tables
+
+    @pytest.mark.parametrize("command", ["eval", "eg", "linearize"])
+    def test_exits_with_data_error(self, nan_corpus, tmp_path, capsys, command):
+        questions, tables = nan_corpus
+        inputs = ["--questions", str(questions), "--tables", str(tables)]
+        if command == "eval":
+            preds = tmp_path / "preds.txt"
+            preds.write_text(PLATES_SQL + "\n")
+            argv = ["eval", "--preds", str(preds), "--out-json", str(tmp_path / "r.json")]
+        elif command == "eg":
+            cands = tmp_path / "cands.jsonl"
+            cands.write_text(json.dumps({"qid": 0, "candidates": [PLATES_SQL]}) + "\n")
+            argv = ["eg", "--candidates", str(cands), "--out-selections", str(tmp_path / "s"),
+                    "--out-report", str(tmp_path / "r")]
+        else:
+            argv = ["linearize", "--out", str(tmp_path / "l.jsonl")]
+        assert main(argv + inputs) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestGateCheck:
     def test_report_contents(self, tmp_path):
         out = tmp_path / "check.json"

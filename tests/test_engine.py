@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from textsql import (
@@ -18,8 +18,9 @@ from textsql import (
     materialize,
     render,
     results_equal,
-    rewrite_brackets,
 )
+
+from textsql.eg import error_kind
 
 from conftest import make_table
 
@@ -65,30 +66,6 @@ class TestMaterialize:
         tab = Table("t-1", ("a",), ("real",), ((True,),))
         with pytest.raises(MaterializeError, match="boolean"):
             materialize(tab)
-
-
-class TestRewriteBrackets:
-    def test_identifier(self):
-        assert rewrite_brackets("select [a] from [t-1]") == "select `a` from `t-1`"
-
-    def test_bracket_escape(self):
-        assert rewrite_brackets("[a]]b]") == "`a]b`"
-
-    def test_backtick_in_identifier_doubles(self):
-        assert rewrite_brackets("[x`y]") == "`x``y`"
-
-    def test_string_literal_untouched(self):
-        text = "select [a] from [t] where [b] = '[not an ident]'"
-        assert rewrite_brackets(text) == "select `a` from `t` where `b` = '[not an ident]'"
-
-    def test_escaped_quote_inside_literal(self):
-        assert rewrite_brackets("'it''s [x]'") == "'it''s [x]'"
-
-    def test_unterminated_bracket_passes_through(self):
-        assert rewrite_brackets("select [a from t").endswith("[a from t")
-
-    def test_unterminated_string_passes_through(self):
-        assert rewrite_brackets("where [b] = 'oops") == "where `b` = 'oops"
 
 
 class TestExecute:
@@ -144,6 +121,84 @@ class TestExecute:
 
     def test_empty_statement_rejected(self, points_table):
         assert execute("", materialize(points_table)).is_error
+
+
+class TestExecuteQuoting:
+    """Wire-format quoting survives the trip to the engine."""
+
+    def _run(self, header, text, cell="it's [x]"):
+        tab = Table("t-1", (header, "b"), ("text", "text"), (("v", cell),))
+        return execute(text, materialize(tab))
+
+    def test_bracket_escape(self):
+        assert self._run("a]b", "select [a]]b] from [t-1]").rows == (("v",),)
+
+    def test_backtick_in_identifier(self):
+        assert self._run("x`y", "select [x`y] from [t-1]").rows == (("v",),)
+
+    def test_brackets_inside_literal_are_text(self):
+        res = self._run("a", "select [a] from [t-1] where [b] = '[not an ident]'", cell="[not an ident]")
+        assert res.rows == (("v",),)
+
+    def test_escaped_quote_inside_literal(self):
+        assert self._run("a", "select [a] from [t-1] where [b] = 'it''s [x]'").rows == (("v",),)
+
+    @pytest.mark.parametrize(
+        "text", ["select [a from t-1", "select [a] from [t-1] where [b] = 'oops"], ids=["bracket", "string"]
+    )
+    def test_unterminated_quote_is_rejected(self, text):
+        assert error_kind(self._run("a", text).error) == "malformed"
+
+
+def _cell_condition(tab, rng):
+    """A condition on a random column whose value is one of its cells."""
+    col = rng.randrange(tab.n_cols)
+    cells = [row[col] for row in tab.rows if row[col] is not None]
+    return Condition(col, rng.randrange(3), rng.choice(cells or ["it's", 3, -2.5]))
+
+
+class TestDialect:
+    """Execution runs only what sql.parse accepts."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "select * from sqlite_master",
+            "select [player] from [2-777-1] where [no.] = 3 or 1=1",
+            "select [player] from [2-777-1] where [no.] >= 3",
+            "select [player] from [2-777-1];",
+            "drop table [2-777-1]",
+            "select `player` from `2-777-1`",
+            "select [player] from [2-777-1] where [no.] > 1e400",
+        ],
+    )
+    def test_off_dialect_text_is_an_error(self, points_table, text):
+        res = execute(text, materialize(points_table))
+        assert res.is_error
+        assert error_kind(res.error) == "malformed"
+
+    def test_statement_and_its_text_agree(self, points_table):
+        db = materialize(points_table)
+        stmt = compose(LogicalForm(sel=0, agg=0, conds=(Condition(1, 1, 2),)), points_table)
+        assert execute(stmt, db) == execute(render(stmt), db)
+        assert execute(stmt, db).rows == (("antonio lang",), ("washon lenard",))
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sqlite_reading_the_bracketed_text(self, seed):
+        """SQLite reads ``[x]`` natively; only the ``]]`` escape needs
+        another quoting, so on tables without ``]`` in an identifier the
+        engine's result must equal SQLite's run of the wire text itself."""
+        rng = random.Random(seed)
+        tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(0, 6), null_rate=0.2)
+        assume(not any("]" in h for h in tab.headers))
+        db = materialize(tab)
+        for _ in range(3):
+            conds = tuple(_cell_condition(tab, rng) for _ in range(rng.randrange(0, 3)))
+            lf = LogicalForm(sel=rng.randrange(tab.n_cols), agg=rng.randrange(6), conds=conds)
+            text = render(compose(lf, tab))
+            assert execute(text, db) == ExecResult.from_rows(db.execute(text).fetchall()), text
+        db.close()
 
 
 class TestTableCache:

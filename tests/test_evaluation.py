@@ -234,6 +234,15 @@ class TestExecutionAccuracy:
         assert report.count(CORRECT) == 0
         assert report.count(ErrorClass(Kind.WRONG, Slot.WHERE_COLUMN)) == 1
 
+    def test_or_tail_is_never_execution_correct(self):
+        # Both rows have area > 0, so the engine would return gold's rows.
+        gold = LogicalForm(sel=1, agg=0, conds=(Condition(2, 1, 0),))
+        pred = "select [population] from [1-500-1] where [area] > 0 or 1=1"
+        records = [QuestionRecord(phase=1, table_id=CITIES.table_id, question=QUESTION, lf=gold)]
+        report = execution_accuracy([pred], [gold], records, {CITIES.table_id: CITIES})
+        assert report.exec_correct == 0
+        assert report.count(PARSE_FAILURE) == 1
+
     def test_empty_inputs(self):
         report = execution_accuracy([], [], [], {})
         assert report.n == 0
@@ -370,3 +379,18 @@ class TestSinglePassScoring:
         report = execution_accuracy(preds, golds, records, {tab.table_id: tab})
         assert len(calls) <= len(preds)
         assert report.error_counts == dict(expected)
+
+    @given(st.integers(0, 10**6), st.sampled_from([" or 1=1", ";", " and 1=1", " limit 50", " -- x"]))
+    @settings(max_examples=80, deadline=None)
+    def test_parse_failure_never_counts_as_execution_correct(self, seed, tail):
+        """Text outside the dialect is never executed, even where SQLite
+        would return the gold rows for it."""
+        rng = random.Random(seed)
+        tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(1, 6))
+        gold = sample_logical_form(tab, rng, SamplerConfig())
+        text = render(compose(gold, tab))
+        record = QuestionRecord(phase=1, table_id=tab.table_id, question=text, lf=gold)
+        for pred in (text + tail, text[: rng.randrange(len(text))]):
+            report = execution_accuracy([pred], [gold], [record], {tab.table_id: tab})
+            if report.count(PARSE_FAILURE):
+                assert report.exec_correct == 0, pred

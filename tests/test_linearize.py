@@ -198,6 +198,13 @@ class TestBuildExample:
         assert ex.input.split("<sep>")[1] == plates_table.table_id
 
 
+class TestQuestionNormalization:
+    @pytest.mark.parametrize("cfg", [BASE, AUG], ids=["baseline", "augmented"])
+    def test_whitespace_runs_collapse(self, plates_table, cfg):
+        spaced = linearize("Tell\tme  what the\n notes are ", plates_table, cfg)
+        assert spaced == linearize("tell me what the notes are", plates_table, cfg)
+
+
 class TestRoundTripProperty:
     @given(st.integers(0, 10**6), st.integers(0, 3))
     @settings(max_examples=150, deadline=None)

@@ -21,6 +21,8 @@ from textsql import (
     render,
 )
 
+from textsql.normalize import NUMBER_RE
+
 from conftest import PLATES_SQL
 
 
@@ -69,6 +71,13 @@ class TestCompose:
     def test_op_three_rejected(self, plates_table):
         lf = LogicalForm(sel=0, agg=0, conds=(Condition(0, 3, "x"),))
         with pytest.raises(ComposeError, match="unsupported operator"):
+            compose(lf, plates_table)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, plates_table, value):
+        # No wire literal spells these: rendered, they read as column names.
+        lf = LogicalForm(sel=0, agg=0, conds=(Condition(1, 1, value),))
+        with pytest.raises(ComposeError, match="non-finite"):
             compose(lf, plates_table)
 
     def test_boolean_value_rejected(self, plates_table):
@@ -157,6 +166,18 @@ class TestParse:
         assert parsed.conds == (("c", "=", "it's"),)
         assert render(parsed) == text
 
+    @pytest.mark.parametrize(
+        "literal", ["1e400", "-1e400", pytest.param("9" * 5000, id="5000_digits")]
+    )
+    def test_literal_without_finite_value_fails_at_its_token(self, literal):
+        result = parse(f"select [a] from [t] where [b] > {literal}")
+        assert isinstance(result, ParseFailure)
+        assert result.token_index == 7
+        assert "out of range" in result.message
+
+    def test_underflowing_literal_is_zero(self):
+        assert parse("select [a] from [t] where [b] > 1e-400").conds == (("b", ">", 0.0),)
+
     def test_raw_parse_accepts_unknown_slots(self):
         raw = parse_raw("select median([a]) from [t] where [b] >= 'x'")
         assert raw.agg_token == "median"
@@ -206,6 +227,50 @@ def statements(draw):
     return lf, tab
 
 
+_IDENT_TEXTS = st.text(alphabet="ab]'` é\n[", max_size=6)
+_NUMBER_TEXTS = st.one_of(
+    st.from_regex(NUMBER_RE, fullmatch=True),
+    st.sampled_from(["1e400", "-1e400", "1e-400", "+007", ".5", "1.", "1e16"]),
+)
+_WS = st.sampled_from([" ", "  ", "\t", "\n "])
+
+
+@st.composite
+def near_statements(draw):
+    """Wire-format text with free spacing, keyword case, identifier and
+    literal spellings, and optionally one token dropped, doubled or replaced
+    by stray text, so that both parses and failures occur."""
+
+    def word(w):
+        return draw(st.sampled_from([w, w.upper(), w.title()]))
+
+    def ident():
+        return "[" + draw(_IDENT_TEXTS).replace("]", "]]") + "]"
+
+    def literal():
+        if draw(st.booleans()):
+            return draw(_NUMBER_TEXTS)
+        return "'" + draw(st.text(alphabet="x'] é", max_size=5)).replace("'", "''") + "'"
+
+    toks = [word("select")]
+    agg = draw(st.sampled_from(["", "max", "min", "count", "sum", "avg", "median"]))
+    toks += [word(agg), "(", ident(), ")"] if agg else [ident()]
+    toks += [word("from"), ident()]
+    for i in range(draw(st.integers(0, 3))):
+        toks += [word("where" if i == 0 else "and"), ident()]
+        toks += [draw(st.sampled_from(["=", ">", "<", ">=", "!="])), literal()]
+    edit = draw(st.sampled_from(["none", "none", "drop", "double", "stray"]))
+    if edit != "none":
+        i = draw(st.integers(0, len(toks) - 1))
+        if edit == "drop":
+            del toks[i]
+        elif edit == "double":
+            toks.insert(i, toks[i])
+        else:
+            toks[i] = draw(st.sampled_from([";", "*", "or", "1=1", "`x`", "inf", "nan"]))
+    return "".join(t + draw(_WS) for t in toks)
+
+
 class TestRoundTripProperty:
     @given(statements())
     @settings(max_examples=300, deadline=None)
@@ -213,6 +278,13 @@ class TestRoundTripProperty:
         lf, tab = case
         stmt = compose(lf, tab)
         assert parse(render(stmt)) == stmt
+
+    @given(near_statements())
+    @settings(max_examples=500, deadline=None)
+    def test_render_inverts_parse(self, text):
+        stmt = parse(text)
+        if isinstance(stmt, SqlStatement):
+            assert parse(render(stmt)) == stmt
 
     @given(st.text(max_size=60))
     @settings(max_examples=300, deadline=None)
