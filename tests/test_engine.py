@@ -130,6 +130,9 @@ class TestExecuteQuoting:
         tab = Table("t-1", (header, "b"), ("text", "text"), (("v", cell),))
         return execute(text, materialize(tab))
 
+    def test_identifier(self):
+        assert self._run("a", "select [a] from [t-1]").rows == (("v",),)
+
     def test_bracket_escape(self):
         assert self._run("a]b", "select [a]]b] from [t-1]").rows == (("v",),)
 
