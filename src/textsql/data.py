@@ -12,6 +12,7 @@ shared freely across threads afterward.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -212,9 +213,10 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
 def validate_record(rec: QuestionRecord, tab: Table) -> ValidationReport:
     """Check a record's logical form against its table.
 
-    Flags out-of-range indices and SUM/AVG applied to a text column (those
-    aggregations are only meaningful for numeric data). Operator index 3 is
-    legal here; the composer rejects it.
+    Flags out-of-range indices, SUM/AVG applied to a text column (those
+    aggregations are only meaningful for numeric data), and NaN or infinite
+    condition values (they have no SQL literal). Operator index 3 is legal
+    here; the composer rejects it.
     """
     if rec.table_id != tab.table_id:
         raise ValueError(f"record table {rec.table_id!r} != table {tab.table_id!r}")
@@ -234,6 +236,8 @@ def validate_record(rec: QuestionRecord, tab: Table) -> ValidationReport:
             report.violations.append(f"cond {i}: column out of range: {cond.col}")
         if not 0 <= cond.op < len(OP_NAMES):
             report.violations.append(f"cond {i}: op out of range: {cond.op}")
+        if isinstance(cond.value, float) and not math.isfinite(cond.value):
+            report.violations.append(f"cond {i}: non-finite value: {cond.value!r}")
     return report
 
 

@@ -8,8 +8,7 @@ raises for bad SQL; a parse failure or an engine rejection comes back as an
 ``ExecResult`` error variant. An empty result is a success, never an error.
 
 A connection is confined to one thread of control at a time; the per-table
-cache hands out one independent in-memory database per table so evaluation
-can shard across workers by table id.
+cache hands out one independent in-memory database per table.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ _SQL_TYPES = {"text": "TEXT", "real": "REAL"}
 
 class MaterializeError(ValueError):
     """The table cannot be represented in the engine (e.g. duplicate column
-    names after lowercasing)."""
+    names after lowercasing, or a name SQLite refuses)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,13 +88,21 @@ def column_names(tab: Table) -> list[str]:
 
 def materialize(tab: Table) -> sqlite3.Connection:
     """Create a fresh in-memory database holding one relation named by the
-    table id, with lowercased column names."""
+    table id, with lowercased column names.
+
+    A table SQLite refuses to create (a reserved ``sqlite_`` name, a NUL
+    character in a name) raises ``MaterializeError``.
+    """
     cols = column_names(tab)
     conn = sqlite3.connect(":memory:")
     col_defs = ", ".join(
         f'{_quote(c)} {_SQL_TYPES[t]}' for c, t in zip(cols, tab.col_types)
     )
-    conn.execute(f'CREATE TABLE {_quote(tab.table_id)} ({col_defs})')
+    try:
+        conn.execute(f'CREATE TABLE {_quote(tab.table_id)} ({col_defs})')
+    except sqlite3.Error as exc:
+        conn.close()
+        raise MaterializeError(f"table {tab.table_id!r}: {exc}") from exc
     placeholders = ", ".join("?" for _ in cols)
     conn.executemany(
         f'INSERT INTO {_quote(tab.table_id)} VALUES ({placeholders})',

@@ -1,13 +1,16 @@
 """File-to-file pipelines behind the textsql command."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import textsql
 from textsql import Table, dump_tables
-from textsql.cli import main
+from textsql.cli import build_parser, main
 
 from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL
 
@@ -266,6 +269,15 @@ class TestEg:
     def test_non_object_line_rejected(self, corpus, tmp_path):
         assert self._run_eg(corpus, tmp_path, [json.dumps([0, [PLATES_SQL]])]) == 2
 
+    def test_gold_that_does_not_validate_rejected(self, corpus, tmp_path, capsys):
+        questions, _ = corpus
+        # sum over the text column "notes": eval refuses this gold, and so must eg.
+        questions.write_text(json.dumps({"phase": 1, "table_id": PLATES_ID, "question": "q",
+                                         "sql": {"sel": 5, "agg": 4, "conds": []}}) + "\n")
+        code = self._run_eg(corpus, tmp_path, [json.dumps({"qid": 0, "candidates": [PLATES_SQL]})])
+        assert code == 2
+        assert "candidates line 1: gold does not validate: aggregation/type mismatch" in capsys.readouterr().err
+
 
 class TestHeaderCollision:
     """Headers equal after lowercasing cannot be materialized: bad data, not
@@ -348,6 +360,52 @@ class TestNonFiniteConditionValue:
             argv = ["linearize", "--out", str(tmp_path / "l.jsonl")]
         assert main(argv + inputs) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_linearize_skip_bad_skips_the_record(self, nan_corpus, tmp_path):
+        questions, tables = nan_corpus
+        out = tmp_path / "l.jsonl"
+        code = main(["linearize", "--questions", str(questions), "--tables", str(tables),
+                     "--out", str(out), "--skip-bad"])
+        assert code == 0
+        assert out.read_text() == ""
+
+    def test_eval_names_the_record(self, nan_corpus, tmp_path, capsys):
+        questions, tables = nan_corpus
+        preds = tmp_path / "preds.txt"
+        preds.write_text(PLATES_SQL + "\n")
+        code = main(["eval", "--preds", str(preds), "--questions", str(questions),
+                     "--tables", str(tables), "--out-json", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "record 0: gold does not validate: cond 0: non-finite value" in capsys.readouterr().err
+
+
+class TestTableSqliteRefuses:
+    """A table SQLite will not create is bad data, not an internal error."""
+
+    @pytest.fixture(
+        params=[("sqlite_t", "A"), ("1-\x00-1", "A"), ("1-1-1", "A\x00B")],
+        ids=["reserved_table_id", "nul_in_table_id", "nul_in_header"],
+    )
+    def refused_corpus(self, request, tmp_path):
+        table_id, header = request.param
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([Table(table_id, (header,), ("real",), ((1.0,),))]))
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps({"phase": 1, "table_id": table_id, "question": "q",
+                                         "sql": {"sel": 0, "agg": 0, "conds": []}}) + "\n")
+        return questions, tables
+
+    def test_silver_exits_with_data_error(self, refused_corpus, tmp_path):
+        _, tables = refused_corpus
+        assert main(["silver", "--tables", str(tables), "--n", "3", "--out", str(tmp_path / "o")]) == 2
+
+    def test_eval_exits_with_data_error(self, refused_corpus, tmp_path):
+        questions, tables = refused_corpus
+        preds = tmp_path / "preds.txt"
+        preds.write_text("select [a] from [1-1-1]\n")
+        code = main(["eval", "--preds", str(preds), "--questions", str(questions),
+                     "--tables", str(tables), "--out-json", str(tmp_path / "r.json")])
+        assert code == 2
 
 
 class TestGateCheck:
@@ -433,6 +491,131 @@ class TestConfigFile:
         assert code == 1
 
 
+    @pytest.mark.parametrize("entries", [{"n": "abc"}, {"n": 2.5}, {"no_zero_conds": "yes"}],
+                             ids=["n_not_a_number", "n_not_an_int", "switch_not_a_bool"])
+    def test_value_checked_like_its_flag(self, corpus, tmp_path, entries):
+        _, tables = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 1, **entries}))
+        code = main(["silver", "--tables", str(tables), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)])
+        assert code == 1
+
+    def test_out_of_range_value_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"log_every": 0}))
+        assert main(["gate", "train", "--out-metrics", str(tmp_path / "m"), "--config", str(cfg)]) == 1
+
+    def test_values_reach_the_run_with_their_types(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.001, "seeds": "1", "d_model": 4,
+                                   "vocab_size": 6, "src_len": 3, "tgt_len": 2}))
+        out = tmp_path / "check.json"
+        assert main(["gate", "check", "--out", str(out), "--config", str(cfg)]) == 0
+        report = json.loads(out.read_text())
+        assert report["epsilon"] == 0.001
+        assert (report["d_model"], report["vocab_size"], report["src_len"], report["tgt_len"]) == (4, 6, 3, 2)
+        assert len(report["per_seed"]) == 1
+
+
+class TestRangeChecks:
+    """A flag value outside its range is a usage error, caught where the
+    flag is declared rather than deep inside the library. (The config-file
+    probes are in TestConfigFile.)"""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["silver", "--tables", "t", "--out", "o", "--n", "1", "--max-conds", "-1"],
+            ["gate", "train", "--out-metrics", "m", "--log-every", "0"],
+            ["gate", "train", "--out-metrics", "m", "--lr", "0"],
+            ["gate", "check", "--out", "o", "--epsilon", "0"],
+            ["gate", "check", "--out", "o", "--d-model", "0"],
+            ["eg", "--candidates", "c", "--questions", "q", "--tables", "t",
+             "--out-selections", "s", "--out-report", "r", "--beam-width", "0"],
+            ["linearize", "--questions", "q", "--tables", "t", "--out", "o", "--max-cell-len", "0"],
+            ["linearize", "--questions", "q", "--tables", "t", "--out", "o", "--mode", "augmented",
+             "--samples", "-1"],
+        ],
+        ids=["max_conds", "log_every", "lr", "epsilon", "d_model", "beam_width", "max_cell_len", "samples"],
+    )
+    def test_out_of_range_flag_exits_1(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "usage error: argument --" in capsys.readouterr().err
+
+
+# The defaults table the command line had when each flag was declared twice,
+# kept as the oracle that declaring each flag once changed no default.
+REFERENCE_DEFAULTS = {
+    "linearize": {
+        "questions": None,
+        "tables": None,
+        "out": None,
+        "mode": "baseline",
+        "samples": 0,
+        "dropout": False,
+        "seed": 0,
+        "max_cell_len": 32,
+        "skip_bad": False,
+    },
+    "silver": {
+        "tables": None,
+        "out": None,
+        "n": None,
+        "seed": 0,
+        "max_conds": 3,
+        "no_zero_conds": False,
+        "any_agg": False,
+    },
+    "eval": {
+        "preds": None,
+        "questions": None,
+        "tables": None,
+        "out_json": None,
+        "out_table": None,
+    },
+    "eg": {
+        "candidates": None,
+        "questions": None,
+        "tables": None,
+        "out_selections": None,
+        "out_report": None,
+        "beam_width": 3,
+    },
+    "gate check": {
+        "out": None,
+        "seeds": 20,
+        "epsilon": 1e-5,
+        "d_model": 8,
+        "vocab_size": 20,
+        "src_len": 5,
+        "tgt_len": 4,
+    },
+    "gate train": {
+        "out_metrics": None,
+        "out_params": None,
+        "steps": 600,
+        "batch_size": 16,
+        "lr": 0.5,
+        "d_model": 32,
+        "eval_size": 200,
+        "seed": 0,
+        "log_every": 25,
+        "ablation": False,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFERENCE_DEFAULTS))
+def test_parsed_defaults_match_reference(command):
+    args = vars(build_parser().parse_args(command.split()))
+    assert args.pop("config") is None
+    del args["handler"], args["parser"]
+    typed = lambda d: {k: (type(v), v) for k, v in d.items()}  # noqa: E731 - False == 0, so compare types too
+    assert typed(args) == typed(REFERENCE_DEFAULTS[command])
+
+
 class TestExitCodes:
     def test_unknown_command_is_usage(self):
         assert main(["frobnicate"]) == 1
@@ -453,10 +636,13 @@ class TestExitCodes:
     def test_console_script_runs(self, corpus, tmp_path):
         questions, tables = corpus
         out = tmp_path / "out.jsonl"
+        # The child imports textsql from the same place this test did.
+        src = str(Path(textsql.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "textsql.cli", "linearize",
              "--questions", str(questions), "--tables", str(tables), "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "wrote 1 examples" in proc.stderr

@@ -169,6 +169,16 @@ class TestValidateRecord:
         report = validate_record(self.rec(LogicalForm(sel=0, agg=4)), plates_table)
         assert any("aggregation/type mismatch" in v for v in report.violations)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cond_value_flagged(self, plates_table, value):
+        lf = LogicalForm(sel=0, agg=0, conds=(Condition(1, 1, value),))
+        report = validate_record(self.rec(lf), plates_table)
+        assert report.violations == [f"cond 0: non-finite value: {value!r}"]
+
+    def test_finite_float_cond_value_ok(self, plates_table):
+        lf = LogicalForm(sel=0, agg=0, conds=(Condition(1, 1, 1e308),))
+        assert validate_record(self.rec(lf), plates_table).ok
+
     def test_avg_on_real_column_ok(self, points_table):
         rec = self.rec(LogicalForm(sel=2, agg=5), table_id=points_table.table_id)
         assert validate_record(rec, points_table).ok

@@ -67,6 +67,20 @@ class TestMaterialize:
         with pytest.raises(MaterializeError, match="boolean"):
             materialize(tab)
 
+    @pytest.mark.parametrize(
+        "table_id, header, message",
+        [
+            ("sqlite_t", "a", "reserved for internal use"),
+            ("1-\x00-1", "a", "null character"),
+            ("1-1-1", "a\x00b", "null character"),
+        ],
+        ids=["reserved_table_id", "nul_in_table_id", "nul_in_header"],
+    )
+    def test_table_sqlite_refuses_is_a_materialize_error(self, table_id, header, message):
+        tab = Table(table_id, (header,), ("text",), (("x",),))
+        with pytest.raises(MaterializeError, match=message):
+            materialize(tab)
+
 
 class TestExecute:
     def test_reference_lookup(self, plates_table):
