@@ -72,7 +72,8 @@ print("operators:   ", OP_NAMES)
 print("rendered:    ", sql_text)
 print("parse inverts render:", parse(sql_text) == stmt)
 
-# TableCache materializes each table once and hands back the connection.
+# TableCache materializes each table once, into a database it shares with
+# other tables, and hands back a handle bound to that one table.
 cache = TableCache()
 db = cache.get(MEDALS)
 result = execute(sql_text, db)
@@ -92,5 +93,11 @@ print("unknown column is an error:", execute("select [silver] from [1-demo-1]", 
 # reaches the engine, so it can never count as a clean execution.
 for off_dialect in (sql_text + " or 1=1", "select * from sqlite_master"):
     print("rejected:", off_dialect, "->", execute(off_dialect, db).error)
+
+# An in-dialect statement runs on the handle's table only. Naming any other
+# table, SQLite's own catalogue included, is an unknown table, even though
+# the database behind the handle may hold other tables.
+catalogue = "select [name] from [sqlite_master]"
+print("bound to its table:", catalogue, "->", execute(catalogue, db).error)
 
 cache.close()

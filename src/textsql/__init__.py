@@ -1,12 +1,12 @@
 """Desk-scale text-to-SQL toolkit for single-table aggregate queries.
 
 The pieces, in pipeline order: WikiSQL-style data loading (`data`), logical
-form to SQL composition and parsing (`sql`), execution against embedded
-per-table databases (`engine`), question/schema linearization (`linearize`),
-silver training-data sampling (`silver`), a gated extraction layer with its
-own autodiff and training harness (`gate`), execution-guided candidate
-selection (`eg`), and execution-accuracy scoring with an error taxonomy
-(`evaluation`). The `textsql` command wires them into file pipelines.
+form to SQL composition and parsing (`sql`), execution against tables in
+embedded shared databases (`engine`), question/schema linearization
+(`linearize`), silver training-data sampling (`silver`), a gated extraction
+layer with its own autodiff and training harness (`gate`), execution-guided
+candidate selection (`eg`), and execution-accuracy scoring with an error
+taxonomy (`evaluation`). The `textsql` command wires them into file pipelines.
 """
 
 from .data import (

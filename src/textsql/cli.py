@@ -52,7 +52,7 @@ from .gate import (
     train_copy_model,
 )
 from .linearize import LinearizeConfig, build_example
-from .silver import SamplerConfig, TemplateQuestionGenerator, generate_silver
+from .silver import SamplerConfig, SamplerError, TemplateQuestionGenerator, generate_silver
 from .sql import ComposeError, compose, render
 
 
@@ -447,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         _log(f"usage error: {exc}")
         return 1
-    except (DataError, DataFormatError, ComposeError, MaterializeError, OSError) as exc:
+    except (DataError, DataFormatError, ComposeError, MaterializeError, SamplerError, OSError) as exc:
         _log(f"data error: {exc}")
         return 2
     except SystemExit:

@@ -145,7 +145,7 @@ def eg_gain(
     """Score top-1 and execution-guided choices against gold executions.
 
     All three sequences align index by index (one table per example;
-    repeats are fine, the per-table cache deduplicates the databases).
+    repeats are fine, the cache materializes each table once).
     Each beam is selected over once. The top candidate is always tried
     first and is chosen whenever it executes, so top-1 is correct exactly
     when it executed and the selection is correct. The selections are

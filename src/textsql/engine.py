@@ -7,14 +7,17 @@ why not double quotes or the wire format's brackets). Execution never
 raises for bad SQL; a parse failure or an engine rejection comes back as an
 ``ExecResult`` error variant. An empty result is a success, never an error.
 
-A connection is confined to one thread of control at a time; the per-table
-cache hands out one independent in-memory database per table.
+Tables live in a few shared in-memory databases (see ``TableCache``), and a
+handle binds execution to its one table: a statement naming any other
+relation, SQLite's catalogue included, is ``no such table``. A connection is
+confined to one thread of control at a time.
 """
 
 from __future__ import annotations
 
 import math
 import sqlite3
+import string
 from dataclasses import dataclass
 
 from .data import Table
@@ -22,6 +25,14 @@ from .normalize import normalize_text
 from .sql import ParseFailure, SqlStatement, _render, parse
 
 _SQL_TYPES = {"text": "TEXT", "real": "REAL"}
+
+# Tables per shared database. Each CREATE TABLE scans the schema, so its cost
+# grows with the tables already there, while a database per table costs about
+# 30 KB of fixed memory each; a new database every 256 tables keeps both flat.
+_TABLES_PER_DB = 256
+
+# SQLite folds the case of names in ASCII only: `T-1` is `t-1`, `É` is not `é`.
+_ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 
 class MaterializeError(ValueError):
@@ -60,6 +71,8 @@ def _store_cell(value, col_type: str):
         return None
     if isinstance(value, bool):
         raise MaterializeError("boolean cells are not supported")
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        raise MaterializeError(f"integer cell {value} is outside the engine's 64-bit range")
     if isinstance(value, (int, float)):
         return value
     s = normalize_text(str(value))
@@ -86,33 +99,40 @@ def column_names(tab: Table) -> list[str]:
     return cols
 
 
-def materialize(tab: Table) -> sqlite3.Connection:
-    """Create a fresh in-memory database holding one relation named by the
-    table id, with lowercased column names.
+@dataclass(frozen=True, slots=True)
+class TableDb:
+    """A materialized table: the connection holding its relation and the
+    table id that ``execute`` binds statements to. The connection may hold
+    other tables; only this one is reachable through the handle."""
 
-    A table SQLite refuses to create (a reserved ``sqlite_`` name, a NUL
-    character in a name) raises ``MaterializeError``.
+    conn: sqlite3.Connection
+    table_id: str
+
+
+def materialize(tab: Table, conn: sqlite3.Connection | None = None) -> TableDb:
+    """Create one relation named by the table id, with lowercased column
+    names, in ``conn``, or in a fresh in-memory database when none is given.
+
+    A table the engine cannot hold (a reserved ``sqlite_`` name, a NUL
+    character in a name, an integer cell beyond 64 bits, text with a lone
+    surrogate) raises ``MaterializeError`` and leaves nothing behind in
+    ``conn``.
     """
     cols = column_names(tab)
-    conn = sqlite3.connect(":memory:")
-    col_defs = ", ".join(
-        f'{_quote(c)} {_SQL_TYPES[t]}' for c, t in zip(cols, tab.col_types)
-    )
-    try:
-        conn.execute(f'CREATE TABLE {_quote(tab.table_id)} ({col_defs})')
-    except sqlite3.Error as exc:
-        conn.close()
-        raise MaterializeError(f"table {tab.table_id!r}: {exc}") from exc
+    rows = [tuple(_store_cell(v, t) for v, t in zip(row, tab.col_types)) for row in tab.rows]
+    col_defs = ", ".join(f"{_quote(c)} {_SQL_TYPES[t]}" for c, t in zip(cols, tab.col_types))
     placeholders = ", ".join("?" for _ in cols)
-    conn.executemany(
-        f'INSERT INTO {_quote(tab.table_id)} VALUES ({placeholders})',
-        [
-            tuple(_store_cell(v, t) for v, t in zip(row, tab.col_types))
-            for row in tab.rows
-        ],
-    )
-    conn.commit()
-    return conn
+    db = conn if conn is not None else sqlite3.connect(":memory:")
+    try:
+        with db:  # one transaction: committed whole or rolled back
+            db.execute("BEGIN")
+            db.execute(f"CREATE TABLE {_quote(tab.table_id)} ({col_defs})")
+            db.executemany(f"INSERT INTO {_quote(tab.table_id)} VALUES ({placeholders})", rows)
+    except (sqlite3.Error, UnicodeEncodeError) as exc:
+        if conn is None:
+            db.close()
+        raise MaterializeError(f"table {tab.table_id!r}: {exc}") from exc
+    return TableDb(db, tab.table_id)
 
 
 def _quote(ident: str) -> str:
@@ -124,13 +144,16 @@ def _quote(ident: str) -> str:
     return "`" + ident.replace("`", "``") + "`"
 
 
-def execute(statement: SqlStatement | str, db: sqlite3.Connection) -> ExecResult:
+def execute(statement: SqlStatement | str, db: TableDb) -> ExecResult:
     """Run one statement against a materialized table.
 
     Text is parsed with ``sql.parse`` first; text outside the dialect (a
     second statement, ``or``, ``*``, an unknown function or operator) comes
-    back as a ``syntax error`` variant without reaching the engine. Anything
-    the engine rejects (unknown column or table) becomes an error variant too.
+    back as a ``syntax error`` variant without reaching the engine. A
+    statement naming any table but ``db``'s (compared with SQLite's ASCII-only
+    case folding) is ``no such table: <id>``, worded as SQLite words it,
+    though other tables share the database. Anything the engine rejects
+    (unknown column) becomes an error variant too.
     """
     if isinstance(statement, str):
         statement = parse(statement)
@@ -138,30 +161,48 @@ def execute(statement: SqlStatement | str, db: sqlite3.Connection) -> ExecResult
             return ExecResult.from_error(
                 f"syntax error at token {statement.token_index}: {statement.message}"
             )
+    if statement.table_id != db.table_id and (
+        statement.table_id.translate(_ASCII_FOLD) != db.table_id.translate(_ASCII_FOLD)
+    ):
+        return ExecResult.from_error(f"no such table: {statement.table_id}")
     try:
-        cur = db.execute(_render(statement, _quote))
+        cur = db.conn.execute(_render(statement, _quote))
         return ExecResult.from_rows(cur.fetchall())
     except (sqlite3.Error, sqlite3.Warning) as exc:
         return ExecResult.from_error(str(exc))
 
 
 class TableCache:
-    """On-demand, per-table databases keyed by table id."""
+    """Materializes each table once, on demand, keyed by table id.
+
+    Tables share in-memory databases, a new one every ``_TABLES_PER_DB``
+    tables. Ids that SQLite would read as one name (equal up to ASCII case)
+    go to different databases, so each resolves to its own relation.
+    """
 
     def __init__(self):
-        self._dbs: dict[str, sqlite3.Connection] = {}
+        self._tables: dict[str, TableDb] = {}
+        self._conns: list[sqlite3.Connection] = []
+        self._names: set[str] = set()  # folded ids in the newest database
 
-    def get(self, tab: Table) -> sqlite3.Connection:
-        db = self._dbs.get(tab.table_id)
+    def get(self, tab: Table) -> TableDb:
+        db = self._tables.get(tab.table_id)
         if db is None:
-            db = materialize(tab)
-            self._dbs[tab.table_id] = db
+            name = tab.table_id.translate(_ASCII_FOLD)
+            if not self._conns or len(self._names) == _TABLES_PER_DB or name in self._names:
+                self._conns.append(sqlite3.connect(":memory:"))
+                self._names = set()
+            db = materialize(tab, self._conns[-1])
+            self._names.add(name)
+            self._tables[tab.table_id] = db
         return db
 
     def close(self):
-        for db in self._dbs.values():
-            db.close()
-        self._dbs.clear()
+        for conn in self._conns:
+            conn.close()
+        self._conns.clear()
+        self._tables.clear()
+        self._names = set()
 
 
 def _canon_cell(value):

@@ -408,6 +408,40 @@ class TestTableSqliteRefuses:
         assert code == 2
 
 
+class TestCellEngineCannotStore:
+    """A cell SQLite cannot store is bad data, not an internal error."""
+
+    WIDE_INT = ('"real"', "100000000000000000000", "64-bit")
+
+    def _corpus(self, tmp_path, col_type, cell):
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text('{"id": "1-1-1", "header": ["A"], "types": [%s], "rows": [[%s]]}\n' % (col_type, cell))
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps({"phase": 1, "table_id": "1-1-1", "question": "q",
+                                         "sql": {"sel": 0, "agg": 0, "conds": []}}) + "\n")
+        return questions, tables
+
+    def test_silver_exits_with_data_error(self, tmp_path, capsys):
+        col_type, cell, message = self.WIDE_INT
+        _, tables = self._corpus(tmp_path, col_type, cell)
+        assert main(["silver", "--tables", str(tables), "--n", "2", "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "col_type, cell, message",
+        [WIDE_INT, ('"text"', '"\\ud800"', "surrogates not allowed")],
+        ids=["integer_beyond_64_bits", "lone_surrogate"],
+    )
+    def test_eval_exits_with_data_error(self, tmp_path, capsys, col_type, cell, message):
+        questions, tables = self._corpus(tmp_path, col_type, cell)
+        preds = tmp_path / "preds.txt"
+        preds.write_text("select [a] from [1-1-1]\n")
+        code = main(["eval", "--preds", str(preds), "--questions", str(questions),
+                     "--tables", str(tables), "--out-json", str(tmp_path / "r.json")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestGateCheck:
     def test_report_contents(self, tmp_path):
         out = tmp_path / "check.json"
@@ -627,6 +661,14 @@ class TestExitCodes:
         code = main(["silver", "--tables", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o"), "--n", "1"])
         assert code == 2
+
+    def test_empty_tables_file_is_data_error(self, tmp_path, capsys):
+        tables = tmp_path / "empty.jsonl"
+        tables.write_text("")
+        out = tmp_path / "o"
+        assert main(["silver", "--tables", str(tables), "--n", "1", "--out", str(out)]) == 2
+        assert "no tables to sample from" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:

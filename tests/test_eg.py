@@ -90,6 +90,22 @@ class TestEgSelect:
         assert sel.chosen_index == 1
         assert sel.outcomes[0].kind == "malformed"
 
+    def test_other_tables_are_never_chosen(self, points_table, plates_table):
+        cache = TableCache()
+        cache.get(plates_table)  # shares the database with the points table
+        cands = CandidateList.from_texts([
+            "select [name] from [sqlite_master]",
+            "select [sql] from [sqlite_master]",
+            "select [notes] from [1-1000181-1]",
+            good_sql(points_table),
+        ], beam_width=4)
+        sel = eg_select(cands, points_table, cache)
+        assert sel.chosen_index == 3
+        assert [o.kind for o in sel.outcomes[:3]] == ["unknown_table"] * 3
+        sel = eg_select(CandidateList.from_texts(cands.beam()[:3]), points_table, cache)
+        assert sel.all_failed
+        cache.close()
+
     def test_empty_result_set_is_a_win(self, points_table):
         empty = good_sql(points_table, conds=(Condition(1, 1, 999),))
         cands = CandidateList.from_texts([empty, good_sql(points_table)])

@@ -1,6 +1,7 @@
 """Materialized in-memory execution: quoting, errors, and result comparison."""
 
 import random
+import sqlite3
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +22,8 @@ from textsql import (
 )
 
 from textsql.eg import error_kind
+from textsql.engine import _TABLES_PER_DB, _quote, _store_cell, column_names
+from textsql.sql import _render
 
 from conftest import make_table
 
@@ -44,18 +47,18 @@ class TestExecResult:
 class TestMaterialize:
     def test_text_cells_stored_lowercased(self, plates_table):
         db = materialize(plates_table)
-        rows = db.execute("select `notes` from `1-1000181-1`").fetchall()
+        rows = db.conn.execute("select `notes` from `1-1000181-1`").fetchall()
         assert ("slogan screenprinted on plate",) in rows
 
     def test_numeric_strings_in_real_columns_become_floats(self):
         tab = Table("t-1", ("n",), ("real",), (("21",),))
         db = materialize(tab)
-        assert db.execute("select `n` from `t-1`").fetchall() == [(21.0,)]
+        assert db.conn.execute("select `n` from `t-1`").fetchall() == [(21.0,)]
 
     def test_null_cells_stay_null(self):
         tab = Table("t-1", ("a", "b"), ("text", "real"), ((None, None),))
         db = materialize(tab)
-        assert db.execute("select `a`, `b` from `t-1`").fetchall() == [(None, None)]
+        assert db.conn.execute("select `a`, `b` from `t-1`").fetchall() == [(None, None)]
 
     def test_duplicate_lowercased_headers_rejected(self):
         tab = Table("t-1", ("Score", "score"), ("real", "real"), ((1, 2),))
@@ -66,6 +69,23 @@ class TestMaterialize:
         tab = Table("t-1", ("a",), ("real",), ((True,),))
         with pytest.raises(MaterializeError, match="boolean"):
             materialize(tab)
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**20])
+    def test_integer_beyond_64_bits_rejected(self, value):
+        tab = Table("t-1", ("a",), ("real",), ((value,),))
+        with pytest.raises(MaterializeError, match="64-bit"):
+            materialize(tab)
+
+    def test_64_bit_extremes_stored(self):
+        tab = Table("t-1", ("a",), ("real",), ((2**63 - 1,), (-(2**63),)))
+        # A real column stores them with REAL affinity, as floats.
+        assert execute("select [a] from [t-1]", materialize(tab)).rows == ((2.0**63,), (-(2.0**63),))
+
+    def test_failure_leaves_nothing_in_a_shared_database(self, points_table):
+        db = materialize(points_table)
+        with pytest.raises(MaterializeError, match="surrogates not allowed"):
+            materialize(Table("t-1", ("a",), ("text",), (("ok",), ("\ud800",))), db.conn)
+        assert db.conn.execute("select [name] from [sqlite_master]").fetchall() == [("2-777-1",)]
 
     @pytest.mark.parametrize(
         "table_id, header, message",
@@ -214,8 +234,8 @@ class TestDialect:
             conds = tuple(_cell_condition(tab, rng) for _ in range(rng.randrange(0, 3)))
             lf = LogicalForm(sel=rng.randrange(tab.n_cols), agg=rng.randrange(6), conds=conds)
             text = render(compose(lf, tab))
-            assert execute(text, db) == ExecResult.from_rows(db.execute(text).fetchall()), text
-        db.close()
+            assert execute(text, db) == ExecResult.from_rows(db.conn.execute(text).fetchall()), text
+        db.conn.close()
 
 
 class TestTableCache:
@@ -230,6 +250,119 @@ class TestTableCache:
         cache.close()
         res = execute("select [player] from [2-777-1]", cache.get(points_table))
         assert not res.is_error
+        cache.close()
+
+
+class TestBinding:
+    """A handle runs statements on its own table only, though tables share
+    databases: any other name is ``no such table``, as in a database that
+    holds the one table."""
+
+    @pytest.mark.parametrize("column", ["name", "sql"])
+    def test_catalogue_is_no_such_table(self, points_table, column):
+        cache = TableCache()
+        for db in (materialize(points_table), cache.get(points_table)):
+            res = execute(f"select [{column}] from [sqlite_master]", db)
+            assert res.error == "no such table: sqlite_master"
+            assert error_kind(res.error) == "unknown_table"
+        cache.close()
+
+    def test_other_table_in_the_same_database_is_no_such_table(self, points_table, plates_table):
+        cache = TableCache()
+        points, plates = cache.get(points_table), cache.get(plates_table)
+        assert points.conn is plates.conn
+        res = execute("select [notes] from [1-1000181-1]", points)
+        assert res.error == "no such table: 1-1000181-1"
+        assert error_kind(res.error) == "unknown_table"
+        assert execute("select [notes] from [1-1000181-1]", plates).rows
+        cache.close()
+
+    def test_ids_equal_up_to_ascii_case_keep_their_own_rows(self):
+        upper = Table("T-1", ("a",), ("text",), (("upper",),))
+        lower = Table("t-1", ("a",), ("text",), (("lower",),))
+        cache = TableCache()
+        assert execute("select [a] from [T-1]", cache.get(upper)).rows == (("upper",),)
+        assert execute("select [a] from [t-1]", cache.get(lower)).rows == (("lower",),)
+        # SQLite folds ASCII case, so either spelling reaches the handle's table.
+        assert execute("select [a] from [t-1]", cache.get(upper)).rows == (("upper",),)
+        assert execute("select [a] from [T-1]", cache.get(lower)).rows == (("lower",),)
+        cache.close()
+
+    def test_non_ascii_case_is_not_folded(self):
+        upper = Table("É-1", ("a",), ("text",), (("upper",),))
+        lower = Table("é-1", ("a",), ("text",), (("lower",),))
+        cache = TableCache()
+        assert cache.get(upper).conn is cache.get(lower).conn  # distinct names to SQLite
+        assert execute("select [a] from [É-1]", cache.get(upper)).rows == (("upper",),)
+        assert execute("select [a] from [é-1]", cache.get(lower)).rows == (("lower",),)
+        assert execute("select [a] from [é-1]", cache.get(upper)).error == "no such table: é-1"
+        assert execute("select [a] from [É-1]", cache.get(lower)).error == "no such table: É-1"
+        cache.close()
+
+    def test_a_new_database_every_so_many_tables(self):
+        tabs = [Table(f"t-{i}", ("a",), ("real",), ((i,),)) for i in range(2 * _TABLES_PER_DB + 1)]
+        cache = TableCache()
+        conns = [cache.get(tab).conn for tab in tabs]
+        assert len({id(c) for c in conns}) == 3
+        assert conns[0] is conns[_TABLES_PER_DB - 1] is not conns[_TABLES_PER_DB]
+        assert execute("select [a] from [t-7]", cache.get(tabs[7])).rows == ((7,),)
+        cache.close()
+
+
+def _one_table_db(tab):
+    """Oracle: a fresh connection holding this one table and nothing else."""
+    conn = sqlite3.connect(":memory:")
+    cols = ", ".join(f"{_quote(c)} {t.upper()}" for c, t in zip(column_names(tab), tab.col_types))
+    conn.execute(f"CREATE TABLE {_quote(tab.table_id)} ({cols})")
+    conn.executemany(
+        f"INSERT INTO {_quote(tab.table_id)} VALUES ({', '.join('?' * tab.n_cols)})",
+        [tuple(_store_cell(v, t) for v, t in zip(row, tab.col_types)) for row in tab.rows],
+    )
+    return conn
+
+
+def _run_alone(conn, stmt):
+    try:
+        return ExecResult.from_rows(conn.execute(_render(stmt, _quote)).fetchall())
+    except sqlite3.Error as exc:
+        return ExecResult.from_error(str(exc))
+
+
+class TestSharedDatabases:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=6, deadline=None)
+    def test_execution_matches_a_one_table_database(self, seed):
+        """Over more tables than one database holds, with ids that collide
+        up to ASCII or non-ASCII case, each statement (on its own table or
+        on another) gives on the cache's handle what it gives on a fresh
+        connection holding only the handle's table, errors included."""
+        rng = random.Random(seed)
+        tabs = {}
+        while len(tabs) < _TABLES_PER_DB + 44:
+            table_id = f"{rng.choice('aAbBéÉ')}-{rng.randrange(400)}"
+            tabs[table_id] = make_table(
+                rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(0, 6), table_id=table_id, null_rate=0.2
+            )
+        tabs = list(tabs.values())
+        cache = TableCache()
+        handles = [cache.get(tab) for tab in tabs]
+        alone = [_one_table_db(tab) for tab in tabs]
+        for _ in range(300):
+            i = rng.randrange(len(tabs))
+            conds = tuple(_cell_condition(tabs[i], rng) for _ in range(rng.randrange(0, 3)))
+            lf = LogicalForm(sel=rng.randrange(tabs[i].n_cols), agg=rng.randrange(6), conds=conds)
+            stmt = compose(lf, tabs[i])
+            for j in {i, rng.randrange(len(tabs))}:
+                assert execute(stmt, handles[j]) == _run_alone(alone[j], stmt), (stmt, tabs[j].table_id)
+        twins = [
+            (a, b) for a in range(len(tabs)) for b in range(len(tabs))
+            if a != b and tabs[a].table_id.lower() == tabs[b].table_id.lower()
+        ]
+        for a, b in twins:
+            stmt = compose(LogicalForm(sel=0, agg=0, conds=()), tabs[a])
+            assert execute(stmt, handles[b]) == _run_alone(alone[b], stmt)
+        for conn in alone:
+            conn.close()
         cache.close()
 
 
@@ -288,4 +421,4 @@ class TestComposedStatementsAlwaysExecute:
             )
             res = execute(render(compose(lf, tab)), db)
             assert not res.is_error, res.error
-        db.close()
+        db.conn.close()

@@ -224,4 +224,4 @@ class TestValidityProperty:
             res = execute(render(compose(lf, tab)), db)
             assert not res.is_error, res.error
         cache.close()
-        db.close()
+        db.conn.close()
