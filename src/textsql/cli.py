@@ -128,6 +128,8 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         entries = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read config {args.config}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"config {args.config} is not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(entries, dict):
@@ -242,6 +244,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         preds = Path(args.preds).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {args.preds}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # The whole file was decoded at once: the valid prefix numbers the line.
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DataError(f"{args.preds} line {line} is not UTF-8 text ({exc.reason})") from exc
     records, tables = _load_inputs(args)
     if len(preds) != len(records):
         raise DataError(f"{len(preds)} predictions for {len(records)} records")

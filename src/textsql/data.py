@@ -130,16 +130,32 @@ class ValidationReport:
 
 def iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataFormatError(f"invalid JSON: {exc.msg}", path, lineno) from exc
+                if not isinstance(obj, dict):
+                    raise DataFormatError("line is not a JSON object", path, lineno)
+                yield lineno, obj
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text ({exc.reason})", path, _undecodable_line(path)) from exc
+
+
+def _undecodable_line(path: str | Path) -> int | None:
+    """The first line, numbered as text-mode reading numbers it, holding
+    bytes that are not UTF-8. Text mode decodes a chunk at a time, so the
+    error itself cannot tell."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"invalid JSON: {exc.msg}", path, lineno) from exc
-            if not isinstance(obj, dict):
-                raise DataFormatError("line is not a JSON object", path, lineno)
-            yield lineno, obj
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
+    return None
 
 
 def _require(obj: dict, key: str, path: str | Path, lineno: int):

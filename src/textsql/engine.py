@@ -87,9 +87,21 @@ def _store_cell(value, col_type: str):
 def column_names(tab: Table) -> list[str]:
     """The table's lowercased column names, as the engine names them.
 
-    Raises ``MaterializeError`` when two headers collide after lowercasing:
-    statements over such a table cannot name each column apart.
+    Raises ``MaterializeError`` for a table SQLite would refuse by its names
+    alone: a table id with the reserved ``sqlite_`` prefix (in any ASCII
+    case), a NUL character or a lone surrogate in the id or a header, or two
+    headers that collide after lowercasing, since statements over such a
+    table cannot name each column apart.
     """
+    if tab.table_id[:7].translate(_ASCII_FOLD) == "sqlite_":
+        raise MaterializeError(f"table {tab.table_id!r}: object name reserved for internal use")
+    for name in (tab.table_id, *tab.headers):
+        if "\x00" in name:
+            raise MaterializeError(f"table {tab.table_id!r}: name {name!r} contains a null character")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MaterializeError(f"table {tab.table_id!r}: name {name!r}: {exc.reason}") from exc
     cols = [normalize_text(h) for h in tab.headers]
     if len(set(cols)) != len(cols):
         dupes = sorted({c for c in cols if cols.count(c) > 1})
@@ -113,10 +125,9 @@ def materialize(tab: Table, conn: sqlite3.Connection | None = None) -> TableDb:
     """Create one relation named by the table id, with lowercased column
     names, in ``conn``, or in a fresh in-memory database when none is given.
 
-    A table the engine cannot hold (a reserved ``sqlite_`` name, a NUL
-    character in a name, an integer cell beyond 64 bits, text with a lone
-    surrogate) raises ``MaterializeError`` and leaves nothing behind in
-    ``conn``.
+    A table the engine cannot hold (a name ``column_names`` refuses, an
+    integer cell beyond 64 bits, a cell with a lone surrogate) raises
+    ``MaterializeError`` and leaves nothing behind in ``conn``.
     """
     cols = column_names(tab)
     rows = [tuple(_store_cell(v, t) for v, t in zip(row, tab.col_types)) for row in tab.rows]
@@ -153,7 +164,7 @@ def execute(statement: SqlStatement | str, db: TableDb) -> ExecResult:
     statement naming any table but ``db``'s (compared with SQLite's ASCII-only
     case folding) is ``no such table: <id>``, worded as SQLite words it,
     though other tables share the database. Anything the engine rejects
-    (unknown column) becomes an error variant too.
+    (unknown column, text it cannot encode) becomes an error variant too.
     """
     if isinstance(statement, str):
         statement = parse(statement)
@@ -168,7 +179,8 @@ def execute(statement: SqlStatement | str, db: TableDb) -> ExecResult:
     try:
         cur = db.conn.execute(_render(statement, _quote))
         return ExecResult.from_rows(cur.fetchall())
-    except (sqlite3.Error, sqlite3.Warning) as exc:
+    except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
+        # A lone surrogate in a literal cannot be encoded for the engine.
         return ExecResult.from_error(str(exc))
 
 

@@ -4,6 +4,12 @@ Central differences around every coordinate of the chosen parameters,
 compared against one backward pass. The relative-error denominator is
 floored so coordinates where both estimates are essentially zero do not
 blow up the ratio.
+
+No ``gate.*`` parameter reaches the encoder or decoder states, so the
+perturbed losses of a gate coordinate run only the gate-and-loss head on
+states computed once per check. Any other parameter reruns the full
+forward. The head repeats the forward's operations on the same arrays, so
+every loss, and so every result, is bit-identical to a full forward's.
 """
 
 from __future__ import annotations
@@ -32,7 +38,13 @@ def grad_check(
     epsilon: float = 1e-5,
     param_names: list[str] | None = None,
 ) -> GradCheckResult:
-    """Compare analytic and numeric gradients coordinate by coordinate."""
+    """Compare analytic and numeric gradients coordinate by coordinate.
+
+    The encoder and decoder states are computed once, after the backward
+    pass and with the parameters as given, and reused by the perturbed
+    losses of every ``gate.*`` coordinate; other parameters rerun the full
+    forward per perturbation.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if param_names is None:
@@ -41,8 +53,19 @@ def grad_check(
     if unknown:
         raise ValueError(f"unknown parameters: {unknown}")
     _, grads = model.loss_and_grads(src_ids, tgt_ids)
+    src, tgt = model._check_pair(src_ids, tgt_ids)
+    with no_grad():
+        h_enc, h_dec = model._states(src, tgt)
+
+    def head_loss() -> float:
+        return float(model._head(h_enc, h_dec, src, tgt)[2].data)
+
+    def full_loss() -> float:
+        return model.forward(src_ids, tgt_ids).loss
+
     per_param: dict[str, float] = {}
     for name in param_names:
+        loss = head_loss if name.startswith("gate.") else full_loss
         data = model.params[name].data
         flat = data.reshape(-1)
         analytic = grads[name].reshape(-1)
@@ -51,9 +74,9 @@ def grad_check(
             kept = flat[i]
             with no_grad():
                 flat[i] = kept + epsilon
-                up = model.forward(src_ids, tgt_ids).loss
+                up = loss()
                 flat[i] = kept - epsilon
-                down = model.forward(src_ids, tgt_ids).loss
+                down = loss()
             flat[i] = kept
             numeric = (up - down) / (2.0 * epsilon)
             rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), REL_FLOOR)

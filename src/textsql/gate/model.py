@@ -175,21 +175,36 @@ class GateModel:
     def _gate(self, h_enc: Tensor, h_dec: Tensor, src_ids: np.ndarray) -> tuple[dict, GateActivations]:
         return run_gate(h_enc, h_dec, src_ids, self.gate_params(), p_ext_scale=1.0 if self.gated else 0.0)
 
-    def forward(self, src_ids, tgt_ids) -> ForwardPass:
-        """Teacher-forced pass with per-position negative log likelihood."""
-        single = np.ndim(src_ids) == 1
-        src = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")
-        tgt = self._check_ids(tgt_ids, self.cfg.max_tgt_len, "tgt_ids")
-        if np.ndim(tgt_ids) != np.ndim(src_ids) or src.shape[0] != tgt.shape[0]:
-            raise ValueError(f"src_ids and tgt_ids must agree on the batch: {np.shape(src_ids)} vs {np.shape(tgt_ids)}")
+    def _states(self, src: np.ndarray, tgt: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Encoder and teacher-forced decoder states for checked id batches.
+        No ``gate.*`` parameter reaches them."""
         start = np.full((tgt.shape[0], 1), self.cfg.start_id)
         dec_in = np.concatenate([start, tgt[:, :-1]], axis=1)
-        tensors, snapshot = self._gate(self._encode(src), self._decode_states(dec_in), src)
+        return self._encode(src), self._decode_states(dec_in)
+
+    def _head(
+        self, h_enc: Tensor, h_dec: Tensor, src: np.ndarray, tgt: np.ndarray
+    ) -> tuple[GateActivations, Tensor, Tensor]:
+        """The gate on the states, then the per-position NLL and its mean."""
+        tensors, snapshot = self._gate(h_enc, h_dec, src)
         picked = tsum(mul(tensors["o_final"], Tensor(one_hot(tgt, self.cfg.vocab_size))), axis=-1)
         nll = mul(log(add(picked, Tensor(_LOG_FLOOR))), Tensor(-1.0))
         # Equal lengths, so the mean over every position is the batch mean
         # of the per-example means.
-        loss = tmean(nll)
+        return snapshot, nll, tmean(nll)
+
+    def _check_pair(self, src_ids, tgt_ids) -> tuple[np.ndarray, np.ndarray]:
+        src = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")
+        tgt = self._check_ids(tgt_ids, self.cfg.max_tgt_len, "tgt_ids")
+        if np.ndim(tgt_ids) != np.ndim(src_ids) or src.shape[0] != tgt.shape[0]:
+            raise ValueError(f"src_ids and tgt_ids must agree on the batch: {np.shape(src_ids)} vs {np.shape(tgt_ids)}")
+        return src, tgt
+
+    def forward(self, src_ids, tgt_ids) -> ForwardPass:
+        """Teacher-forced pass with per-position negative log likelihood."""
+        single = np.ndim(src_ids) == 1
+        src, tgt = self._check_pair(src_ids, tgt_ids)
+        snapshot, nll, loss = self._head(*self._states(src, tgt), src, tgt)
         per_position = nll.data.copy()
         if single:
             snapshot = GateActivations(**{k: v[0] for k, v in vars(snapshot).items()})

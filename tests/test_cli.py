@@ -279,6 +279,31 @@ class TestEg:
         assert "candidates line 1: gold does not validate: aggregation/type mismatch" in capsys.readouterr().err
 
 
+class TestEgLoneSurrogate:
+    def test_candidate_is_dropped(self, tmp_path):
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([Table("1-1-1", ("A",), ("text",), (("x",),))]))
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps({"phase": 1, "table_id": "1-1-1", "question": "q",
+                                         "sql": {"sel": 0, "agg": 0, "conds": []}}) + "\n")
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": 0, "candidates": [
+            "select [a] from [1-1-1] where [a] = '\ud800'", "select [a] from [1-1-1]",
+        ]}) + "\n")
+        sel_out, rep_out = tmp_path / "sel.jsonl", tmp_path / "rep.json"
+        code = main([
+            "eg", "--candidates", str(cands), "--questions", str(questions),
+            "--tables", str(tables), "--out-selections", str(sel_out),
+            "--out-report", str(rep_out),
+        ])
+        assert code == 0
+        sel = read_jsonl(sel_out)[0]
+        assert sel["chosen_index"] == 1
+        assert sel["outcomes"][0]["kind"] == "other"
+        assert "surrogates not allowed" in sel["outcomes"][0]["error"]
+        assert json.loads(rep_out.read_text())["correct_eg"] == 1
+
+
 class TestHeaderCollision:
     """Headers equal after lowercasing cannot be materialized: bad data, not
     an internal error."""
@@ -390,6 +415,9 @@ class TestTableSqliteRefuses:
         table_id, header = request.param
         tables = tmp_path / "tables.jsonl"
         tables.write_text(dump_tables([Table(table_id, (header,), ("real",), ((1.0,),))]))
+        tables.with_name("text_tables.jsonl").write_text(
+            dump_tables([Table(table_id, (header,), ("text",), (("x",),))])
+        )
         questions = tmp_path / "questions.jsonl"
         questions.write_text(json.dumps({"phase": 1, "table_id": table_id, "question": "q",
                                          "sql": {"sel": 0, "agg": 0, "conds": []}}) + "\n")
@@ -398,6 +426,15 @@ class TestTableSqliteRefuses:
     def test_silver_exits_with_data_error(self, refused_corpus, tmp_path):
         _, tables = refused_corpus
         assert main(["silver", "--tables", str(tables), "--n", "3", "--out", str(tmp_path / "o")]) == 2
+
+    def test_silver_on_text_only_table_exits_with_data_error(self, refused_corpus, tmp_path, capsys):
+        # No inequality probe materializes a text-only table; the name rule
+        # must refuse it anyway.
+        tables = refused_corpus[1].with_name("text_tables.jsonl")
+        out = tmp_path / "o"
+        assert main(["silver", "--tables", str(tables), "--n", "3", "--out", str(out)]) == 2
+        assert "data error: table" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_exits_with_data_error(self, refused_corpus, tmp_path):
         questions, tables = refused_corpus
@@ -648,6 +685,41 @@ def test_parsed_defaults_match_reference(command):
     del args["handler"], args["parser"]
     typed = lambda d: {k: (type(v), v) for k, v in d.items()}  # noqa: E731 - False == 0, so compare types too
     assert typed(args) == typed(REFERENCE_DEFAULTS[command])
+
+
+class TestNotUtf8:
+    """Input bytes that are not UTF-8 are bad data (exit 2), not an internal error."""
+
+    def test_eval_preds(self, corpus, tmp_path, capsys):
+        questions, tables = corpus
+        preds = tmp_path / "preds.txt"
+        preds.write_bytes(PLATES_SQL.encode() + b"\n\xff")
+        code = main(["eval", "--preds", str(preds), "--questions", str(questions),
+                     "--tables", str(tables), "--out-json", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"{preds} line 2 is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tables", "--questions", "--candidates"])
+    def test_jsonl_input_names_the_line(self, corpus, tmp_path, capsys, flag):
+        questions, tables = corpus
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": 0, "candidates": [PLATES_SQL]}) + "\n")
+        bad = {"--tables": tables, "--questions": questions, "--candidates": cands}[flag]
+        bad.write_bytes(bad.read_bytes() + b"\n" + b'{"id": "\xff"}\n')
+        code = main(["eg", "--candidates", str(cands), "--questions", str(questions),
+                     "--tables", str(tables), "--out-selections", str(tmp_path / "s"),
+                     "--out-report", str(tmp_path / "r")])
+        assert code == 2
+        assert f"not UTF-8 text (invalid start byte) ({bad}:3)" in capsys.readouterr().err
+
+    def test_config(self, corpus, tmp_path, capsys):
+        _, tables = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"n": "\xff"}')
+        code = main(["silver", "--tables", str(tables), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert f"config {cfg} is not UTF-8 text" in capsys.readouterr().err
 
 
 class TestExitCodes:

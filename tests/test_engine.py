@@ -101,8 +101,46 @@ class TestMaterialize:
         with pytest.raises(MaterializeError, match=message):
             materialize(tab)
 
+    @pytest.mark.parametrize(
+        "table_id, header, refused",
+        [
+            ("sqlite_t", "a", True),
+            ("SQLite_T", "a", True),
+            ("1-\x00-1", "a", True),
+            ("1-1-1", "a\x00b", True),
+            ("1-\ud800-1", "a", True),
+            ("1-1-1", "a\udfff", True),
+            ("sqlite", "a", False),
+            ("x_sqlite_t", "sqlite_a", False),
+            ("1-é-1", "É", False),
+        ],
+    )
+    def test_column_names_refuses_what_sqlite_refuses(self, table_id, header, refused):
+        # Oracle: whether SQLite creates the table at all.
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.execute(f"CREATE TABLE {_quote(table_id)} ({_quote(header.lower())} TEXT)")
+            sqlite_refuses = False
+        except (sqlite3.Error, UnicodeEncodeError):
+            sqlite_refuses = True
+        conn.close()
+        assert sqlite_refuses == refused
+        tab = Table(table_id, (header,), ("text",), (("x",),))
+        if refused:
+            with pytest.raises(MaterializeError, match="reserved for internal use|null character|surrogates"):
+                column_names(tab)
+        else:
+            assert column_names(tab) == [header.lower()]
+
 
 class TestExecute:
+    def test_lone_surrogate_literal_is_an_error_variant(self):
+        db = materialize(Table("1-1-1", ("A",), ("text",), (("x",),)))
+        res = execute("select [a] from [1-1-1] where [a] = '\ud800'", db)
+        assert res.is_error
+        assert "surrogates not allowed" in res.error
+        assert execute("select [a] from [1-1-1]", db).rows == (("x",),)
+
     def test_reference_lookup(self, plates_table):
         db = materialize(plates_table)
         res = execute(

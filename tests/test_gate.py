@@ -11,6 +11,7 @@ from textsql.gate import (
     GateConfig,
     GateModel,
     GateParams,
+    GradCheckResult,
     ParamsFormatError,
     copy_distribution,
     cross_attention,
@@ -25,6 +26,7 @@ from textsql.gate import (
     save_params,
 )
 from textsql.gate.autodiff import Tensor, no_grad
+from textsql.gate.gradcheck import REL_FLOOR
 
 
 def rand_params(d, vocab, seed):
@@ -458,6 +460,96 @@ class TestGradCheck:
         out = epsilon_sweep(model, src, tgt, eps, param_names=["gate.gate_b"])
         assert [e for e, _ in out] == eps
         assert all(err >= 0 for _, err in out)
+
+
+def full_forward_grad_check(model, src_ids, tgt_ids, epsilon, param_names) -> GradCheckResult:
+    """Oracle: two full forward passes per perturbed coordinate."""
+    _, grads = model.loss_and_grads(src_ids, tgt_ids)
+    per_param = {}
+    for name in param_names:
+        flat = model.params[name].data.reshape(-1)
+        analytic = grads[name].reshape(-1)
+        worst = 0.0
+        for i in range(flat.size):
+            kept = flat[i]
+            with no_grad():
+                flat[i] = kept + epsilon
+                up = model.forward(src_ids, tgt_ids).loss
+                flat[i] = kept - epsilon
+                down = model.forward(src_ids, tgt_ids).loss
+            flat[i] = kept
+            numeric = (up - down) / (2.0 * epsilon)
+            rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), REL_FLOOR)
+            worst = max(worst, rel)
+        per_param[name] = worst
+    return GradCheckResult(
+        max_rel_error=max(per_param.values()),
+        worst_param=max(per_param, key=per_param.get),
+        per_param=per_param,
+    )
+
+
+# Non-gate names keep the full-forward path covered.
+_CHECK_NAMES = ["gate.gate_b", "gate.gate_w", "gate.ln_ctx_gain", "gate.out_b", "gate.w_q", "emb", "enc.wq", "dec.ff_b2"]
+
+
+class TestGradCheckReusesStates:
+    @given(
+        seed=st.integers(0, 10**6),
+        d_model=st.integers(1, 4),
+        src_len=st.integers(1, 4),
+        tgt_len=st.integers(1, 3),
+        batch=st.sampled_from([None, 1, 2]),
+        gated=st.booleans(),
+        names=st.lists(st.sampled_from(_CHECK_NAMES), min_size=1, max_size=4, unique=True),
+        steps=st.integers(0, 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_forward_oracle_bit_for_bit(
+        self, seed, d_model, src_len, tgt_len, batch, gated, names, steps
+    ):
+        cfg = GateConfig(vocab_size=6, d_model=d_model, max_src_len=src_len, max_tgt_len=tgt_len, seed=seed)
+        model = GateModel(cfg, gated=gated)
+        rng = np.random.default_rng(seed + 1)
+        lead = () if batch is None else (batch,)
+        src = rng.integers(0, cfg.vocab_size, size=lead + (src_len,))
+        tgt = rng.integers(0, cfg.vocab_size, size=lead + (tgt_len,))
+        # A training step between checks: states must follow the changed model.
+        for _ in range(steps + 1):
+            before = {n: t.data.copy() for n, t in model.params.items()}
+            expected = full_forward_grad_check(model, src, tgt, 1e-5, names)
+            assert grad_check(model, src, tgt, param_names=names) == expected
+            assert all(before[n].tobytes() == t.data.tobytes() for n, t in model.params.items())
+            _, grads = model.loss_and_grads(src, tgt)
+            model.sgd_step(grads, lr=0.5)
+
+    @staticmethod
+    def _count_state_calls(model, monkeypatch) -> dict[str, int]:
+        counts = {"_encode": 0, "_decode_states": 0}
+        for attr in counts:
+            original = getattr(model, attr)
+
+            def counted(*args, _attr=attr, _original=original):
+                counts[_attr] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(model, attr, counted)
+        return counts
+
+    @pytest.mark.parametrize("names", [["gate.gate_b"], None])
+    def test_gate_params_compute_states_a_fixed_number_of_times(self, names, monkeypatch):
+        model, src, tgt = random_check_instance(3)
+        counts = self._count_state_calls(model, monkeypatch)
+        grad_check(model, src, tgt, param_names=names)
+        # One forward for the analytic gradients, one for the reused states.
+        assert counts == {"_encode": 2, "_decode_states": 2}
+
+    def test_other_params_rerun_the_states_per_perturbation(self, monkeypatch):
+        model, src, tgt = random_check_instance(3)
+        counts = self._count_state_calls(model, monkeypatch)
+        grad_check(model, src, tgt, param_names=["gate.gate_b", "dec.ff_b2"])
+        coords = model.params["dec.ff_b2"].data.size
+        assert counts == {"_encode": 2 + 2 * coords, "_decode_states": 2 + 2 * coords}
 
 
 class TestPersistence:
