@@ -183,6 +183,11 @@ def transpose(a: Tensor) -> Tensor:
     return _unary(a, _swap(a.data), lambda g, y: _swap(g))
 
 
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values in a new shape, in C order."""
+    return _unary(a, a.data.reshape(shape), lambda g, y: g.reshape(a.shape))
+
+
 def relu(a: Tensor) -> Tensor:
     return _unary(a, np.maximum(a.data, 0.0), lambda g, y: g * (a.data > 0.0))
 

@@ -3,25 +3,35 @@
 Central differences around every coordinate of the chosen parameters,
 compared against one backward pass. The relative-error denominator is
 floored so coordinates where both estimates are essentially zero do not
-blow up the ratio.
+blow up the ratio. A coordinate whose error is not finite fails its
+parameter with an error of ``inf``.
 
 No ``gate.*`` parameter reaches the encoder or decoder states, so the
-perturbed losses of a gate coordinate run only the gate-and-loss head on
-states computed once per check. Any other parameter reruns the full
-forward. The head repeats the forward's operations on the same arrays, so
-every loss, and so every result, is bit-identical to a full forward's.
+states are computed once per check and the perturbed losses of a gate
+parameter come from batched passes of the gate-and-loss head alone: the
+perturbed copies of the parameter go in on a leading copy axis (row 2i is
+coordinate i plus epsilon, row 2i+1 coordinate i minus epsilon), the
+states and ids are repeated across that axis, and each copy's loss is the
+mean of its own block of per-position losses. The copies run in chunks of
+``_COORD_CHUNK`` coordinates, which bounds the memory of one pass. Every
+copy goes through the same numpy operations as an unbatched pass, so every
+loss, and so every result, is bit-identical to that of a full forward per
+coordinate. Any other parameter reruns the full forward per perturbation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import no_grad
+from .autodiff import Tensor, no_grad
 from .model import GateConfig, GateModel
 
 REL_FLOOR = 1e-6
+# Coordinates, so twice as many parameter copies, per batched head pass.
+_COORD_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -29,6 +39,46 @@ class GradCheckResult:
     max_rel_error: float
     worst_param: str
     per_param: dict[str, float]
+
+
+def _head_losses(model: GateModel, name: str, states, src: np.ndarray, tgt: np.ndarray, epsilon: float) -> np.ndarray:
+    """Perturbed losses of every coordinate of gate parameter ``name``:
+    entry 2i is coordinate i plus epsilon, entry 2i+1 minus epsilon."""
+    data = model.params[name].data
+    flat = data.reshape(-1)
+    base = model.gate_params()
+    h_enc, h_dec = (h.data for h in states)
+    examples = src.shape[0]
+    losses = []
+    for start in range(0, flat.size, _COORD_CHUNK):
+        coords = np.arange(start, min(start + _COORD_CHUNK, flat.size))
+        copies = 2 * coords.size
+        stack = np.repeat(flat[None, :], copies, axis=0)
+        pair = 2 * np.arange(coords.size)
+        stack[pair, coords] += epsilon
+        stack[pair + 1, coords] -= epsilon
+        # One row of parameters per batch row, copy-major like the repeated
+        # states and ids.
+        per_row = np.repeat(stack.reshape(copies, -1, data.shape[-1]), examples, axis=0)
+        params = replace(base, **{name.removeprefix("gate."): per_row})
+        enc, dec, src_rows, tgt_rows = (np.concatenate([a] * copies) for a in (h_enc, h_dec, src, tgt))
+        _, _, loss = model._head(params, Tensor(enc), Tensor(dec), src_rows, tgt_rows, blocks=copies)
+        losses.append(loss.data)
+    return np.concatenate(losses)
+
+
+def _forward_losses(model: GateModel, name: str, src_ids, tgt_ids, epsilon: float) -> np.ndarray:
+    """Perturbed losses of every coordinate of ``name``, in the order of
+    :func:`_head_losses`, each from a full forward."""
+    flat = model.params[name].data.reshape(-1)
+    losses = np.empty(2 * flat.size)
+    for i in range(flat.size):
+        kept = flat[i]
+        for j, value in enumerate((kept + epsilon, kept - epsilon)):
+            flat[i] = value
+            losses[2 * i + j] = model.forward(src_ids, tgt_ids).loss
+        flat[i] = kept
+    return losses
 
 
 def grad_check(
@@ -41,12 +91,13 @@ def grad_check(
     """Compare analytic and numeric gradients coordinate by coordinate.
 
     The encoder and decoder states are computed once, after the backward
-    pass and with the parameters as given, and reused by the perturbed
-    losses of every ``gate.*`` coordinate; other parameters rerun the full
-    forward per perturbation.
+    pass and with the parameters as given. Each ``gate.*`` parameter then
+    gets its perturbed losses from one batched head pass on those states per
+    chunk of ``_COORD_CHUNK`` coordinates; any other parameter reruns the
+    full forward per perturbation. ``epsilon`` must be positive and finite.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if param_names is None:
         param_names = model.gate_param_names()
     unknown = [n for n in param_names if n not in model.params]
@@ -54,34 +105,19 @@ def grad_check(
         raise ValueError(f"unknown parameters: {unknown}")
     _, grads = model.loss_and_grads(src_ids, tgt_ids)
     src, tgt = model._check_pair(src_ids, tgt_ids)
-    with no_grad():
-        h_enc, h_dec = model._states(src, tgt)
-
-    def head_loss() -> float:
-        return float(model._head(h_enc, h_dec, src, tgt)[2].data)
-
-    def full_loss() -> float:
-        return model.forward(src_ids, tgt_ids).loss
-
     per_param: dict[str, float] = {}
-    for name in param_names:
-        loss = head_loss if name.startswith("gate.") else full_loss
-        data = model.params[name].data
-        flat = data.reshape(-1)
-        analytic = grads[name].reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            kept = flat[i]
-            with no_grad():
-                flat[i] = kept + epsilon
-                up = loss()
-                flat[i] = kept - epsilon
-                down = loss()
-            flat[i] = kept
-            numeric = (up - down) / (2.0 * epsilon)
-            rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), REL_FLOOR)
-            worst = max(worst, rel)
-        per_param[name] = worst
+    with no_grad():
+        states = model._states(src, tgt)
+        for name in param_names:
+            if name.startswith("gate."):
+                losses = _head_losses(model, name, states, src, tgt, epsilon)
+            else:
+                losses = _forward_losses(model, name, src_ids, tgt_ids, epsilon)
+            numeric = (losses[0::2] - losses[1::2]) / (2.0 * epsilon)
+            analytic = grads[name].reshape(-1)
+            rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_FLOOR)
+            # max() would skip a NaN, so a non-finite error counts as inf.
+            per_param[name] = float(np.where(np.isfinite(rel), rel, np.inf).max())
     worst_param = max(per_param, key=per_param.get)
     return GradCheckResult(
         max_rel_error=max(per_param.values()),

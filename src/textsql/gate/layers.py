@@ -8,12 +8,14 @@ source tokens directly through the attention weights.
 All functions accept either ``Tensor`` nodes (differentiable path used in
 training) or plain numpy arrays (coerced to constants). States are
 ``(positions, d)`` for one sequence or ``(batch, positions, d)`` for a
-batch; every output then carries the same leading batch axis.
+batch; every output then carries the same leading batch axis. With
+parameters that carry a copy axis (see ``GateParams``), batch row i runs
+with parameter copy i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +35,9 @@ from .autodiff import (
 )
 
 
+_MATRICES = frozenset({"w_q", "w_kv", "ff_w", "gate_w", "out_w"})
+
+
 @dataclass
 class GateParams:
     """Learnable parameters of the extraction layer.
@@ -40,6 +45,12 @@ class GateParams:
     Shapes for model width d and vocabulary size v:
     w_q, w_kv, ff_w are (d, d); ff_b and the four layer-norm vectors are
     (d,); gate_w is (2d, 1) with gate_b (1,); out_w is (d, v) with out_b (v,).
+
+    Any field may instead hold C copies of itself on a leading copy axis: a
+    matrix becomes (C, r, c) and a vector (C, 1, n). Every field that has
+    the axis must agree on C, which is then ``copies``, and the states these
+    parameters run on must carry a batch axis of C: batch row i runs with
+    copy i, while fields without the axis are shared by every row.
     """
 
     w_q: Tensor
@@ -54,27 +65,47 @@ class GateParams:
     gate_b: Tensor
     out_w: Tensor
     out_b: Tensor
+    copies: int | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        trailing: dict[str, tuple[int, ...]] = {}
+        copies: set[int] = set()
         for f in fields(self):
+            if not f.init:
+                continue
             value = getattr(self, f.name)
             if not isinstance(value, Tensor):
-                setattr(self, f.name, _as_tensor(np.asarray(value, dtype=np.float64)))
-        d = self.w_q.shape[0]
-        if self.w_q.shape != (d, d) or self.w_kv.shape != (d, d) or self.ff_w.shape != (d, d):
+                value = _as_tensor(np.asarray(value, dtype=np.float64))
+                setattr(self, f.name, value)
+            rank = 2 if f.name in _MATRICES else 1
+            shape = value.shape
+            if len(shape) == 3 and (rank == 2 or shape[1] == 1):
+                copies.add(shape[0])
+                shape = shape[3 - rank :]
+            elif len(shape) != rank:
+                kind = "(C, r, c)" if rank == 2 else "(C, 1, n)"
+                raise ValueError(f"{f.name} must be {rank}-D or carry a copy axis as {kind}, got {shape}")
+            trailing[f.name] = shape
+        if len(copies) > 1:
+            raise ValueError(f"copy axes disagree: {sorted(copies)}")
+        self.copies = copies.pop() if copies else None
+        d = trailing["w_q"][0]
+        if any(trailing[n] != (d, d) for n in ("w_q", "w_kv", "ff_w")):
             raise ValueError("projection matrices must be square and agree on width")
-        if self.gate_w.shape != (2 * d, 1) or self.gate_b.shape != (1,):
+        if any(trailing[n] != (d,) for n in ("ff_b", "ln_dec_gain", "ln_dec_bias", "ln_ctx_gain", "ln_ctx_bias")):
+            raise ValueError(f"feed-forward bias and layer-norm vectors must have width {d}")
+        if trailing["gate_w"] != (2 * d, 1) or trailing["gate_b"] != (1,):
             raise ValueError("gate projection must map 2*d features to a scalar")
-        if self.out_w.shape[0] != d or self.out_b.shape != (self.out_w.shape[1],):
+        if trailing["out_w"][0] != d or trailing["out_b"] != (trailing["out_w"][1],):
             raise ValueError("output head shapes disagree")
 
     @property
     def d_model(self) -> int:
-        return self.w_q.shape[0]
+        return self.w_q.shape[-1]
 
     @property
     def vocab_size(self) -> int:
-        return self.out_w.shape[1]
+        return self.out_w.shape[-1]
 
 
 def one_hot(ids: np.ndarray, n: int) -> np.ndarray:
@@ -82,9 +113,12 @@ def one_hot(ids: np.ndarray, n: int) -> np.ndarray:
     return (np.asarray(ids)[..., None] == np.arange(n)).astype(np.float64)
 
 
-def _check_states(h: Tensor, d: int, name: str):
+def _check_states(h: Tensor, params: GateParams, name: str):
+    d = params.d_model
     if h.data.ndim not in (2, 3) or h.shape[-1] != d:
         raise ValueError(f"{name} must have shape ([batch,] positions, {d}), got {h.shape}")
+    if params.copies is not None and h.shape[:-2] != (params.copies,):
+        raise ValueError(f"{name} must have a batch axis of {params.copies}, one row per parameter copy, got {h.shape}")
 
 
 def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, Tensor]:
@@ -98,9 +132,8 @@ def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, T
     """
     h_enc = _as_tensor(h_enc)
     h_dec = _as_tensor(h_dec)
-    d = params.d_model
-    _check_states(h_enc, d, "h_enc")
-    _check_states(h_dec, d, "h_dec")
+    _check_states(h_enc, params, "h_enc")
+    _check_states(h_dec, params, "h_dec")
     if h_enc.shape[:-2] != h_dec.shape[:-2]:
         raise ValueError(f"h_enc and h_dec must share a batch shape, got {h_enc.shape} and {h_dec.shape}")
     q = matmul(h_dec, params.w_q)
@@ -120,9 +153,8 @@ def extraction_gate(h_dec, context, params: GateParams) -> Tensor:
     """
     h_dec = _as_tensor(h_dec)
     context = _as_tensor(context)
-    d = params.d_model
-    _check_states(h_dec, d, "h_dec")
-    _check_states(context, d, "context")
+    _check_states(h_dec, params, "h_dec")
+    _check_states(context, params, "context")
     if h_dec.shape[:-1] != context.shape[:-1]:
         raise ValueError("h_dec and context must align by position")
     n_dec = layer_norm(h_dec, params.ln_dec_gain, params.ln_dec_bias)
@@ -134,7 +166,7 @@ def extraction_gate(h_dec, context, params: GateParams) -> Tensor:
 def generation_head(h_dec, params: GateParams) -> Tensor:
     """Vocabulary softmax over decoder states, shape ([B,] T, v)."""
     h_dec = _as_tensor(h_dec)
-    _check_states(h_dec, params.d_model, "h_dec")
+    _check_states(h_dec, params, "h_dec")
     return softmax(add(matmul(h_dec, params.out_w), params.out_b))
 
 

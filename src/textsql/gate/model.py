@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, log, matmul, mul, no_grad, relu, softmax, take_rows, tmean, transpose, tsum
+from .autodiff import Tensor, add, log, matmul, mul, no_grad, relu, reshape, softmax, take_rows, tmean, transpose, tsum
 from .layers import GateActivations, GateParams, one_hot, run_gate
 
 PARAMS_FORMAT_VERSION = 1
@@ -172,8 +172,10 @@ class GateModel:
         mask = np.triu(np.full((n, n), _MASK_OFF), k=1)
         return self._block(x, "dec", mask)
 
-    def _gate(self, h_enc: Tensor, h_dec: Tensor, src_ids: np.ndarray) -> tuple[dict, GateActivations]:
-        return run_gate(h_enc, h_dec, src_ids, self.gate_params(), p_ext_scale=1.0 if self.gated else 0.0)
+    def _gate(
+        self, params: GateParams, h_enc: Tensor, h_dec: Tensor, src_ids: np.ndarray
+    ) -> tuple[dict, GateActivations]:
+        return run_gate(h_enc, h_dec, src_ids, params, p_ext_scale=1.0 if self.gated else 0.0)
 
     def _states(self, src: np.ndarray, tgt: np.ndarray) -> tuple[Tensor, Tensor]:
         """Encoder and teacher-forced decoder states for checked id batches.
@@ -183,15 +185,23 @@ class GateModel:
         return self._encode(src), self._decode_states(dec_in)
 
     def _head(
-        self, h_enc: Tensor, h_dec: Tensor, src: np.ndarray, tgt: np.ndarray
+        self,
+        params: GateParams,
+        h_enc: Tensor,
+        h_dec: Tensor,
+        src: np.ndarray,
+        tgt: np.ndarray,
+        blocks: int | None = None,
     ) -> tuple[GateActivations, Tensor, Tensor]:
-        """The gate on the states, then the per-position NLL and its mean."""
-        tensors, snapshot = self._gate(h_enc, h_dec, src)
+        """The gate with ``params`` on the states, then the per-position NLL
+        and its mean: a scalar, or with ``blocks`` one mean per block of
+        that many equal, contiguous blocks of batch rows."""
+        tensors, snapshot = self._gate(params, h_enc, h_dec, src)
         picked = tsum(mul(tensors["o_final"], Tensor(one_hot(tgt, self.cfg.vocab_size))), axis=-1)
         nll = mul(log(add(picked, Tensor(_LOG_FLOOR))), Tensor(-1.0))
-        # Equal lengths, so the mean over every position is the batch mean
-        # of the per-example means.
-        return snapshot, nll, tmean(nll)
+        # Equal lengths, so the mean over every position of a block is the
+        # mean of its examples' means.
+        return snapshot, nll, tmean(reshape(nll, (-1,) if blocks is None else (blocks, -1)), axis=-1)
 
     def _check_pair(self, src_ids, tgt_ids) -> tuple[np.ndarray, np.ndarray]:
         src = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")
@@ -204,7 +214,7 @@ class GateModel:
         """Teacher-forced pass with per-position negative log likelihood."""
         single = np.ndim(src_ids) == 1
         src, tgt = self._check_pair(src_ids, tgt_ids)
-        snapshot, nll, loss = self._head(*self._states(src, tgt), src, tgt)
+        snapshot, nll, loss = self._head(self.gate_params(), *self._states(src, tgt), src, tgt)
         per_position = nll.data.copy()
         if single:
             snapshot = GateActivations(**{k: v[0] for k, v in vars(snapshot).items()})
@@ -245,11 +255,12 @@ class GateModel:
         if not 1 <= n_steps <= self.cfg.max_tgt_len:
             raise ValueError("n_steps must fit the configured target length")
         out = np.full((src_ids.shape[0], 1), self.cfg.start_id, dtype=np.int64)
+        params = self.gate_params()
         with no_grad():
             h_enc = self._encode(src_ids)
             for _ in range(n_steps):
                 last = Tensor(self._decode_states(out).data[:, -1:])
-                tensors, _ = self._gate(h_enc, last, src_ids)
+                tensors, _ = self._gate(params, h_enc, last, src_ids)
                 step = np.argmax(tensors["o_final"].data[:, -1], axis=-1)
                 out = np.concatenate([out, step[:, None]], axis=1)
         tokens = out[:, 1:].tolist()
@@ -295,20 +306,22 @@ def load_params(blob_path: str | Path) -> GateModel:
     """Rebuild a model from a blob written by :func:`save_params`."""
     blob_path = Path(blob_path)
     try:
-        sidecar = json.loads(_sidecar_path(blob_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        sidecar = json.loads(_sidecar_path(blob_path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParamsFormatError(f"cannot read sidecar for {blob_path}: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise ParamsFormatError(f"sidecar must hold a JSON object, got {type(sidecar).__name__}")
     if sidecar.get("version") != PARAMS_FORMAT_VERSION:
         raise ParamsFormatError(f"unsupported params version {sidecar.get('version')!r}")
     if sidecar.get("dtype") != "float64":
         raise ParamsFormatError(f"unsupported dtype {sidecar.get('dtype')!r}")
     try:
-        cfg = GateConfig(**sidecar["config"])
+        model = GateModel(GateConfig(**sidecar["config"]), gated=bool(sidecar.get("gated", True)))
         entries = [(e["name"], tuple(int(s) for s in e["shape"])) for e in sidecar["params"]]
-    except (KeyError, TypeError) as exc:
+        names_match = sorted(n for n, _ in entries) == sorted(model.params)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParamsFormatError(f"malformed sidecar: {exc}") from exc
-    model = GateModel(cfg, gated=bool(sidecar.get("gated", True)))
-    if sorted(n for n, _ in entries) != sorted(model.params):
+    if not names_match:
         raise ParamsFormatError("sidecar parameter names do not match the architecture")
     flat = np.frombuffer(blob_path.read_bytes(), dtype=np.float64)
     expected = sum(int(np.prod(shape)) for _, shape in entries)

@@ -491,6 +491,26 @@ class TestGateCheck:
         assert report["max_rel_error"] <= 1e-4
         assert report["max_rel_error"] == max(s["max_rel_error"] for s in report["per_seed"])
 
+    def test_report_matches_the_full_forward_oracle(self, tmp_path):
+        from test_gate import full_forward_grad_check
+
+        from textsql.cli import _round12
+        from textsql.gate import random_check_instance
+
+        out = tmp_path / "check.json"
+        assert main(["gate", "check", "--seeds", "2", "--out", str(out)]) == 0
+        dims = {"d_model": 8, "vocab_size": 20, "src_len": 5, "tgt_len": 4}
+        per_seed = []
+        for seed in range(2):
+            model, src, tgt = random_check_instance(seed, **dims)
+            result = full_forward_grad_check(model, src, tgt, 1e-5, model.gate_param_names())
+            per_seed.append(
+                {"seed": seed, "max_rel_error": _round12(result.max_rel_error), "worst_param": result.worst_param}
+            )
+        overall = max(s["max_rel_error"] for s in per_seed)
+        expected = {"epsilon": _round12(1e-5), **dims, "per_seed": per_seed, "max_rel_error": overall}
+        assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 
 class TestGateTrain:
     ARGS = ["--steps", "40", "--d-model", "8", "--batch-size", "4",

@@ -1,6 +1,7 @@
 """Extraction layer math against loop-based oracles, plus the host model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from textsql.gate import (
     run_gate,
     save_params,
 )
+from textsql.gate import gradcheck
+from textsql.gate import model as model_module
 from textsql.gate.autodiff import Tensor, no_grad
 from textsql.gate.gradcheck import REL_FLOOR
 
@@ -454,6 +457,19 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(model, src, tgt, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_epsilon_must_be_finite(self, epsilon):
+        model, src, tgt = random_check_instance(0)
+        with pytest.raises(ValueError, match="finite"):
+            grad_check(model, src, tgt, epsilon=epsilon)
+
+    def test_non_finite_errors_fail_the_check(self):
+        model, src, tgt = random_check_instance(0)
+        model.params["gate.out_b"].data[0] = math.nan
+        result = grad_check(model, src, tgt, param_names=["gate.out_b", "gate.w_q", "dec.ff_b2"])
+        assert result.per_param == {"gate.out_b": math.inf, "gate.w_q": math.inf, "dec.ff_b2": math.inf}
+        assert result.max_rel_error == math.inf
+
     def test_sweep_preserves_order(self):
         model, src, tgt = random_check_instance(0)
         eps = [1e-4, 1e-5]
@@ -552,6 +568,105 @@ class TestGradCheckReusesStates:
         assert counts == {"_encode": 2 + 2 * coords, "_decode_states": 2 + 2 * coords}
 
 
+class TestGradCheckBatchesCopies:
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_results_do_not_depend_on_the_chunk(self, batch, monkeypatch):
+        model, src, tgt = random_check_instance(4)
+        if batch is not None:
+            src, tgt = np.stack([src, src[::-1]]), np.stack([tgt, tgt[::-1]])
+        names = model.gate_param_names() + ["dec.ff_b2"]
+        results = []
+        for chunk in (1, 3, 10**6):
+            monkeypatch.setattr(gradcheck, "_COORD_CHUNK", chunk)
+            results.append(grad_check(model, src, tgt, param_names=names))
+        assert results[0] == results[1] == results[2]
+        bits = [[v.hex() for v in r.per_param.values()] for r in results]
+        assert bits[0] == bits[1] == bits[2]
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_one_gate_pass_per_parameter_and_chunk(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(gradcheck, "_COORD_CHUNK", chunk)
+        model, src, tgt = random_check_instance(3)
+        calls = []
+        original = model_module.run_gate
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "run_gate", counted)
+        grad_check(model, src, tgt)
+        size = gradcheck._COORD_CHUNK
+        coords = [model.params[n].data.size for n in model.gate_param_names()]
+        # One pass for the analytic gradients, then one per parameter and
+        # chunk, whose batch holds two copies per coordinate.
+        assert len(calls) == 1 + sum(-(-n // size) for n in coords)
+        assert calls[0] == 1
+        assert max(calls[1:]) == 2 * min(size, max(coords))
+
+    def test_copies_run_like_separate_passes(self):
+        d, vocab, copies = 4, 9, 3
+        rng = np.random.default_rng(44)
+        h_enc = rng.standard_normal((copies, 3, d))
+        h_dec = rng.standard_normal((copies, 2, d))
+        src_ids = rng.integers(0, vocab, size=(copies, 3))
+        base = rand_params(d, vocab, 1)
+        out_w = rng.standard_normal((copies, d, vocab))
+        ln_ctx_gain = rng.standard_normal((copies, 1, d))
+        stacked = replace(base, out_w=out_w, ln_ctx_gain=ln_ctx_gain)
+        assert stacked.copies == copies and base.copies is None
+        _, batched = run_gate(h_enc, h_dec, src_ids, stacked)
+        for i in range(copies):
+            one = replace(base, out_w=out_w[i], ln_ctx_gain=ln_ctx_gain[i, 0])
+            _, single = run_gate(h_enc[i], h_dec[i], src_ids[i], one)
+            for name in ("score", "attn", "context", "p_ext", "o_gen", "o_ext", "o_final"):
+                assert getattr(batched, name)[i].tobytes() == getattr(single, name).tobytes(), name
+
+
+class TestCopyAxisValidation:
+    D, V, C = 4, 6, 3
+
+    def _params(self, **fields):
+        return replace(rand_params(self.D, self.V, 0), **fields)
+
+    def test_copy_axis_must_match_the_states_batch(self):
+        params = self._params(out_w=np.zeros((self.C, self.D, self.V)))
+        for h_enc, h_dec in (
+            (np.zeros((self.C + 1, 3, self.D)), np.zeros((self.C + 1, 2, self.D))),
+            (np.zeros((3, self.D)), np.zeros((2, self.D))),
+        ):
+            with pytest.raises(ValueError, match="batch axis of 3"):
+                run_gate(h_enc, h_dec, np.zeros(h_enc.shape[:-1], dtype=int), params)
+        with pytest.raises(ValueError, match="batch axis of 3"):
+            generation_head(np.zeros((1, 2, self.D)), params)
+        with pytest.raises(ValueError, match="batch axis of 3"):
+            extraction_gate(np.zeros((2, 2, self.D)), np.zeros((2, 2, self.D)), params)
+
+    def test_fields_must_agree_on_the_copy_axis(self):
+        with pytest.raises(ValueError, match="copy axes disagree"):
+            self._params(w_q=np.zeros((2, self.D, self.D)), out_b=np.zeros((3, 1, self.V)))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"w_kv": np.zeros((3, 4, 5))}, "square"),
+            ({"ff_b": np.zeros((3, 1, 5))}, "width 4"),
+            ({"ln_dec_gain": np.zeros(5)}, "width 4"),
+            ({"ff_b": np.zeros((3, 2, 4))}, "copy axis"),
+            ({"ln_ctx_bias": np.zeros((1, 4))}, "copy axis"),
+            ({"w_q": np.zeros((2, 3, 4, 4))}, "copy axis"),
+            ({"gate_w": np.zeros((3, 8, 2))}, "gate projection"),
+            ({"gate_b": np.zeros((3, 1, 2))}, "gate projection"),
+            ({"out_w": np.zeros((3, 4, 6)), "out_b": np.zeros((3, 1, 7))}, "output head"),
+            ({"out_w": np.zeros((3, 5, 6))}, "output head"),
+        ],
+    )
+    def test_trailing_shapes_are_checked(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            self._params(**fields)
+
+
 class TestPersistence:
     CFG = GateConfig(vocab_size=9, d_model=6, max_src_len=5, max_tgt_len=4, seed=3)
 
@@ -607,4 +722,39 @@ class TestPersistence:
         save_params(model, blob)
         (blob.parent / (blob.name + ".json")).unlink()
         with pytest.raises(ParamsFormatError):
+            load_params(blob)
+
+    def _tamper(self, tmp_path, edit):
+        import json
+
+        blob = tmp_path / "model.bin"
+        save_params(GateModel(self.CFG), blob)
+        sidecar = blob.parent / (blob.name + ".json")
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        return blob
+
+    def test_non_utf8_sidecar_rejected(self, tmp_path):
+        blob = tmp_path / "model.bin"
+        sidecar = save_params(GateModel(self.CFG), blob)
+        sidecar.write_bytes(sidecar.read_bytes() + b"\xff")
+        with pytest.raises(ParamsFormatError, match="cannot read"):
+            load_params(blob)
+
+    def test_sidecar_list_rejected(self, tmp_path):
+        blob = tmp_path / "model.bin"
+        sidecar = save_params(GateModel(self.CFG), blob)
+        sidecar.write_text("[1, 2]\n")
+        with pytest.raises(ParamsFormatError, match="JSON object"):
+            load_params(blob)
+
+    def test_invalid_config_rejected(self, tmp_path):
+        blob = self._tamper(tmp_path, lambda meta: meta["config"].update(vocab_size=1))
+        with pytest.raises(ParamsFormatError, match="vocab_size"):
+            load_params(blob)
+
+    def test_non_integer_shape_rejected(self, tmp_path):
+        blob = self._tamper(tmp_path, lambda meta: meta["params"][0].update(shape=["x"]))
+        with pytest.raises(ParamsFormatError, match="malformed"):
             load_params(blob)
