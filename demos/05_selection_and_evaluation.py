@@ -1,7 +1,7 @@
 """Execution-guided candidate selection and the error taxonomy.
 
 A decoder's top guess often fails to execute while a runner-up in the beam
-is fine; trying candidates in score order and keeping the first one that
+is fine; trying candidates in rank order and keeping the first one that
 runs recovers those examples for free. The second half classifies wrong
 predictions: Invalid means a token could not exist (a fabricated column, or
 a condition value the question never mentions, the hallucination signature),
@@ -43,7 +43,7 @@ beam = CandidateList.from_texts([
     "select [area] from [1-demo-5]",
 ])
 selection = eg_select(beam, CITIES, cache)
-print("tried, in score order:")
+print("tried, in rank order:")
 for outcome in selection.outcomes:
     status = "ok" if outcome.ok else f"failed ({outcome.error})"
     print(f"  [{outcome.index}] {status}: {outcome.sql_text}")

@@ -35,6 +35,7 @@ from .data import (
     DataFormatError,
     QuestionRecord,
     Table,
+    _undecodable_line,
     index_by_id,
     iter_jsonl,
     load_questions,
@@ -241,12 +242,13 @@ def _cmd_silver(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "preds", "questions", "tables", "out_json")
     try:
-        preds = Path(args.preds).read_text(encoding="utf-8").splitlines()
+        # Lines as text mode reads them: only \n, \r and \r\n end one.
+        with open(args.preds, encoding="utf-8") as fh:
+            preds = [line.removesuffix("\n") for line in fh]
     except OSError as exc:
         raise DataError(f"cannot read {args.preds}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        # The whole file was decoded at once: the valid prefix numbers the line.
-        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        line = _undecodable_line(args.preds)
         raise DataError(f"{args.preds} line {line} is not UTF-8 text ({exc.reason})") from exc
     records, tables = _load_inputs(args)
     if len(preds) != len(records):

@@ -25,11 +25,11 @@ DEFAULT_BEAM_WIDTH = 3
 class CandidateList:
     """Ranked SQL candidates for one question.
 
-    ``candidates`` are (sql_text, score) pairs with non-increasing scores;
-    only the first ``beam_width`` entries take part in selection.
+    ``candidates`` are SQL texts, best first; only the first ``beam_width``
+    take part in selection.
     """
 
-    candidates: tuple[tuple[str, float], ...]
+    candidates: tuple[str, ...]
     beam_width: int = DEFAULT_BEAM_WIDTH
 
     def __post_init__(self):
@@ -37,17 +37,14 @@ class CandidateList:
             raise ValueError("candidate list must be non-empty")
         if self.beam_width < 1:
             raise ValueError("beam_width must be at least 1")
-        scores = [float(s) for _, s in self.candidates]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("candidate scores must be non-increasing")
 
     @classmethod
     def from_texts(cls, texts: Sequence[str], beam_width: int = DEFAULT_BEAM_WIDTH) -> "CandidateList":
-        """Wrap bare strings, best first, with synthetic descending scores."""
-        return cls(tuple((t, float(-i)) for i, t in enumerate(texts)), beam_width=beam_width)
+        """Wrap any sequence of texts, best first."""
+        return cls(tuple(texts), beam_width=beam_width)
 
     def beam(self) -> tuple[str, ...]:
-        return tuple(text for text, _ in self.candidates[: self.beam_width])
+        return self.candidates[: self.beam_width]
 
 
 def error_kind(message: str) -> str:
@@ -107,9 +104,8 @@ def eg_select(cands: CandidateList, tab: Table, cache: TableCache | None = None)
                 outcomes=tuple(outcomes),
                 chosen_result=res,
             )
-    top_sql, _ = cands.candidates[0]
     return EgSelection(
-        chosen_sql=top_sql,
+        chosen_sql=cands.candidates[0],
         chosen_index=0,
         all_failed=True,
         outcomes=tuple(outcomes),

@@ -1,22 +1,21 @@
-"""Finite-difference validation of the analytic gradients.
+"""Finite-difference validation of the analytic gradients of the gate.
 
-Central differences around every coordinate of the chosen parameters,
-compared against one backward pass. The relative-error denominator is
-floored so coordinates where both estimates are essentially zero do not
-blow up the ratio. A coordinate whose error is not finite fails its
-parameter with an error of ``inf``.
+Central differences around every coordinate of the chosen ``gate.*``
+parameters, compared against one backward pass. The relative-error
+denominator is floored so coordinates where both estimates are essentially
+zero do not blow up the ratio. A coordinate whose error is not finite fails
+its parameter with an error of ``inf``.
 
 No ``gate.*`` parameter reaches the encoder or decoder states, so the
-states are computed once per check and the perturbed losses of a gate
-parameter come from batched passes of the gate-and-loss head alone: the
-perturbed copies of the parameter go in on a leading copy axis (row 2i is
-coordinate i plus epsilon, row 2i+1 coordinate i minus epsilon), the
-states and ids are repeated across that axis, and each copy's loss is the
-mean of its own block of per-position losses. The copies run in chunks of
-``_COORD_CHUNK`` coordinates, which bounds the memory of one pass. Every
-copy goes through the same numpy operations as an unbatched pass, so every
-loss, and so every result, is bit-identical to that of a full forward per
-coordinate. Any other parameter reruns the full forward per perturbation.
+states are computed once per check and the perturbed losses come from
+batched passes of the gate-and-loss head alone: the perturbed copies of a
+parameter go in on a leading copy axis (row 2i is coordinate i plus
+epsilon, row 2i+1 coordinate i minus epsilon), the states and ids are
+repeated across that axis, and each copy's loss is the mean of its own
+block of per-position losses. The copies run in chunks of ``_COORD_CHUNK``
+coordinates, which bounds the memory of one pass. Every copy goes through
+the same numpy operations as an unbatched pass, so every loss, and so every
+result, is bit-identical to that of a full forward per coordinate.
 """
 
 from __future__ import annotations
@@ -67,20 +66,6 @@ def _head_losses(model: GateModel, name: str, states, src: np.ndarray, tgt: np.n
     return np.concatenate(losses)
 
 
-def _forward_losses(model: GateModel, name: str, src_ids, tgt_ids, epsilon: float) -> np.ndarray:
-    """Perturbed losses of every coordinate of ``name``, in the order of
-    :func:`_head_losses`, each from a full forward."""
-    flat = model.params[name].data.reshape(-1)
-    losses = np.empty(2 * flat.size)
-    for i in range(flat.size):
-        kept = flat[i]
-        for j, value in enumerate((kept + epsilon, kept - epsilon)):
-            flat[i] = value
-            losses[2 * i + j] = model.forward(src_ids, tgt_ids).loss
-        flat[i] = kept
-    return losses
-
-
 def grad_check(
     model: GateModel,
     src_ids,
@@ -90,38 +75,35 @@ def grad_check(
 ) -> GradCheckResult:
     """Compare analytic and numeric gradients coordinate by coordinate.
 
-    The encoder and decoder states are computed once, after the backward
-    pass and with the parameters as given. Each ``gate.*`` parameter then
-    gets its perturbed losses from one batched head pass on those states per
-    chunk of ``_COORD_CHUNK`` coordinates; any other parameter reruns the
-    full forward per perturbation. ``epsilon`` must be positive and finite.
+    ``param_names`` may name ``gate.*`` parameters only, and defaults to all
+    of them. The encoder and decoder states are computed once, after the
+    backward pass; each parameter gets its perturbed losses from one batched
+    head pass on them per chunk of ``_COORD_CHUNK`` coordinates.
+    ``epsilon`` must be positive and finite.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    gate_names = model.gate_param_names()
     if param_names is None:
-        param_names = model.gate_param_names()
-    unknown = [n for n in param_names if n not in model.params]
+        param_names = gate_names
+    unknown = [n for n in param_names if n not in gate_names]
     if unknown:
-        raise ValueError(f"unknown parameters: {unknown}")
+        raise ValueError(f"unknown gate parameters: {unknown}; only gate.* parameters can be checked")
     _, grads = model.loss_and_grads(src_ids, tgt_ids)
     src, tgt = model._check_pair(src_ids, tgt_ids)
     per_param: dict[str, float] = {}
     with no_grad():
         states = model._states(src, tgt)
         for name in param_names:
-            if name.startswith("gate."):
-                losses = _head_losses(model, name, states, src, tgt, epsilon)
-            else:
-                losses = _forward_losses(model, name, src_ids, tgt_ids, epsilon)
+            losses = _head_losses(model, name, states, src, tgt, epsilon)
             numeric = (losses[0::2] - losses[1::2]) / (2.0 * epsilon)
             analytic = grads[name].reshape(-1)
             rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_FLOOR)
             # max() would skip a NaN, so a non-finite error counts as inf.
             per_param[name] = float(np.where(np.isfinite(rel), rel, np.inf).max())
-    worst_param = max(per_param, key=per_param.get)
     return GradCheckResult(
         max_rel_error=max(per_param.values()),
-        worst_param=worst_param,
+        worst_param=max(per_param, key=per_param.get),
         per_param=per_param,
     )
 

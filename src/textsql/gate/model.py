@@ -111,27 +111,11 @@ class GateModel:
         self._add_param("gate.out_b", np.zeros(v))
 
     def gate_params(self) -> GateParams:
-        p = self.params
-        return GateParams(
-            w_q=p["gate.w_q"],
-            w_kv=p["gate.w_kv"],
-            ff_w=p["gate.ff_w"],
-            ff_b=p["gate.ff_b"],
-            ln_dec_gain=p["gate.ln_dec_gain"],
-            ln_dec_bias=p["gate.ln_dec_bias"],
-            ln_ctx_gain=p["gate.ln_ctx_gain"],
-            ln_ctx_bias=p["gate.ln_ctx_bias"],
-            gate_w=p["gate.gate_w"],
-            gate_b=p["gate.gate_b"],
-            out_w=p["gate.out_w"],
-            out_b=p["gate.out_b"],
-        )
+        """The ``gate.<field>`` parameters as the fields of ``GateParams``."""
+        return GateParams(**{n.removeprefix("gate."): self.params[n] for n in self.gate_param_names()})
 
     def gate_param_names(self) -> list[str]:
         return sorted(n for n in self.params if n.startswith("gate."))
-
-    def num_params(self) -> int:
-        return sum(t.data.size for t in self.params.values())
 
     # ------------------------------------------------------------------
     # Forward
@@ -315,8 +299,11 @@ def load_params(blob_path: str | Path) -> GateModel:
         raise ParamsFormatError(f"unsupported params version {sidecar.get('version')!r}")
     if sidecar.get("dtype") != "float64":
         raise ParamsFormatError(f"unsupported dtype {sidecar.get('dtype')!r}")
+    gated = sidecar.get("gated", True)
+    if not isinstance(gated, bool):
+        raise ParamsFormatError(f"gated must be true or false, got {gated!r}")
     try:
-        model = GateModel(GateConfig(**sidecar["config"]), gated=bool(sidecar.get("gated", True)))
+        model = GateModel(GateConfig(**sidecar["config"]), gated=gated)
         entries = [(e["name"], tuple(int(s) for s in e["shape"])) for e in sidecar["params"]]
         names_match = sorted(n for n, _ in entries) == sorted(model.params)
     except (KeyError, TypeError, ValueError) as exc:

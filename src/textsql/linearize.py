@@ -10,6 +10,7 @@ row sampling is on, the cell values from the first k rows of that column::
 
     <bos>question<sep>table-id<sep>col1<sep>type1<sep>cell[0,1]<sep>cell[1,1]<sep>col2<sep>...<eos>
 
+The three markers are fixed class constants of ``LinearizeConfig``.
 Everything except the table id is lowercased and the question's whitespace
 runs collapse to one space (``normalize_question``); the table id is
 emitted verbatim. All functions are pure; dropout takes an explicit seeded
@@ -20,13 +21,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .data import Table
 from .normalize import cell_text, normalize_question
-
-DEFAULT_BOS = "<bos>"
-DEFAULT_SEP = "<sep>"
-DEFAULT_EOS = "<eos>"
 
 
 class LinearizeError(ValueError):
@@ -35,11 +33,12 @@ class LinearizeError(ValueError):
 
 @dataclass(frozen=True)
 class LinearizeConfig:
+    bos: ClassVar[str] = "<bos>"
+    sep: ClassVar[str] = "<sep>"
+    eos: ClassVar[str] = "<eos>"
+
     include_types: bool = False
     sample_rows: int = 0
-    bos: str = DEFAULT_BOS
-    sep: str = DEFAULT_SEP
-    eos: str = DEFAULT_EOS
     dropout_enabled: bool = False
     # Sample cells longer than this are hard-truncated (no ellipsis marker)
     # to keep inputs bounded.
@@ -48,9 +47,6 @@ class LinearizeConfig:
     def __post_init__(self):
         if self.sample_rows < 0:
             raise ValueError("sample_rows must be >= 0")
-        toks = (self.bos, self.sep, self.eos)
-        if not all(toks) or len(set(toks)) != 3:
-            raise ValueError("bos/sep/eos must be non-empty and mutually distinct")
         if self.max_cell_len < 1:
             raise ValueError("max_cell_len must be >= 1")
 
@@ -62,7 +58,6 @@ class LinearizedExample:
 
     input: str
     target: str
-    config: LinearizeConfig
 
 
 def _cell(value, cfg: LinearizeConfig) -> str:
@@ -104,7 +99,7 @@ def linearize(question: str, tab: Table, cfg: LinearizeConfig) -> str:
 
 def _split_fields(text: str, cfg: LinearizeConfig) -> list[str]:
     if not text.startswith(cfg.bos) or not text.endswith(cfg.eos):
-        raise LinearizeError("input does not carry the configured bos/eos tokens")
+        raise LinearizeError("input does not carry the bos/eos markers")
     body = text[len(cfg.bos) : len(text) - len(cfg.eos)]
     return body.split(cfg.sep)
 
@@ -194,4 +189,4 @@ def build_example(
         if rng is None:
             raise LinearizeError("dropout requires a seeded random source")
         text = token_dropout(text, rng, cfg)
-    return LinearizedExample(input=text, target=target, config=cfg)
+    return LinearizedExample(input=text, target=target)

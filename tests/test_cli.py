@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import textsql
-from textsql import Table, dump_tables
+from textsql import Condition, LogicalForm, Table, compose, dump_tables, render
 from textsql.cli import build_parser, main
 
 from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL
@@ -197,6 +198,33 @@ class TestEval:
             "--tables", str(tables), "--out-json", str(tmp_path / "r.json"),
         ])
         assert code == 2
+
+    def test_unicode_line_breaks_stay_inside_a_prediction(self, tmp_path, plates_table):
+        # Only \n, \r and \r\n end a prediction; str.splitlines would also
+        # split at U+2028 and U+0085.
+        slogan = "LINE\u2028BREAK\x85END"
+        rows = list(plates_table.rows)
+        rows[0] = rows[0][:3] + (slogan,) + rows[0][4:]
+        table = replace(plates_table, rows=tuple(rows))
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([table]), encoding="utf-8")
+        records = [
+            {"phase": 1, "table_id": PLATES_ID, "question": PLATES_QUESTION,
+             "sql": {"sel": 5, "agg": 0, "conds": [[3, 0, value]]}}
+            for value in ("SOUTH AUSTRALIA", slogan)
+        ]
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        pred = render(compose(LogicalForm(sel=5, agg=0, conds=(Condition(3, 0, slogan),)), table))
+        assert "\u2028" in pred
+        preds = tmp_path / "preds.txt"
+        preds.write_text(PLATES_SQL + "\n" + pred + "\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = main(["eval", "--preds", str(preds), "--questions", str(questions),
+                     "--tables", str(tables), "--out-json", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert (report["n"], report["exec_correct"]) == (2, 2)
 
 
 class TestEg:

@@ -29,9 +29,9 @@ def good_sql(tab, sel=0, conds=()):
 
 
 class TestCandidateList:
-    def test_from_texts_scores_descend(self):
+    def test_from_texts_keeps_order(self):
         cands = CandidateList.from_texts(["a", "b", "c"])
-        assert cands.candidates == (("a", 0.0), ("b", -1.0), ("c", -2.0))
+        assert cands.candidates == ("a", "b", "c")
         assert cands.beam_width == DEFAULT_BEAM_WIDTH
 
     def test_beam_truncates(self):
@@ -45,13 +45,6 @@ class TestCandidateList:
     def test_width_floor(self):
         with pytest.raises(ValueError, match="beam_width"):
             CandidateList.from_texts(["a"], beam_width=0)
-
-    def test_increasing_scores_rejected(self):
-        with pytest.raises(ValueError, match="non-increasing"):
-            CandidateList((("a", 0.0), ("b", 1.0)))
-
-    def test_tied_scores_allowed(self):
-        assert CandidateList((("a", 0.5), ("b", 0.5))).beam() == ("a", "b")
 
 
 class TestErrorKind:

@@ -452,6 +452,12 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="unknown"):
             grad_check(model, src, tgt, param_names=["nope"])
 
+    @pytest.mark.parametrize("name", ["emb", "pos_src", "enc.wq", "dec.ff_b2"])
+    def test_non_gate_param_rejected(self, name):
+        model, src, tgt = random_check_instance(0)
+        with pytest.raises(ValueError, match="only gate"):
+            grad_check(model, src, tgt, param_names=["gate.gate_b", name])
+
     def test_epsilon_must_be_positive(self):
         model, src, tgt = random_check_instance(0)
         with pytest.raises(ValueError):
@@ -466,8 +472,8 @@ class TestGradCheck:
     def test_non_finite_errors_fail_the_check(self):
         model, src, tgt = random_check_instance(0)
         model.params["gate.out_b"].data[0] = math.nan
-        result = grad_check(model, src, tgt, param_names=["gate.out_b", "gate.w_q", "dec.ff_b2"])
-        assert result.per_param == {"gate.out_b": math.inf, "gate.w_q": math.inf, "dec.ff_b2": math.inf}
+        result = grad_check(model, src, tgt, param_names=["gate.out_b", "gate.w_q"])
+        assert result.per_param == {"gate.out_b": math.inf, "gate.w_q": math.inf}
         assert result.max_rel_error == math.inf
 
     def test_sweep_preserves_order(self):
@@ -505,8 +511,21 @@ def full_forward_grad_check(model, src_ids, tgt_ids, epsilon, param_names) -> Gr
     )
 
 
-# Non-gate names keep the full-forward path covered.
-_CHECK_NAMES = ["gate.gate_b", "gate.gate_w", "gate.ln_ctx_gain", "gate.out_b", "gate.w_q", "emb", "enc.wq", "dec.ff_b2"]
+_CHECK_NAMES = ["gate.gate_b", "gate.gate_w", "gate.ln_ctx_gain", "gate.out_b", "gate.w_q"]
+
+
+class TestFullModelGradients:
+    """The parameters before the gate, which ``grad_check`` does not take,
+    against the full-forward oracle."""
+
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_analytic_matches_numeric(self, gated):
+        checked, src, tgt = random_check_instance(5)
+        model = GateModel(checked.cfg, gated=gated)
+        names = ["emb", "pos_src", "pos_tgt", "enc.wv", "dec.ff_w1"]
+        result = full_forward_grad_check(model, src, tgt, 1e-5, names)
+        assert set(result.per_param) == set(names)
+        assert result.max_rel_error <= 1e-4, result.worst_param
 
 
 class TestGradCheckReusesStates:
@@ -560,13 +579,6 @@ class TestGradCheckReusesStates:
         # One forward for the analytic gradients, one for the reused states.
         assert counts == {"_encode": 2, "_decode_states": 2}
 
-    def test_other_params_rerun_the_states_per_perturbation(self, monkeypatch):
-        model, src, tgt = random_check_instance(3)
-        counts = self._count_state_calls(model, monkeypatch)
-        grad_check(model, src, tgt, param_names=["gate.gate_b", "dec.ff_b2"])
-        coords = model.params["dec.ff_b2"].data.size
-        assert counts == {"_encode": 2 + 2 * coords, "_decode_states": 2 + 2 * coords}
-
 
 class TestGradCheckBatchesCopies:
     @pytest.mark.parametrize("batch", [None, 2])
@@ -574,7 +586,7 @@ class TestGradCheckBatchesCopies:
         model, src, tgt = random_check_instance(4)
         if batch is not None:
             src, tgt = np.stack([src, src[::-1]]), np.stack([tgt, tgt[::-1]])
-        names = model.gate_param_names() + ["dec.ff_b2"]
+        names = model.gate_param_names()
         results = []
         for chunk in (1, 3, 10**6):
             monkeypatch.setattr(gradcheck, "_COORD_CHUNK", chunk)
@@ -758,3 +770,13 @@ class TestPersistence:
         blob = self._tamper(tmp_path, lambda meta: meta["params"][0].update(shape=["x"]))
         with pytest.raises(ParamsFormatError, match="malformed"):
             load_params(blob)
+
+    @pytest.mark.parametrize("gated", ["false", 1])
+    def test_gated_must_be_a_json_boolean(self, tmp_path, gated):
+        blob = self._tamper(tmp_path, lambda meta: meta.update(gated=gated))
+        with pytest.raises(ParamsFormatError, match="gated"):
+            load_params(blob)
+
+    def test_missing_gated_loads_a_gated_model(self, tmp_path):
+        blob = self._tamper(tmp_path, lambda meta: meta.pop("gated"))
+        assert load_params(blob).gated is True

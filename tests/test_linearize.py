@@ -30,14 +30,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             LinearizeConfig(sample_rows=-1)
 
-    def test_marker_tokens_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            LinearizeConfig(bos="<x>", sep="<x>", eos="<eos>")
-
-    def test_marker_tokens_must_be_non_empty(self):
-        with pytest.raises(ValueError):
-            LinearizeConfig(sep="")
-
     def test_max_cell_len_floor(self):
         with pytest.raises(ValueError):
             LinearizeConfig(max_cell_len=0)
