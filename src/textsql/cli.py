@@ -273,7 +273,7 @@ def _cmd_eg(args: argparse.Namespace) -> int:
             raise DataError(f"candidates line {lineno}: need keys 'qid' and 'candidates'")
         qid = entry["qid"]
         texts = entry["candidates"]
-        if not isinstance(qid, int) or not 0 <= qid < len(records):
+        if not isinstance(qid, int) or isinstance(qid, bool) or not 0 <= qid < len(records):
             raise DataError(f"candidates line {lineno}: qid {qid!r} does not index the questions file")
         if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
             raise DataError(f"candidates line {lineno}: 'candidates' must be a non-empty list of strings")

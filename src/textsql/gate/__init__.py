@@ -2,20 +2,17 @@
 
 from .autodiff import Tensor
 from .copy_task import (
-    CopyMetrics,
     CopyTaskConfig,
     CopyVocab,
     TrainingDiverged,
-    TrainResult,
     build_vocab,
     evaluate_copy_model,
     gate_config_for,
     make_example,
     train_copy_model,
 )
-from .gradcheck import GradCheckResult, epsilon_sweep, grad_check, random_check_instance
+from .gradcheck import GradCheckResult, grad_check, random_check_instance
 from .layers import (
-    GateActivations,
     GateParams,
     copy_distribution,
     cross_attention,
@@ -25,7 +22,6 @@ from .layers import (
     run_gate,
 )
 from .model import (
-    ForwardPass,
     GateConfig,
     GateModel,
     ParamsFormatError,
@@ -35,21 +31,17 @@ from .model import (
 
 __all__ = [
     "Tensor",
-    "CopyMetrics",
     "CopyTaskConfig",
     "CopyVocab",
     "TrainingDiverged",
-    "TrainResult",
     "build_vocab",
     "evaluate_copy_model",
     "gate_config_for",
     "make_example",
     "train_copy_model",
     "GradCheckResult",
-    "epsilon_sweep",
     "grad_check",
     "random_check_instance",
-    "GateActivations",
     "GateParams",
     "copy_distribution",
     "cross_attention",
@@ -57,7 +49,6 @@ __all__ = [
     "generation_head",
     "merge",
     "run_gate",
-    "ForwardPass",
     "GateConfig",
     "GateModel",
     "ParamsFormatError",

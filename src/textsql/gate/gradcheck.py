@@ -108,14 +108,6 @@ def grad_check(
     )
 
 
-def epsilon_sweep(model: GateModel, src_ids, tgt_ids, epsilons, param_names=None) -> list[tuple[float, float]]:
-    """Max relative error at each step size, in the order given."""
-    return [
-        (float(eps), grad_check(model, src_ids, tgt_ids, epsilon=float(eps), param_names=param_names).max_rel_error)
-        for eps in epsilons
-    ]
-
-
 def random_check_instance(
     seed: int,
     d_model: int = 8,

@@ -68,11 +68,9 @@ def _cell(value, cfg: LinearizeConfig) -> str:
 
 def linearize_baseline(question: str, tab: Table, cfg: LinearizeConfig) -> str:
     """Question, table id, and column names only."""
-    if cfg.include_types or cfg.sample_rows != 0:
+    if cfg.include_types:
         raise LinearizeError("baseline mode requires include_types=False and sample_rows=0")
-    parts = [normalize_question(question), tab.table_id]
-    parts.extend(h.lower() for h in tab.headers)
-    return cfg.bos + cfg.sep.join(parts) + cfg.eos
+    return linearize(question, tab, cfg)
 
 
 def linearize_augmented(question: str, tab: Table, cfg: LinearizeConfig) -> str:
@@ -80,21 +78,34 @@ def linearize_augmented(question: str, tab: Table, cfg: LinearizeConfig) -> str:
     from the first ``sample_rows`` rows (clamped to the row count)."""
     if not cfg.include_types:
         raise LinearizeError("augmented mode requires include_types=True")
-    k = min(cfg.sample_rows, tab.n_rows)
+    return linearize(question, tab, cfg)
+
+
+def linearize(question: str, tab: Table, cfg: LinearizeConfig) -> str:
+    """Dispatch on the configured regime."""
+    return _join(_fields(question, tab, cfg), cfg)
+
+
+def _fields(question: str, tab: Table, cfg: LinearizeConfig) -> list[str]:
+    """The fields ``linearize`` joins with the sep marker; field 1 is the
+    table id."""
     parts = [normalize_question(question), tab.table_id]
+    if not cfg.include_types:
+        if cfg.sample_rows != 0:
+            raise LinearizeError("baseline mode requires include_types=False and sample_rows=0")
+        parts.extend(h.lower() for h in tab.headers)
+        return parts
+    k = min(cfg.sample_rows, tab.n_rows)
     for j, (header, col_type) in enumerate(zip(tab.headers, tab.col_types)):
         parts.append(header.lower())
         parts.append(col_type)
         for r in range(k):
             parts.append(_cell(tab.rows[r][j], cfg))
-    return cfg.bos + cfg.sep.join(parts) + cfg.eos
+    return parts
 
 
-def linearize(question: str, tab: Table, cfg: LinearizeConfig) -> str:
-    """Dispatch on the configured regime."""
-    if cfg.include_types:
-        return linearize_augmented(question, tab, cfg)
-    return linearize_baseline(question, tab, cfg)
+def _join(fields: list[str], cfg: LinearizeConfig) -> str:
+    return cfg.bos + cfg.sep.join(fields) + cfg.eos
 
 
 def _split_fields(text: str, cfg: LinearizeConfig) -> list[str]:
@@ -110,9 +121,16 @@ def token_dropout(text: str, rng: random.Random, cfg: LinearizeConfig) -> str:
     A droppable token is a whitespace-delimited word outside the table-id
     field; bos/sep/eos and the table id are preserved. With zero droppable
     tokens the input is returned unchanged. Deterministic given the rng
-    state.
+    state. The fields are found by splitting on the sep marker, so a
+    question or header that holds the marker's text shifts them;
+    ``build_example`` drops from the fields before they are joined.
     """
-    fields = _split_fields(text, cfg)
+    return _join(_drop_word(_split_fields(text, cfg), rng), cfg)
+
+
+def _drop_word(fields: list[str], rng: random.Random) -> list[str]:
+    """Delete one word, chosen uniformly, from any field but the table id
+    (field 1); the other fields are rejoined on single spaces."""
     words_per_field = [f.split() for f in fields]
     droppable = [
         (fi, wi)
@@ -121,14 +139,13 @@ def token_dropout(text: str, rng: random.Random, cfg: LinearizeConfig) -> str:
         for wi in range(len(words))
     ]
     if not droppable:
-        return text
+        return fields
     fi, wi = droppable[rng.randrange(len(droppable))]
     del words_per_field[fi][wi]
-    rebuilt = [
+    return [
         fields[1] if fi2 == 1 else " ".join(words)
         for fi2, words in enumerate(words_per_field)
     ]
-    return cfg.bos + cfg.sep.join(rebuilt) + cfg.eos
 
 
 @dataclass(frozen=True)
@@ -183,10 +200,12 @@ def build_example(
     cfg: LinearizeConfig,
     rng: random.Random | None = None,
 ) -> LinearizedExample:
-    """Produce one input/target pair, applying dropout when enabled."""
-    text = linearize(question, tab, cfg)
+    """Produce one input/target pair, applying dropout when enabled. The
+    dropped word never comes from the table id, whatever the question or
+    headers hold."""
+    fields = _fields(question, tab, cfg)
     if cfg.dropout_enabled:
         if rng is None:
             raise LinearizeError("dropout requires a seeded random source")
-        text = token_dropout(text, rng, cfg)
-    return LinearizedExample(input=text, target=target)
+        fields = _drop_word(fields, rng)
+    return LinearizedExample(input=_join(fields, cfg), target=target)

@@ -204,86 +204,77 @@ def _tokenize(text: str) -> list[tuple[str, object]] | ParseFailure:
     return tokens
 
 
+_END = ("end", None)
+
+
+def _fail(tokens: list[tuple[str, object]], i: int, expected: str) -> ParseFailure:
+    got = "end of input" if tokens[i] is _END else f"{tokens[i][1]!r}"
+    return ParseFailure(f"expected {expected}, got {got}", i)
+
+
+def _is_kw(tok: tuple[str, object], kw: str) -> bool:
+    return tok[0] == "word" and str(tok[1]).lower() == kw
+
+
 def parse_raw(text: str) -> RawStatement | ParseFailure:
     """Parse the statement shape, accepting any aggregation-function word and
-    any operator token. Strict slot validation happens in ``resolve``."""
+    any operator token. Strict slot validation happens in ``resolve``.
+
+    The walk moves one index along the token list, to which it appends the
+    end sentinel ``("end", None)``: every lookahead reads a real token or the
+    sentinel, and a mismatch at the sentinel reports ``end of input`` at one
+    past the last token."""
     tokens = _tokenize(text)
     if isinstance(tokens, ParseFailure):
         return tokens
+    tokens.append(_END)
 
-    i = 0
-
-    def peek() -> tuple[str, object] | None:
-        return tokens[i] if i < len(tokens) else None
-
-    def fail(expected: str) -> ParseFailure:
-        got = f"{tokens[i][1]!r}" if i < len(tokens) else "end of input"
-        return ParseFailure(f"expected {expected}, got {got}", i)
-
-    def is_keyword(tok, kw: str) -> bool:
-        return tok is not None and tok[0] == "word" and str(tok[1]).lower() == kw
-
-    if not is_keyword(peek(), "select"):
-        return fail("'select'")
-    i += 1
-
+    if not _is_kw(tokens[0], "select"):
+        return _fail(tokens, 0, "'select'")
     agg_token: str | None = None
     agg_index = -1
-    tok = peek()
-    if tok is not None and tok[0] == "word":
-        agg_token = str(tok[1])
-        agg_index = i
-        i += 1
-        if peek() is None or peek()[0] != "lparen":
-            return fail("'('")
-        i += 1
-        if peek() is None or peek()[0] != "ident":
-            return fail("a bracket-quoted column")
-        sel_col = str(peek()[1])
-        i += 1
-        if peek() is None or peek()[0] != "rparen":
-            return fail("')'")
-        i += 1
-    elif tok is not None and tok[0] == "ident":
-        sel_col = str(tok[1])
-        i += 1
+    kind, value = tokens[1]
+    if kind == "word":
+        agg_token = str(value)
+        agg_index = 1
+        if tokens[2][0] != "lparen":
+            return _fail(tokens, 2, "'('")
+        if tokens[3][0] != "ident":
+            return _fail(tokens, 3, "a bracket-quoted column")
+        if tokens[4][0] != "rparen":
+            return _fail(tokens, 4, "')'")
+        sel_col = str(tokens[3][1])
+        i = 5
+    elif kind == "ident":
+        sel_col = str(value)
+        i = 2
     else:
-        return fail("a column or aggregation function")
+        return _fail(tokens, 1, "a column or aggregation function")
 
-    if not is_keyword(peek(), "from"):
-        return fail("'from'")
-    i += 1
-    if peek() is None or peek()[0] != "ident":
-        return fail("a bracket-quoted table id")
-    table_id = str(peek()[1])
-    i += 1
+    if not _is_kw(tokens[i], "from"):
+        return _fail(tokens, i, "'from'")
+    if tokens[i + 1][0] != "ident":
+        return _fail(tokens, i + 1, "a bracket-quoted table id")
+    table_id = str(tokens[i + 1][1])
+    i += 2
 
     conds: list[tuple[str, str, str | int | float]] = []
     op_indices: list[int] = []
-    if peek() is not None:
-        if not is_keyword(peek(), "where"):
-            return fail("'where' or end of statement")
-        i += 1
-        while True:
-            if peek() is None or peek()[0] != "ident":
-                return fail("a bracket-quoted condition column")
-            col = str(peek()[1])
-            i += 1
-            if peek() is None or peek()[0] != "op":
-                return fail("an operator")
-            op_indices.append(i)
-            op = str(peek()[1])
-            i += 1
-            tok = peek()
-            if tok is None or tok[0] not in ("string", "number"):
-                return fail("a literal")
-            conds.append((col, op, tok[1]))
-            i += 1
-            if peek() is None:
-                break
-            if not is_keyword(peek(), "and"):
-                return fail("'and' or end of statement")
-            i += 1
+    keyword = "where"
+    while tokens[i] is not _END:
+        if not _is_kw(tokens[i], keyword):
+            return _fail(tokens, i, f"'{keyword}' or end of statement")
+        if tokens[i + 1][0] != "ident":
+            return _fail(tokens, i + 1, "a bracket-quoted condition column")
+        if tokens[i + 2][0] != "op":
+            return _fail(tokens, i + 2, "an operator")
+        kind, value = tokens[i + 3]
+        if kind != "string" and kind != "number":
+            return _fail(tokens, i + 3, "a literal")
+        conds.append((str(tokens[i + 1][1]), str(tokens[i + 2][1]), value))
+        op_indices.append(i + 2)
+        i += 4
+        keyword = "and"
 
     return RawStatement(
         agg_token=agg_token,

@@ -255,10 +255,11 @@ class TestEg:
         assert report["delta"] == 1.0
         assert report["dropped_by_kind"] == {"unknown_column": 1}
 
-    def test_bad_qid_rejected(self, corpus, tmp_path):
+    @pytest.mark.parametrize("qid", [5, True, False])
+    def test_bad_qid_rejected(self, corpus, tmp_path, qid):
         questions, tables = corpus
         cands = tmp_path / "cands.jsonl"
-        cands.write_text(json.dumps({"qid": 5, "candidates": ["select [a] from [b]"]}) + "\n")
+        cands.write_text(json.dumps({"qid": qid, "candidates": ["select [a] from [b]"]}) + "\n")
         code = main([
             "eg", "--candidates", str(cands), "--questions", str(questions),
             "--tables", str(tables), "--out-selections", str(tmp_path / "s"),

@@ -16,7 +16,6 @@ from textsql.gate import (
     ParamsFormatError,
     copy_distribution,
     cross_attention,
-    epsilon_sweep,
     extraction_gate,
     generation_head,
     grad_check,
@@ -475,13 +474,6 @@ class TestGradCheck:
         result = grad_check(model, src, tgt, param_names=["gate.out_b", "gate.w_q"])
         assert result.per_param == {"gate.out_b": math.inf, "gate.w_q": math.inf}
         assert result.max_rel_error == math.inf
-
-    def test_sweep_preserves_order(self):
-        model, src, tgt = random_check_instance(0)
-        eps = [1e-4, 1e-5]
-        out = epsilon_sweep(model, src, tgt, eps, param_names=["gate.gate_b"])
-        assert [e for e, _ in out] == eps
-        assert all(err >= 0 for _, err in out)
 
 
 def full_forward_grad_check(model, src_ids, tgt_ids, epsilon, param_names) -> GradCheckResult:

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from textsql import (
@@ -140,6 +140,39 @@ class TestTokenDropout:
     def test_unmarked_text_rejected(self):
         with pytest.raises(LinearizeError):
             token_dropout("plain text", random.Random(0), BASE)
+
+    def test_sep_text_in_question_leaves_table_id_whole(self):
+        tab = Table("t 9", ("height",), ("real",), ())
+        cfg = LinearizeConfig(dropout_enabled=True)
+        outs = {
+            build_example("what <sep> is", tab, "x", cfg, random.Random(seed)).input
+            for seed in range(40)
+        }
+        assert outs == {
+            "<bos><sep> is<sep>t 9<sep>height<eos>",
+            "<bos>what is<sep>t 9<sep>height<eos>",
+            "<bos>what <sep><sep>t 9<sep>height<eos>",
+            "<bos>what <sep> is<sep>t 9<sep><eos>",
+        }
+
+    @given(
+        question=st.text(alphabet="ab <sEp>\t", max_size=16),
+        headers=st.lists(st.text(alphabet="ab <sEp>", min_size=1, max_size=6), min_size=1, max_size=3),
+        cells=st.lists(st.text(alphabet="ab <sep>", max_size=6), min_size=3, max_size=3),
+        k=st.integers(0, 2),
+        augmented=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_build_example_drops_as_token_dropout_without_markers(
+        self, question, headers, cells, k, augmented, seed
+    ):
+        assume("<sep>" not in "|".join([question, *headers, *cells]).lower())
+        cfg = LinearizeConfig(include_types=augmented, sample_rows=k if augmented else 0, dropout_enabled=True)
+        rows = tuple(tuple(cells[r] for _ in headers) for r in range(k))
+        tab = Table("1-2 3", tuple(headers), ("text",) * len(headers), rows)
+        ex = build_example(question, tab, "x", cfg, random.Random(seed))
+        assert ex.input == token_dropout(linearize(question, tab, cfg), random.Random(seed), cfg)
 
 
 class TestDelinearize:

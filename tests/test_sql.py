@@ -22,6 +22,7 @@ from textsql import (
 )
 
 from textsql.normalize import NUMBER_RE
+from textsql.sql import RawStatement, _tokenize
 
 from conftest import PLATES_SQL
 
@@ -291,3 +292,147 @@ class TestRoundTripProperty:
     def test_parse_never_raises(self, text):
         result = parse(text)
         assert isinstance(result, (SqlStatement, ParseFailure))
+
+
+# --- differential test against the closure walker -----------------------------
+
+# The closure-based walk that ``parse_raw`` replaced, kept verbatim as the
+# reference: the index walk must return the same statement, or the same
+# failure message at the same token index.
+def closure_parse_raw(text: str) -> RawStatement | ParseFailure:
+    """Parse the statement shape, accepting any aggregation-function word and
+    any operator token. Strict slot validation happens in ``resolve``."""
+    tokens = _tokenize(text)
+    if isinstance(tokens, ParseFailure):
+        return tokens
+
+    i = 0
+
+    def peek() -> tuple[str, object] | None:
+        return tokens[i] if i < len(tokens) else None
+
+    def fail(expected: str) -> ParseFailure:
+        got = f"{tokens[i][1]!r}" if i < len(tokens) else "end of input"
+        return ParseFailure(f"expected {expected}, got {got}", i)
+
+    def is_keyword(tok, kw: str) -> bool:
+        return tok is not None and tok[0] == "word" and str(tok[1]).lower() == kw
+
+    if not is_keyword(peek(), "select"):
+        return fail("'select'")
+    i += 1
+
+    agg_token: str | None = None
+    agg_index = -1
+    tok = peek()
+    if tok is not None and tok[0] == "word":
+        agg_token = str(tok[1])
+        agg_index = i
+        i += 1
+        if peek() is None or peek()[0] != "lparen":
+            return fail("'('")
+        i += 1
+        if peek() is None or peek()[0] != "ident":
+            return fail("a bracket-quoted column")
+        sel_col = str(peek()[1])
+        i += 1
+        if peek() is None or peek()[0] != "rparen":
+            return fail("')'")
+        i += 1
+    elif tok is not None and tok[0] == "ident":
+        sel_col = str(tok[1])
+        i += 1
+    else:
+        return fail("a column or aggregation function")
+
+    if not is_keyword(peek(), "from"):
+        return fail("'from'")
+    i += 1
+    if peek() is None or peek()[0] != "ident":
+        return fail("a bracket-quoted table id")
+    table_id = str(peek()[1])
+    i += 1
+
+    conds: list[tuple[str, str, str | int | float]] = []
+    op_indices: list[int] = []
+    if peek() is not None:
+        if not is_keyword(peek(), "where"):
+            return fail("'where' or end of statement")
+        i += 1
+        while True:
+            if peek() is None or peek()[0] != "ident":
+                return fail("a bracket-quoted condition column")
+            col = str(peek()[1])
+            i += 1
+            if peek() is None or peek()[0] != "op":
+                return fail("an operator")
+            op_indices.append(i)
+            op = str(peek()[1])
+            i += 1
+            tok = peek()
+            if tok is None or tok[0] not in ("string", "number"):
+                return fail("a literal")
+            conds.append((col, op, tok[1]))
+            i += 1
+            if peek() is None:
+                break
+            if not is_keyword(peek(), "and"):
+                return fail("'and' or end of statement")
+            i += 1
+
+    return RawStatement(
+        agg_token=agg_token,
+        agg_index=agg_index,
+        sel_col=sel_col,
+        table_id=table_id,
+        conds=tuple(conds),
+        op_indices=tuple(op_indices),
+    )
+
+
+_DIALECT_PIECES = st.sampled_from(
+    ["select", "SELECT", "Select", "from", "FROM", "where", "Where", "and", "AND",
+     "max", "COUNT", "avg", "median", "(", ")", "[a]", "[t]]1]", "[]", "'v'", "''''",
+     "3", "-2.5", "+007", "1e400", "-1e400", "9" * 400, "=", ">", "<", ">=", "!=",
+     "*", "or", ";"]
+)
+
+
+@st.composite
+def dialect_texts(draw):
+    """Near-dialect text: a mutated statement or a free run of dialect
+    pieces, cut short at a piece boundary or inside a piece half the time."""
+    if draw(st.booleans()):
+        text = draw(near_statements())
+    else:
+        text = " ".join(draw(st.lists(_DIALECT_PIECES, max_size=16)))
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestIndexWalkMatchesClosureWalk:
+    @given(dialect_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_same_statement_or_same_failure(self, text):
+        assert parse_raw(text) == closure_parse_raw(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "select",
+            "select [a] from",
+            "select max(",
+            "select max([a]",
+            "select [a] from [t] where [b] =",
+            "select [a] from [t] where [b] = 1 and",
+            "select [a] from [t] [b] = 1",
+            "select [a] from [t] where [b] = 1 or [c] = 2",
+            "select * from [t]",
+            "select [a] from [t];",
+            "SELECT Max([a]) FROM [t] WHERE [b] > 1e400",
+        ],
+    )
+    def test_edge_texts(self, text):
+        assert parse_raw(text) == closure_parse_raw(text)
