@@ -158,10 +158,47 @@ def _undecodable_line(path: str | Path) -> int | None:
     return None
 
 
-def _require(obj: dict, key: str, path: str | Path, lineno: int):
+# The JSON types of the loaded fields, checked in one place: the loaders read
+# every field through ``_require`` and every condition through ``_condition``,
+# so a wrongly typed field is a DataFormatError naming its line rather than a
+# crash downstream or a silent coercion.
+_JSON_TYPE_NAMES = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _require(obj: dict, key: str, path: str | Path, lineno: int, kind: type | None = None):
+    """``obj[key]``, which must be present and, when ``kind`` is given, of
+    exactly that JSON type, so that JSON ``true`` is not the index 1."""
     if key not in obj:
         raise DataFormatError(f"missing key {key!r}", path, lineno)
-    return obj[key]
+    value = obj[key]
+    if kind is not None and type(value) is not kind:
+        got = _JSON_TYPE_NAMES[type(value)]
+        raise DataFormatError(f"{key!r} is not {_JSON_TYPE_NAMES[kind]}: got {got}", path, lineno)
+    return value
+
+
+def _condition(cond, i: int, path: str | Path, lineno: int) -> Condition:
+    """One ``[column, operator, value]`` triple; both indices are integers.
+    The value's type is the composer's and the validator's concern."""
+    if type(cond) is not list or len(cond) != 3:
+        got = f"{len(cond)} elements" if type(cond) is list else _JSON_TYPE_NAMES[type(cond)]
+        raise DataFormatError(
+            f"condition {i} is not a [column, operator, value] list: got {got}", path, lineno
+        )
+    col, op, value = cond
+    if type(col) is not int or type(op) is not int:
+        name, index = ("column", col) if type(col) is not int else ("operator", op)
+        got = _JSON_TYPE_NAMES[type(index)]
+        raise DataFormatError(f"condition {i} {name} is not an integer: got {got}", path, lineno)
+    return Condition(col, op, value)
 
 
 def load_tables(path: str | Path) -> list[Table]:
@@ -170,10 +207,10 @@ def load_tables(path: str | Path) -> list[Table]:
     tables: list[Table] = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
-        table_id = _require(obj, "id", path, lineno)
-        header = _require(obj, "header", path, lineno)
-        types = _require(obj, "types", path, lineno)
-        rows = _require(obj, "rows", path, lineno)
+        table_id = _require(obj, "id", path, lineno, str)
+        header = _require(obj, "header", path, lineno, list)
+        types = _require(obj, "types", path, lineno, list)
+        rows = _require(obj, "rows", path, lineno, list)
         try:
             table = Table(
                 table_id=table_id,
@@ -204,23 +241,21 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
     records: list[QuestionRecord] = []
     for lineno, obj in iter_jsonl(path):
         phase = _require(obj, "phase", path, lineno)
-        table_id = _require(obj, "table_id", path, lineno)
-        question = _require(obj, "question", path, lineno)
-        sql = _require(obj, "sql", path, lineno)
-        if not isinstance(sql, dict):
-            raise DataFormatError("'sql' is not an object", path, lineno)
-        sel = _require(sql, "sel", path, lineno)
-        agg = _require(sql, "agg", path, lineno)
-        conds_raw = _require(sql, "conds", path, lineno)
+        table_id = _require(obj, "table_id", path, lineno, str)
+        question = _require(obj, "question", path, lineno, str)
+        sql = _require(obj, "sql", path, lineno, dict)
+        sel = _require(sql, "sel", path, lineno, int)
+        agg = _require(sql, "agg", path, lineno, int)
+        conds_raw = _require(sql, "conds", path, lineno, list)
+        conds = tuple([_condition(c, i, path, lineno) for i, c in enumerate(conds_raw)])
         try:
-            conds = tuple(Condition(col=c[0], op=c[1], value=c[2]) for c in conds_raw)
             record = QuestionRecord(
                 phase=phase,
                 table_id=table_id,
                 question=question,
                 lf=LogicalForm(sel=sel, agg=agg, conds=conds),
             )
-        except (ValueError, TypeError, IndexError) as exc:
+        except ValueError as exc:
             raise DataFormatError(str(exc), path, lineno) from exc
         records.append(record)
     return records

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .data import LogicalForm, Table
 from .engine import ExecResult, TableCache, execute, results_equal
-from .sql import compose
+from .sql import SqlStatement, compose, parse
 
 DEFAULT_BEAM_WIDTH = 3
 
@@ -82,18 +82,30 @@ class EgSelection:
     chosen_result: ExecResult
 
 
-def eg_select(cands: CandidateList, tab: Table, cache: TableCache | None = None) -> EgSelection:
+def eg_select(
+    cands: CandidateList,
+    tab: Table,
+    cache: TableCache | None = None,
+    *,
+    gold: tuple[SqlStatement, ExecResult] | None = None,
+) -> EgSelection:
     """First candidate in the beam that executes without a runtime error.
 
-    Candidates after the winner are not executed. On total failure the top
-    candidate is returned with ``all_failed`` set and its error result.
+    Each tried candidate is parsed once. Candidates after the winner are not
+    executed. ``gold`` is a statement already executed on ``tab`` with its
+    result: a candidate equal to it (the same rendered text, see
+    ``SqlStatement``) takes that result object instead of running again. On
+    total failure the top candidate is returned with ``all_failed`` set and
+    its error result.
     """
     cache = cache if cache is not None else TableCache()
     db = cache.get(tab)
+    gold_stmt, gold_res = gold if gold is not None else (None, None)
     outcomes: list[CandidateOutcome] = []
     results: list[ExecResult] = []
     for i, sql_text in enumerate(cands.beam()):
-        res = execute(sql_text, db)
+        stmt = parse(sql_text)
+        res = gold_res if stmt == gold_stmt else execute(stmt, db)
         results.append(res)
         outcomes.append(CandidateOutcome(index=i, sql_text=sql_text, ok=not res.is_error, error=res.error))
         if not res.is_error:
@@ -142,10 +154,13 @@ def eg_gain(
 
     All three sequences align index by index (one table per example;
     repeats are fine, the cache materializes each table once).
-    Each beam is selected over once. The top candidate is always tried
-    first and is chosen whenever it executes, so top-1 is correct exactly
-    when it executed and the selection is correct. The selections are
-    returned in input order.
+    Each gold is executed once and each beam is selected over once, with
+    the gold's result passed in: a tried candidate equal to the gold is not
+    executed, and a selection holding the gold's result is correct exactly
+    when the gold executes. The top candidate is always tried first and is
+    chosen whenever it executes, so top-1 is correct exactly when it
+    executed and the selection is correct. The selections are returned in
+    input order.
     """
     if len(pred_sets) != len(golds):
         raise ValueError(f"got {len(pred_sets)} candidate lists for {len(golds)} golds")
@@ -158,10 +173,14 @@ def eg_gain(
     all_failed = 0
     selections = []
     for cands, gold, tab in zip(pred_sets, golds, tables):
-        gold_res = execute(compose(gold, tab), cache.get(tab))
-        selection = eg_select(cands, tab, cache)
+        gold_stmt = compose(gold, tab)
+        gold_res = execute(gold_stmt, cache.get(tab))
+        selection = eg_select(cands, tab, cache, gold=(gold_stmt, gold_res))
         selections.append(selection)
-        eg_ok = results_equal(selection.chosen_result, gold_res)
+        if selection.chosen_result is gold_res:
+            eg_ok = not gold_res.is_error
+        else:
+            eg_ok = results_equal(selection.chosen_result, gold_res)
         correct_top1 += eg_ok and selection.outcomes[0].ok
         correct_eg += eg_ok
         all_failed += selection.all_failed

@@ -155,12 +155,13 @@ def _quote(ident: str) -> str:
     return "`" + ident.replace("`", "``") + "`"
 
 
-def execute(statement: SqlStatement | str, db: TableDb) -> ExecResult:
+def execute(statement: SqlStatement | ParseFailure | str, db: TableDb) -> ExecResult:
     """Run one statement against a materialized table.
 
     Text is parsed with ``sql.parse`` first; text outside the dialect (a
     second statement, ``or``, ``*``, an unknown function or operator) comes
-    back as a ``syntax error`` variant without reaching the engine. A
+    back as a ``syntax error`` variant without reaching the engine, and so
+    does a ``ParseFailure`` passed in by a caller that parsed the text. A
     statement naming any table but ``db``'s (compared with SQLite's ASCII-only
     case folding) is ``no such table: <id>``, worded as SQLite words it,
     though other tables share the database. Anything the engine rejects
@@ -168,10 +169,10 @@ def execute(statement: SqlStatement | str, db: TableDb) -> ExecResult:
     """
     if isinstance(statement, str):
         statement = parse(statement)
-        if isinstance(statement, ParseFailure):
-            return ExecResult.from_error(
-                f"syntax error at token {statement.token_index}: {statement.message}"
-            )
+    if isinstance(statement, ParseFailure):
+        return ExecResult.from_error(
+            f"syntax error at token {statement.token_index}: {statement.message}"
+        )
     if statement.table_id != db.table_id and (
         statement.table_id.translate(_ASCII_FOLD) != db.table_id.translate(_ASCII_FOLD)
     ):

@@ -118,6 +118,8 @@ def _cond_key(col: str, op: str, value) -> tuple:
 
 def _first_wrong(pred: SqlStatement, gold: SqlStatement) -> Slot | None:
     """First differing slot, or None when the statements agree."""
+    if pred == gold:
+        return None
     if pred.agg != gold.agg:
         return Slot.AGG_FUNCTION
     if normalize_text(pred.sel_col) != normalize_text(gold.sel_col):
@@ -201,7 +203,10 @@ def execution_accuracy(
 
     Each prediction is parsed once; the statement feeds both the taxonomy and
     the execution, so a prediction outside the dialect is never executed and
-    scores zero, as does one that fails to execute. A missing table is a data
+    scores zero, as does one that fails to execute. The gold is executed
+    once per executed prediction, and a prediction equal to its gold (the
+    same rendered text, see ``SqlStatement``) is not executed or compared:
+    it is correct exactly when the gold executes. A missing table is a data
     error and raises.
     """
     if not (len(preds) == len(golds) == len(records)):
@@ -228,7 +233,11 @@ def execution_accuracy(
         # Same as hallucination_flag, read off the label without a reparse.
         halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
         if not isinstance(stmt, ParseFailure):
-            exec_correct += results_equal(execute(stmt, db), execute(gold_stmt, db))
+            gold_res = execute(gold_stmt, db)
+            if stmt == gold_stmt:
+                exec_correct += not gold_res.is_error
+            else:
+                exec_correct += results_equal(execute(stmt, db), gold_res)
     n = len(preds)
     return EvalReport(
         n=n,

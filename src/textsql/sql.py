@@ -34,7 +34,7 @@ class ComposeError(ValueError):
     """Raised when a logical form cannot be turned into a statement."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SqlStatement:
     """One WikiSQL-subset statement with resolved column names.
 
@@ -42,6 +42,11 @@ class SqlStatement:
     of ``=``, ``>``, ``<`` and ``value`` is a string or number. String values
     and column names are expected in normalized (lowercase) form; ``compose``
     produces them that way.
+
+    Two statements are equal exactly when they render to the same text, so
+    equal statements select the same rows: ``3`` and ``3.0`` differ (on a
+    text column they match the cells ``'3'`` and ``'3.0'``), as do ``0.0``
+    and ``-0.0``.
     """
 
     agg: int
@@ -55,6 +60,30 @@ class SqlStatement:
         for c in self.conds:
             if c[1] not in RENDER_OPS:
                 raise ValueError(f"unsupported operator: {c[1]!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not SqlStatement:
+            return NotImplemented
+        return (
+            self.agg == other.agg
+            and self.sel_col == other.sel_col
+            and self.table_id == other.table_id
+            and len(self.conds) == len(other.conds)
+            and all(
+                a[0] == b[0] and a[1] == b[1] and _literal_key(a[2]) == _literal_key(b[2])
+                for a, b in zip(self.conds, other.conds)
+            )
+        )
+
+    def __hash__(self):
+        conds = tuple((col, op, _literal_key(value)) for col, op, value in self.conds)
+        return hash((self.agg, self.sel_col, self.table_id, conds))
+
+
+def _literal_key(value) -> tuple:
+    """What of a condition value its rendered literal shows: the type, and
+    for a float its repr, which tells ``-0.0`` from ``0.0``."""
+    return (type(value), repr(value) if isinstance(value, float) else value)
 
 
 def quote_ident(name: str) -> str:

@@ -508,6 +508,62 @@ class TestCellEngineCannotStore:
         assert message in capsys.readouterr().err
 
 
+class TestWronglyTypedField:
+    """A field of the wrong JSON type is bad data naming its file line, not
+    an internal error or a value silently read as another."""
+
+    RECORD = {"phase": 1, "table_id": PLATES_ID, "question": PLATES_QUESTION,
+              "sql": {"sel": 5, "agg": 0, "conds": [[3, 0, "SOUTH AUSTRALIA"]]}}
+
+    def _eval(self, questions, tables, tmp_path):
+        preds = tmp_path / "preds.txt"
+        preds.write_text(PLATES_SQL + "\n")
+        return main(["eval", "--preds", str(preds), "--questions", str(questions),
+                     "--tables", str(tables), "--out-json", str(tmp_path / "r.json")])
+
+    def _question_field(self, corpus, tmp_path, capsys, mutate):
+        questions, tables = corpus
+        rec = json.loads(json.dumps(self.RECORD))
+        mutate(rec)
+        questions.write_text("\n" + json.dumps(rec) + "\n")
+        assert self._eval(questions, tables, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"({questions}:2)" in err and "internal error" not in err
+        return err
+
+    def test_question_that_is_a_number(self, corpus, tmp_path, capsys):
+        err = self._question_field(corpus, tmp_path, capsys, lambda r: r.update(question=1.5))
+        assert "'question' is not a string: got a number" in err
+
+    def test_condition_that_is_an_object(self, corpus, tmp_path, capsys):
+        err = self._question_field(corpus, tmp_path, capsys, lambda r: r["sql"].update(conds=[{"a": 1}]))
+        assert "condition 0 is not a [column, operator, value] list: got an object" in err
+
+    def test_select_column_that_is_not_an_integer(self, corpus, tmp_path, capsys):
+        err = self._question_field(corpus, tmp_path, capsys, lambda r: r["sql"].update(sel="x"))
+        assert "'sel' is not an integer: got a string" in err
+
+    def test_condition_column_that_is_not_an_integer(self, corpus, tmp_path, capsys):
+        err = self._question_field(corpus, tmp_path, capsys, lambda r: r["sql"]["conds"][0].__setitem__(0, "x"))
+        assert "condition 0 column is not an integer: got a string" in err
+
+    def test_aggregation_that_is_a_boolean(self, corpus, tmp_path, capsys):
+        err = self._question_field(corpus, tmp_path, capsys, lambda r: r["sql"].update(agg=True))
+        assert "'agg' is not an integer: got a boolean" in err
+
+    @pytest.mark.parametrize("command", ["silver", "eval"])
+    def test_table_id_that_is_not_a_string(self, corpus, tmp_path, capsys, command):
+        questions, tables = corpus
+        table = json.loads(tables.read_text())
+        tables.write_text(json.dumps({**table, "id": 6}) + "\n")
+        if command == "silver":
+            code = main(["silver", "--tables", str(tables), "--n", "2", "--out", str(tmp_path / "o")])
+        else:
+            code = self._eval(questions, tables, tmp_path)
+        assert code == 2
+        assert f"'id' is not a string: got an integer ({tables}:1)" in capsys.readouterr().err
+
+
 class TestGateCheck:
     def test_report_contents(self, tmp_path):
         out = tmp_path / "check.json"

@@ -16,6 +16,7 @@ from textsql import (
     eg_gain,
     eg_select,
     execute,
+    parse,
     render,
     results_equal,
 )
@@ -244,10 +245,15 @@ class TestEgGainSinglePass:
         report = eg_gain(pred_sets, golds, tables)
         # The set has runner-up recoveries and an all-failed beam.
         assert report.correct_eg > report.correct_top1 and report.all_failed_count
+        # A tried candidate equal to the gold takes the gold's result.
+        assert any(parse(o.sql_text) == compose(g, t)
+                   for g, t, sel in zip(golds, tables, report.selections) for o in sel.outcomes)
         expected = []
         for gold, tab, selection in zip(golds, tables, report.selections):
-            expected.append(compose(gold, tab))
-            expected.extend(o.sql_text for o in selection.outcomes)
+            gold_stmt = compose(gold, tab)
+            expected.append(gold_stmt)
+            tried = (parse(o.sql_text) for o in selection.outcomes)
+            expected.extend(stmt for stmt in tried if stmt != gold_stmt)
         assert calls == expected
 
 

@@ -1,5 +1,6 @@
 """Materialized in-memory execution: quoting, errors, and result comparison."""
 
+import math
 import random
 import sqlite3
 
@@ -434,6 +435,38 @@ class TestResultsEqual:
         err = ExecResult.from_error("boom")
         assert not results_equal(err, err)
         assert not results_equal(err, ExecResult.from_rows([]))
+
+
+class TestResultEqualsItself:
+    """Scoring takes a statement equal to its gold as correct exactly when
+    the gold executes, which holds because every result the engine returns
+    equals itself: SQLite returns NULL for NaN, and inf is close to inf."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_every_result_equals_itself(self, seed):
+        rng = random.Random(seed)
+        tab = make_table(rng, n_cols=rng.randrange(1, 4), n_rows=rng.randrange(0, 6), null_rate=0.2)
+        extremes = [math.inf, -math.inf, math.nan, 1e308, -0.0, 2**63 - 1]
+        rows = tuple(
+            tuple(rng.choice(extremes) if t == "real" and rng.random() < 0.4 else cell
+                  for cell, t in zip(row, tab.col_types))
+            for row in tab.rows
+        )
+        tab = Table(tab.table_id, tab.headers, tab.col_types, rows)
+        db = materialize(tab)
+        for _ in range(4):
+            lf = LogicalForm(
+                sel=rng.randrange(tab.n_cols),
+                agg=rng.randrange(6),
+                conds=tuple(
+                    Condition(rng.randrange(tab.n_cols), rng.randrange(3), rng.choice([0, -0.0, 1e308, "alpha"]))
+                    for _ in range(rng.randrange(0, 2))
+                ),
+            )
+            res = execute(compose(lf, tab), db)
+            assert res.is_error or results_equal(res, res), res
+        db.conn.close()
 
 
 class TestComposedStatementsAlwaysExecute:

@@ -10,18 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textsql import (
+    CandidateList,
     Condition,
     ErrorClass,
     EvalReport,
     Kind,
     LogicalForm,
+    ParseFailure,
     QuestionRecord,
     Slot,
     Table,
+    TableCache,
     classify_error,
     compose,
+    eg_gain,
+    execute,
     execution_accuracy,
     hallucination_flag,
+    parse,
+    parse_raw,
     render,
     render_report_table,
     report_to_dict,
@@ -29,9 +36,11 @@ from textsql import (
     sample_logical_form,
     template_question,
 )
-from textsql.evaluation import CORRECT, PARSE_FAILURE, SLOT_ORDER
+from textsql.eg import CandidateOutcome, EgGainReport, EgSelection
+from textsql.engine import results_equal
+from textsql.evaluation import CORRECT, PARSE_FAILURE, SLOT_ORDER, _HALLUCINATION_SLOTS, _classify
 from textsql.silver import SamplerConfig
-from textsql.sql import quote_ident
+from textsql.sql import quote_ident, resolve
 
 from conftest import make_table
 
@@ -394,3 +403,199 @@ class TestSinglePassScoring:
             report = execution_accuracy([pred], [gold], [record], {tab.table_id: tab})
             if report.count(PARSE_FAILURE):
                 assert report.exec_correct == 0, pred
+
+
+# --- gold reuse against the scoring loops it replaced -------------------------
+
+# ``execution_accuracy``, ``eg_select`` and ``eg_gain`` as they were before a
+# statement equal to its gold took the gold's result, kept verbatim as the
+# reference: every prediction and tried candidate is executed and compared.
+
+
+def _oracle_execution_accuracy(preds, golds, records, tables, cache=None):
+    cache = cache if cache is not None else TableCache()
+    exec_correct = 0
+    halluc = 0
+    counts = Counter()
+    for pred, gold, rec in zip(preds, golds, records):
+        tab = tables.get(rec.table_id)
+        if tab is None:
+            raise ValueError(f"no table {rec.table_id!r} for record {rec.question!r}")
+        # Materialized even for a prediction that is never executed, so a
+        # table the engine cannot hold is a data error whatever is predicted.
+        db = cache.get(tab)
+        gold_stmt = compose(gold, tab)
+        raw = parse_raw(pred)
+        if isinstance(raw, ParseFailure):
+            counts[PARSE_FAILURE] += 1
+            continue
+        stmt = resolve(raw)
+        label = _classify(raw, stmt, gold_stmt, tab, rec.question)
+        counts[label] += 1
+        # Same as hallucination_flag, read off the label without a reparse.
+        halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
+        if not isinstance(stmt, ParseFailure):
+            exec_correct += results_equal(execute(stmt, db), execute(gold_stmt, db))
+    n = len(preds)
+    return EvalReport(
+        n=n,
+        exec_correct=exec_correct,
+        exec_accuracy=exec_correct / n if n else 0.0,
+        error_counts=dict(counts),
+        hallucination_count=halluc,
+    )
+
+
+def _oracle_eg_select(cands, tab, cache=None):
+    cache = cache if cache is not None else TableCache()
+    db = cache.get(tab)
+    outcomes = []
+    results = []
+    for i, sql_text in enumerate(cands.beam()):
+        res = execute(sql_text, db)
+        results.append(res)
+        outcomes.append(CandidateOutcome(index=i, sql_text=sql_text, ok=not res.is_error, error=res.error))
+        if not res.is_error:
+            return EgSelection(
+                chosen_sql=sql_text,
+                chosen_index=i,
+                all_failed=False,
+                outcomes=tuple(outcomes),
+                chosen_result=res,
+            )
+    return EgSelection(
+        chosen_sql=cands.candidates[0],
+        chosen_index=0,
+        all_failed=True,
+        outcomes=tuple(outcomes),
+        chosen_result=results[0],
+    )
+
+
+def _oracle_eg_gain(pred_sets, golds, tables, cache=None):
+    cache = cache if cache is not None else TableCache()
+    correct_top1 = 0
+    correct_eg = 0
+    dropped = Counter()
+    all_failed = 0
+    selections = []
+    for cands, gold, tab in zip(pred_sets, golds, tables):
+        gold_res = execute(compose(gold, tab), cache.get(tab))
+        selection = _oracle_eg_select(cands, tab, cache)
+        selections.append(selection)
+        eg_ok = results_equal(selection.chosen_result, gold_res)
+        correct_top1 += eg_ok and selection.outcomes[0].ok
+        correct_eg += eg_ok
+        all_failed += selection.all_failed
+        for outcome in selection.outcomes:
+            if not outcome.ok:
+                dropped[outcome.kind] += 1
+    n = len(golds)
+    return EgGainReport(
+        n=n,
+        correct_top1=correct_top1,
+        correct_eg=correct_eg,
+        accuracy_top1=correct_top1 / n if n else 0.0,
+        accuracy_eg=correct_eg / n if n else 0.0,
+        delta=(correct_eg - correct_top1) / n if n else 0.0,
+        dropped_by_kind=dict(sorted(dropped.items())),
+        all_failed_count=all_failed,
+        selections=tuple(selections),
+    )
+
+
+# Literals that compare equal as numbers but render, and select, apart,
+# keyed by their common value.
+_TWINS = {3: (3, 3.0), 0: (0, 0.0, -0.0), -3: (-3, -3.0)}
+
+
+def _twin_batch(seed: int, n: int = 12):
+    """``_planted_batch`` with a text column whose cells spell numeric
+    twins ('3', '3.0', ...) and golds that condition on a twin; predictions
+    are planted, the gold itself, or the gold with a twin literal swapped
+    in. Also returns each example's candidate beam for selection."""
+    tab, preds, golds, records = _planted_batch(seed, n)
+    rng = random.Random(seed)
+    spelled = [str(v) for v in (3, 3.0, 0, 0.0, -0.0, -3, -3.0)]
+    tab = Table(
+        table_id=tab.table_id,
+        headers=tab.headers + ("twin",),
+        col_types=tab.col_types + ("text",),
+        rows=tuple(row + (rng.choice(spelled),) for row in tab.rows),
+    )
+    twin_col = tab.n_cols - 1
+    pred_sets = []
+    for i, gold in enumerate(golds):
+        if rng.random() < 0.5:
+            value = rng.choice(rng.choice(list(_TWINS.values())))
+            gold = replace(gold, conds=gold.conds + (Condition(twin_col, 0, value),))
+            golds[i] = gold
+            records[i] = replace(records[i], lf=gold)
+        stmt = compose(gold, tab)
+        swapped = tuple(
+            (col, op, rng.choice(_TWINS[value]) if value in _TWINS else value)
+            for col, op, value in stmt.conds
+        )
+        pool = [
+            render(stmt),
+            render(replace(stmt, conds=swapped)),
+            _planted_pred(stmt, rng),
+            f"select [no such column] from {quote_ident(tab.table_id)}",
+        ]
+        preds[i] = rng.choice(pool)
+        texts = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+        pred_sets.append(CandidateList.from_texts(texts, beam_width=rng.randrange(1, 4)))
+    return tab, preds, golds, records, pred_sets
+
+
+class TestGoldReuse:
+    """A prediction or tried candidate equal to its gold takes the gold's
+    result; scores, labels and selections stay those of executing it."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_scores_match_executing_every_statement(self, seed):
+        tab, preds, golds, records, pred_sets = _twin_batch(seed)
+        tables = {tab.table_id: tab}
+        assert execution_accuracy(preds, golds, records, tables) == _oracle_execution_accuracy(
+            preds, golds, records, tables
+        )
+        assert eg_gain(pred_sets, golds, [tab] * len(golds)) == _oracle_eg_gain(
+            pred_sets, golds, [tab] * len(golds)
+        )
+
+    def test_twin_of_the_gold_is_executed(self):
+        """On a text column 3.0 selects '3.0', not the gold's '3'."""
+        tab = Table(table_id="1-3-1", headers=("A",), col_types=("text",), rows=(("3",), ("3.0",)))
+        gold = LogicalForm(sel=0, agg=0, conds=(Condition(0, 0, 3),))
+        record = QuestionRecord(phase=1, table_id=tab.table_id, question="which a is 3", lf=gold)
+        twin = "select [a] from [1-3-1] where [a] = 3.0"
+        report = execution_accuracy([twin], [gold], [record], {tab.table_id: tab})
+        assert report.exec_correct == 0
+        assert eg_gain([CandidateList.from_texts([twin])], [gold], [tab]).correct_eg == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gold_then_each_prediction_not_equal_to_it_executes(self, seed, monkeypatch):
+        import textsql.evaluation as evaluation
+
+        tab, preds, golds, records, _ = _twin_batch(seed, n=20)
+        calls = []
+        real_execute = evaluation.execute
+
+        def counting_execute(stmt, db):
+            calls.append(stmt)
+            return real_execute(stmt, db)
+
+        monkeypatch.setattr(evaluation, "execute", counting_execute)
+        execution_accuracy(preds, golds, records, {tab.table_id: tab})
+        expected = []
+        for pred, gold in zip(preds, golds):
+            stmt = parse(pred)
+            if isinstance(stmt, ParseFailure):
+                continue
+            gold_stmt = compose(gold, tab)
+            expected.append(gold_stmt)
+            if stmt != gold_stmt:
+                expected.append(stmt)
+        assert calls == expected
+        assert len(calls) < 2 * sum(not isinstance(parse(p), ParseFailure) for p in preds)

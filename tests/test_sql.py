@@ -14,7 +14,9 @@ from textsql import (
     SqlStatement,
     Table,
     compose,
+    execute,
     format_literal,
+    materialize,
     parse,
     parse_raw,
     quote_ident,
@@ -292,6 +294,53 @@ class TestRoundTripProperty:
     def test_parse_never_raises(self, text):
         result = parse(text)
         assert isinstance(result, (SqlStatement, ParseFailure))
+
+
+class TestEqualityMatchesRender:
+    """Equal statements render to the same text, and so select the same
+    rows; scoring reuses the gold's execution on equality."""
+
+    def test_int_and_float_twins_differ_on_a_text_column(self):
+        tab = Table(table_id="1-3-1", headers=("A",), col_types=("text",), rows=(("3",), ("3.0",)))
+        as_int = parse("select [a] from [1-3-1] where [a] = 3")
+        as_float = parse("select [a] from [1-3-1] where [a] = 3.0")
+        db = materialize(tab)
+        assert execute(as_int, db).rows == (("3",),)
+        assert execute(as_float, db).rows == (("3.0",),)
+        assert as_int != as_float
+        db.conn.close()
+
+    def test_signed_zeros_differ(self):
+        pos = SqlStatement(agg=0, sel_col="a", table_id="t", conds=(("a", "=", 0.0),))
+        assert pos != SqlStatement(agg=0, sel_col="a", table_id="t", conds=(("a", "=", -0.0),))
+        assert pos == SqlStatement(agg=0, sel_col="a", table_id="t", conds=(("a", "=", 0.0),))
+
+    def test_other_types_never_equal(self):
+        stmt = SqlStatement(agg=0, sel_col="a", table_id="t")
+        assert stmt != render(stmt)
+        assert stmt != parse("select from")
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_exactly_when_rendered_alike(self, data):
+        """Pairs whose literals are drawn from the same twin family at each
+        position, so that equal and unequal pairs both come up often."""
+        families = data.draw(st.lists(st.sampled_from(_TWIN_FAMILIES), max_size=3))
+        a, b = (
+            SqlStatement(
+                agg=data.draw(st.sampled_from([0, 3])),
+                sel_col="a",
+                table_id="t",
+                conds=tuple(("c", "=", data.draw(st.sampled_from(f))) for f in families),
+            )
+            for _ in range(2)
+        )
+        assert (a == b) == (render(a) == render(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+_TWIN_FAMILIES = ((3, 3.0, "3"), (0, 0.0, -0.0, "0"), (-3, -3.0), (1e16, 10**16))
 
 
 # --- differential test against the closure walker -----------------------------
