@@ -265,8 +265,9 @@ def validate_record(rec: QuestionRecord, tab: Table) -> ValidationReport:
     """Check a record's logical form against its table.
 
     Flags out-of-range indices, SUM/AVG applied to a text column (those
-    aggregations are only meaningful for numeric data), and NaN or infinite
-    condition values (they have no SQL literal). Operator index 3 is legal
+    aggregations are only meaningful for numeric data), and condition values
+    that have no SQL literal: NaN, infinities, and anything that is neither
+    a string nor a number (a boolean included). Operator index 3 is legal
     here; the composer rejects it.
     """
     if rec.table_id != tab.table_id:
@@ -287,7 +288,9 @@ def validate_record(rec: QuestionRecord, tab: Table) -> ValidationReport:
             report.violations.append(f"cond {i}: column out of range: {cond.col}")
         if not 0 <= cond.op < len(OP_NAMES):
             report.violations.append(f"cond {i}: op out of range: {cond.op}")
-        if isinstance(cond.value, float) and not math.isfinite(cond.value):
+        if isinstance(cond.value, bool) or not isinstance(cond.value, (str, int, float)):
+            report.violations.append(f"cond {i}: unsupported value type: {type(cond.value).__name__}")
+        elif isinstance(cond.value, float) and not math.isfinite(cond.value):
             report.violations.append(f"cond {i}: non-finite value: {cond.value!r}")
     return report
 

@@ -9,8 +9,10 @@ raises for bad SQL; a parse failure or an engine rejection comes back as an
 
 Tables live in a few shared in-memory databases (see ``TableCache``), and a
 handle binds execution to its one table: a statement naming any other
-relation, SQLite's catalogue included, is ``no such table``. A connection is
-confined to one thread of control at a time.
+relation, SQLite's catalogue included, is ``no such table``. A one-condition
+probe over one column (``TableCache.probe``) runs on a one-column relation
+instead, so it needs no materialized table. A connection is confined to one
+thread of control at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sqlite3
 import string
 from dataclasses import dataclass
 
-from .data import Table
+from .data import AGG_NONE, Table
 from .normalize import normalize_text
 from .sql import ParseFailure, SqlStatement, _render, parse
 
@@ -30,6 +32,9 @@ _SQL_TYPES = {"text": "TEXT", "real": "REAL"}
 # grows with the tables already there, while a database per table costs about
 # 30 KB of fixed memory each; a new database every 256 tables keeps both flat.
 _TABLES_PER_DB = 256
+
+# SQLite's default SQLITE_MAX_COLUMN: CREATE TABLE refuses a wider relation.
+_MAX_COLUMNS = 2000
 
 # SQLite folds the case of names in ASCII only: `T-1` is `t-1`, `É` is not `é`.
 _ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
@@ -66,13 +71,10 @@ class ExecResult:
 
 def _store_cell(value, col_type: str):
     """Insertion-time normalization: strings lowercased; numeric strings in
-    real columns stored as floats; None stays NULL."""
+    real columns stored as floats; None stays NULL. The cell must have
+    passed ``check_cells``."""
     if value is None:
         return None
-    if isinstance(value, bool):
-        raise MaterializeError("boolean cells are not supported")
-    if isinstance(value, int) and not -(2**63) <= value < 2**63:
-        raise MaterializeError(f"integer cell {value} is outside the engine's 64-bit range")
     if isinstance(value, (int, float)):
         return value
     s = normalize_text(str(value))
@@ -108,7 +110,30 @@ def column_names(tab: Table) -> list[str]:
         raise MaterializeError(
             f"table {tab.table_id!r}: duplicate column names after lowercasing: {dupes}"
         )
+    if len(cols) > _MAX_COLUMNS:
+        raise MaterializeError(f"table {tab.table_id!r}: {len(cols)} columns, more than {_MAX_COLUMNS}")
     return cols
+
+
+def check_cells(tab: Table) -> None:
+    """Raise ``MaterializeError`` for the first cell the engine cannot store:
+    a boolean, an integer outside 64 bits, or a string that is not UTF-8
+    text (a lone surrogate). Scans types and ranges; converts nothing."""
+    for row in tab.rows:
+        for value in row:
+            if isinstance(value, str):
+                if not value.isascii():
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise MaterializeError(f"table {tab.table_id!r}: {exc}") from exc
+            elif isinstance(value, int):
+                if isinstance(value, bool):
+                    raise MaterializeError(f"table {tab.table_id!r}: boolean cells are not supported")
+                if not -(2**63) <= value < 2**63:
+                    raise MaterializeError(
+                        f"table {tab.table_id!r}: integer cell {value} is outside the engine's 64-bit range"
+                    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,11 +150,12 @@ def materialize(tab: Table, conn: sqlite3.Connection | None = None) -> TableDb:
     """Create one relation named by the table id, with lowercased column
     names, in ``conn``, or in a fresh in-memory database when none is given.
 
-    A table the engine cannot hold (a name ``column_names`` refuses, an
-    integer cell beyond 64 bits, a cell with a lone surrogate) raises
-    ``MaterializeError`` and leaves nothing behind in ``conn``.
+    A table the engine cannot hold (a name ``column_names`` refuses, a cell
+    ``check_cells`` refuses) raises ``MaterializeError`` and leaves nothing
+    behind in ``conn``.
     """
     cols = column_names(tab)
+    check_cells(tab)
     rows = [tuple(_store_cell(v, t) for v, t in zip(row, tab.col_types)) for row in tab.rows]
     col_defs = ", ".join(f"{_quote(c)} {_SQL_TYPES[t]}" for c, t in zip(cols, tab.col_types))
     placeholders = ", ".join("?" for _ in cols)
@@ -139,7 +165,7 @@ def materialize(tab: Table, conn: sqlite3.Connection | None = None) -> TableDb:
             db.execute("BEGIN")
             db.execute(f"CREATE TABLE {_quote(tab.table_id)} ({col_defs})")
             db.executemany(f"INSERT INTO {_quote(tab.table_id)} VALUES ({placeholders})", rows)
-    except (sqlite3.Error, UnicodeEncodeError) as exc:
+    except sqlite3.Error as exc:
         if conn is None:
             db.close()
         raise MaterializeError(f"table {tab.table_id!r}: {exc}") from exc
@@ -186,7 +212,8 @@ def execute(statement: SqlStatement | ParseFailure | str, db: TableDb) -> ExecRe
 
 
 class TableCache:
-    """Materializes each table once, on demand, keyed by table id.
+    """Materializes each table once, on demand, keyed by table id, and
+    answers one-column probes without materializing (see ``probe``).
 
     Tables share in-memory databases, a new one every ``_TABLES_PER_DB``
     tables. Ids that SQLite would read as one name (equal up to ASCII case)
@@ -197,6 +224,55 @@ class TableCache:
         self._tables: dict[str, TableDb] = {}
         self._conns: list[sqlite3.Connection] = []
         self._names: set[str] = set()  # folded ids in the newest database
+        self._checked: set[str] = set()  # ids of tables ``check`` passed
+        self._probe_conn: sqlite3.Connection | None = None
+        # Column type -> the (table id, column) its probe relation holds.
+        self._probe_loaded: dict[str, tuple[str, int]] = {}
+
+    def check(self, tab: Table) -> None:
+        """Raise ``MaterializeError`` unless the engine can hold ``tab``, by
+        its names and by its cells, as ``materialize`` would. Each table id
+        is checked once."""
+        if tab.table_id not in self._checked:
+            column_names(tab)
+            check_cells(tab)
+            self._checked.add(tab.table_id)
+
+    def probe(self, tab: Table, col: int, op: str, value) -> bool:
+        """Whether ``select c from t where c <op> value`` returns a row, for
+        column ``col`` of ``tab``; ``value`` is a condition value as
+        ``compose`` makes it. An execution error counts as no row.
+
+        The answer depends on the column's stored cells and declared type
+        alone, so it comes from a one-column relation per column type,
+        declared and filled as ``materialize`` would declare and fill that
+        column and reloaded only when the probed (table id, column) changes.
+        The WHERE clause is printed by ``_render``, as ``execute`` prints
+        it, so SQLite applies the same affinity to the same literal text.
+        The table is checked first (``check``), so a table ``materialize``
+        would refuse is refused here too.
+        """
+        self.check(tab)
+        col_type = tab.col_types[col]
+        conn = self._probe_conn
+        if conn is None:
+            conn = self._probe_conn = sqlite3.connect(":memory:")
+            for name, sql_type in _SQL_TYPES.items():
+                conn.execute(f"CREATE TABLE {_quote(name)} (c {sql_type})")
+        key = (tab.table_id, col)
+        if self._probe_loaded.get(col_type) != key:
+            with conn:  # one transaction
+                conn.execute(f"DELETE FROM {_quote(col_type)}")
+                conn.executemany(
+                    f"INSERT INTO {_quote(col_type)} VALUES (?)",
+                    [(_store_cell(row[col], col_type),) for row in tab.rows],
+                )
+            self._probe_loaded[col_type] = key
+        stmt = SqlStatement(agg=AGG_NONE, sel_col="c", table_id=col_type, conds=(("c", op, value),))
+        try:
+            return conn.execute(_render(stmt, _quote)).fetchone() is not None
+        except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError):
+            return False
 
     def get(self, tab: Table) -> TableDb:
         db = self._tables.get(tab.table_id)
@@ -213,9 +289,14 @@ class TableCache:
     def close(self):
         for conn in self._conns:
             conn.close()
+        if self._probe_conn is not None:
+            self._probe_conn.close()
         self._conns.clear()
         self._tables.clear()
         self._names = set()
+        self._checked.clear()
+        self._probe_conn = None
+        self._probe_loaded.clear()
 
 
 def _canon_cell(value):

@@ -3,9 +3,10 @@ rendered to SQL, paired with questions from a pluggable generator.
 
 Sampling guarantees that every statement executes cleanly on its own table
 and that each condition alone matches at least one row: condition values are
-drawn from actual cells, and inequality conditions are probed against the
-materialized table with bounded resampling (falling back to equality, which
-always matches). The neural question generator is out of scope here; the
+drawn from actual cells, and inequality conditions are probed by the engine
+on the condition's column alone (``TableCache.probe``), with bounded
+resampling (falling back to equality, which always matches). No table is
+materialized. The neural question generator is out of scope here; the
 ``QuestionGenerator`` protocol is its seam and a deterministic template
 implementation stands in for it.
 """
@@ -27,7 +28,7 @@ from .data import (
     LogicalForm,
     Table,
 )
-from .engine import TableCache, column_names, execute
+from .engine import TableCache
 from .normalize import cell_text
 from .sql import SqlStatement, compose, render
 
@@ -92,13 +93,14 @@ class TemplateQuestionGenerator:
 
 def _cond_matches(tab: Table, col: int, op_idx: int, value, cache: TableCache) -> bool:
     """True when the single condition selects at least one row, judged by the
-    engine itself so the check shares its comparison semantics."""
+    engine on the column's stored cells so the check shares its comparison
+    semantics; an execution error counts as no match."""
     stmt = compose(
         LogicalForm(sel=col, agg=AGG_NONE, conds=(Condition(col=col, op=op_idx, value=value),)),
         tab,
     )
-    result = execute(stmt, cache.get(tab))
-    return not result.is_error and len(result.rows) > 0
+    _, op, literal = stmt.conds[0]
+    return cache.probe(tab, col, op, literal)
 
 
 def _sample_value(tab: Table, col: int, rng: random.Random):
@@ -195,15 +197,15 @@ def generate_silver(
 
     Tables are chosen uniformly. Identical rendered statements are
     de-duplicated by resampling up to a retry bound, after which the
-    duplicate is kept and counted in the run report. A table whose headers
-    collide after lowercasing raises ``MaterializeError`` before any
-    sampling, since no statement over it could execute.
+    duplicate is kept and counted in the run report. A table the engine
+    cannot hold, by its names or by its cells, raises ``MaterializeError``
+    before any sampling, since no statement over it could execute.
     """
     if not tables:
         raise SamplerError("no tables to sample from")
-    for tab in tables:
-        column_names(tab)
     cache = cache if cache is not None else TableCache()
+    for tab in tables:
+        cache.check(tab)
     run = SilverRun()
     seen: set[str] = set()
     for _ in range(n):

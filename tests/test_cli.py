@@ -433,6 +433,27 @@ class TestNonFiniteConditionValue:
         assert "record 0: gold does not validate: cond 0: non-finite value" in capsys.readouterr().err
 
 
+class TestUnsupportedConditionValue:
+    """A condition value that is neither a string nor a number fails
+    validation, so --skip-bad skips its record and otherwise the error names
+    the record."""
+
+    @pytest.mark.parametrize("value", [True, None, [1], {"a": 1}], ids=["bool", "null", "list", "object"])
+    def test_linearize_skips_or_names_the_record(self, corpus, tmp_path, capsys, value):
+        questions, tables = corpus
+        rec = {"phase": 1, "table_id": PLATES_ID, "question": "q",
+               "sql": {"sel": 5, "agg": 0, "conds": [[3, 0, value]]}}
+        questions.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "l.jsonl"
+        argv = ["linearize", "--questions", str(questions), "--tables", str(tables), "--out", str(out)]
+        assert main(argv + ["--skip-bad"]) == 0
+        assert out.read_text() == ""
+        capsys.readouterr()
+        assert main(argv) == 2
+        kind = type(value).__name__
+        assert f"record 0: gold does not validate: cond 0: unsupported value type: {kind}" in capsys.readouterr().err
+
+
 class TestTableSqliteRefuses:
     """A table SQLite will not create is bad data, not an internal error."""
 
@@ -492,6 +513,21 @@ class TestCellEngineCannotStore:
         _, tables = self._corpus(tmp_path, col_type, cell)
         assert main(["silver", "--tables", str(tables), "--n", "2", "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [("100000000000000000000", "64-bit"), ('"\\ud800"', "surrogates not allowed"),
+         ("true", "boolean cells")],
+        ids=["integer_beyond_64_bits", "lone_surrogate", "boolean"],
+    )
+    def test_silver_refuses_text_only_table(self, tmp_path, capsys, cell, message):
+        # Text columns are never probed, so only the up-front check sees the cell.
+        _, tables = self._corpus(tmp_path, '"text"', cell)
+        out = tmp_path / "o"
+        assert main(["silver", "--tables", str(tables), "--n", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: table '1-1-1'" in err and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "col_type, cell, message",

@@ -134,6 +134,25 @@ class TestMaterialize:
             assert column_names(tab) == [header.lower()]
 
 
+    @pytest.mark.parametrize("n_cols, refused", [(2000, False), (2001, True)])
+    def test_column_limit_is_sqlites(self, n_cols, refused):
+        headers = tuple(f"c{i}" for i in range(n_cols))
+        conn = sqlite3.connect(":memory:")
+        try:
+            conn.execute(f"CREATE TABLE t ({', '.join(headers)})")
+            sqlite_refuses = False
+        except sqlite3.Error:
+            sqlite_refuses = True
+        conn.close()
+        assert sqlite_refuses == refused
+        tab = Table("t-1", headers, ("real",) * n_cols, ((1,) * n_cols,))
+        if refused:
+            with pytest.raises(MaterializeError, match="2001 columns, more than 2000"):
+                column_names(tab)
+        else:
+            assert len(materialize(tab).conn.execute("select * from `t-1`").fetchone()) == n_cols
+
+
 class TestExecute:
     def test_lone_surrogate_literal_is_an_error_variant(self):
         db = materialize(Table("1-1-1", ("A",), ("text",), (("x",),)))

@@ -1,6 +1,8 @@
 """Silver pair sampling: validity guarantees, templates, de-duplication."""
 
 import random
+import sqlite3
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from textsql import (
     sample_logical_form,
     template_question,
 )
-from textsql.silver import SamplerError
+from textsql import engine
+from textsql.engine import MaterializeError
+from textsql.silver import SamplerError, _cond_matches
 
 from conftest import make_table
 
@@ -225,3 +229,91 @@ class TestValidityProperty:
             assert not res.is_error, res.error
         cache.close()
         db.conn.close()
+
+
+def _materialized_probe(tab, col, op, value, cache):
+    """The probe as it ran on the whole materialized table: the oracle."""
+    stmt = compose(LogicalForm(sel=col, agg=0, conds=(Condition(col=col, op=op, value=value),)), tab)
+    result = execute(stmt, cache.get(tab))
+    return not result.is_error and len(result.rows) > 0
+
+
+# Strings that SQLite's REAL affinity, Python's float() or both read as numbers.
+_NUMERIC_LOOKING = ["3", "3.0", " 3", "1e5", "1_0", "inf"]
+_EDGE_NUMBERS = [0.0, -0.0, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1]
+
+
+class TestProbeMatchesMaterializedTable:
+    """``_cond_matches`` answers on one reloaded one-column relation exactly
+    as the condition's statement answers on the whole materialized table."""
+
+    @staticmethod
+    def _tables(rng):
+        tables = []
+        for table_id in ("1-1-1", "t`1 ]'x"):
+            tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(1, 6),
+                             table_id=table_id, null_rate=0.2)
+            rows = [list(row) for row in tab.rows]
+            for row in rows:
+                for c, col_type in enumerate(tab.col_types):
+                    if col_type == "real" and rng.random() < 0.3:
+                        row[c] = rng.choice(_NUMERIC_LOOKING)
+            tables.append(replace(tab, rows=tuple(map(tuple, rows))))
+        return tables
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_materialized_table(self, seed):
+        tables = self._tables(random.Random(seed))
+        cells = [v for tab in tables for row in tab.rows for v in row if v is not None]
+        # One value per literal: 3 and 3.0 (or 0.0 and -0.0) print apart.
+        values = list({(type(v), repr(v)): v for v in cells}.values()) + _NUMERIC_LOOKING + _EDGE_NUMBERS
+        oracle_cache, cache = TableCache(), TableCache()
+        for value in values:
+            for op in (0, 1, 2):
+                # Alternate tables and columns so the probe relation reloads.
+                for col in range(max(t.n_cols for t in tables)):
+                    for tab in tables:
+                        if col >= tab.n_cols:
+                            continue
+                        expected = _materialized_probe(tab, col, op, value, oracle_cache)
+                        assert _cond_matches(tab, col, op, value, cache) == expected, (tab, col, op, value)
+        oracle_cache.close()
+        cache.close()
+
+    def test_generate_silver_materializes_nothing(self, monkeypatch):
+        calls = {"materialize": 0, "probe": 0}
+        real_materialize, real_probe = engine.materialize, TableCache.probe
+
+        def counting_materialize(*args, **kwargs):
+            calls["materialize"] += 1
+            return real_materialize(*args, **kwargs)
+
+        def counting_probe(self, *args):
+            calls["probe"] += 1
+            return real_probe(self, *args)
+
+        monkeypatch.setattr(engine, "materialize", counting_materialize)
+        monkeypatch.setattr(TableCache, "probe", counting_probe)
+        rng = random.Random(3)
+        tables = [make_table(rng, n_cols=4, n_rows=6) for _ in range(4)]
+        generate_silver(tables, 60, TemplateQuestionGenerator(), random.Random(1), SamplerConfig())
+        assert calls["probe"] > 0
+        assert calls["materialize"] == 0
+
+    def test_close_closes_the_probe_connection(self):
+        tab = Table("t-1", ("n",), ("real",), ((1,), (5,)))
+        cache = TableCache()
+        assert _cond_matches(tab, 0, 1, 1, cache)
+        conn = cache._probe_conn
+        cache.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("select 1")
+        assert not _cond_matches(tab, 0, 1, 5, cache)  # reopens after close
+        cache.close()
+
+    def test_first_probe_refuses_a_bad_cell_in_another_column(self):
+        # The probed real column is fine; the text column cannot be stored.
+        tab = Table("t-1", ("n", "s"), ("real", "text"), ((1, "ok"), (5, "\ud800")))
+        with pytest.raises(MaterializeError, match="surrogates not allowed"):
+            _cond_matches(tab, 0, 1, 1, TableCache())
