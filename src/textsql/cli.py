@@ -52,7 +52,7 @@ from .gate import (
     save_params,
     train_copy_model,
 )
-from .linearize import LinearizeConfig, build_example
+from .linearize import LinearizeConfig, LinearizeError, build_example
 from .silver import SamplerConfig, SamplerError, TemplateQuestionGenerator, generate_silver
 from .sql import ComposeError, compose, render
 
@@ -80,14 +80,28 @@ def _write_text(path: str, text: str):
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _write_jsonl(path: str, objs) -> int:
-    """Write one sorted-key JSON object per line, streaming from ``objs``."""
+# One encoder for every JSONL row; json.dumps would build one per call.
+_encode_sorted = json.JSONEncoder(sort_keys=True, ensure_ascii=True).encode
+
+
+def _json_line(obj) -> str:
+    """One sorted-key JSON object and its newline."""
+    return _encode_sorted(obj) + "\n"
+
+
+def _write_lines(path: str, lines) -> int:
+    """Write ``lines``, streaming them, and return how many there were."""
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for o in objs:
-            fh.write(json.dumps(o, sort_keys=True, ensure_ascii=True) + "\n")
+        for line in lines:
+            fh.write(line)
             n += 1
     return n
+
+
+def _write_jsonl(path: str, objs) -> int:
+    """Write one sorted-key JSON object per line, streaming from ``objs``."""
+    return _write_lines(path, map(_json_line, objs))
 
 
 def _log(msg: str):
@@ -192,20 +206,27 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
         max_cell_len=args.max_cell_len,
     )
     rng = random.Random(args.seed)
-    rows = []
+    # Each table's part of the input, built on its first record.
+    cache: dict = {}
+    # Serialized rows, written once every record has passed, so that bad
+    # data leaves no output file.
+    lines = []
     skipped = 0
     for i, rec in enumerate(records):
         try:
             tab = _resolve(rec, tables, f"record {i}")
+            try:
+                target = render(compose(rec.lf, tab))
+                ex = build_example(rec.question, tab, target, lin_cfg, rng=rng, cache=cache)
+            except (ComposeError, LinearizeError) as exc:
+                raise DataError(f"record {i}: {exc}") from exc
         except DataError:
             if not args.skip_bad:
                 raise
             skipped += 1
             continue
-        target = render(compose(rec.lf, tab))
-        ex = build_example(rec.question, tab, target, lin_cfg, rng=rng)
-        rows.append({"input": ex.input, "target": ex.target})
-    written = _write_jsonl(args.out, rows)
+        lines.append(_json_line({"input": ex.input, "target": ex.target}))
+    written = _write_lines(args.out, lines)
     _log(f"linearize: wrote {written} examples to {args.out}" + (f" (skipped {skipped})" if skipped else ""))
     return 0
 

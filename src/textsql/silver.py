@@ -3,16 +3,17 @@ rendered to SQL, paired with questions from a pluggable generator.
 
 Sampling guarantees that every statement executes cleanly on its own table
 and that each condition alone matches at least one row: condition values are
-drawn from actual cells, and inequality conditions are probed by the engine
-on the condition's column alone (``TableCache.probe``), with bounded
-resampling (falling back to equality, which always matches). No table is
-materialized. The neural question generator is out of scope here; the
+drawn from actual cells that are neither null nor a NaN or infinity, and
+inequality conditions are probed by the engine on the condition's column
+alone (``TableCache.probe``), with bounded resampling (falling back to
+equality, which always matches). No table is materialized. The neural question generator is out of scope here; the
 ``QuestionGenerator`` protocol is its seam and a deterministic template
 implementation stands in for it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -103,15 +104,21 @@ def _cond_matches(tab: Table, col: int, op_idx: int, value, cache: TableCache) -
     return cache.probe(tab, col, op, literal)
 
 
+def _usable(value) -> bool:
+    """Whether a cell can be a condition value: a NaN or infinite cell has
+    no SQL literal, so it counts as null."""
+    return value is not None and (type(value) is not float or math.isfinite(value))
+
+
 def _sample_value(tab: Table, col: int, rng: random.Random):
-    """Pick a non-null cell from the column, or None when the column is
-    entirely null."""
+    """Pick a usable cell from the column, or None when the column has
+    none."""
     for _ in range(_PROBE_RETRIES):
         value = tab.rows[rng.randrange(tab.n_rows)][col]
-        if value is not None:
+        if _usable(value):
             return value
     for row in tab.rows:
-        if row[col] is not None:
+        if _usable(row[col]):
             return row[col]
     return None
 
@@ -124,10 +131,10 @@ def _sample_condition(tab: Table, rng: random.Random, cache: TableCache) -> Cond
         op = rng.randrange(3)
     value = _sample_value(tab, col, rng)
     if value is None:
-        # Entirely-null column: retry on a column that has data.
-        candidates = [c for c in range(tab.n_cols) if any(r[c] is not None for r in tab.rows)]
+        # No usable cell in the column: retry on a column that has one.
+        candidates = [c for c in range(tab.n_cols) if any(_usable(r[c]) for r in tab.rows)]
         if not candidates:
-            raise SamplerError(f"table {tab.table_id!r} has no non-null cells to sample")
+            raise SamplerError(f"table {tab.table_id!r} has no non-null finite cells to sample")
         col = candidates[rng.randrange(len(candidates))]
         op = 0 if tab.col_types[col] == "text" else rng.randrange(3)
         value = _sample_value(tab, col, rng)

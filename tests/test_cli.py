@@ -1,5 +1,9 @@
 """File-to-file pipelines behind the textsql command."""
 
+import contextlib
+import copy
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import textsql
 from textsql import Condition, LogicalForm, Table, compose, dump_tables, render
@@ -91,6 +97,41 @@ class TestLinearize:
         assert main(args + ["--skip-bad"]) == 0
         assert len(read_jsonl(out)) == 1
 
+    def test_gold_that_does_not_compose_is_skipped_or_named(self, corpus, tmp_path, capsys):
+        # Operator index 3 passes validation; only the composer refuses it.
+        questions, tables = corpus
+        bad = {"phase": 1, "table_id": PLATES_ID, "question": "q", "sql": {"sel": 0, "agg": 0, "conds": [[1, 3, 1.0]]}}
+        questions.write_text(questions.read_text() + json.dumps(bad) + "\n")
+        out = tmp_path / "out.jsonl"
+        argv = ["linearize", "--questions", str(questions), "--tables", str(tables), "--out", str(out)]
+        assert main(argv + ["--skip-bad"]) == 0
+        assert "(skipped 1)" in capsys.readouterr().err
+        assert len(read_jsonl(out)) == 1
+        out.unlink()
+        assert main(argv) == 2
+        assert "record 1: unsupported operator" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cell, message", [(True, "boolean cells are not supported"), ([1], "unsupported cell type: list")]
+    )
+    def test_sampled_cell_of_unsupported_type_is_skipped_or_named(self, tmp_path, capsys, cell, message):
+        # Found by TestLinearizeFuzz: such a cell was an internal error.
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(json.dumps({"id": "t-1", "header": ["a", "b"], "types": ["text", "real"],
+                                      "rows": [["x", cell]]}) + "\n")
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps({"phase": 1, "table_id": "t-1", "question": "q",
+                                         "sql": {"sel": 0, "agg": 0, "conds": []}}) + "\n")
+        out = tmp_path / "out.jsonl"
+        argv = ["linearize", "--questions", str(questions), "--tables", str(tables), "--out", str(out)]
+        assert main(argv) == 0
+        assert main(argv + ["--mode", "augmented", "--samples", "1", "--skip-bad"]) == 0
+        assert out.read_text() == ""
+        capsys.readouterr()
+        assert main(argv + ["--mode", "augmented", "--samples", "1"]) == 2
+        assert f"record 0: table 't-1': {message}" in capsys.readouterr().err
+
     def test_unknown_table_is_a_data_error(self, corpus, tmp_path):
         questions, tables = corpus
         questions.write_text(
@@ -102,6 +143,155 @@ class TestLinearize:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+
+_AWKWARD_TABLES = [
+    {
+        "id": "2-ws\t 7",
+        "header": ["Name\tof  Player", "Pts\xa0Total", "Note\u2003x", "a<sep>b", "Plain"],
+        "types": ["text", "real", "text", "text", "real"],
+        "rows": [
+            ["Antonio\t\tLang", -0.0, "", "x <sep> y", 1],
+            [None, 1e16, "  lead  ", "   ", 2.5],
+            # The default --max-cell-len of 32 cuts this cell inside its whitespace.
+            ["x" * 30 + " \t tail", 3, "\xa0\u3000", None, -7],
+            ["Four", 4, "last row", "z", 0],
+        ],
+    },
+    {"id": "3-blank", "header": ["  ", "\t"], "types": ["text", "text"], "rows": [["  ", "\u2003"], [None, ""]]},
+    {"id": "4-empty", "header": ["Only Col"], "types": ["real"], "rows": []},
+]
+
+_AWKWARD_RECORDS = [
+    ("2-ws\t 7", "What is the   Name\tof player?", 0, 0, [[4, 1, 1]]),
+    ("2-ws\t 7", "Which Pts\xa0total <sep> is biggest", 1, 1, []),
+    ("2-ws\t 7", "  \t ", 2, 0, []),
+    ("3-blank", "  \t ", 0, 0, []),
+    ("3-blank", "Blank?", 1, 3, [[0, 0, "  "]]),
+    ("4-empty", "how many only col", 0, 3, [[0, 0, "X  y"]]),
+    ("2-ws\t 7", "Tell me  <SEP> more\u2003please", 3, 0, [[3, 0, "z"]]),
+    ("2-ws\t 7", "what about the plain one", 4, 0, [[4, 2, 0.5]]),
+    ("3-blank", "\xa0", 1, 0, []),
+]
+
+
+class TestLinearizeGoldenBytes:
+    """The output bytes of ``linearize`` on a corpus of awkward tables, pinned
+    so that a rewrite of the serializer or of dropout cannot change them."""
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "d8a7b528b8ec588563fbb4cb81b0a85010305a097ae3db18c7a32ecfc8a358ac"),
+            (["--dropout", "--seed", "3"], "9445997c0c5592ab1383d2b003afc81a1c1be0470a794ae23f2188f47c81d627"),
+            (
+                ["--mode", "augmented", "--samples", "2"],
+                "8eaaea09fc21d07551d4ff527341bbd3a2bc5c89d349139cad9620d07b294ef7",
+            ),
+            (
+                ["--mode", "augmented", "--samples", "3", "--dropout", "--seed", "7"],
+                "544f62def2c9f1a9339613e60ed69c492aaf46c26ffc4c1cb9e6d3f9c49caf14",
+            ),
+        ],
+        ids=["baseline", "baseline-dropout", "augmented", "augmented-dropout"],
+    )
+    def test_output_digest(self, tmp_path, flags, digest):
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text("".join(json.dumps(t) + "\n" for t in _AWKWARD_TABLES))
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("".join(
+            json.dumps({"phase": 1, "table_id": tid, "question": q, "sql": {"sel": sel, "agg": agg, "conds": conds}})
+            + "\n"
+            for tid, q, sel, agg, conds in _AWKWARD_RECORDS
+        ))
+        out = tmp_path / "out.jsonl"
+        argv = ["linearize", "--questions", str(questions), "--tables", str(tables), "--out", str(out)]
+        assert main(argv + flags) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_FUZZ_BASE = {
+    "table": {
+        "id": "1-2-3",
+        "header": ["Name", "Pts"],
+        "types": ["text", "real"],
+        "rows": [["Ann  Lee", 3], [None, 2.5]],
+    },
+    "record": {
+        "phase": 1,
+        "table_id": "1-2-3",
+        "question": "who has 3 pts",
+        "sql": {"sel": 0, "agg": 0, "conds": [[1, 0, 3]]},
+    },
+}
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(),
+        st.sampled_from(["", " \t", "<sep>", "1-2-3", "\ud800", "Name", "text", "real"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["id", "sel", "a"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _json_paths(obj, path=()):
+    """Every path into ``obj``, its children and below, each with whether it
+    leads to a scalar."""
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield path + (key,), not isinstance(value, (dict, list))
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """The one-table, one-record input with one or two of its JSON values
+    changed: mostly a scalar replaced, so that the input stays well-formed
+    enough to reach the serializer, and sometimes a value deleted."""
+    doc = copy.deepcopy(_FUZZ_BASE)
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
+        delete = draw(st.integers(0, 3)) == 0
+        paths = [path for path, leaf in _json_paths(doc) if delete or leaf]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON_VALUES)
+    return doc
+
+
+class TestLinearizeFuzz:
+    """Whatever the input holds, ``linearize`` ends with success or a data
+    error, never an internal error."""
+
+    @given(doc=_mutated_inputs(), mode=st.sampled_from([[], ["--mode", "augmented", "--samples", "2"]]),
+           dropout=st.booleans(), skip_bad=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_is_success_or_data_error(self, tmp_path_factory, doc, mode, dropout, skip_bad):
+        work = tmp_path_factory.getbasetemp() / "linearize-fuzz"
+        work.mkdir(exist_ok=True)
+        paths = {}
+        for name in ("table", "record"):
+            paths[name] = work / f"{name}.jsonl"
+            lines = [json.dumps(doc[name])] if name in doc else []
+            paths[name].write_text("".join(line + "\n" for line in lines))
+        argv = ["linearize", "--questions", str(paths["record"]), "--tables", str(paths["table"]),
+                "--out", str(work / "out.jsonl"), *mode]
+        argv += ["--dropout"] * dropout + ["--skip-bad"] * skip_bad
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), err.getvalue()
+        assert "internal error" not in err.getvalue()
 
 
 class TestSilver:

@@ -18,11 +18,85 @@ from textsql import (
     token_dropout,
 )
 from textsql.linearize import LinearizeError
+from textsql.normalize import cell_text, normalize_question
 
 from conftest import PLATES_BASELINE, PLATES_QUESTION, PLATES_SQL, make_table
 
 BASE = LinearizeConfig()
 AUG = LinearizeConfig(include_types=True, sample_rows=2)
+
+
+# The serializer and dropout as they were before each table's text was built
+# once: every field of the input is built per call, and dropout splits every
+# field into words to draw one. Kept as the oracle of the differential tests.
+def _fields(question: str, tab: Table, cfg: LinearizeConfig) -> list[str]:
+    parts = [normalize_question(question), tab.table_id]
+    if not cfg.include_types:
+        if cfg.sample_rows != 0:
+            raise LinearizeError("baseline mode requires include_types=False and sample_rows=0")
+        parts.extend(h.lower() for h in tab.headers)
+        return parts
+    k = min(cfg.sample_rows, tab.n_rows)
+    for j, (header, col_type) in enumerate(zip(tab.headers, tab.col_types)):
+        parts.append(header.lower())
+        parts.append(col_type)
+        for r in range(k):
+            value = tab.rows[r][j]
+            parts.append("" if value is None else cell_text(value)[: cfg.max_cell_len])
+    return parts
+
+
+def _drop_word(fields: list[str], rng: random.Random) -> list[str]:
+    words_per_field = [f.split() for f in fields]
+    droppable = [(fi, wi) for fi, words in enumerate(words_per_field) if fi != 1 for wi in range(len(words))]
+    if not droppable:
+        return fields
+    fi, wi = droppable[rng.randrange(len(droppable))]
+    del words_per_field[fi][wi]
+    return [fields[1] if fi2 == 1 else " ".join(words) for fi2, words in enumerate(words_per_field)]
+
+
+def _join(fields: list[str], cfg: LinearizeConfig) -> str:
+    return cfg.bos + cfg.sep.join(fields) + cfg.eos
+
+
+def _oracle_input(question: str, tab: Table, cfg: LinearizeConfig, rng: random.Random) -> str:
+    fields = _fields(question, tab, cfg)
+    return _join(_drop_word(fields, rng) if cfg.dropout_enabled else fields, cfg)
+
+
+# Text that exercises whitespace handling: runs, tabs, no-break and wide
+# spaces, the sep marker's text, and case.
+_AWKWARD = st.lists(
+    st.sampled_from(["a", "B", "7", " ", "\t", "\xa0", "\u2003", "\u3000", "<sep>", "."]), max_size=8
+).map("".join)
+_CELLS = st.one_of(
+    st.none(),
+    _AWKWARD,
+    st.sampled_from([-0.0, 0.0, 1e16, 2.5, -7, 0, 10**20, float("inf")]),
+)
+
+
+@st.composite
+def _tables(draw):
+    n_cols = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, 3))
+    headers = draw(st.lists(_AWKWARD.filter(bool), min_size=n_cols, max_size=n_cols))
+    col_types = draw(st.lists(st.sampled_from(["text", "real"]), min_size=n_cols, max_size=n_cols))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * n_cols), min_size=n_rows, max_size=n_rows))
+    table_id = draw(st.sampled_from(["1-2-3", "t 9\t", "a<sep>b"]))
+    return Table(table_id, tuple(headers), tuple(col_types), tuple(rows))
+
+
+@st.composite
+def _configs(draw, tab: Table):
+    augmented = draw(st.booleans())
+    return LinearizeConfig(
+        include_types=augmented,
+        sample_rows=draw(st.integers(0, tab.n_rows + 2)) if augmented else 0,
+        dropout_enabled=draw(st.booleans()),
+        max_cell_len=draw(st.sampled_from([1, 2, 3, 5, 32])),
+    )
 
 
 class TestConfig:
@@ -173,6 +247,62 @@ class TestTokenDropout:
         tab = Table("1-2 3", tuple(headers), ("text",) * len(headers), rows)
         ex = build_example(question, tab, "x", cfg, random.Random(seed))
         assert ex.input == token_dropout(linearize(question, tab, cfg), random.Random(seed), cfg)
+
+
+class TestAgainstPerCallOracle:
+    """``build_example`` with one cache over several questions, and the
+    one-off serializers, against the per-call oracle above: same input bytes
+    and the same random state after each call."""
+
+    @given(data=st.data(), questions=st.lists(_AWKWARD, min_size=1, max_size=4), seed=st.integers(0, 10**6))
+    @settings(max_examples=250, deadline=None)
+    def test_build_example_matches(self, data, questions, seed):
+        tab = data.draw(_tables())
+        cfg = data.draw(_configs(tab))
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        cache = {}
+        for question in questions:
+            ex = build_example(question, tab, "x", cfg, rng, cache)
+            assert ex.input == _oracle_input(question, tab, cfg, oracle_rng)
+            assert rng.getstate() == oracle_rng.getstate()
+            assert linearize(question, tab, cfg) == _join(_fields(question, tab, cfg), cfg)
+
+    @given(
+        fields=st.lists(_AWKWARD.filter(lambda t: "<sep>" not in t.lower()), min_size=1, max_size=6),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_token_dropout_matches(self, fields, seed):
+        text = _join(fields, BASE)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert token_dropout(text, rng, BASE) == _join(_drop_word(fields, oracle_rng), BASE)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+class TestTableTextCache:
+    def test_entry_not_reused_for_another_table_with_the_same_id(self):
+        cfg = LinearizeConfig(include_types=True, sample_rows=1)
+        cache = {}
+        old = Table("t-1", ("a",), ("text",), (("old",),))
+        new = Table("t-1", ("a",), ("text",), (("new",),))
+        assert build_example("q", old, "x", cfg, cache=cache).input.endswith("<sep>old<eos>")
+        assert build_example("q", new, "x", cfg, cache=cache).input.endswith("<sep>new<eos>")
+
+    def test_entry_not_reused_under_another_config(self):
+        tab = Table("t-1", ("a",), ("text",), (("long  cell",),))
+        cache = {}
+        for cfg in (
+            LinearizeConfig(include_types=True, sample_rows=1),
+            LinearizeConfig(include_types=True, sample_rows=1, max_cell_len=4),
+            LinearizeConfig(include_types=True, sample_rows=0),
+        ):
+            assert build_example("q", tab, "x", cfg, cache=cache).input == linearize("q", tab, cfg)
+
+    def test_one_entry_per_table(self, plates_table, points_table):
+        cache = {}
+        for tab in (plates_table, points_table, plates_table):
+            build_example("q", tab, "x", AUG, cache=cache)
+        assert sorted(cache) == sorted([plates_table.table_id, points_table.table_id])
 
 
 class TestDelinearize:

@@ -134,6 +134,25 @@ class TestSampleLogicalForm:
             sample_logical_form(tab, random.Random(0), cfg)
 
 
+class TestNonFiniteCells:
+    """A NaN or infinite cell has no SQL literal, so the sampler passes over
+    it like a null: whether a run succeeds must not depend on the seed."""
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_never_drawn_as_a_condition_value(self, seed):
+        rows = tuple((f"p{i}", float("inf") if i == 7 else float(i)) for i in range(30))
+        tab = Table("1-1", ("name", "score"), ("text", "real"), rows)
+        run = generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(seed), SamplerConfig())
+        assert len(run.examples) == 20
+        assert all(c.value != float("inf") for ex in run.examples for c in ex.lf.conds)
+
+    def test_table_of_only_null_and_non_finite_cells_rejected(self):
+        tab = Table("t-1", ("a", "b"), ("real", "real"), ((float("nan"), None), (float("-inf"), float("inf"))))
+        cfg = SamplerConfig(max_conds=1, allow_zero_conds=False)
+        with pytest.raises(SamplerError, match="non-null finite"):
+            sample_logical_form(tab, random.Random(0), cfg)
+
+
 class TestGenerateSilver:
     def _tables(self, seed=0, n=3):
         rng = random.Random(seed)
