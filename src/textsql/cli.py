@@ -145,7 +145,7 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         raise DataError(f"cannot read config {args.config}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"config {args.config} is not UTF-8 text ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise DataError(f"config {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(entries, dict):
         raise UsageError(f"config {args.config} must hold a JSON object")
@@ -237,7 +237,6 @@ def _cmd_silver(args: argparse.Namespace) -> int:
     sampler_cfg = SamplerConfig(
         max_conds=args.max_conds,
         allow_zero_conds=not args.no_zero_conds,
-        numeric_agg_only=not args.any_agg,
     )
     rng = random.Random(args.seed)
     run = generate_silver(tables, args.n, TemplateQuestionGenerator(), rng, sampler_cfg)
@@ -419,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-conds", type=_number(int, 0), default=3)
     p.add_argument("--no-zero-conds", action="store_true", help="require at least one condition")
-    p.add_argument("--any-agg", action="store_true", help="allow sum/avg on text columns")
 
     p = _command(sub, "eval", _cmd_eval, "score predictions and break down the errors")
     p.add_argument("--preds", help="one predicted SQL text per line, aligned with --questions")

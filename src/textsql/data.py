@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -136,8 +137,9 @@ def iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(f"invalid JSON: {exc.msg}", path, lineno) from exc
+                except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+                    msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                    raise DataFormatError(f"invalid JSON: {msg}", path, lineno) from exc
                 if not isinstance(obj, dict):
                     raise DataFormatError("line is not a JSON object", path, lineno)
                 yield lineno, obj
@@ -159,9 +161,10 @@ def _undecodable_line(path: str | Path) -> int | None:
 
 
 # The JSON types of the loaded fields, checked in one place: the loaders read
-# every field through ``_require`` and every condition through ``_condition``,
-# so a wrongly typed field is a DataFormatError naming its line rather than a
-# crash downstream or a silent coercion.
+# every field through ``_require``, every condition through ``_condition`` and
+# every table's rows through ``_rows``, so a wrongly typed field is a
+# DataFormatError naming its line rather than a crash downstream or a silent
+# coercion.
 _JSON_TYPE_NAMES = {
     str: "a string",
     int: "an integer",
@@ -171,6 +174,7 @@ _JSON_TYPE_NAMES = {
     list: "a list",
     dict: "an object",
 }
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
 def _require(obj: dict, key: str, path: str | Path, lineno: int, kind: type | None = None):
@@ -201,6 +205,24 @@ def _condition(cond, i: int, path: str | Path, lineno: int) -> Condition:
     return Condition(col, op, value)
 
 
+def _rows(rows: list, path: str | Path, lineno: int) -> tuple[tuple[Cell, ...], ...]:
+    """A table's rows: each a list whose cells are strings, numbers,
+    booleans or null. Which of those the engine can store is
+    ``check_cells``'s concern. The types are checked a table at a time,
+    and the first offender looked for only when one is there."""
+    lists = {list}.issuperset(map(type, rows))
+    if not (lists and _SCALAR_TYPES.issuperset(map(type, chain.from_iterable(rows)))):
+        for i, row in enumerate(rows):
+            if type(row) is not list:
+                got = _JSON_TYPE_NAMES[type(row)]
+                raise DataFormatError(f"row {i} is not a list: got {got}", path, lineno)
+            for j, cell in enumerate(row):
+                if type(cell) not in _SCALAR_TYPES:
+                    got = _JSON_TYPE_NAMES[type(cell)]
+                    raise DataFormatError(f"row {i} cell {j} is not a scalar: got {got}", path, lineno)
+    return tuple(map(tuple, rows))
+
+
 def load_tables(path: str | Path) -> list[Table]:
     """Load a WikiSQL tables file; raises DataFormatError on malformed lines
     or duplicate table ids."""
@@ -210,15 +232,10 @@ def load_tables(path: str | Path) -> list[Table]:
         table_id = _require(obj, "id", path, lineno, str)
         header = _require(obj, "header", path, lineno, list)
         types = _require(obj, "types", path, lineno, list)
-        rows = _require(obj, "rows", path, lineno, list)
+        rows = _rows(_require(obj, "rows", path, lineno, list), path, lineno)
         try:
-            table = Table(
-                table_id=table_id,
-                headers=tuple(header),
-                col_types=tuple(types),
-                rows=tuple(tuple(r) for r in rows),
-            )
-        except (ValueError, TypeError) as exc:
+            table = Table(table_id=table_id, headers=tuple(header), col_types=tuple(types), rows=rows)
+        except ValueError as exc:
             raise DataFormatError(str(exc), path, lineno) from exc
         if table.table_id in seen:
             raise DataFormatError(f"duplicate table_id {table.table_id!r}", path, lineno)

@@ -155,12 +155,11 @@ def eg_gain(
     All three sequences align index by index (one table per example;
     repeats are fine, the cache materializes each table once).
     Each gold is executed once and each beam is selected over once, with
-    the gold's result passed in: a tried candidate equal to the gold is not
-    executed, and a selection holding the gold's result is correct exactly
-    when the gold executes. The top candidate is always tried first and is
-    chosen whenever it executes, so top-1 is correct exactly when it
-    executed and the selection is correct. The selections are returned in
-    input order.
+    the gold's result passed in, so a tried candidate equal to the gold is
+    not executed; ``results_equal`` decides correctness. The top candidate
+    is always tried first and is chosen whenever it executes, so top-1 is
+    correct exactly when it executed and the selection is correct. The
+    selections are returned in input order.
     """
     if len(pred_sets) != len(golds):
         raise ValueError(f"got {len(pred_sets)} candidate lists for {len(golds)} golds")
@@ -177,10 +176,7 @@ def eg_gain(
         gold_res = execute(gold_stmt, cache.get(tab))
         selection = eg_select(cands, tab, cache, gold=(gold_stmt, gold_res))
         selections.append(selection)
-        if selection.chosen_result is gold_res:
-            eg_ok = not gold_res.is_error
-        else:
-            eg_ok = results_equal(selection.chosen_result, gold_res)
+        eg_ok = results_equal(selection.chosen_result, gold_res)
         correct_top1 += eg_ok and selection.outcomes[0].ok
         correct_eg += eg_ok
         all_failed += selection.all_failed

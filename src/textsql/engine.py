@@ -323,8 +323,14 @@ def results_equal(a: ExecResult, b: ExecResult) -> bool:
     """Multiset equality of result rows after normalization.
 
     Text compares lowercased and trimmed; numbers with relative tolerance
-    1e-9. An error variant never equals anything, including another error.
+    1e-9. An error variant never equals anything, itself included. This is
+    the one gold rule of ``eval`` and ``eg``: a result compared with itself
+    (a statement equal to its gold reuses the gold's result) is equal
+    exactly when it is not an error. SQLite never returns NaN, so that
+    check skips the rows without changing the answer.
     """
+    if a is b:
+        return not a.is_error
     if a.is_error or b.is_error:
         return False
     if len(a.rows) != len(b.rows):

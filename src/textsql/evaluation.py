@@ -203,11 +203,11 @@ def execution_accuracy(
 
     Each prediction is parsed once; the statement feeds both the taxonomy and
     the execution, so a prediction outside the dialect is never executed and
-    scores zero, as does one that fails to execute. The gold is executed
-    once per executed prediction, and a prediction equal to its gold (the
-    same rendered text, see ``SqlStatement``) is not executed or compared:
-    it is correct exactly when the gold executes. A missing table is a data
-    error and raises.
+    scores zero. The gold is executed once per prediction in the dialect,
+    and a prediction equal to its gold (the same rendered text, see
+    ``SqlStatement``) takes the gold's result instead of running again;
+    ``results_equal`` decides correctness. A missing table is a data error
+    and raises.
     """
     if not (len(preds) == len(golds) == len(records)):
         raise ValueError(f"misaligned inputs: {len(preds)} preds, {len(golds)} golds, {len(records)} records")
@@ -234,10 +234,7 @@ def execution_accuracy(
         halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
         if not isinstance(stmt, ParseFailure):
             gold_res = execute(gold_stmt, db)
-            if stmt == gold_stmt:
-                exec_correct += not gold_res.is_error
-            else:
-                exec_correct += results_equal(execute(stmt, db), gold_res)
+            exec_correct += results_equal(gold_res if stmt == gold_stmt else execute(stmt, db), gold_res)
     n = len(preds)
     return EvalReport(
         n=n,

@@ -47,7 +47,6 @@ class SamplerError(ValueError):
 class SamplerConfig:
     max_conds: int = 3
     allow_zero_conds: bool = True
-    numeric_agg_only: bool = True
 
     def __post_init__(self):
         if self.max_conds < 0:
@@ -158,8 +157,9 @@ def sample_logical_form(
 
     The select column is uniform over columns; the aggregation is uniform
     over all six slots but redrawn from the non-numeric ones when the select
-    column is text and ``numeric_agg_only`` is set; the condition count is
-    uniform over 0..max_conds (1..max_conds when zero is disallowed).
+    column is text, as ``validate_record`` refuses sum and avg on text; the
+    condition count is uniform over 0..max_conds (1..max_conds when zero is
+    disallowed).
     Deterministic given the rng state. Probes run in ``cache``, or in a
     fresh one when none is given.
     """
@@ -168,7 +168,7 @@ def sample_logical_form(
     cache = cache if cache is not None else TableCache()
     sel = rng.randrange(tab.n_cols)
     agg = rng.randrange(6)
-    if cfg.numeric_agg_only and tab.col_types[sel] == "text" and agg in (AGG_SUM, AGG_AVG):
+    if tab.col_types[sel] == "text" and agg in (AGG_SUM, AGG_AVG):
         agg = rng.randrange(4)
     low = 0 if cfg.allow_zero_conds else 1
     n_conds = rng.randint(low, cfg.max_conds) if cfg.max_conds >= low else low

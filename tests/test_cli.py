@@ -112,9 +112,9 @@ class TestLinearize:
         assert "record 1: unsupported operator" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "cell, message", [(True, "boolean cells are not supported"), ([1], "unsupported cell type: list")]
-    )
+    # A list cell is refused when the tables file loads
+    # (TestWronglyTypedField::test_cell_that_is_a_list_or_object).
+    @pytest.mark.parametrize("cell, message", [(True, "boolean cells are not supported")])
     def test_sampled_cell_of_unsupported_type_is_skipped_or_named(self, tmp_path, capsys, cell, message):
         # Found by TestLinearizeFuzz: such a cell was an internal error.
         tables = tmp_path / "tables.jsonl"
@@ -225,6 +225,10 @@ _FUZZ_BASE = {
     },
 }
 
+# Stands for an integer of 5,000 digits, which json.dumps cannot write; the
+# fuzz tests write the digits in its place.
+_HUGE_INT = "9" * 5000
+
 _JSON_VALUES = st.recursive(
     st.one_of(
         st.none(),
@@ -232,6 +236,9 @@ _JSON_VALUES = st.recursive(
         st.integers(-(2**70), 2**70),
         st.floats(),
         st.sampled_from(["", " \t", "<sep>", "1-2-3", "\ud800", "Name", "text", "real"]),
+        # An integer beyond Python's digit limit, a row given as a string
+        # (in place of a row) and an object cell (in place of a cell).
+        st.just(_HUGE_INT), st.just("ab"), st.fixed_dictionaries({"k": st.just(1)}),
     ),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["id", "sel", "a"]), inner, max_size=2),
     max_leaves=4,
@@ -251,11 +258,13 @@ def _json_paths(obj, path=()):
 def _mutated_inputs(draw):
     """The one-table, one-record input with one or two of its JSON values
     changed: mostly a scalar replaced, so that the input stays well-formed
-    enough to reach the serializer, and sometimes a value deleted."""
+    enough to reach the serializer, and sometimes a value deleted or a list
+    or object (a row, say) replaced."""
     doc = copy.deepcopy(_FUZZ_BASE)
     for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
-        delete = draw(st.integers(0, 3)) == 0
-        paths = [path for path, leaf in _json_paths(doc) if delete or leaf]
+        action = draw(st.sampled_from(["replace leaf", "replace leaf", "replace any", "delete"]))
+        delete = action == "delete"
+        paths = [path for path, leaf in _json_paths(doc) if leaf or action != "replace leaf"]
         if not paths:
             break
         path = draw(st.sampled_from(paths))
@@ -269,29 +278,58 @@ def _mutated_inputs(draw):
     return doc
 
 
+def _write_fuzz_inputs(work, doc):
+    """The table and record files of a mutated input, one line each (none
+    for a deleted one); returns their paths."""
+    work.mkdir(exist_ok=True)
+    paths = {}
+    for name in ("table", "record"):
+        paths[name] = work / f"{name}.jsonl"
+        line = json.dumps(doc[name]).replace(json.dumps(_HUGE_INT), _HUGE_INT) + "\n" if name in doc else ""
+        paths[name].write_text(line)
+    return paths
+
+
+def _assert_success_or_data_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
+
+
 class TestLinearizeFuzz:
-    """Whatever the input holds, ``linearize`` ends with success or a data
-    error, never an internal error."""
+    """Whatever the input holds, ``linearize``, ``silver``, ``eval`` and
+    ``eg`` end with success or a data error, never an internal error."""
 
     @given(doc=_mutated_inputs(), mode=st.sampled_from([[], ["--mode", "augmented", "--samples", "2"]]),
            dropout=st.booleans(), skip_bad=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_exit_is_success_or_data_error(self, tmp_path_factory, doc, mode, dropout, skip_bad):
         work = tmp_path_factory.getbasetemp() / "linearize-fuzz"
-        work.mkdir(exist_ok=True)
-        paths = {}
-        for name in ("table", "record"):
-            paths[name] = work / f"{name}.jsonl"
-            lines = [json.dumps(doc[name])] if name in doc else []
-            paths[name].write_text("".join(line + "\n" for line in lines))
+        paths = _write_fuzz_inputs(work, doc)
         argv = ["linearize", "--questions", str(paths["record"]), "--tables", str(paths["table"]),
                 "--out", str(work / "out.jsonl"), *mode]
         argv += ["--dropout"] * dropout + ["--skip-bad"] * skip_bad
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2), err.getvalue()
-        assert "internal error" not in err.getvalue()
+        _assert_success_or_data_error(argv)
+
+    @given(doc=_mutated_inputs(), command=st.sampled_from(["silver", "eval", "eg"]))
+    @settings(max_examples=150, deadline=None)
+    def test_silver_eval_and_eg_exit_with_success_or_data_error(self, tmp_path_factory, doc, command):
+        work = tmp_path_factory.getbasetemp() / "scoring-fuzz"
+        paths = _write_fuzz_inputs(work, doc)
+        inputs = ["--questions", str(paths["record"]), "--tables", str(paths["table"])]
+        pred = "select [name] from [1-2-3] where [pts] = 3"
+        if command == "silver":
+            argv = ["silver", "--tables", str(paths["table"]), "--n", "2", "--out", str(work / "out.jsonl")]
+        elif command == "eval":
+            (work / "preds.txt").write_text(pred + "\n")
+            argv = ["eval", "--preds", str(work / "preds.txt"), *inputs, "--out-json", str(work / "r.json")]
+        else:
+            (work / "cands.jsonl").write_text(json.dumps({"qid": 0, "candidates": ["select from", pred]}) + "\n")
+            argv = ["eg", "--candidates", str(work / "cands.jsonl"), *inputs,
+                    "--out-selections", str(work / "s.jsonl"), "--out-report", str(work / "r.json")]
+        _assert_success_or_data_error(argv)
 
 
 class TestSilver:
@@ -789,6 +827,65 @@ class TestWronglyTypedField:
         assert code == 2
         assert f"'id' is not a string: got an integer ({tables}:1)" in capsys.readouterr().err
 
+    def _table_with_rows(self, tmp_path, rows):
+        """Questions and tables files for one table, on the tables file's
+        second line, whose rows are ``rows``."""
+        tables = tmp_path / "tables.jsonl"
+        table = {"id": "t-1", "header": ["a", "b"], "types": ["text", "real"], "rows": rows}
+        tables.write_text("\n" + json.dumps(table) + "\n")
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps({"phase": 1, "table_id": "t-1", "question": "q",
+                                         "sql": {"sel": 0, "agg": 0, "conds": []}}) + "\n")
+        return questions, tables
+
+    def test_row_that_is_not_a_list(self, tmp_path, capsys):
+        questions, tables = self._table_with_rows(tmp_path, ["ab", {"x": 1, "y": 2}])
+        code = main(["linearize", "--questions", str(questions), "--tables", str(tables),
+                     "--out", str(tmp_path / "o"), "--mode", "augmented", "--samples", "2"])
+        assert code == 2
+        assert f"row 0 is not a list: got a string ({tables}:2)" in capsys.readouterr().err
+
+    def test_cell_that_is_a_list_or_object(self, tmp_path, capsys):
+        questions, tables = self._table_with_rows(tmp_path, [["x", 1], [{"k": 1}, [1, 2]]])
+        assert self._eval(questions, tables, tmp_path) == 2
+        assert f"row 1 cell 0 is not a scalar: got an object ({tables}:2)" in capsys.readouterr().err
+
+
+# JSON values that ``json.loads`` refuses with a plain ValueError or a
+# RecursionError rather than a JSONDecodeError.
+_UNDECODABLE = [
+    pytest.param("9" * 5000, "Exceeds the limit (4300 digits)", id="integer_beyond_digit_limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")),
+    pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded", id="nested_too_deep"),
+]
+
+
+class TestJsonBeyondDecoderLimits:
+    """A value the JSON decoder cannot hold is bad data naming its line, not
+    an internal error."""
+
+    @pytest.mark.parametrize("value, message", _UNDECODABLE)
+    @pytest.mark.parametrize("name", ["questions", "tables"])
+    def test_jsonl_input_names_the_line(self, corpus, tmp_path, capsys, name, value, message):
+        questions, tables = corpus
+        bad = {"questions": questions, "tables": tables}[name]
+        line = {"questions": '{"phase": %s}', "tables": '{"id": "t-1", "rows": [[%s]]}'}[name] % value
+        bad.write_text(bad.read_text() + line + "\n")
+        code = main(["linearize", "--questions", str(questions), "--tables", str(tables),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"invalid JSON: {message}" in err and f"({bad}:2)" in err
+
+    @pytest.mark.parametrize("value, message", _UNDECODABLE)
+    def test_config(self, corpus, tmp_path, capsys, value, message):
+        _, tables = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": %s}' % value)
+        code = main(["silver", "--tables", str(tables), "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == 2
+        assert f"config {cfg} is not valid JSON: {message}" in capsys.readouterr().err
+
 
 class TestGateCheck:
     def test_report_contents(self, tmp_path):
@@ -884,6 +981,15 @@ class TestConfigFile:
                      "--n", "1", "--config", str(cfg)])
         assert code == 1
 
+    def test_removed_any_agg_switch_is_usage_error(self, corpus, tmp_path):
+        # Its sum/avg on a text column is refused by linearize, eval and eg.
+        _, tables = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"any_agg": True}))
+        argv = ["silver", "--tables", str(tables), "--out", str(tmp_path / "o"), "--n", "1"]
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert main(argv + ["--any-agg"]) == 1
+
     def test_non_object_config_rejected(self, corpus, tmp_path):
         _, tables = corpus
         cfg = tmp_path / "cfg.json"
@@ -968,7 +1074,6 @@ REFERENCE_DEFAULTS = {
         "seed": 0,
         "max_conds": 3,
         "no_zero_conds": False,
-        "any_agg": False,
     },
     "eval": {
         "preds": None,

@@ -3,6 +3,7 @@
 import math
 import random
 import sqlite3
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -485,6 +486,46 @@ class TestResultEqualsItself:
             )
             res = execute(compose(lf, tab), db)
             assert res.is_error or results_equal(res, res), res
+        db.conn.close()
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_first_check_agrees_with_the_full_comparison(self, seed):
+        """``results_equal(r, r)`` answers without comparing rows; a copy of
+        ``r`` takes the full comparison, which must give the same answer."""
+        rng = random.Random(seed)
+        tab = make_table(rng, n_cols=rng.randrange(1, 4), n_rows=rng.randrange(0, 6), null_rate=0.2)
+        extremes = [math.inf, -math.inf, math.nan, 0.0, -0.0, 2**63 - 1, -(2**63), 1e308]
+        numeric_text = ["3", "3.0", "-0", "-0.0", "1e5", "inf", "nan", " 7 "]
+        rows = tuple(
+            tuple(
+                rng.choice(extremes if t == "real" and rng.random() < 0.5 else numeric_text)
+                if rng.random() < 0.4 else cell
+                for cell, t in zip(row, tab.col_types)
+            )
+            for row in tab.rows
+        )
+        tab = Table(tab.table_id, tab.headers, tab.col_types, rows)
+        values = [c for row in rows for c in row if isinstance(c, (str, int)) or c is not None and math.isfinite(c)]
+        db = materialize(tab)
+        for _ in range(6):
+            conds = tuple(
+                Condition(rng.randrange(tab.n_cols), rng.randrange(3), rng.choice(values + [0, -0.0, 2**63 - 1, "3"]))
+                for _ in range(rng.randrange(0, 3))
+            )
+            stmt = compose(LogicalForm(sel=rng.randrange(tab.n_cols), agg=rng.randrange(6), conds=conds), tab)
+            text = rng.choice([
+                render(stmt),
+                render(replace(stmt, agg=(stmt.agg + 1) % 6)),
+                render(replace(stmt, sel_col="no such column")),
+                render(replace(stmt, conds=tuple((c, rng.choice("=<>"), v) for c, _, v in stmt.conds))),
+                "select from",
+            ])
+            res = execute(text, db)
+            if res.is_error:
+                assert not results_equal(res, res)
+            else:
+                assert results_equal(res, res) == results_equal(res, ExecResult(rows=res.rows)), (text, res)
         db.conn.close()
 
 

@@ -98,13 +98,6 @@ class TestSampleLogicalForm:
         aggs = {sample_logical_form(tab, rng, SamplerConfig()).agg for _ in range(300)}
         assert aggs == {0, 1, 2, 3}
 
-    def test_numeric_agg_guard_can_be_disabled(self):
-        tab = Table("t-1", ("name",), ("text",), (("alpha",), ("beta",)))
-        cfg = SamplerConfig(numeric_agg_only=False)
-        rng = random.Random(0)
-        aggs = {sample_logical_form(tab, rng, cfg).agg for _ in range(300)}
-        assert aggs == {0, 1, 2, 3, 4, 5}
-
     def test_condition_values_are_actual_cells(self, table_factory):
         tab = table_factory(random.Random(3), n_rows=5)
         rng = random.Random(1)
