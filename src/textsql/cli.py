@@ -19,6 +19,12 @@ subcommand's defaults, so an explicit flag wins, and each value is checked
 like the flag it stands for: a switch takes only JSON ``true``/``false``,
 and any other flag a string or a number of its type and range.
 
+``eg`` reads its candidates file a block of lines at a time and scores each
+block before reading the next, so its memory grows with the questions, the
+tables and the output, not with the candidate lists. A bad line is therefore
+reported after the blocks before it ran, and an engine refusal in an earlier
+block is the error reported; both exit 2 and write no output file.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
@@ -29,6 +35,8 @@ import json
 import math
 import random
 import sys
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 from .data import (
@@ -42,8 +50,8 @@ from .data import (
     load_tables,
     validate_record,
 )
-from .eg import CandidateList, eg_gain
-from .engine import MaterializeError
+from .eg import CandidateList, EgGainReport, eg_gain
+from .engine import MaterializeError, TableCache
 from .evaluation import execution_accuracy, render_report_table, report_to_json
 from .gate import (
     CopyTaskConfig,
@@ -284,40 +292,65 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+# Candidates lines ``eg`` scores per ``eg_gain`` call. Memory holds one block
+# of candidate lists and selections, not the file's; a block this size costs
+# no throughput against scoring the whole file at once.
+_EG_BLOCK_LINES = 256
+
+
 def _cmd_eg(args: argparse.Namespace) -> int:
     _require(args, "candidates", "questions", "tables", "out_selections", "out_report")
     records, tables = _load_inputs(args)
-    pred_sets, golds, tabs, qids = [], [], [], []
-    for lineno, entry in iter_jsonl(args.candidates):
-        if "qid" not in entry or "candidates" not in entry:
-            raise DataError(f"candidates line {lineno}: need keys 'qid' and 'candidates'")
-        qid = entry["qid"]
-        texts = entry["candidates"]
-        if not isinstance(qid, int) or isinstance(qid, bool) or not 0 <= qid < len(records):
-            raise DataError(f"candidates line {lineno}: qid {qid!r} does not index the questions file")
-        if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
-            raise DataError(f"candidates line {lineno}: 'candidates' must be a non-empty list of strings")
-        rec = records[qid]
-        tabs.append(_resolve(rec, tables, f"candidates line {lineno}"))
-        pred_sets.append(CandidateList.from_texts(texts, beam_width=args.beam_width))
-        golds.append(rec.lf)
-        qids.append(qid)
-    gain = eg_gain(pred_sets, golds, tabs)
-    _write_jsonl(
-        args.out_selections,
-        (
-            {
-                "qid": qid,
-                "chosen": sel.chosen_sql,
-                "chosen_index": sel.chosen_index,
-                "all_failed": sel.all_failed,
-                "outcomes": [
-                    {"index": o.index, "ok": o.ok, "error": o.error, "kind": o.kind} for o in sel.outcomes
-                ],
-            }
-            for qid, sel in zip(qids, gain.selections)
-        ),
-    )
+    cache = TableCache()
+    # Serialized selections, written once every line has passed, so that bad
+    # data leaves no output file.
+    lines = []
+    n = correct_top1 = correct_eg = all_failed = 0
+    dropped: Counter[str] = Counter()
+    entries = iter_jsonl(args.candidates)
+    try:
+        while block := list(islice(entries, _EG_BLOCK_LINES)):
+            pred_sets, golds, tabs, qids = [], [], [], []
+            for lineno, entry in block:
+                if "qid" not in entry or "candidates" not in entry:
+                    raise DataError(f"candidates line {lineno}: need keys 'qid' and 'candidates'")
+                qid = entry["qid"]
+                texts = entry["candidates"]
+                if not isinstance(qid, int) or isinstance(qid, bool) or not 0 <= qid < len(records):
+                    raise DataError(f"candidates line {lineno}: qid {qid!r} does not index the questions file")
+                if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
+                    raise DataError(f"candidates line {lineno}: 'candidates' must be a non-empty list of strings")
+                rec = records[qid]
+                tabs.append(_resolve(rec, tables, f"candidates line {lineno}"))
+                pred_sets.append(CandidateList.from_texts(texts, beam_width=args.beam_width))
+                golds.append(rec.lf)
+                qids.append(qid)
+            part = eg_gain(pred_sets, golds, tabs, cache)
+            lines.extend(
+                _json_line(
+                    {
+                        "qid": qid,
+                        "chosen": sel.chosen_sql,
+                        "chosen_index": sel.chosen_index,
+                        "all_failed": sel.all_failed,
+                        "outcomes": [
+                            {"index": o.index, "ok": o.ok, "error": o.error, "kind": o.kind}
+                            for o in sel.outcomes
+                        ],
+                    }
+                )
+                for qid, sel in zip(qids, part.selections)
+            )
+            n += part.n
+            correct_top1 += part.correct_top1
+            correct_eg += part.correct_eg
+            all_failed += part.all_failed_count
+            dropped.update(part.dropped_by_kind)
+    finally:
+        entries.close()
+        cache.close()
+    _write_lines(args.out_selections, lines)
+    gain = EgGainReport.from_counts(n, correct_top1, correct_eg, dropped, all_failed)
     report = {
         "n": gain.n,
         "correct_top1": gain.correct_top1,

@@ -5,8 +5,8 @@ per line with keys ``id``, ``header``, ``types``, ``rows``; the questions
 file carries ``phase``, ``table_id``, ``question``, and ``sql`` (an object
 with ``sel``, ``agg``, ``conds``).
 
-Loading is single-threaded per file. Loaded objects are frozen and may be
-shared freely across threads afterward.
+Loading is single-threaded per file. Loaded objects are frozen, slotted (no
+per-instance dict) and may be shared freely across threads afterward.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class DataFormatError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Table:
     """A single source table: id, column names, column types, and row data."""
 
@@ -84,7 +84,7 @@ class Table:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     """One where-clause triple: column index, operator index, literal value."""
 
@@ -93,7 +93,7 @@ class Condition:
     value: str | int | float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogicalForm:
     """WikiSQL annotation: select column, aggregation, and conditions."""
 
@@ -102,7 +102,7 @@ class LogicalForm:
     conds: tuple[Condition, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuestionRecord:
     phase: int
     table_id: str

@@ -143,6 +143,30 @@ class EgGainReport:
     all_failed_count: int
     selections: tuple[EgSelection, ...]
 
+    @classmethod
+    def from_counts(
+        cls,
+        n: int,
+        correct_top1: int,
+        correct_eg: int,
+        dropped: Counter[str],
+        all_failed_count: int,
+        selections: tuple[EgSelection, ...] = (),
+    ) -> "EgGainReport":
+        """The report of ``n`` examples with these counts; accuracies and the
+        delta are exact fractions of ``n``, 0.0 when there are none."""
+        return cls(
+            n=n,
+            correct_top1=correct_top1,
+            correct_eg=correct_eg,
+            accuracy_top1=correct_top1 / n if n else 0.0,
+            accuracy_eg=correct_eg / n if n else 0.0,
+            delta=(correct_eg - correct_top1) / n if n else 0.0,
+            dropped_by_kind=dict(sorted(dropped.items())),
+            all_failed_count=all_failed_count,
+            selections=selections,
+        )
+
 
 def eg_gain(
     pred_sets: Sequence[CandidateList],
@@ -183,15 +207,6 @@ def eg_gain(
         for outcome in selection.outcomes:
             if not outcome.ok:
                 dropped[outcome.kind] += 1
-    n = len(golds)
-    return EgGainReport(
-        n=n,
-        correct_top1=correct_top1,
-        correct_eg=correct_eg,
-        accuracy_top1=correct_top1 / n if n else 0.0,
-        accuracy_eg=correct_eg / n if n else 0.0,
-        delta=(correct_eg - correct_top1) / n if n else 0.0,
-        dropped_by_kind=dict(sorted(dropped.items())),
-        all_failed_count=all_failed,
-        selections=tuple(selections),
+    return EgGainReport.from_counts(
+        len(golds), correct_top1, correct_eg, dropped, all_failed, tuple(selections)
     )

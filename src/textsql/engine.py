@@ -33,6 +33,9 @@ _SQL_TYPES = {"text": "TEXT", "real": "REAL"}
 # 30 KB of fixed memory each; a new database every 256 tables keeps both flat.
 _TABLES_PER_DB = 256
 
+# The integers a cell can hold: SQLite's INTEGER is 64-bit.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 # SQLite's default SQLITE_MAX_COLUMN: CREATE TABLE refuses a wider relation.
 _MAX_COLUMNS = 2000
 
@@ -77,7 +80,7 @@ def _store_cell(value, col_type: str):
         return None
     if isinstance(value, (int, float)):
         return value
-    s = normalize_text(str(value))
+    s = normalize_text(value)
     if col_type == "real":
         try:
             return float(s)
@@ -117,23 +120,32 @@ def column_names(tab: Table) -> list[str]:
 
 def check_cells(tab: Table) -> None:
     """Raise ``MaterializeError`` for the first cell the engine cannot store:
-    a boolean, an integer outside 64 bits, or a string that is not UTF-8
-    text (a lone surrogate). Scans types and ranges; converts nothing."""
+    anything but a string, an integer, a float or ``None`` (a boolean, a
+    list, a dict, a subclass of any of those), an integer outside 64 bits,
+    or a string that is not UTF-8 text (a lone surrogate). One scan by
+    exact type, as the loader checks a table's JSON types; converts
+    nothing."""
     for row in tab.rows:
         for value in row:
-            if isinstance(value, str):
+            kind = type(value)
+            if kind is str:
                 if not value.isascii():
                     try:
                         value.encode("utf-8")
                     except UnicodeEncodeError as exc:
                         raise MaterializeError(f"table {tab.table_id!r}: {exc}") from exc
-            elif isinstance(value, int):
-                if isinstance(value, bool):
-                    raise MaterializeError(f"table {tab.table_id!r}: boolean cells are not supported")
-                if not -(2**63) <= value < 2**63:
+            elif kind is int:
+                if not _INT64_MIN <= value <= _INT64_MAX:
                     raise MaterializeError(
                         f"table {tab.table_id!r}: integer cell {value} is outside the engine's 64-bit range"
                     )
+            elif kind is not float and value is not None:
+                if kind is bool:
+                    raise MaterializeError(f"table {tab.table_id!r}: boolean cells are not supported")
+                raise MaterializeError(
+                    f"table {tab.table_id!r}: cell {value!r} is a {kind.__name__}, "
+                    "not a string, a number or null"
+                )
 
 
 @dataclass(frozen=True, slots=True)

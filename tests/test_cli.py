@@ -2,12 +2,15 @@
 
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,8 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import textsql
+import textsql.cli
 from textsql import Condition, LogicalForm, Table, compose, dump_tables, render
-from textsql.cli import build_parser, main
+from textsql.cli import _EG_BLOCK_LINES, build_parser, main
+from textsql.data import index_by_id, load_questions, load_tables
+from textsql.eg import CandidateList, eg_gain
 
 from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL
 
@@ -534,6 +540,143 @@ class TestEg:
         code = self._run_eg(corpus, tmp_path, [json.dumps({"qid": 0, "candidates": [PLATES_SQL]})])
         assert code == 2
         assert "candidates line 1: gold does not validate: aggregation/type mismatch" in capsys.readouterr().err
+
+
+class TestEgBlocks:
+    """``eg`` scores its candidates file a block of lines at a time, but its
+    outputs are those of one ``eg_gain`` call over the whole file."""
+
+    B = _EG_BLOCK_LINES
+    # Per question: the beam candidates a line draws from, clean and failing.
+    POOLS = [
+        [PLATES_SQL, "select [format] from [1-1000181-1]", "select [bogus] from [1-1000181-1]",
+         "select [notes] from [9-9-9]", "select notes from"],
+        ["select sum([points]) from [2-777-1]", "select max([points]) from [2-777-1]",
+         "select [points] from [2-777-1] where [no.] > 'x", "select [bogus] from [2-777-1]"],
+        ["select [player] from [2-777-1] where [points] > 2", "select [player] from [2-777-1]",
+         "select avg([player]) from [2-777-2]", "select [player] from [2-777-1] or 1=1"],
+        ["select count([state/territory]) from [1-1000181-1]", "select [notes] from [1-1000181-1]",
+         "select count([bogus]) from [1-1000181-1]"],
+    ]
+
+    @pytest.fixture
+    def eg_corpus(self, tmp_path, plates_table, points_table):
+        tables = tmp_path / "tables.jsonl"
+        collision = Table("1-2-3", ("A", "a"), ("text", "text"), (("x", "y"),))
+        tables.write_text(dump_tables([plates_table, points_table, collision]))
+        sqls = [
+            (PLATES_ID, 5, 0, [[3, 0, "SOUTH AUSTRALIA"]]),
+            ("2-777-1", 2, 4, []),
+            ("2-777-1", 0, 0, [[2, 1, 2]]),
+            (PLATES_ID, 0, 3, []),
+            ("1-2-3", 0, 0, []),  # headers collide: the engine refuses the table
+        ]
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("".join(
+            json.dumps({"phase": 1, "table_id": t, "question": "q", "sql": {"sel": s, "agg": a, "conds": c}}) + "\n"
+            for t, s, a, c in sqls
+        ))
+        return questions, tables
+
+    def _lines(self, n, seed=0):
+        """``n`` candidates lines with repeated qids and mixed beams."""
+        rng = random.Random(seed)
+        lines = []
+        for _ in range(n):
+            qid = rng.randrange(len(self.POOLS))
+            beam = rng.sample(self.POOLS[qid], rng.randint(1, 3))
+            lines.append(json.dumps({"qid": qid, "candidates": beam}))
+        return lines
+
+    def _run(self, corpus, work, lines):
+        questions, tables = corpus
+        work.mkdir()
+        cands, sel, rep = work / "cands.jsonl", work / "sel.jsonl", work / "rep.json"
+        cands.write_text("".join(line + "\n" for line in lines))
+        code = main(["eg", "--candidates", str(cands), "--questions", str(questions), "--tables", str(tables),
+                     "--out-selections", str(sel), "--out-report", str(rep)])
+        return code, sel, rep
+
+    @pytest.mark.parametrize("n", [0, B - 1, B, B + 1, 3 * B + 7], ids=["0", "B-1", "B", "B+1", "3B+7"])
+    def test_outputs_are_one_eg_gain_over_the_file(self, eg_corpus, tmp_path, monkeypatch, n):
+        lines = self._lines(n)
+        code, sel, rep = self._run(eg_corpus, tmp_path / "blocks", lines)
+        assert code == 0
+        # The same run with the whole file as one block: one eg_gain call.
+        monkeypatch.setattr(textsql.cli, "_EG_BLOCK_LINES", n + 1)
+        code, sel_whole, rep_whole = self._run(eg_corpus, tmp_path / "whole", lines)
+        assert code == 0
+        assert sel.read_bytes() == sel_whole.read_bytes()
+        assert rep.read_bytes() == rep_whole.read_bytes()
+
+        questions, tables = eg_corpus
+        records, by_id = load_questions(questions), index_by_id(load_tables(tables))
+        entries = [json.loads(line) for line in lines]
+        gain = eg_gain(
+            [CandidateList.from_texts(e["candidates"]) for e in entries],
+            [records[e["qid"]].lf for e in entries],
+            [by_id[records[e["qid"]].table_id] for e in entries],
+        )
+        report = json.loads(rep.read_text())
+        assert report == {
+            "n": n,
+            "correct_top1": gain.correct_top1,
+            "correct_eg": gain.correct_eg,
+            "accuracy_top1": pytest.approx(gain.accuracy_top1, rel=1e-11),
+            "accuracy_eg": pytest.approx(gain.accuracy_eg, rel=1e-11),
+            "delta": pytest.approx(gain.delta, rel=1e-11),
+            "dropped_by_kind": gain.dropped_by_kind,
+            "all_failed_count": gain.all_failed_count,
+        }
+        rows = read_jsonl(sel)
+        assert [r["qid"] for r in rows] == [e["qid"] for e in entries]
+        assert [(r["chosen"], r["chosen_index"], r["all_failed"]) for r in rows] == [
+            (s.chosen_sql, s.chosen_index, s.all_failed) for s in gain.selections
+        ]
+        if n > self.B:  # the file mixes every outcome
+            assert 0 < gain.correct_top1 < gain.correct_eg < n
+            assert 0 < gain.all_failed_count and set(gain.dropped_by_kind) > {"malformed", "unknown_column"}
+
+    def test_bad_line_in_second_block_leaves_no_output(self, eg_corpus, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(textsql.cli, "eg_gain", lambda *a: calls.append(len(a[0])) or eg_gain(*a))
+        lines = self._lines(3 * self.B + 7)
+        lines[self.B + 5] = json.dumps({"qid": 0, "candidates": []})
+        code, sel, rep = self._run(eg_corpus, tmp_path / "w", lines)
+        assert code == 2
+        assert f"candidates line {self.B + 6}: 'candidates' must be a non-empty list" in capsys.readouterr().err
+        assert not sel.exists() and not rep.exists()
+        assert calls == [self.B]  # the first block ran before the bad line was read
+
+    def test_engine_refusal_in_an_earlier_block_wins(self, eg_corpus, tmp_path, capsys):
+        lines = self._lines(3 * self.B + 7)
+        lines[3] = json.dumps({"qid": 4, "candidates": ["select [a] from [1-2-3]"]})
+        lines[self.B + 5] = json.dumps({"qid": 99, "candidates": [PLATES_SQL]})
+        code, sel, rep = self._run(eg_corpus, tmp_path / "w", lines)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "duplicate column names" in err and "candidates line" not in err
+        assert not sel.exists() and not rep.exists()
+
+    def test_memory_does_not_grow_with_the_candidate_lists(self, eg_corpus, tmp_path):
+        def peak(n):
+            lines = self._lines(n)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code, _, _ = self._run(eg_corpus, tmp_path / str(n), lines)
+                _, high = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return high
+
+        n = 2 * self.B  # two blocks and more, so both runs hold two blocks at once
+        per_line = (peak(10 * n) - peak(n)) / (9 * n)
+        # What grows per line is its held output line, about 310 B here.
+        # Holding every candidate list and selection until the end made it
+        # about 840 B.
+        assert per_line < 500
 
 
 class TestEgLoneSurrogate:

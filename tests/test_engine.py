@@ -72,6 +72,35 @@ class TestMaterialize:
         with pytest.raises(MaterializeError, match="boolean"):
             materialize(tab)
 
+    def test_object_cell_rejected(self):
+        # Stored as its text, the cell used to answer "{'k': 1}".
+        tab = Table("t-1", ("a",), ("text",), (({"k": 1},),))
+        with pytest.raises(MaterializeError, match=r"cell \{'k': 1\} is a dict, not a string, a number or null"):
+            materialize(tab)
+
+    def test_list_cell_rejected_by_probe(self):
+        # Stored as the text "[1]" in a real column, it used to satisfy "> 0".
+        tab = Table("t-1", ("a",), ("real",), ((1.5,), ([1],)))
+        cache = TableCache()
+        with pytest.raises(MaterializeError, match=r"cell \[1\] is a list"):
+            cache.probe(tab, 0, ">", 0)
+        cache.close()
+
+    @pytest.mark.parametrize(
+        "value",
+        [(1,), b"x", 1j, {1}, type("Text", (str,), {})("x"), type("Real", (float,), {})(1.0)],
+        ids=["tuple", "bytes", "complex", "set", "str_subclass", "float_subclass"],
+    )
+    def test_cells_of_any_other_type_rejected(self, value):
+        tab = Table("t-1", ("a", "b"), ("text", "real"), (("x", 1), (None, value)))
+        with pytest.raises(MaterializeError, match=f"is a {type(value).__name__}, not a string"):
+            materialize(tab)
+
+    def test_first_refused_cell_is_reported(self):
+        tab = Table("t-1", ("a", "b"), ("text", "real"), (("x", True), ("\ud800", [1])))
+        with pytest.raises(MaterializeError, match="boolean"):
+            materialize(tab)
+
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**20])
     def test_integer_beyond_64_bits_rejected(self, value):
         tab = Table("t-1", ("a",), ("real",), ((value,),))
