@@ -241,14 +241,16 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 def _cmd_silver(args: argparse.Namespace) -> int:
     _require(args, "tables", "out", "n")
+    try:
+        sampler_cfg = SamplerConfig(max_conds=args.max_conds, allow_zero_conds=not args.no_zero_conds)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     tables = load_tables(args.tables)
-    sampler_cfg = SamplerConfig(
-        max_conds=args.max_conds,
-        allow_zero_conds=not args.no_zero_conds,
-    )
     rng = random.Random(args.seed)
     run = generate_silver(tables, args.n, TemplateQuestionGenerator(), rng, sampler_cfg)
-    rows = [
+    # Rows are serialized as they are written, after every example was
+    # sampled, so bad data still leaves no output file.
+    rows = (
         {
             "phase": 99,
             "table_id": ex.table_id,
@@ -261,7 +263,7 @@ def _cmd_silver(args: argparse.Namespace) -> int:
             "sql_text": ex.sql_text,
         }
         for ex in run.examples
-    ]
+    )
     written = _write_jsonl(args.out, rows)
     _log(f"silver: wrote {written} examples to {args.out} ({run.duplicates_kept} duplicates kept)")
     return 0

@@ -22,11 +22,15 @@ import sqlite3
 import string
 from dataclasses import dataclass
 
-from .data import AGG_NONE, Table
+from .data import Table
 from .normalize import normalize_text
-from .sql import ParseFailure, SqlStatement, _render, parse
+from .sql import RENDER_OPS, ParseFailure, SqlStatement, _render, _render_condition, parse
 
 _SQL_TYPES = {"text": "TEXT", "real": "REAL"}
+
+# Rows per INSERT when a probe reloads its relation: each row binds one
+# parameter, and SQLite before 3.32 binds at most 999 per statement.
+_PROBE_ROWS = 500
 
 # Tables per shared database. Each CREATE TABLE scans the schema, so its cost
 # grows with the tables already there, while a database per table costs about
@@ -223,6 +227,10 @@ def execute(statement: SqlStatement | ParseFailure | str, db: TableDb) -> ExecRe
         return ExecResult.from_error(str(exc))
 
 
+# The probe's statement up to its one condition, per column type.
+_PROBE_SELECT = {name: f"select {_quote('c')} from {_quote(name)} where " for name in _SQL_TYPES}
+
+
 class TableCache:
     """Materializes each table once, on demand, keyed by table id, and
     answers one-column probes without materializing (see ``probe``).
@@ -252,18 +260,24 @@ class TableCache:
 
     def probe(self, tab: Table, col: int, op: str, value) -> bool:
         """Whether ``select c from t where c <op> value`` returns a row, for
-        column ``col`` of ``tab``; ``value`` is a condition value as
-        ``compose`` makes it. An execution error counts as no row.
+        column ``col`` of ``tab``; ``op`` is one of ``RENDER_OPS`` and
+        ``value`` a condition value as ``compose`` makes it. An execution
+        error counts as no row, and so does a table with no rows.
 
         The answer depends on the column's stored cells and declared type
         alone, so it comes from a one-column relation per column type,
-        declared and filled as ``materialize`` would declare and fill that
-        column and reloaded only when the probed (table id, column) changes.
-        The WHERE clause is printed by ``_render``, as ``execute`` prints
+        declared as ``materialize`` would declare that column. The relation
+        is reloaded only when the probed (table id, column) changes: in one
+        transaction, a DELETE and then one multi-row INSERT per
+        ``_PROBE_ROWS`` cells, each cell stored by ``_store_cell`` as
+        ``materialize`` stores it. The WHERE clause is printed by the
+        printer ``_render`` uses for each condition, as ``execute`` prints
         it, so SQLite applies the same affinity to the same literal text.
         The table is checked first (``check``), so a table ``materialize``
         would refuse is refused here too.
         """
+        if op not in RENDER_OPS:
+            raise ValueError(f"unsupported operator: {op!r}")
         self.check(tab)
         col_type = tab.col_types[col]
         conn = self._probe_conn
@@ -273,16 +287,17 @@ class TableCache:
                 conn.execute(f"CREATE TABLE {_quote(name)} (c {sql_type})")
         key = (tab.table_id, col)
         if self._probe_loaded.get(col_type) != key:
+            cells = [_store_cell(row[col], col_type) for row in tab.rows]
+            relation = _quote(col_type)
             with conn:  # one transaction
-                conn.execute(f"DELETE FROM {_quote(col_type)}")
-                conn.executemany(
-                    f"INSERT INTO {_quote(col_type)} VALUES (?)",
-                    [(_store_cell(row[col], col_type),) for row in tab.rows],
-                )
+                conn.execute(f"DELETE FROM {relation}")
+                for start in range(0, len(cells), _PROBE_ROWS):
+                    chunk = cells[start : start + _PROBE_ROWS]
+                    conn.execute(f"INSERT INTO {relation} VALUES (?)" + ", (?)" * (len(chunk) - 1), chunk)
             self._probe_loaded[col_type] = key
-        stmt = SqlStatement(agg=AGG_NONE, sel_col="c", table_id=col_type, conds=(("c", op, value),))
+        sql = _PROBE_SELECT[col_type] + _render_condition("c", op, value, _quote)
         try:
-            return conn.execute(_render(stmt, _quote)).fetchone() is not None
+            return conn.execute(sql).fetchone() is not None
         except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError):
             return False
 

@@ -6,7 +6,11 @@ and that each condition alone matches at least one row: condition values are
 drawn from actual cells that are neither null nor a NaN or infinity, and
 inequality conditions are probed by the engine on the condition's column
 alone (``TableCache.probe``), with bounded resampling (falling back to
-equality, which always matches). No table is materialized. The neural question generator is out of scope here; the
+equality, which always matches). A probe's literal comes from ``compose``'s
+rule for condition values, and the probe builds no statement object. No
+table is materialized.
+
+The neural question generator is out of scope here; the
 ``QuestionGenerator`` protocol is its seam and a deterministic template
 implementation stands in for it.
 """
@@ -31,7 +35,7 @@ from .data import (
 )
 from .engine import TableCache
 from .normalize import cell_text
-from .sql import SqlStatement, compose, render
+from .sql import RENDER_OPS, SqlStatement, compose, condition_literal, render
 
 # Inequality probes retry this many row draws before falling back to "=".
 _PROBE_RETRIES = 8
@@ -51,6 +55,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.max_conds < 0:
             raise ValueError("max_conds must be >= 0")
+        if self.max_conds == 0 and not self.allow_zero_conds:
+            raise ValueError("max_conds 0 leaves no condition count when zero conditions are disallowed")
 
 
 class QuestionGenerator(Protocol):
@@ -94,13 +100,9 @@ class TemplateQuestionGenerator:
 def _cond_matches(tab: Table, col: int, op_idx: int, value, cache: TableCache) -> bool:
     """True when the single condition selects at least one row, judged by the
     engine on the column's stored cells so the check shares its comparison
-    semantics; an execution error counts as no match."""
-    stmt = compose(
-        LogicalForm(sel=col, agg=AGG_NONE, conds=(Condition(col=col, op=op_idx, value=value),)),
-        tab,
-    )
-    _, op, literal = stmt.conds[0]
-    return cache.probe(tab, col, op, literal)
+    semantics; an execution error counts as no match. The value becomes its
+    literal by ``compose``'s rule (``condition_literal``)."""
+    return cache.probe(tab, col, RENDER_OPS[op_idx], condition_literal(value))
 
 
 def _usable(value) -> bool:
@@ -158,8 +160,8 @@ def sample_logical_form(
     The select column is uniform over columns; the aggregation is uniform
     over all six slots but redrawn from the non-numeric ones when the select
     column is text, as ``validate_record`` refuses sum and avg on text; the
-    condition count is uniform over 0..max_conds (1..max_conds when zero is
-    disallowed).
+    condition count is uniform over 0..max_conds, or over 1..max_conds when
+    zero is disallowed (``SamplerConfig`` then refuses a max_conds of 0).
     Deterministic given the rng state. Probes run in ``cache``, or in a
     fresh one when none is given.
     """
@@ -170,8 +172,7 @@ def sample_logical_form(
     agg = rng.randrange(6)
     if tab.col_types[sel] == "text" and agg in (AGG_SUM, AGG_AVG):
         agg = rng.randrange(4)
-    low = 0 if cfg.allow_zero_conds else 1
-    n_conds = rng.randint(low, cfg.max_conds) if cfg.max_conds >= low else low
+    n_conds = rng.randint(0 if cfg.allow_zero_conds else 1, cfg.max_conds)
     conds = tuple(_sample_condition(tab, rng, cache) for _ in range(n_conds))
     return LogicalForm(sel=sel, agg=agg, conds=conds)
 

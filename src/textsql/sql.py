@@ -98,14 +98,29 @@ def format_literal(value: str | int | float) -> str:
     return format_number(value)
 
 
+def condition_literal(value) -> str | int | float:
+    """A logical form's condition value as a statement holds it: a string
+    lowercased, a number as it is. NaN and infinite values have no literal
+    in the wire format, and nothing but a string or a number is a value;
+    both raise ``ComposeError``."""
+    if isinstance(value, str):
+        return normalize_text(value)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ComposeError(f"unsupported value type: {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ComposeError(f"non-finite condition value: {value!r}")
+    return value
+
+
 def compose(lf: LogicalForm, tab: Table) -> SqlStatement:
     """Resolve a logical form's indices against a table.
 
     Column indices become lowercased header names; string condition values
     are lowercased. Numeric values pass through and render unquoted, while
     string-typed values stay quoted even when they look numeric; comparison
-    semantics for those are the engine's concern. NaN and infinite values
-    have no literal in the wire format and raise ``ComposeError``.
+    semantics for those are the engine's concern. Each value passes
+    ``condition_literal``, so a NaN, an infinite or a non-numeric value
+    raises ``ComposeError``.
     """
     if not 0 <= lf.sel < tab.n_cols:
         raise ComposeError(f"sel index out of range: {lf.sel}")
@@ -119,14 +134,8 @@ def compose(lf: LogicalForm, tab: Table) -> SqlStatement:
             raise ComposeError("unsupported operator")
         if not 0 <= cond.op < len(RENDER_OPS):
             raise ComposeError(f"operator index out of range: {cond.op}")
-        value = cond.value
-        if isinstance(value, str):
-            value = normalize_text(value)
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ComposeError(f"unsupported value type: {type(cond.value).__name__}")
-        elif not math.isfinite(value):
-            raise ComposeError(f"non-finite condition value: {value!r}")
-        conds.append((normalize_text(tab.headers[cond.col]), RENDER_OPS[cond.op], value))
+        col = normalize_text(tab.headers[cond.col])
+        conds.append((col, RENDER_OPS[cond.op], condition_literal(cond.value)))
     return SqlStatement(
         agg=lf.agg,
         sel_col=normalize_text(tab.headers[lf.sel]),
@@ -149,11 +158,14 @@ def _render(stmt: SqlStatement, quote) -> str:
         sel = f"{AGG_NAMES[stmt.agg]}({sel})"
     text = f"select {sel} from {quote(stmt.table_id)}"
     if stmt.conds:
-        clauses = " and ".join(
-            f"{quote(col)} {op} {format_literal(value)}" for col, op, value in stmt.conds
-        )
-        text += f" where {clauses}"
+        text += " where " + " and ".join([_render_condition(*cond, quote) for cond in stmt.conds])
     return text
+
+
+def _render_condition(col: str, op: str, value, quote) -> str:
+    """One condition of ``_render``; the engine's probe prints its one
+    condition with it too, so SQLite reads the same literal text."""
+    return f"{quote(col)} {op} {format_literal(value)}"
 
 
 # --- parsing ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from textsql.cli import _EG_BLOCK_LINES, build_parser, main
 from textsql.data import index_by_id, load_questions, load_tables
 from textsql.eg import CandidateList, eg_gain
 
-from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL
+from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL, make_table
 
 
 @pytest.fixture
@@ -216,6 +216,60 @@ class TestLinearizeGoldenBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+_AWKWARD_SILVER_TABLES = [
+    {
+        "id": "1-]x'`y",
+        "header": ["Na]me", "it's", "back`tick", "Score", "Notes"],
+        "types": ["text", "real", "text", "real", "text"],
+        "rows": [
+            ["Ann", "3", "3", -0.0, "x"],
+            ["Bo]b", " 3", " 3", 2**63 - 1, None],
+            [None, "1e5", "1e5", -(2**63), "O'Neil"],
+            ["Cy`d", "1_0", "1_0", 0, "`q`"],
+            ["Dee", "inf", "inf", 2.5, "]]"],
+            ["Eve", "nan", "nan", None, "3.0"],
+            ["Fay", 3, "-0.0", 1e16, ""],
+            ["Gus", None, None, -7, "  Mixed Case "],
+        ],
+    },
+    {
+        "id": "2-`'",
+        "header": ["]", "'", "`"],
+        "types": ["real", "real", "text"],
+        "rows": [[-0.0, 0.0, "a"], [0, "0", "b'"], [1, "-1", None], [None, " 3", "c]"]],
+    },
+    {"id": "3-text", "header": ["Only ]Text"], "types": ["text"], "rows": [["One"], ["one"], [None], ["1e5"]]},
+    {"id": "4-one", "header": ["v"], "types": ["real"], "rows": [[2**63 - 1]]},
+]
+
+
+class TestSilverGoldenBytes:
+    """The output bytes of ``silver`` on awkward tables (quoting characters in
+    names, numeric-looking strings in real columns, ``-0.0``, 64-bit edge
+    integers, nulls), pinned so that a rewrite of the sampler or of the
+    probe cannot change them."""
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "634f61702db05ea2eeb5901a9a9d355d38c717a658bd5900643ba6e774c2a892"),
+            (
+                ["--seed", "5", "--max-conds", "1", "--no-zero-conds"],
+                "ca662fef03f30a0eea97d9ed8be04d19a8b021e1f00fafc49ad600aaaafc41d9",
+            ),
+            (["--seed", "11", "--max-conds", "4"], "93d7823f7cefe2eb9d7786b86ac643140dd7086051a08f440fe4018d95627ce6"),
+            (["--seed", "2", "--max-conds", "0"], "6f5b2b4eca2e793075d85136cada1c80f3879872024de1b552a391d2cd597a9a"),
+        ],
+        ids=["default", "one-cond", "four-conds", "no-conds"],
+    )
+    def test_output_digest(self, tmp_path, flags, digest):
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text("".join(json.dumps(t) + "\n" for t in _AWKWARD_SILVER_TABLES))
+        out = tmp_path / "out.jsonl"
+        assert main(["silver", "--tables", str(tables), "--n", "60", "--out", str(out)] + flags) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 _FUZZ_BASE = {
     "table": {
         "id": "1-2-3",
@@ -362,6 +416,41 @@ class TestSilver:
     def test_n_is_required(self, corpus, tmp_path):
         _, tables = corpus
         assert main(["silver", "--tables", str(tables), "--out", str(tmp_path / "o")]) == 1
+
+    def test_zero_max_conds_with_no_zero_conds_is_usage_error(self, corpus, tmp_path, capsys):
+        _, tables = corpus
+        out = tmp_path / "out.jsonl"
+        argv = ["silver", "--tables", str(tables), "--out", str(out), "--n", "3"]
+        assert main(argv + ["--max-conds", "0", "--no-zero-conds"]) == 1
+        assert "usage error: max_conds 0 leaves no condition count" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_conds": 0, "no_zero_conds": True}))
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert not out.exists()
+        assert main(argv + ["--config", str(cfg), "--max-conds", "1"]) == 0  # the flag wins
+
+    def test_memory_grows_only_with_the_held_examples(self, tmp_path):
+        rng = random.Random(4)
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([make_table(rng, n_cols=5, n_rows=20, null_rate=0.05) for _ in range(40)]))
+
+        def peak(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code = main(["silver", "--tables", str(tables), "--n", str(n), "--out", str(tmp_path / f"{n}.jsonl")])
+                _, high = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return high
+
+        per_example = (peak(2000) - peak(200)) / 1800
+        # What grows per example is the example itself and its statement in
+        # the de-duplication set, about 610 B here. Building every output
+        # row before writing the first made it about 1,140 B.
+        assert per_example < 800
 
     def test_silver_output_feeds_linearize(self, corpus, tmp_path):
         _, tables = corpus

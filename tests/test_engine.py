@@ -86,6 +86,15 @@ class TestMaterialize:
             cache.probe(tab, 0, ">", 0)
         cache.close()
 
+    @pytest.mark.parametrize("op", ["!=", ">= 0 or 1 =", ""])
+    def test_probe_refuses_an_operator_outside_the_dialect(self, op):
+        # The operator is printed into the probe's SQL text.
+        tab = Table("t-1", ("a",), ("real",), ((1.5,),))
+        cache = TableCache()
+        with pytest.raises(ValueError, match="unsupported operator"):
+            cache.probe(tab, 0, op, 0)
+        cache.close()
+
     @pytest.mark.parametrize(
         "value",
         [(1,), b"x", 1j, {1}, type("Text", (str,), {})("x"), type("Real", (float,), {})(1.0)],

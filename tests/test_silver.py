@@ -25,7 +25,7 @@ from textsql import (
     template_question,
 )
 from textsql import engine
-from textsql.engine import MaterializeError
+from textsql.engine import _PROBE_ROWS, MaterializeError
 from textsql.silver import SamplerError, _cond_matches
 
 from conftest import make_table
@@ -119,6 +119,16 @@ class TestSampleLogicalForm:
         for _ in range(50):
             lf = sample_logical_form(tab, rng, cfg)
             assert lf.conds[0].col == 1
+
+    def test_zero_max_conds_with_zero_disallowed_refused(self):
+        with pytest.raises(ValueError, match="no condition count"):
+            SamplerConfig(max_conds=0, allow_zero_conds=False)
+
+    def test_zero_max_conds_samples_no_conditions(self, table_factory):
+        tab = table_factory(random.Random(2))
+        rng = random.Random(0)
+        counts = {len(sample_logical_form(tab, rng, SamplerConfig(max_conds=0)).conds) for _ in range(50)}
+        assert counts == {0}
 
     def test_all_null_table_rejected(self):
         tab = Table("t-1", ("a",), ("text",), ((None,), (None,)))
@@ -290,6 +300,38 @@ class TestProbeMatchesMaterializedTable:
                             continue
                         expected = _materialized_probe(tab, col, op, value, oracle_cache)
                         assert _cond_matches(tab, col, op, value, cache) == expected, (tab, col, op, value)
+        oracle_cache.close()
+        cache.close()
+
+    @pytest.mark.parametrize(
+        "n_rows", [0, 1, _PROBE_ROWS - 1, _PROBE_ROWS, _PROBE_ROWS + 1, 2 * _PROBE_ROWS + 3]
+    )
+    def test_agrees_across_insert_chunk_boundaries(self, n_rows):
+        # Columns: real with numbers, real with numeric-looking strings and
+        # text. Every column gets nulls, and the last row holds values no
+        # other row holds, so a reload that loses a chunk answers wrongly.
+        def row(i, last=False):
+            if last:
+                return (10**6, "1e9", "Zzz Last")
+            if i % 7 == 3:
+                return (None, None, None)
+            return (float(i % 50) - 0.5, _NUMERIC_LOOKING[i % len(_NUMERIC_LOOKING)], f"W{i % 40}")
+
+        tables = [
+            Table(f"t-{n_rows}-{k}", ("n", "s", "w"), ("real", "real", "text"),
+                  tuple(row(i, last=i == n_rows - 1) for i in range(n_rows)))
+            for k in range(2)
+        ]
+        values = [10**6, 999_999, "1e9", "9e8", "zzz last", "Zzz Last", 48.5, 3, "3", " 3", "w7", -1]
+        oracle_cache, cache = TableCache(), TableCache()
+        for value in values:
+            for op in (0, 1, 2):
+                for col in range(3):
+                    for tab in tables:  # alternate tables so the relation reloads
+                        expected = _materialized_probe(tab, col, op, value, oracle_cache)
+                        assert _cond_matches(tab, col, op, value, cache) == expected, (n_rows, col, op, value)
+                        if n_rows == 0:
+                            assert expected is False
         oracle_cache.close()
         cache.close()
 
