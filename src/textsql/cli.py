@@ -9,7 +9,11 @@ verification and the synthetic copy task).
 Conventions shared by every subcommand: results go to files, never only to
 the console; every randomized step takes an explicit seed and reruns are
 byte-identical; floats in text outputs are rounded to 12 significant
-digits.
+digits. A command that fails writes no output file, whole or partial, and
+leaves any file already at an output path as it was: outputs are written
+beside their paths and put in place only once the command has succeeded.
+(``gate train`` saves its parameter blob and sidecar directly, before its
+metrics file is put in place.)
 
 Each flag is declared once, with its type, its range and its default. A
 value outside its flag's range (``--beam-width 0``, ``--lr 0``) is a usage
@@ -20,10 +24,10 @@ like the flag it stands for: a switch takes only JSON ``true``/``false``,
 and any other flag a string or a number of its type and range.
 
 ``eg`` reads its candidates file a block of lines at a time and scores each
-block before reading the next, so its memory grows with the questions, the
-tables and the output, not with the candidate lists. A bad line is therefore
-reported after the blocks before it ran, and an engine refusal in an earlier
-block is the error reported; both exit 2 and write no output file.
+block before reading the next, so its memory grows with the questions and
+the tables, not with the candidates file. A bad line is therefore reported
+after the blocks before it ran, and an engine refusal in an earlier block is
+the error reported.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -33,14 +37,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from collections import Counter
+from contextlib import ExitStack, closing, contextmanager, suppress
 from itertools import islice
 from pathlib import Path
 
 from .data import (
-    DataFormatError,
+    DataError,
     QuestionRecord,
     Table,
     _undecodable_line,
@@ -51,7 +57,7 @@ from .data import (
     validate_record,
 )
 from .eg import CandidateList, EgGainReport, eg_gain
-from .engine import MaterializeError, TableCache
+from .engine import TableCache
 from .evaluation import execution_accuracy, render_report_table, report_to_json
 from .gate import (
     CopyTaskConfig,
@@ -60,17 +66,13 @@ from .gate import (
     save_params,
     train_copy_model,
 )
-from .linearize import LinearizeConfig, LinearizeError, build_example
-from .silver import SamplerConfig, SamplerError, TemplateQuestionGenerator, generate_silver
-from .sql import ComposeError, compose, render
+from .linearize import LinearizeConfig, build_example
+from .silver import SamplerConfig, TemplateQuestionGenerator, generate_silver
+from .sql import compose, render
 
 
 class UsageError(Exception):
     """Bad flags or flag combinations; exit code 1."""
-
-
-class DataError(Exception):
-    """Unusable input files; exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +86,6 @@ def _round12(x) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _write_text(path: str, text: str):
-    Path(path).write_text(text, encoding="utf-8")
-
-
 # One encoder for every JSONL row; json.dumps would build one per call.
 _encode_sorted = json.JSONEncoder(sort_keys=True, ensure_ascii=True).encode
 
@@ -97,19 +95,50 @@ def _json_line(obj) -> str:
     return _encode_sorted(obj) + "\n"
 
 
-def _write_lines(path: str, lines) -> int:
-    """Write ``lines``, streaming them, and return how many there were."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line)
-            n += 1
-    return n
+def _open_output(stack: ExitStack, path: str | None, i: int, temps: list[tuple[str, str]]):
+    """Output ``i`` opened for writing in ``stack``, or ``None`` for a path
+    not given.
+
+    A path that exists but is not a regular file (such as ``/dev/null``) is
+    opened in place. Any other is written through a temporary sibling of the
+    file it names (a symbolic link is followed), recorded in ``temps`` with
+    that file. Errors name ``path`` as given.
+    """
+    if path is None:
+        return None
+    real = written = os.path.realpath(path)
+    if not os.path.exists(real) or os.path.isfile(real):
+        written = f"{real}.{os.getpid()}.{i}.tmp"
+        temps.append((written, real))
+    try:
+        return stack.enter_context(open(written, "w", encoding="utf-8"))
+    except OSError as exc:
+        exc.filename = path
+        raise
 
 
-def _write_jsonl(path: str, objs) -> int:
-    """Write one sorted-key JSON object per line, streaming from ``objs``."""
-    return _write_lines(path, map(_json_line, objs))
+@contextmanager
+def _outputs(*paths: str | None):
+    """One text file per output path, ``None`` for a path not given, put in
+    place together when the block ends.
+
+    The temporaries are named by the pid and the output's index, so two
+    outputs given one path end as the last one written. When the block
+    ends, the files are closed and each temporary replaces its file, in
+    order; every temporary still there after that, or after the block
+    raised, is removed. So a failed command leaves each output path as it
+    was.
+    """
+    temps: list[tuple[str, str]] = []  # (temporary, file it replaces)
+    try:
+        with ExitStack() as stack:
+            yield [_open_output(stack, path, i, temps) for i, path in enumerate(paths)]
+        for written, real in temps:
+            os.replace(written, real)
+    finally:
+        for written, _ in temps:
+            with suppress(FileNotFoundError):
+                os.remove(written)
 
 
 def _log(msg: str):
@@ -187,14 +216,15 @@ def _load_inputs(args: argparse.Namespace):
     return records, tables
 
 
-def _resolve(rec: QuestionRecord, tables: dict[str, Table], where: str) -> Table:
-    """The table of ``rec``, once its gold validates against it."""
+def _resolve(rec: QuestionRecord, tables: dict[str, Table], where: str = "") -> Table:
+    """The table of ``rec``, once its gold validates against it; error
+    messages start with ``where``."""
     tab = tables.get(rec.table_id)
     if tab is None:
-        raise DataError(f"{where}: unknown table {rec.table_id!r}")
+        raise DataError(f"{where}unknown table {rec.table_id!r}")
     report = validate_record(rec, tab)
     if not report.ok:
-        raise DataError(f"{where}: gold does not validate: {'; '.join(report.violations)}")
+        raise DataError(f"{where}gold does not validate: {'; '.join(report.violations)}")
     return tab
 
 
@@ -216,25 +246,19 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     # Each table's part of the input, built on its first record.
     cache: dict = {}
-    # Serialized rows, written once every record has passed, so that bad
-    # data leaves no output file.
-    lines = []
     skipped = 0
-    for i, rec in enumerate(records):
-        try:
-            tab = _resolve(rec, tables, f"record {i}")
+    with _outputs(args.out) as (out,):
+        for i, rec in enumerate(records):
             try:
-                target = render(compose(rec.lf, tab))
-                ex = build_example(rec.question, tab, target, lin_cfg, rng=rng, cache=cache)
-            except (ComposeError, LinearizeError) as exc:
-                raise DataError(f"record {i}: {exc}") from exc
-        except DataError:
-            if not args.skip_bad:
-                raise
-            skipped += 1
-            continue
-        lines.append(_json_line({"input": ex.input, "target": ex.target}))
-    written = _write_lines(args.out, lines)
+                tab = _resolve(rec, tables)
+                ex = build_example(rec.question, tab, render(compose(rec.lf, tab)), lin_cfg, rng=rng, cache=cache)
+            except DataError as exc:
+                if not args.skip_bad:
+                    raise DataError(f"record {i}: {exc}") from exc
+                skipped += 1
+                continue
+            out.write(_json_line({"input": ex.input, "target": ex.target}))
+    written = len(records) - skipped
     _log(f"linearize: wrote {written} examples to {args.out}" + (f" (skipped {skipped})" if skipped else ""))
     return 0
 
@@ -247,9 +271,8 @@ def _cmd_silver(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     tables = load_tables(args.tables)
     rng = random.Random(args.seed)
-    run = generate_silver(tables, args.n, TemplateQuestionGenerator(), rng, sampler_cfg)
-    # Rows are serialized as they are written, after every example was
-    # sampled, so bad data still leaves no output file.
+    with closing(TableCache()) as cache:
+        run = generate_silver(tables, args.n, TemplateQuestionGenerator(), rng, sampler_cfg, cache)
     rows = (
         {
             "phase": 99,
@@ -264,8 +287,9 @@ def _cmd_silver(args: argparse.Namespace) -> int:
         }
         for ex in run.examples
     )
-    written = _write_jsonl(args.out, rows)
-    _log(f"silver: wrote {written} examples to {args.out} ({run.duplicates_kept} duplicates kept)")
+    with _outputs(args.out) as (out,):
+        out.writelines(map(_json_line, rows))
+    _log(f"silver: wrote {len(run.examples)} examples to {args.out} ({run.duplicates_kept} duplicates kept)")
     return 0
 
 
@@ -284,12 +308,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if len(preds) != len(records):
         raise DataError(f"{len(preds)} predictions for {len(records)} records")
     for i, rec in enumerate(records):
-        _resolve(rec, tables, f"record {i}")
-    golds = [rec.lf for rec in records]
-    report = execution_accuracy(preds, golds, records, tables)
-    _write_text(args.out_json, report_to_json(report))
-    if args.out_table is not None:
-        _write_text(args.out_table, render_report_table(report))
+        _resolve(rec, tables, f"record {i}: ")
+    with closing(TableCache()) as cache:
+        report = execution_accuracy(preds, [rec.lf for rec in records], records, tables, cache)
+    with _outputs(args.out_json, args.out_table) as (out_json, out_table):
+        out_json.write(report_to_json(report))
+        if out_table is not None:
+            out_table.write(render_report_table(report))
     _log(f"eval: {report.exec_correct}/{report.n} execution-correct; report at {args.out_json}")
     return 0
 
@@ -303,16 +328,15 @@ _EG_BLOCK_LINES = 256
 def _cmd_eg(args: argparse.Namespace) -> int:
     _require(args, "candidates", "questions", "tables", "out_selections", "out_report")
     records, tables = _load_inputs(args)
-    cache = TableCache()
-    # Serialized selections, written once every line has passed, so that bad
-    # data leaves no output file.
-    lines = []
     n = correct_top1 = correct_eg = all_failed = 0
     dropped: Counter[str] = Counter()
-    entries = iter_jsonl(args.candidates)
-    try:
+    with (
+        closing(TableCache()) as cache,
+        closing(iter_jsonl(args.candidates)) as entries,
+        _outputs(args.out_selections, args.out_report) as (out_selections, out_report),
+    ):
         while block := list(islice(entries, _EG_BLOCK_LINES)):
-            pred_sets, golds, tabs, qids = [], [], [], []
+            pred_sets, golds, tabs = [], [], []
             for lineno, entry in block:
                 if "qid" not in entry or "candidates" not in entry:
                     raise DataError(f"candidates line {lineno}: need keys 'qid' and 'candidates'")
@@ -323,15 +347,14 @@ def _cmd_eg(args: argparse.Namespace) -> int:
                 if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
                     raise DataError(f"candidates line {lineno}: 'candidates' must be a non-empty list of strings")
                 rec = records[qid]
-                tabs.append(_resolve(rec, tables, f"candidates line {lineno}"))
+                tabs.append(_resolve(rec, tables, f"candidates line {lineno}: "))
                 pred_sets.append(CandidateList.from_texts(texts, beam_width=args.beam_width))
                 golds.append(rec.lf)
-                qids.append(qid)
             part = eg_gain(pred_sets, golds, tabs, cache)
-            lines.extend(
+            out_selections.writelines(
                 _json_line(
                     {
-                        "qid": qid,
+                        "qid": entry["qid"],
                         "chosen": sel.chosen_sql,
                         "chosen_index": sel.chosen_index,
                         "all_failed": sel.all_failed,
@@ -341,29 +364,25 @@ def _cmd_eg(args: argparse.Namespace) -> int:
                         ],
                     }
                 )
-                for qid, sel in zip(qids, part.selections)
+                for (_, entry), sel in zip(block, part.selections)
             )
             n += part.n
             correct_top1 += part.correct_top1
             correct_eg += part.correct_eg
             all_failed += part.all_failed_count
             dropped.update(part.dropped_by_kind)
-    finally:
-        entries.close()
-        cache.close()
-    _write_lines(args.out_selections, lines)
-    gain = EgGainReport.from_counts(n, correct_top1, correct_eg, dropped, all_failed)
-    report = {
-        "n": gain.n,
-        "correct_top1": gain.correct_top1,
-        "correct_eg": gain.correct_eg,
-        "accuracy_top1": _round12(gain.accuracy_top1),
-        "accuracy_eg": _round12(gain.accuracy_eg),
-        "delta": _round12(gain.delta),
-        "dropped_by_kind": gain.dropped_by_kind,
-        "all_failed_count": gain.all_failed_count,
-    }
-    _write_text(args.out_report, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        gain = EgGainReport.from_counts(n, correct_top1, correct_eg, dropped, all_failed)
+        report = {
+            "n": gain.n,
+            "correct_top1": gain.correct_top1,
+            "correct_eg": gain.correct_eg,
+            "accuracy_top1": _round12(gain.accuracy_top1),
+            "accuracy_eg": _round12(gain.accuracy_eg),
+            "delta": _round12(gain.delta),
+            "dropped_by_kind": gain.dropped_by_kind,
+            "all_failed_count": gain.all_failed_count,
+        }
+        out_report.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _log(f"eg: {gain.correct_top1}->{gain.correct_eg} correct of {gain.n}; report at {args.out_report}")
     return 0
 
@@ -380,7 +399,8 @@ def _cmd_gate_check(args: argparse.Namespace) -> int:
             {"seed": seed, "max_rel_error": _round12(result.max_rel_error), "worst_param": result.worst_param}
         )
     payload = {"epsilon": _round12(args.epsilon), **dims, "per_seed": per_seed, "max_rel_error": _round12(overall)}
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _outputs(args.out) as (out,):
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _log(f"gate check: max relative error {overall:.3e} over {args.seeds} seeds; report at {args.out}")
     return 0
 
@@ -409,10 +429,13 @@ def _cmd_gate_train(args: argparse.Namespace) -> int:
             "mean_p_ext_keyword": _round12(m.mean_p_ext_keyword),
         }
     )
-    _write_jsonl(args.out_metrics, rows)
-    if args.out_params is not None:
-        save_params(result.model, args.out_params)
-        _log(f"gate train: params at {args.out_params}")
+    # The parameters are saved inside the block, so a failed save leaves no
+    # metrics file.
+    with _outputs(args.out_metrics) as (out,):
+        out.writelines(map(_json_line, rows))
+        if args.out_params is not None:
+            save_params(result.model, args.out_params)
+            _log(f"gate train: params at {args.out_params}")
     _log(
         f"gate train: value copy accuracy {m.value_copy_accuracy:.3f} "
         f"(gated={not args.ablation}); metrics at {args.out_metrics}"
@@ -509,11 +532,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         _log(f"usage error: {exc}")
         return 1
-    except (DataError, DataFormatError, ComposeError, MaterializeError, SamplerError, OSError) as exc:
+    except (DataError, OSError) as exc:
         _log(f"data error: {exc}")
         return 2
-    except SystemExit:
-        raise
     except Exception as exc:  # noqa: BLE001 - last-resort boundary for exit code 3
         _log(f"internal error: {type(exc).__name__}: {exc}")
         return 3

@@ -31,19 +31,20 @@ OP_EQ, OP_GT, OP_LT, OP_OTHER = range(4)
 Cell = str | int | float | None
 
 
-class DataFormatError(ValueError):
+class DataError(ValueError):
+    """Unusable input: the base class of every library error that bad data
+    raises, and what the CLI reports as a data error (exit code 2)."""
+
+
+class DataFormatError(DataError):
     """A malformed input file; carries the path and 1-based line number."""
 
     def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
         self.path = str(path) if path is not None else None
         self.line = line
-        where = ""
-        if self.path is not None:
-            where = f"{self.path}"
-            if line is not None:
-                where += f":{line}"
-            where = f" ({where})"
-        super().__init__(f"{message}{where}")
+        # Without a path, the line number is not named either.
+        at = "" if line is None else f":{line}"
+        super().__init__(message if self.path is None else f"{message} ({self.path}{at})")
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,7 @@ import sqlite3
 import string
 from dataclasses import dataclass
 
-from .data import Table
+from .data import DataError, Table
 from .normalize import normalize_text
 from .sql import RENDER_OPS, ParseFailure, SqlStatement, _render, _render_condition, parse
 
@@ -47,7 +47,7 @@ _MAX_COLUMNS = 2000
 _ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 
-class MaterializeError(ValueError):
+class MaterializeError(DataError):
     """The table cannot be represented in the engine (e.g. duplicate column
     names after lowercasing, or a name SQLite refuses)."""
 

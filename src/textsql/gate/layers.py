@@ -222,17 +222,17 @@ class GateActivations:
     o_final: np.ndarray
 
 
-def run_gate(h_enc, h_dec, src_ids, params: GateParams, p_ext_scale: float = 1.0) -> tuple[dict, GateActivations]:
+def run_gate(h_enc, h_dec, src_ids, params: GateParams, gated: bool = True) -> tuple[dict, GateActivations]:
     """Full extraction-layer pass.
 
     Returns the live tensors (for backprop) and a detached activation
-    snapshot. ``p_ext_scale=0.0`` disables copying so the output reduces to
-    the generation softmax; used by ablations.
+    snapshot. ``gated=False`` multiplies the gate by zero, disabling copying
+    so the output reduces to the generation softmax; used by ablations.
     """
     score, attn, context = cross_attention(h_enc, h_dec, params)
     p_ext = extraction_gate(h_dec, context, params)
-    if p_ext_scale != 1.0:
-        p_ext = mul(p_ext, Tensor(float(p_ext_scale)))
+    if not gated:
+        p_ext = mul(p_ext, Tensor(0.0))
     o_gen = generation_head(h_dec, params)
     o_ext = copy_distribution(attn, src_ids, params.vocab_size)
     o_final = merge(o_gen, o_ext, p_ext)

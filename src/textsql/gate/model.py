@@ -156,11 +156,6 @@ class GateModel:
         mask = np.triu(np.full((n, n), _MASK_OFF), k=1)
         return self._block(x, "dec", mask)
 
-    def _gate(
-        self, params: GateParams, h_enc: Tensor, h_dec: Tensor, src_ids: np.ndarray
-    ) -> tuple[dict, GateActivations]:
-        return run_gate(h_enc, h_dec, src_ids, params, p_ext_scale=1.0 if self.gated else 0.0)
-
     def _states(self, src: np.ndarray, tgt: np.ndarray) -> tuple[Tensor, Tensor]:
         """Encoder and teacher-forced decoder states for checked id batches.
         No ``gate.*`` parameter reaches them."""
@@ -180,7 +175,7 @@ class GateModel:
         """The gate with ``params`` on the states, then the per-position NLL
         and its mean: a scalar, or with ``blocks`` one mean per block of
         that many equal, contiguous blocks of batch rows."""
-        tensors, snapshot = self._gate(params, h_enc, h_dec, src)
+        tensors, snapshot = run_gate(h_enc, h_dec, src, params, gated=self.gated)
         picked = tsum(mul(tensors["o_final"], Tensor(one_hot(tgt, self.cfg.vocab_size))), axis=-1)
         nll = mul(log(add(picked, Tensor(_LOG_FLOOR))), Tensor(-1.0))
         # Equal lengths, so the mean over every position of a block is the
@@ -244,7 +239,7 @@ class GateModel:
             h_enc = self._encode(src_ids)
             for _ in range(n_steps):
                 last = Tensor(self._decode_states(out).data[:, -1:])
-                tensors, _ = self._gate(params, h_enc, last, src_ids)
+                tensors, _ = run_gate(h_enc, last, src_ids, params, gated=self.gated)
                 step = np.argmax(tensors["o_final"].data[:, -1], axis=-1)
                 out = np.concatenate([out, step[:, None]], axis=1)
         tokens = out[:, 1:].tolist()

@@ -35,12 +35,12 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import ClassVar
 
-from .data import Table
+from .data import DataError, Table
 from .normalize import cell_text, normalize_question
 
 
-class LinearizeError(ValueError):
-    pass
+class LinearizeError(DataError):
+    """A table, a config or a model input that the serializer refuses."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ def linearize_augmented(question: str, tab: Table, cfg: LinearizeConfig) -> str:
 
 
 def linearize(question: str, tab: Table, cfg: LinearizeConfig) -> str:
-    """Dispatch on the configured regime."""
+    """The model input for ``question`` over ``tab``, in the regime ``cfg``
+    sets: the baseline one without type tags, the augmented one with them."""
     text, _, _ = _table_text(_table_fields(tab, cfg), collapse=False)
     return cfg.bos + normalize_question(question) + text
 

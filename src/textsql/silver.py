@@ -30,6 +30,7 @@ from .data import (
     AGG_NONE,
     AGG_SUM,
     Condition,
+    DataError,
     LogicalForm,
     Table,
 )
@@ -43,8 +44,9 @@ _PROBE_RETRIES = 8
 _DEDUPE_RETRIES = 25
 
 
-class SamplerError(ValueError):
-    pass
+class SamplerError(DataError):
+    """Nothing can be sampled: no table, no row or no usable cell, or an
+    empty generated question."""
 
 
 @dataclass(frozen=True)

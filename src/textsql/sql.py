@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .data import AGG_NAMES, AGG_NONE, LogicalForm, OP_OTHER, Table
+from .data import AGG_NAMES, AGG_NONE, DataError, LogicalForm, OP_OTHER, Table
 from .normalize import NUMBER_RE, format_number, normalize_text
 
 RENDER_OPS = ("=", ">", "<")
@@ -30,7 +30,7 @@ RENDER_OPS = ("=", ">", "<")
 AGG_BY_NAME = {name: i for i, name in enumerate(AGG_NAMES) if name}
 
 
-class ComposeError(ValueError):
+class ComposeError(DataError):
     """Raised when a logical form cannot be turned into a statement."""
 
 

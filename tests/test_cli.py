@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -1388,6 +1389,159 @@ class TestNotUtf8:
                      "--config", str(cfg)])
         assert code == 2
         assert f"config {cfg} is not UTF-8 text" in capsys.readouterr().err
+
+
+class TestOutputs:
+    """Every command writes its outputs through one writer: a failed command
+    leaves no output file, whole or partial, and no temporary, and a file
+    already at an output path keeps its bytes."""
+
+    GATE_TRAIN = ["--steps", "2", "--d-model", "8", "--batch-size", "2", "--eval-size", "2", "--log-every", "1"]
+
+    @staticmethod
+    def _no_temporaries(root):
+        assert not [p for p in root.rglob("*") if p.name.endswith(".tmp")]
+
+    def _eval(self, corpus, tmp_path, out_json, out_table=None):
+        questions, tables = corpus
+        preds = tmp_path / "preds.txt"
+        preds.write_text(PLATES_SQL + "\n")
+        argv = ["eval", "--preds", str(preds), "--questions", str(questions), "--tables", str(tables),
+                "--out-json", str(out_json)]
+        return main(argv + (["--out-table", str(out_table)] if out_table is not None else []))
+
+    def _eg(self, corpus, tmp_path, sel, rep, line):
+        questions, tables = corpus
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": 0, "candidates": [PLATES_SQL]}) + "\n" + line + "\n")
+        return main(["eg", "--candidates", str(cands), "--questions", str(questions), "--tables", str(tables),
+                     "--out-selections", str(sel), "--out-report", str(rep)])
+
+    def test_eval_with_a_directory_as_second_output_writes_neither(self, corpus, tmp_path, capsys):
+        out_json, out_dir = tmp_path / "eval.json", tmp_path / "table_dir"
+        out_dir.mkdir()
+        assert self._eval(corpus, tmp_path, out_json, out_dir) == 2
+        assert f"Is a directory: '{out_dir}'" in capsys.readouterr().err
+        assert not out_json.exists()
+        self._no_temporaries(tmp_path)
+
+    def test_eg_with_a_directory_as_report_writes_no_selections(self, corpus, tmp_path):
+        sel, rep = tmp_path / "sel.jsonl", tmp_path / "rep_dir"
+        rep.mkdir()
+        line = json.dumps({"qid": 0, "candidates": [PLATES_SQL]})
+        assert self._eg(corpus, tmp_path, sel, rep, line) == 2
+        assert not sel.exists()
+        self._no_temporaries(tmp_path)
+
+    def test_gate_train_with_an_unwritable_params_path_writes_no_metrics(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.jsonl"
+        params = tmp_path / "nodir" / "p.bin"
+        argv = ["gate", "train", "--out-metrics", str(metrics), "--out-params", str(params)]
+        assert main(argv + self.GATE_TRAIN) == 2
+        assert f"No such file or directory: '{params}'" in capsys.readouterr().err
+        assert not metrics.exists()
+        self._no_temporaries(tmp_path)
+
+    def test_error_names_the_output_path_as_given(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gate", "check", "--out", "nodir/report.json", "--seeds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory: 'nodir/report.json'" in err
+        assert ".tmp" not in err and str(tmp_path) not in err
+
+    def test_file_at_output_path_unchanged_after_bad_data(self, corpus, tmp_path, capsys):
+        questions, tables = corpus
+        questions.write_text(questions.read_text() + json.dumps(
+            {"phase": 1, "table_id": PLATES_ID, "question": "q", "sql": {"sel": 99, "agg": 0, "conds": []}}) + "\n")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"earlier run\n")
+        assert main(["linearize", "--questions", str(questions), "--tables", str(tables), "--out", str(out)]) == 2
+        assert "record 1: gold does not validate" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier run\n"
+        self._no_temporaries(tmp_path)
+
+    def test_files_at_eg_output_paths_unchanged_after_a_bad_line(self, corpus, tmp_path, monkeypatch):
+        # One line per block: the first line's selection is written before
+        # the second, bad line is read.
+        monkeypatch.setattr(textsql.cli, "_EG_BLOCK_LINES", 1)
+        sel, rep = tmp_path / "sel.jsonl", tmp_path / "rep.json"
+        sel.write_bytes(b"old selections\n")
+        rep.write_bytes(b"old report\n")
+        assert self._eg(corpus, tmp_path, sel, rep, json.dumps({"qid": 5, "candidates": [PLATES_SQL]})) == 2
+        assert sel.read_bytes() == b"old selections\n" and rep.read_bytes() == b"old report\n"
+        self._no_temporaries(tmp_path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_device_output_is_written_in_place(self, corpus, tmp_path):
+        out_table = tmp_path / "eval.txt"
+        assert self._eval(corpus, tmp_path, "/dev/null", out_table) == 0
+        assert not stat.S_ISREG(os.stat("/dev/null").st_mode)
+        assert "exec_accuracy" in out_table.read_text()
+        self._no_temporaries(tmp_path)
+
+    def test_two_outputs_at_one_path_end_as_the_last_written(self, corpus, tmp_path):
+        out = tmp_path / "report"
+        assert self._eval(corpus, tmp_path, out, out) == 0
+        assert out.read_text().startswith("n ")  # the text table, written second
+        self._no_temporaries(tmp_path)
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+    def test_symbolic_link_is_written_through(self, corpus, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert self._eval(corpus, tmp_path, link) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["n"] == 1
+        self._no_temporaries(tmp_path)
+
+
+class TestEnginesAreClosed:
+    """Each command that executes SQL closes the one engine it makes."""
+
+    @pytest.fixture
+    def caches(self, monkeypatch):
+        made = []
+
+        class RecordingCache(textsql.cli.TableCache):
+            def __init__(self):
+                super().__init__()
+                self.closed = 0
+                made.append(self)
+
+            def close(self):
+                self.closed += 1
+                super().close()
+
+        monkeypatch.setattr(textsql.cli, "TableCache", RecordingCache)
+        return made
+
+    def test_eval(self, corpus, tmp_path, caches):
+        questions, tables = corpus
+        preds = tmp_path / "preds.txt"
+        preds.write_text(PLATES_SQL + "\n")
+        assert main(["eval", "--preds", str(preds), "--questions", str(questions), "--tables", str(tables),
+                     "--out-json", str(tmp_path / "eval.json")]) == 0
+        assert [c.closed for c in caches] == [1]
+
+    def test_silver(self, corpus, tmp_path, caches):
+        _, tables = corpus
+        assert main(["silver", "--tables", str(tables), "--n", "3", "--out", str(tmp_path / "s.jsonl")]) == 0
+        assert [c.closed for c in caches] == [1]
+
+    def test_silver_closes_it_on_a_data_error(self, tmp_path, caches):
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([Table("1-2-3", ("A", "a"), ("text", "text"), (("x", "y"),))]))
+        assert main(["silver", "--tables", str(tables), "--n", "3", "--out", str(tmp_path / "s.jsonl")]) == 2
+        assert [c.closed for c in caches] == [1]
+
+    def test_eg(self, corpus, tmp_path, caches):
+        questions, tables = corpus
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": 0, "candidates": [PLATES_SQL]}) + "\n")
+        assert main(["eg", "--candidates", str(cands), "--questions", str(questions), "--tables", str(tables),
+                     "--out-selections", str(tmp_path / "sel.jsonl"), "--out-report", str(tmp_path / "rep.json")]) == 0
+        assert [c.closed for c in caches] == [1]
 
 
 class TestExitCodes:

@@ -123,6 +123,15 @@ class TestLoadQuestions:
         with pytest.raises(DataFormatError, match="not an object"):
             load_questions(write(tmp_path / "q.jsonl", line + "\n"))
 
+    def test_empty_question_rejected_with_line(self, tmp_path):
+        good = json.dumps({"phase": 1, "table_id": "t", "question": "q", "sql": {"sel": 0, "agg": 0, "conds": []}})
+        empty = json.dumps({"phase": 1, "table_id": "t", "question": "", "sql": {"sel": 0, "agg": 0, "conds": []}})
+        path = write(tmp_path / "q.jsonl", good + "\n" + empty + "\n")
+        with pytest.raises(DataFormatError, match="question must be non-empty") as info:
+            load_questions(path)
+        assert (info.value.path, info.value.line) == (str(path), 2)
+        assert str(info.value).endswith(f"({path}:2)")
+
 
 class TestIndexById:
     def test_keys_by_table_id(self, plates_table, points_table):

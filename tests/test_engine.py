@@ -57,6 +57,30 @@ class TestMaterialize:
         db = materialize(tab)
         assert db.conn.execute("select `n` from `t-1`").fetchall() == [(21.0,)]
 
+    @pytest.mark.parametrize(
+        "value, op, rows",
+        [
+            ("N/A", 0, [("n/a",)]),
+            ("12 goals", 0, [("12 goals",)]),
+            ("x", 0, []),
+            ("m", 1, [("n/a",)]),
+            (100, 1, [("n/a",), ("12 goals",)]),  # SQLite orders text after every number
+            (100, 2, [(3.0,)]),
+            ("3", 0, [(3.0,)]),
+        ],
+    )
+    def test_non_numeric_strings_in_real_columns_stay_lowercased_text(self, value, op, rows):
+        tab = Table("t-1", ("n",), ("real",), (("N/A",), ("12 Goals",), ("3",)))
+        db = materialize(tab)
+        assert db.conn.execute("select `n` from `t-1`").fetchall() == [("n/a",), ("12 goals",), (3.0,)]
+        stmt = compose(LogicalForm(0, 0, (Condition(0, op, value),)), tab)
+        assert sorted(execute(stmt, db).rows) == sorted(rows)
+        cache = TableCache()
+        (_, op_text, literal), = stmt.conds
+        assert cache.probe(tab, 0, op_text, literal) == bool(rows)
+        cache.close()
+        db.conn.close()
+
     def test_null_cells_stay_null(self):
         tab = Table("t-1", ("a", "b"), ("text", "real"), ((None, None),))
         db = materialize(tab)

@@ -163,7 +163,7 @@ class TestDistributionInvariants:
         h_enc = rng.standard_normal((S, d)) * 2
         h_dec = rng.standard_normal((T, d)) * 2
         src_ids = rng.integers(0, vocab, size=S)
-        _, snap = run_gate(h_enc, h_dec, src_ids, params, p_ext_scale=1.0 if gated else 0.0)
+        _, snap = run_gate(h_enc, h_dec, src_ids, params, gated=gated)
         return snap
 
     def test_attention_rows_sum_to_one(self):

@@ -26,7 +26,7 @@ from textsql import (
 )
 from textsql import engine
 from textsql.engine import _PROBE_ROWS, MaterializeError
-from textsql.silver import SamplerError, _cond_matches
+from textsql.silver import SamplerError, _cond_matches, _sample_value
 
 from conftest import make_table
 
@@ -129,6 +129,18 @@ class TestSampleLogicalForm:
         rng = random.Random(0)
         counts = {len(sample_logical_form(tab, rng, SamplerConfig(max_conds=0)).conds) for _ in range(50)}
         assert counts == {0}
+
+    def test_value_found_by_scan_when_every_draw_is_null(self):
+        # Every draw lands on row 0, which is null, so only the scan over
+        # the rows that follows the draws can find the one usable cell.
+        class FirstRow(random.Random):
+            def randrange(self, *args):
+                return 0
+
+        rows = tuple((None,) if i != 137 else ("only one",) for i in range(200))
+        tab = Table("t-1", ("a",), ("text",), rows)
+        assert _sample_value(tab, 0, FirstRow(0)) == "only one"
+        assert _sample_value(Table("t-2", ("a",), ("real",), ((None,), (float("nan"),))), 0, FirstRow(0)) is None
 
     def test_all_null_table_rejected(self):
         tab = Table("t-1", ("a",), ("text",), ((None,), (None,)))

@@ -76,6 +76,13 @@ class TestCompose:
         with pytest.raises(ComposeError, match="unsupported operator"):
             compose(lf, plates_table)
 
+    @pytest.mark.parametrize("op", [-1, 4])
+    def test_op_index_out_of_range_rejected(self, plates_table, op):
+        # Unchecked, -1 would index RENDER_OPS from the end and print "<".
+        lf = LogicalForm(sel=0, agg=0, conds=(Condition(0, op, "x"),))
+        with pytest.raises(ComposeError, match=f"operator index out of range: {op}"):
+            compose(lf, plates_table)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value_rejected(self, plates_table, value):
         # No wire literal spells these: rendered, they read as column names.
