@@ -1,9 +1,9 @@
 """From raw JSONL to executed query results.
 
 Walks the data path end to end: parse newline-delimited table and question
-files, validate a record against its schema, compose the logical form into
-a statement, render it in the bracketed wire format, and execute it against
-an in-memory SQLite copy of the table.
+files, compose the logical form into a statement (composing is also how a
+gold is checked against its schema), render it in the bracketed wire
+format, and execute it against an in-memory SQLite copy of the table.
 """
 
 import tempfile
@@ -12,6 +12,9 @@ from pathlib import Path
 from textsql import (
     AGG_NAMES,
     OP_NAMES,
+    ComposeError,
+    Condition,
+    LogicalForm,
     Table,
     TableCache,
     compose,
@@ -22,7 +25,6 @@ from textsql import (
     index_by_id,
     parse,
     render,
-    validate_record,
 )
 
 # A small table in the WikiSQL shape: headers, declared column types, rows.
@@ -58,19 +60,27 @@ record = load_questions(questions_path)[0]
 print("question:", record.question)
 print("logical form:", record.lf)
 
-# Validation reports violations instead of raising; an empty list means the
-# record composes cleanly against its table.
-report = validate_record(record, tables[record.table_id])
-print("validation ok:", report.ok, report.violations)
-
 # compose resolves the index triples to (lowercased) names; render produces
 # the bracketed wire format; parse inverts render exactly.
-stmt = compose(record.lf, MEDALS)
+stmt = compose(record.lf, tables[record.table_id])
 sql_text = render(stmt)
 print("aggregations:", AGG_NAMES)
 print("operators:   ", OP_NAMES)
 print("rendered:    ", sql_text)
 print("parse inverts render:", parse(sql_text) == stmt)
+
+# compose is the one rule for a gold: a logical form that does not fit its
+# table raises ComposeError (a DataError) saying why, and the CLI reports it
+# with the record it came from.
+for bad in (
+    LogicalForm(sel=0, agg=4),  # sum over the text column "Nation"
+    LogicalForm(sel=1, agg=0, conds=(Condition(0, 3, "Norway"),)),  # operator 3, "OP"
+    LogicalForm(sel=7, agg=0),  # no eighth column
+):
+    try:
+        compose(bad, MEDALS)
+    except ComposeError as exc:
+        print("refused:", bad, "->", exc)
 
 # TableCache materializes each table once, into a database it shares with
 # other tables, and hands back a handle bound to that one table.

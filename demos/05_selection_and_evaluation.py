@@ -16,6 +16,7 @@ from textsql import (
     Table,
     TableCache,
     classify_error,
+    compose,
     eg_gain,
     eg_select,
     execution_accuracy,
@@ -49,9 +50,11 @@ for outcome in selection.outcomes:
     print(f"  [{outcome.index}] {status}: {outcome.sql_text}")
 print("chosen:", selection.chosen_sql)
 
-# Over a batch, the gain is exact: integer counts, not rounded floats.
+# Over a batch, the gain is exact: integer counts, not rounded floats. Golds
+# arrive composed, so each is composed once however often it is scored.
+gold_stmt = compose(GOLD, CITIES)
 pred_sets = [beam, CandidateList.from_texts([GOOD])]
-report = eg_gain(pred_sets, [GOLD, GOLD], [CITIES, CITIES], cache)
+report = eg_gain(pred_sets, [gold_stmt, gold_stmt], [CITIES, CITIES], cache)
 print(f"top-1 accuracy {report.accuracy_top1} -> execution-guided {report.accuracy_eg}"
       f" (delta {report.delta})")
 
@@ -73,7 +76,7 @@ for label, pred in cases:
 # result plus the full taxonomy partition.
 preds = [pred for _, pred in cases]
 records = [QuestionRecord(phase=1, table_id=CITIES.table_id, question=QUESTION, lf=GOLD)] * len(preds)
-summary = execution_accuracy(preds, [GOLD] * len(preds), records, {CITIES.table_id: CITIES}, cache)
+summary = execution_accuracy(preds, [gold_stmt] * len(preds), records, {CITIES.table_id: CITIES}, cache)
 print(render_report_table(summary))
 
 cache.close()

@@ -21,7 +21,6 @@ from .data import (
     index_by_id,
     load_questions,
     load_tables,
-    validate_record,
 )
 from .eg import CandidateList, eg_gain, eg_select
 from .engine import (
@@ -87,7 +86,6 @@ __all__ = [
     "index_by_id",
     "load_questions",
     "load_tables",
-    "validate_record",
     "CandidateList",
     "eg_gain",
     "eg_select",

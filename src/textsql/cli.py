@@ -23,6 +23,13 @@ subcommand's defaults, so an explicit flag wins, and each value is checked
 like the flag it stands for: a switch takes only JSON ``true``/``false``,
 and any other flag a string or a number of its type and range.
 
+A gold is valid exactly when it composes (``sql.compose``). ``linearize``,
+``eval`` and ``eg`` compose each gold once, and name the record or the
+candidates line of one that does not. ``eval`` composes record *i*'s gold
+as it scores prediction *i*, so the first bad record in file order is the
+error reported, whatever its kind: an unknown table, a gold that does not
+compose, or a table the engine cannot hold.
+
 ``eg`` reads its candidates file a block of lines at a time and scores each
 block before reading the next, so its memory grows with the questions and
 the tables, not with the candidates file. A bad line is therefore reported
@@ -54,7 +61,6 @@ from .data import (
     iter_jsonl,
     load_questions,
     load_tables,
-    validate_record,
 )
 from .eg import CandidateList, EgGainReport, eg_gain
 from .engine import TableCache
@@ -68,7 +74,7 @@ from .gate import (
 )
 from .linearize import LinearizeConfig, build_example
 from .silver import SamplerConfig, TemplateQuestionGenerator, generate_silver
-from .sql import compose, render
+from .sql import ComposeError, SqlStatement, compose, render
 
 
 class UsageError(Exception):
@@ -216,16 +222,17 @@ def _load_inputs(args: argparse.Namespace):
     return records, tables
 
 
-def _resolve(rec: QuestionRecord, tables: dict[str, Table], where: str = "") -> Table:
-    """The table of ``rec``, once its gold validates against it; error
-    messages start with ``where``."""
+def _resolve(rec: QuestionRecord, tables: dict[str, Table], where: str = "") -> tuple[Table, SqlStatement]:
+    """The table of ``rec`` and its gold composed against it. A gold that
+    does not compose is a ``DataError`` whose message, like an unknown
+    table's, starts with ``where`` and gives ``compose``'s reason."""
     tab = tables.get(rec.table_id)
     if tab is None:
         raise DataError(f"{where}unknown table {rec.table_id!r}")
-    report = validate_record(rec, tab)
-    if not report.ok:
-        raise DataError(f"{where}gold does not validate: {'; '.join(report.violations)}")
-    return tab
+    try:
+        return tab, compose(rec.lf, tab)
+    except ComposeError as exc:
+        raise DataError(f"{where}gold does not compose: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -250,8 +257,8 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     with _outputs(args.out) as (out,):
         for i, rec in enumerate(records):
             try:
-                tab = _resolve(rec, tables)
-                ex = build_example(rec.question, tab, render(compose(rec.lf, tab)), lin_cfg, rng=rng, cache=cache)
+                tab, gold = _resolve(rec, tables)
+                ex = build_example(rec.question, tab, render(gold), lin_cfg, rng=rng, cache=cache)
             except DataError as exc:
                 if not args.skip_bad:
                     raise DataError(f"record {i}: {exc}") from exc
@@ -307,10 +314,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     records, tables = _load_inputs(args)
     if len(preds) != len(records):
         raise DataError(f"{len(preds)} predictions for {len(records)} records")
-    for i, rec in enumerate(records):
-        _resolve(rec, tables, f"record {i}: ")
+    # Each gold is composed as it is scored, so none is held.
+    golds = (_resolve(rec, tables, f"record {i}: ")[1] for i, rec in enumerate(records))
     with closing(TableCache()) as cache:
-        report = execution_accuracy(preds, [rec.lf for rec in records], records, tables, cache)
+        report = execution_accuracy(preds, golds, records, tables, cache)
     with _outputs(args.out_json, args.out_table) as (out_json, out_table):
         out_json.write(report_to_json(report))
         if out_table is not None:
@@ -346,10 +353,10 @@ def _cmd_eg(args: argparse.Namespace) -> int:
                     raise DataError(f"candidates line {lineno}: qid {qid!r} does not index the questions file")
                 if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
                     raise DataError(f"candidates line {lineno}: 'candidates' must be a non-empty list of strings")
-                rec = records[qid]
-                tabs.append(_resolve(rec, tables, f"candidates line {lineno}: "))
+                tab, gold = _resolve(records[qid], tables, f"candidates line {lineno}: ")
+                tabs.append(tab)
                 pred_sets.append(CandidateList.from_texts(texts, beam_width=args.beam_width))
-                golds.append(rec.lf)
+                golds.append(gold)
             part = eg_gain(pred_sets, golds, tabs, cache)
             out_selections.writelines(
                 _json_line(
@@ -467,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", action="store_true", help="drop one random input word per example (table id kept)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-cell-len", type=_number(int, 1), default=32)
-    p.add_argument("--skip-bad", action="store_true", help="skip records that fail validation")
+    p.add_argument("--skip-bad", action="store_true", help="skip bad records, such as one whose gold does not compose")
 
     p = _command(sub, "silver", _cmd_silver, "sample silver question/SQL training pairs")
     p.add_argument("--tables", help="WikiSQL-style tables JSONL")

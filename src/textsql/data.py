@@ -1,9 +1,11 @@
-"""Ingestion and validation of WikiSQL-format question and table files.
+"""Ingestion of WikiSQL-format question and table files.
 
 Both inputs are newline-delimited JSON. The tables file carries one object
 per line with keys ``id``, ``header``, ``types``, ``rows``; the questions
 file carries ``phase``, ``table_id``, ``question``, and ``sql`` (an object
-with ``sel``, ``agg``, ``conds``).
+with ``sel``, ``agg``, ``conds``). Loading checks the JSON type of every
+field; whether a gold logical form fits its table is ``sql.compose``'s
+rule, the only one.
 
 Loading is single-threaded per file. Loaded objects are frozen, slotted (no
 per-instance dict) and may be shared freely across threads afterward.
@@ -12,8 +14,7 @@ per-instance dict) and may be shared freely across threads afterward.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -115,21 +116,6 @@ class QuestionRecord:
             raise ValueError("question must be non-empty")
 
 
-@dataclass
-class ValidationReport:
-    """Violations found when checking a record against its table.
-
-    Violations are reported, never raised; an empty list means the record
-    composes cleanly.
-    """
-
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -192,7 +178,7 @@ def _require(obj: dict, key: str, path: str | Path, lineno: int, kind: type | No
 
 def _condition(cond, i: int, path: str | Path, lineno: int) -> Condition:
     """One ``[column, operator, value]`` triple; both indices are integers.
-    The value's type is the composer's and the validator's concern."""
+    The indices' ranges and the value's type are the composer's concern."""
     if type(cond) is not list or len(cond) != 3:
         got = f"{len(cond)} elements" if type(cond) is list else _JSON_TYPE_NAMES[type(cond)]
         raise DataFormatError(
@@ -277,40 +263,6 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
             raise DataFormatError(str(exc), path, lineno) from exc
         records.append(record)
     return records
-
-
-def validate_record(rec: QuestionRecord, tab: Table) -> ValidationReport:
-    """Check a record's logical form against its table.
-
-    Flags out-of-range indices, SUM/AVG applied to a text column (those
-    aggregations are only meaningful for numeric data), and condition values
-    that have no SQL literal: NaN, infinities, and anything that is neither
-    a string nor a number (a boolean included). Operator index 3 is legal
-    here; the composer rejects it.
-    """
-    if rec.table_id != tab.table_id:
-        raise ValueError(f"record table {rec.table_id!r} != table {tab.table_id!r}")
-    report = ValidationReport()
-    lf = rec.lf
-    if not 0 <= lf.sel < tab.n_cols:
-        report.violations.append(f"sel out of range: {lf.sel}")
-    if not 0 <= lf.agg < len(AGG_NAMES):
-        report.violations.append(f"agg out of range: {lf.agg}")
-    elif lf.agg in (AGG_SUM, AGG_AVG) and 0 <= lf.sel < tab.n_cols:
-        if tab.col_types[lf.sel] == "text":
-            report.violations.append(
-                f"aggregation/type mismatch: {AGG_NAMES[lf.agg]} on text column {lf.sel}"
-            )
-    for i, cond in enumerate(lf.conds):
-        if not 0 <= cond.col < tab.n_cols:
-            report.violations.append(f"cond {i}: column out of range: {cond.col}")
-        if not 0 <= cond.op < len(OP_NAMES):
-            report.violations.append(f"cond {i}: op out of range: {cond.op}")
-        if isinstance(cond.value, bool) or not isinstance(cond.value, (str, int, float)):
-            report.violations.append(f"cond {i}: unsupported value type: {type(cond.value).__name__}")
-        elif isinstance(cond.value, float) and not math.isfinite(cond.value):
-            report.violations.append(f"cond {i}: non-finite value: {cond.value!r}")
-    return report
 
 
 def dump_tables(tables: Iterable[Table]) -> str:

@@ -14,9 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .data import LogicalForm, Table
+from .data import Table
 from .engine import ExecResult, TableCache, execute, results_equal
-from .sql import SqlStatement, compose, parse
+from .sql import SqlStatement, parse
 
 DEFAULT_BEAM_WIDTH = 3
 
@@ -85,7 +85,7 @@ class EgSelection:
 def eg_select(
     cands: CandidateList,
     tab: Table,
-    cache: TableCache | None = None,
+    cache: TableCache,
     *,
     gold: tuple[SqlStatement, ExecResult] | None = None,
 ) -> EgSelection:
@@ -98,7 +98,6 @@ def eg_select(
     total failure the top candidate is returned with ``all_failed`` set and
     its error result.
     """
-    cache = cache if cache is not None else TableCache()
     db = cache.get(tab)
     gold_stmt, gold_res = gold if gold is not None else (None, None)
     outcomes: list[CandidateOutcome] = []
@@ -170,14 +169,15 @@ class EgGainReport:
 
 def eg_gain(
     pred_sets: Sequence[CandidateList],
-    golds: Sequence[LogicalForm],
+    golds: Sequence[SqlStatement],
     tables: Sequence[Table],
-    cache: TableCache | None = None,
+    cache: TableCache,
 ) -> EgGainReport:
     """Score top-1 and execution-guided choices against gold executions.
 
-    All three sequences align index by index (one table per example;
-    repeats are fine, the cache materializes each table once).
+    ``golds`` are composed golds. All three sequences align index by index
+    (one table per example; repeats are fine, the cache materializes each
+    table once).
     Each gold is executed once and each beam is selected over once, with
     the gold's result passed in, so a tried candidate equal to the gold is
     not executed; ``results_equal`` decides correctness. The top candidate
@@ -189,14 +189,12 @@ def eg_gain(
         raise ValueError(f"got {len(pred_sets)} candidate lists for {len(golds)} golds")
     if len(tables) != len(golds):
         raise ValueError(f"got {len(tables)} tables for {len(golds)} golds")
-    cache = cache if cache is not None else TableCache()
     correct_top1 = 0
     correct_eg = 0
     dropped: Counter[str] = Counter()
     all_failed = 0
     selections = []
-    for cands, gold, tab in zip(pred_sets, golds, tables):
-        gold_stmt = compose(gold, tab)
+    for cands, gold_stmt, tab in zip(pred_sets, golds, tables):
         gold_res = execute(gold_stmt, cache.get(tab))
         selection = eg_select(cands, tab, cache, gold=(gold_stmt, gold_res))
         selections.append(selection)

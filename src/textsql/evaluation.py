@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .data import LogicalForm, QuestionRecord, Table
 from .engine import TableCache, execute, results_equal
@@ -194,35 +194,36 @@ class EvalReport:
 
 def execution_accuracy(
     preds: Sequence[str],
-    golds: Sequence[LogicalForm],
+    golds: Iterable[SqlStatement],
     records: Sequence[QuestionRecord],
     tables: Mapping[str, Table],
-    cache: TableCache | None = None,
+    cache: TableCache,
 ) -> EvalReport:
     """Execute every prediction against its gold and tally the taxonomy.
 
-    Each prediction is parsed once; the statement feeds both the taxonomy and
-    the execution, so a prediction outside the dialect is never executed and
+    ``golds`` are the records' composed golds, in record order. They are
+    read one at a time, in step with the predictions, so an iterator that
+    composes each as it is asked for holds none of them. Each prediction
+    is parsed once; the statement feeds both the taxonomy and the
+    execution, so a prediction outside the dialect is never executed and
     scores zero. The gold is executed once per prediction in the dialect,
     and a prediction equal to its gold (the same rendered text, see
     ``SqlStatement``) takes the gold's result instead of running again;
     ``results_equal`` decides correctness. A missing table is a data error
-    and raises.
+    and raises; so does a count of golds other than the predictions'.
     """
-    if not (len(preds) == len(golds) == len(records)):
-        raise ValueError(f"misaligned inputs: {len(preds)} preds, {len(golds)} golds, {len(records)} records")
-    cache = cache if cache is not None else TableCache()
+    if len(preds) != len(records):
+        raise ValueError(f"misaligned inputs: {len(preds)} preds, {len(records)} records")
     exec_correct = 0
     halluc = 0
     counts: Counter[ErrorClass] = Counter()
-    for pred, gold, rec in zip(preds, golds, records):
+    for pred, gold_stmt, rec in zip(preds, golds, records, strict=True):
         tab = tables.get(rec.table_id)
         if tab is None:
             raise ValueError(f"no table {rec.table_id!r} for record {rec.question!r}")
         # Materialized even for a prediction that is never executed, so a
         # table the engine cannot hold is a data error whatever is predicted.
         db = cache.get(tab)
-        gold_stmt = compose(gold, tab)
         raw = parse_raw(pred)
         if isinstance(raw, ParseFailure):
             counts[PARSE_FAILURE] += 1

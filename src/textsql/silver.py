@@ -155,21 +155,19 @@ def sample_logical_form(
     tab: Table,
     rng: random.Random,
     cfg: SamplerConfig,
-    cache: TableCache | None = None,
+    cache: TableCache,
 ) -> LogicalForm:
     """Draw one random logical form over the table.
 
     The select column is uniform over columns; the aggregation is uniform
     over all six slots but redrawn from the non-numeric ones when the select
-    column is text, as ``validate_record`` refuses sum and avg on text; the
+    column is text, as ``compose`` refuses sum and avg on text; the
     condition count is uniform over 0..max_conds, or over 1..max_conds when
     zero is disallowed (``SamplerConfig`` then refuses a max_conds of 0).
-    Deterministic given the rng state. Probes run in ``cache``, or in a
-    fresh one when none is given.
+    Deterministic given the rng state. Probes run in ``cache``.
     """
     if tab.n_rows == 0 or tab.n_cols == 0:
         raise SamplerError("cannot sample from empty table")
-    cache = cache if cache is not None else TableCache()
     sel = rng.randrange(tab.n_cols)
     agg = rng.randrange(6)
     if tab.col_types[sel] == "text" and agg in (AGG_SUM, AGG_AVG):
@@ -201,7 +199,7 @@ def generate_silver(
     qg: QuestionGenerator,
     rng: random.Random,
     cfg: SamplerConfig,
-    cache: TableCache | None = None,
+    cache: TableCache,
 ) -> SilverRun:
     """Generate ``n`` silver (question, SQL, table) triples.
 
@@ -213,7 +211,6 @@ def generate_silver(
     """
     if not tables:
         raise SamplerError("no tables to sample from")
-    cache = cache if cache is not None else TableCache()
     for tab in tables:
         cache.check(tab)
     run = SilverRun()

@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .data import AGG_NAMES, AGG_NONE, DataError, LogicalForm, OP_OTHER, Table
+from .data import AGG_AVG, AGG_NAMES, AGG_NONE, AGG_SUM, DataError, LogicalForm, OP_OTHER, Table
 from .normalize import NUMBER_RE, format_number, normalize_text
 
 RENDER_OPS = ("=", ">", "<")
@@ -101,31 +101,41 @@ def format_literal(value: str | int | float) -> str:
 def condition_literal(value) -> str | int | float:
     """A logical form's condition value as a statement holds it: a string
     lowercased, a number as it is. NaN and infinite values have no literal
-    in the wire format, and nothing but a string or a number is a value;
-    both raise ``ComposeError``."""
+    in the wire format, an integer too large for a double reads as infinite
+    in SQLite, and nothing but a string or a number is a value; each raises
+    ``ComposeError``."""
     if isinstance(value, str):
         return normalize_text(value)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ComposeError(f"unsupported value type: {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer no double holds
+        raise ComposeError(f"integer condition value beyond the double range: {value.bit_length()} bits") from None
+    if not finite:
         raise ComposeError(f"non-finite condition value: {value!r}")
     return value
 
 
 def compose(lf: LogicalForm, tab: Table) -> SqlStatement:
-    """Resolve a logical form's indices against a table.
+    """Resolve a logical form's indices against a table: the one rule for
+    a gold, so a logical form that composes is a valid gold.
 
     Column indices become lowercased header names; string condition values
     are lowercased. Numeric values pass through and render unquoted, while
     string-typed values stay quoted even when they look numeric; comparison
-    semantics for those are the engine's concern. Each value passes
-    ``condition_literal``, so a NaN, an infinite or a non-numeric value
-    raises ``ComposeError``.
+    semantics for those are the engine's concern. ``ComposeError`` is raised
+    for an index out of range, operator index 3 ("OP", which never appears
+    in valid annotations), sum or avg on a text column (those aggregations
+    are only meaningful for numeric data), and a condition value that
+    ``condition_literal`` refuses.
     """
     if not 0 <= lf.sel < tab.n_cols:
         raise ComposeError(f"sel index out of range: {lf.sel}")
     if not 0 <= lf.agg < len(AGG_NAMES):
         raise ComposeError(f"agg index out of range: {lf.agg}")
+    if lf.agg in (AGG_SUM, AGG_AVG) and tab.col_types[lf.sel] == "text":
+        raise ComposeError(f"aggregation/type mismatch: {AGG_NAMES[lf.agg]} on text column {lf.sel}")
     conds = []
     for cond in lf.conds:
         if not 0 <= cond.col < tab.n_cols:

@@ -1,4 +1,5 @@
-"""Shared fixtures: small tables with known contents plus a random-table factory.
+"""Shared fixtures: small tables with known contents, a random-table factory
+and an engine that is closed after the test.
 
 The license-plate table is the reference fixture used across modules: six
 text columns, three rows, and a question whose answer lives in the last
@@ -10,7 +11,7 @@ import random
 
 import pytest
 
-from textsql import Condition, LogicalForm, QuestionRecord, Table
+from textsql import Condition, LogicalForm, QuestionRecord, Table, TableCache
 
 PLATES_ID = "1-1000181-1"
 PLATES_QUESTION = "Tell me what the notes are for South Australia "
@@ -138,3 +139,11 @@ def make_table(
 @pytest.fixture
 def table_factory():
     return make_table
+
+
+@pytest.fixture
+def cache():
+    """An engine for library calls, closed when the test ends."""
+    engine = TableCache()
+    yield engine
+    engine.close()

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import textsql
 import textsql.cli
+import textsql.sql
 from textsql import Condition, LogicalForm, Table, compose, dump_tables, render
 from textsql.cli import _EG_BLOCK_LINES, build_parser, main
 from textsql.data import index_by_id, load_questions, load_tables
@@ -105,7 +106,7 @@ class TestLinearize:
         assert len(read_jsonl(out)) == 1
 
     def test_gold_that_does_not_compose_is_skipped_or_named(self, corpus, tmp_path, capsys):
-        # Operator index 3 passes validation; only the composer refuses it.
+        # Operator index 3 loads; the composer refuses it.
         questions, tables = corpus
         bad = {"phase": 1, "table_id": PLATES_ID, "question": "q", "sql": {"sel": 0, "agg": 0, "conds": [[1, 3, 1.0]]}}
         questions.write_text(questions.read_text() + json.dumps(bad) + "\n")
@@ -116,7 +117,7 @@ class TestLinearize:
         assert len(read_jsonl(out)) == 1
         out.unlink()
         assert main(argv) == 2
-        assert "record 1: unsupported operator" in capsys.readouterr().err
+        assert "record 1: gold does not compose: unsupported operator" in capsys.readouterr().err
         assert not out.exists()
 
     # A list cell is refused when the tables file loads
@@ -629,7 +630,9 @@ class TestEg:
                                          "sql": {"sel": 5, "agg": 4, "conds": []}}) + "\n")
         code = self._run_eg(corpus, tmp_path, [json.dumps({"qid": 0, "candidates": [PLATES_SQL]})])
         assert code == 2
-        assert "candidates line 1: gold does not validate: aggregation/type mismatch" in capsys.readouterr().err
+        assert "candidates line 1: gold does not compose: aggregation/type mismatch: sum on text column 5" in (
+            capsys.readouterr().err
+        )
 
 
 class TestEgBlocks:
@@ -688,7 +691,7 @@ class TestEgBlocks:
         return code, sel, rep
 
     @pytest.mark.parametrize("n", [0, B - 1, B, B + 1, 3 * B + 7], ids=["0", "B-1", "B", "B+1", "3B+7"])
-    def test_outputs_are_one_eg_gain_over_the_file(self, eg_corpus, tmp_path, monkeypatch, n):
+    def test_outputs_are_one_eg_gain_over_the_file(self, eg_corpus, tmp_path, monkeypatch, cache, n):
         lines = self._lines(n)
         code, sel, rep = self._run(eg_corpus, tmp_path / "blocks", lines)
         assert code == 0
@@ -702,10 +705,12 @@ class TestEgBlocks:
         questions, tables = eg_corpus
         records, by_id = load_questions(questions), index_by_id(load_tables(tables))
         entries = [json.loads(line) for line in lines]
+        tabs = [by_id[records[e["qid"]].table_id] for e in entries]
         gain = eg_gain(
             [CandidateList.from_texts(e["candidates"]) for e in entries],
-            [records[e["qid"]].lf for e in entries],
-            [by_id[records[e["qid"]].table_id] for e in entries],
+            [compose(records[e["qid"]].lf, tab) for e, tab in zip(entries, tabs)],
+            tabs,
+            cache,
         )
         report = json.loads(rep.read_text())
         assert report == {
@@ -891,7 +896,7 @@ class TestNonFiniteConditionValue:
         code = main(["eval", "--preds", str(preds), "--questions", str(questions),
                      "--tables", str(tables), "--out-json", str(tmp_path / "r.json")])
         assert code == 2
-        assert "record 0: gold does not validate: cond 0: non-finite value" in capsys.readouterr().err
+        assert "record 0: gold does not compose: non-finite condition value" in capsys.readouterr().err
 
 
 class TestUnsupportedConditionValue:
@@ -912,7 +917,127 @@ class TestUnsupportedConditionValue:
         capsys.readouterr()
         assert main(argv) == 2
         kind = type(value).__name__
-        assert f"record 0: gold does not validate: cond 0: unsupported value type: {kind}" in capsys.readouterr().err
+        assert f"record 0: gold does not compose: unsupported value type: {kind}" in capsys.readouterr().err
+
+
+class TestGoldThatDoesNotCompose:
+    """A gold is valid exactly when it composes; one that does not is a data
+    error naming its record, or its candidates line in ``eg``."""
+
+    OP_THREE = {"phase": 1, "table_id": PLATES_ID, "question": "q", "sql": {"sel": 0, "agg": 0, "conds": [[1, 3, 1.0]]}}
+
+    def _eval(self, questions, tables, tmp_path, n_preds=1):
+        preds = tmp_path / "preds.txt"
+        preds.write_text((PLATES_SQL + "\n") * n_preds)
+        return main(["eval", "--preds", str(preds), "--questions", str(questions),
+                     "--tables", str(tables), "--out-json", str(tmp_path / "r.json")])
+
+    def test_eval_names_the_record(self, corpus, tmp_path, capsys):
+        questions, tables = corpus
+        questions.write_text(json.dumps(self.OP_THREE) + "\n")
+        assert self._eval(questions, tables, tmp_path) == 2
+        assert "data error: record 0: gold does not compose: unsupported operator" in capsys.readouterr().err
+
+    def test_eg_names_the_candidates_line(self, corpus, tmp_path, capsys):
+        questions, tables = corpus
+        questions.write_text(json.dumps(self.OP_THREE) + "\n")
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": 0, "candidates": [PLATES_SQL]}) + "\n")
+        code = main(["eg", "--candidates", str(cands), "--questions", str(questions), "--tables", str(tables),
+                     "--out-selections", str(tmp_path / "s"), "--out-report", str(tmp_path / "r")])
+        assert code == 2
+        assert "data error: candidates line 1: gold does not compose: unsupported operator" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("bad_table_first", [True, False], ids=["table_first", "gold_first"])
+    def test_eval_reports_the_first_bad_record_in_file_order(self, tmp_path, capsys, bad_table_first):
+        # Table 1-2-3's headers collide, so the engine cannot hold it.
+        tables = tmp_path / "tables.jsonl"
+        collision = Table("1-2-3", ("A", "a"), ("text", "text"), (("x", "y"),))
+        tables.write_text(dump_tables([collision, Table("1-1-1", ("b",), ("text",), (("x",),))]))
+        bad_table = {"phase": 1, "table_id": "1-2-3", "question": "q", "sql": {"sel": 0, "agg": 0, "conds": []}}
+        bad_gold = {"phase": 1, "table_id": "1-1-1", "question": "q", "sql": {"sel": 0, "agg": 4, "conds": []}}
+        records = [bad_table, bad_gold] if bad_table_first else [bad_gold, bad_table]
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert self._eval(questions, tables, tmp_path, n_preds=2) == 2
+        err = capsys.readouterr().err
+        if bad_table_first:
+            assert "duplicate column names" in err and "gold" not in err
+        else:
+            assert "record 0: gold does not compose: aggregation/type mismatch: sum on text column 0" in err
+
+    @pytest.mark.parametrize("command", ["linearize", "eval"])
+    def test_integer_beyond_the_double_range_is_a_data_error(self, corpus, tmp_path, capsys, command):
+        # It used to reach a float conversion and exit 3.
+        questions, tables = corpus
+        questions.write_text(
+            '{"phase": 1, "table_id": "%s", "question": "q", "sql": {"sel": 5, "agg": 0, '
+            '"conds": [[3, 1, %s]]}}\n' % (PLATES_ID, "9" * 400)
+        )
+        if command == "eval":
+            code = self._eval(questions, tables, tmp_path)
+        else:
+            argv = ["linearize", "--questions", str(questions), "--tables", str(tables), "--out", str(tmp_path / "l")]
+            assert main(argv + ["--skip-bad"]) == 0
+            code = main(argv)
+        assert code == 2
+        assert "record 0: gold does not compose: integer condition value beyond the double range" in (
+            capsys.readouterr().err
+        )
+
+
+class TestEachGoldComposedOnce:
+    """``linearize``, ``eval`` and ``eg`` compose each record's gold exactly
+    once, wherever in the library a compose might happen."""
+
+    N = 7
+
+    @pytest.fixture
+    def compose_calls(self, monkeypatch):
+        calls = []
+        real = textsql.sql.compose
+
+        def counting_compose(lf, tab):
+            calls.append(lf)
+            return real(lf, tab)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "textsql" and getattr(module, "compose", None) is real:
+                monkeypatch.setattr(module, "compose", counting_compose)
+        return calls
+
+    @pytest.fixture
+    def golds(self, tmp_path, points_table):
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([points_table]))
+        lfs = [{"sel": i % 3, "agg": (0, 3, 5)[i % 3], "conds": [[2, i % 3, i]]} for i in range(self.N)]
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text("".join(
+            json.dumps({"phase": 1, "table_id": points_table.table_id, "question": f"q {i}", "sql": lf}) + "\n"
+            for i, lf in enumerate(lfs)
+        ))
+        return questions, tables, [LogicalForm(lf["sel"], lf["agg"], (Condition(*lf["conds"][0]),)) for lf in lfs]
+
+    @pytest.mark.parametrize("command", ["linearize", "eval", "eg"])
+    def test_one_compose_per_gold(self, golds, compose_calls, tmp_path, command):
+        questions, tables, lfs = golds
+        inputs = ["--questions", str(questions), "--tables", str(tables)]
+        if command == "linearize":
+            argv = ["linearize", "--out", str(tmp_path / "l.jsonl"), "--mode", "augmented", "--samples", "1"]
+        elif command == "eval":
+            preds = tmp_path / "preds.txt"
+            preds.write_text("select [player] from [2-777-1]\n" * self.N)
+            argv = ["eval", "--preds", str(preds), "--out-json", str(tmp_path / "r.json")]
+        else:
+            cands = tmp_path / "cands.jsonl"
+            beam = ["select [bogus] from [2-777-1]", "select [player] from [2-777-1]"]
+            cands.write_text("".join(json.dumps({"qid": i, "candidates": beam}) + "\n" for i in range(self.N)))
+            argv = ["eg", "--candidates", str(cands), "--out-selections", str(tmp_path / "s"),
+                    "--out-report", str(tmp_path / "r")]
+        assert main(argv + inputs) == 0
+        assert compose_calls == lfs
 
 
 class TestTableSqliteRefuses:
@@ -1456,7 +1581,7 @@ class TestOutputs:
         out = tmp_path / "out.jsonl"
         out.write_bytes(b"earlier run\n")
         assert main(["linearize", "--questions", str(questions), "--tables", str(tables), "--out", str(out)]) == 2
-        assert "record 1: gold does not validate" in capsys.readouterr().err
+        assert "record 1: gold does not compose: sel index out of range: 99" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier run\n"
         self._no_temporaries(tmp_path)
 

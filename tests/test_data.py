@@ -6,17 +6,15 @@ import pytest
 
 from textsql import (
     AGG_NAMES,
-    Condition,
+    ComposeError,
     DataFormatError,
-    LogicalForm,
     OP_NAMES,
-    QuestionRecord,
     Table,
+    compose,
     dump_tables,
     index_by_id,
     load_questions,
     load_tables,
-    validate_record,
 )
 
 from conftest import PLATES_ID, PLATES_QUESTION
@@ -145,53 +143,48 @@ class TestIndexById:
 
 
 class TestValidateRecord:
-    def rec(self, lf, table_id=PLATES_ID):
-        return QuestionRecord(phase=1, table_id=table_id, question="q", lf=lf)
+    """A record loaded from a questions file is a valid gold when its logical
+    form composes against its table: ``compose`` is the one rule."""
 
-    def test_reference_record_validates(self, plates_record, plates_table):
-        assert validate_record(plates_record, plates_table).ok
+    def rec(self, tmp_path, sel, agg, conds=()):
+        line = json.dumps(
+            {"phase": 1, "table_id": PLATES_ID, "question": "q", "sql": {"sel": sel, "agg": agg, "conds": list(conds)}}
+        )
+        (record,) = load_questions(write(tmp_path / "q.jsonl", line + "\n"))
+        return record
 
-    def test_sel_out_of_range(self, plates_table):
-        report = validate_record(self.rec(LogicalForm(sel=6, agg=0)), plates_table)
-        assert any("sel out of range" in v for v in report.violations)
+    def test_reference_record_validates(self, tmp_path, plates_table):
+        record = self.rec(tmp_path, 5, 0, [[3, 0, "SOUTH AUSTRALIA"]])
+        assert compose(record.lf, plates_table).sel_col == "notes"
 
-    def test_agg_out_of_range(self, plates_table):
-        report = validate_record(self.rec(LogicalForm(sel=0, agg=6)), plates_table)
-        assert any("agg out of range" in v for v in report.violations)
+    def test_sel_out_of_range(self, tmp_path, plates_table):
+        with pytest.raises(ComposeError, match="sel index out of range: 6"):
+            compose(self.rec(tmp_path, 6, 0).lf, plates_table)
 
-    def test_cond_column_out_of_range(self, plates_table):
-        lf = LogicalForm(sel=0, agg=0, conds=(Condition(99, 0, "x"),))
-        report = validate_record(self.rec(lf), plates_table)
-        assert any("column out of range" in v for v in report.violations)
+    def test_agg_out_of_range(self, tmp_path, plates_table):
+        with pytest.raises(ComposeError, match="agg index out of range: 6"):
+            compose(self.rec(tmp_path, 0, 6).lf, plates_table)
 
-    def test_cond_op_out_of_range(self, plates_table):
-        lf = LogicalForm(sel=0, agg=0, conds=(Condition(0, 4, "x"),))
-        report = validate_record(self.rec(lf), plates_table)
-        assert any("op out of range" in v for v in report.violations)
+    def test_cond_column_out_of_range(self, tmp_path, plates_table):
+        record = self.rec(tmp_path, 0, 0, [[99, 0, "x"]])
+        with pytest.raises(ComposeError, match="condition column out of range: 99"):
+            compose(record.lf, plates_table)
 
-    def test_op_three_is_legal_at_validation(self, plates_table):
+    def test_cond_op_out_of_range(self, tmp_path, plates_table):
+        record = self.rec(tmp_path, 0, 0, [[0, 4, "x"]])
+        with pytest.raises(ComposeError, match="operator index out of range: 4"):
+            compose(record.lf, plates_table)
+
+    def test_op_three_is_legal_at_validation(self, tmp_path, plates_table):
         # "OP" survives loading; only the composer refuses it.
-        lf = LogicalForm(sel=0, agg=0, conds=(Condition(0, 3, "x"),))
-        assert validate_record(self.rec(lf), plates_table).ok
-
-    def test_sum_on_text_column_flagged(self, plates_table):
-        report = validate_record(self.rec(LogicalForm(sel=0, agg=4)), plates_table)
-        assert any("aggregation/type mismatch" in v for v in report.violations)
+        record = self.rec(tmp_path, 0, 0, [[0, 3, "x"]])
+        assert record.lf.conds[0].op == 3
+        with pytest.raises(ComposeError, match="unsupported operator"):
+            compose(record.lf, plates_table)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_cond_value_flagged(self, plates_table, value):
-        lf = LogicalForm(sel=0, agg=0, conds=(Condition(1, 1, value),))
-        report = validate_record(self.rec(lf), plates_table)
-        assert report.violations == [f"cond 0: non-finite value: {value!r}"]
-
-    def test_finite_float_cond_value_ok(self, plates_table):
-        lf = LogicalForm(sel=0, agg=0, conds=(Condition(1, 1, 1e308),))
-        assert validate_record(self.rec(lf), plates_table).ok
-
-    def test_avg_on_real_column_ok(self, points_table):
-        rec = self.rec(LogicalForm(sel=2, agg=5), table_id=points_table.table_id)
-        assert validate_record(rec, points_table).ok
-
-    def test_table_mismatch_raises(self, plates_record, points_table):
-        with pytest.raises(ValueError, match="record table"):
-            validate_record(plates_record, points_table)
+    def test_non_finite_cond_value_flagged(self, tmp_path, plates_table, value):
+        record = self.rec(tmp_path, 0, 0, [[1, 1, value]])
+        with pytest.raises(ComposeError) as info:
+            compose(record.lf, plates_table)
+        assert str(info.value) == f"non-finite condition value: {value!r}"

@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
@@ -214,15 +215,15 @@ class TestExecutionAccuracy:
             "select [population] from [1-500-1] where [city] = 'norfolk'",
             "select count([population]) from [1-500-1] where [city] = 'richmond'",
         ]
-        golds = [GOLD] * 10
+        golds = [compose(GOLD, CITIES)] * 10
         records = [
             QuestionRecord(phase=1, table_id=CITIES.table_id, question=QUESTION, lf=GOLD)
         ] * 10
         return preds, golds, records
 
-    def test_counts_and_partition(self):
+    def test_counts_and_partition(self, cache):
         preds, golds, records = self._batch()
-        report = execution_accuracy(preds, golds, records, {CITIES.table_id: CITIES})
+        report = execution_accuracy(preds, golds, records, {CITIES.table_id: CITIES}, cache)
         assert report.n == 10
         assert report.exec_correct == 7
         assert report.exec_accuracy == 0.7
@@ -233,43 +234,66 @@ class TestExecutionAccuracy:
         assert sum(report.error_counts.values()) == report.n
         assert report.hallucination_count == 1
 
-    def test_execution_match_is_independent_of_sql_shape(self):
+    def test_execution_match_is_independent_of_sql_shape(self, cache):
         # Different statement, same result rows: scores as executable-correct
         # while the taxonomy still reports the slot disagreement.
         pred = "select [population] from [1-500-1] where [area] = 62.5"
         records = [QuestionRecord(phase=1, table_id=CITIES.table_id, question=QUESTION, lf=GOLD)]
-        report = execution_accuracy([pred], [GOLD], records, {CITIES.table_id: CITIES})
+        report = execution_accuracy([pred], [compose(GOLD, CITIES)], records, {CITIES.table_id: CITIES}, cache)
         assert report.exec_correct == 1
         assert report.count(CORRECT) == 0
         assert report.count(ErrorClass(Kind.WRONG, Slot.WHERE_COLUMN)) == 1
 
-    def test_or_tail_is_never_execution_correct(self):
+    def test_or_tail_is_never_execution_correct(self, cache):
         # Both rows have area > 0, so the engine would return gold's rows.
         gold = LogicalForm(sel=1, agg=0, conds=(Condition(2, 1, 0),))
         pred = "select [population] from [1-500-1] where [area] > 0 or 1=1"
         records = [QuestionRecord(phase=1, table_id=CITIES.table_id, question=QUESTION, lf=gold)]
-        report = execution_accuracy([pred], [gold], records, {CITIES.table_id: CITIES})
+        report = execution_accuracy([pred], [compose(gold, CITIES)], records, {CITIES.table_id: CITIES}, cache)
         assert report.exec_correct == 0
         assert report.count(PARSE_FAILURE) == 1
 
-    def test_empty_inputs(self):
-        report = execution_accuracy([], [], [], {})
+    def test_empty_inputs(self, cache):
+        report = execution_accuracy([], [], [], {}, cache)
         assert report.n == 0
         assert report.exec_accuracy == 0.0
         assert report.error_counts == {}
 
-    def test_misaligned_inputs_rejected(self):
+    def test_misaligned_inputs_rejected(self, cache):
         with pytest.raises(ValueError, match="misaligned"):
-            execution_accuracy([GOOD], [], [], {})
+            execution_accuracy([GOOD], [], [], {}, cache)
 
-    def test_missing_table_raises(self):
+    @pytest.mark.parametrize("n_golds", [0, 2])
+    def test_golds_misaligned_with_the_predictions_rejected(self, cache, n_golds):
+        preds, golds, records = self._batch()
+        with pytest.raises(ValueError, match="zip"):
+            execution_accuracy(preds[:1], golds[:n_golds], records[:1], {CITIES.table_id: CITIES}, cache)
+
+    def test_golds_are_read_in_step_with_the_predictions(self, cache):
+        """An iterator of golds is asked for gold i only once prediction
+        i - 1 is scored, so a gold that cannot be had stops the run there."""
+        preds, golds, records = self._batch()
+        asked = []
+
+        def lazy_golds():
+            for i, gold in enumerate(golds):
+                asked.append(i)
+                if i == 3:
+                    raise ValueError("gold 3 is bad")
+                yield gold
+
+        with pytest.raises(ValueError, match="gold 3 is bad"):
+            execution_accuracy(preds, lazy_golds(), records, {CITIES.table_id: CITIES}, cache)
+        assert asked == [0, 1, 2, 3]
+
+    def test_missing_table_raises(self, cache):
         records = [QuestionRecord(phase=1, table_id="9-9-9", question=QUESTION, lf=GOLD)]
         with pytest.raises(ValueError, match="9-9-9"):
-            execution_accuracy([GOOD], [GOLD], records, {})
+            execution_accuracy([GOOD], [compose(GOLD, CITIES)], records, {}, cache)
 
 
 class TestReportEmitters:
-    def _report(self):
+    def _report(self, cache):
         preds = [
             GOOD,
             "select [population] from [1-500-1] where [city] = 'norfolk'",
@@ -278,10 +302,10 @@ class TestReportEmitters:
         records = [
             QuestionRecord(phase=1, table_id=CITIES.table_id, question=QUESTION, lf=GOLD)
         ] * 3
-        return execution_accuracy(preds, [GOLD] * 3, records, {CITIES.table_id: CITIES})
+        return execution_accuracy(preds, [compose(GOLD, CITIES)] * 3, records, {CITIES.table_id: CITIES}, cache)
 
-    def test_dict_spells_out_the_slot_grid(self):
-        d = report_to_dict(self._report())
+    def test_dict_spells_out_the_slot_grid(self, cache):
+        d = report_to_dict(self._report(cache))
         assert d["n"] == 3
         assert d["counts"]["Correct"] == 1
         assert d["counts"]["ParseFailure"] == 1
@@ -296,13 +320,13 @@ class TestReportEmitters:
         )
         assert total == d["n"]
 
-    def test_json_round_trips(self):
-        text = report_to_json(self._report())
+    def test_json_round_trips(self, cache):
+        text = report_to_json(self._report(cache))
         assert text.endswith("\n")
-        assert json.loads(text) == report_to_dict(self._report())
+        assert json.loads(text) == report_to_dict(self._report(cache))
 
-    def test_table_lists_every_slot(self):
-        text = render_report_table(self._report())
+    def test_table_lists_every_slot(self, cache):
+        text = render_report_table(self._report(cache))
         for slot in SLOT_ORDER:
             assert slot.value in text
         lines = text.splitlines()
@@ -317,7 +341,8 @@ class TestClassifierProperties:
     def test_gold_render_classifies_correct(self, seed):
         rng = random.Random(seed)
         tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(1, 6))
-        gold = sample_logical_form(tab, rng, SamplerConfig())
+        with closing(TableCache()) as cache:
+            gold = sample_logical_form(tab, rng, SamplerConfig(), cache)
         stmt = compose(gold, tab)
         question = template_question(stmt, tab)
         assert classify_error(render(stmt), gold, tab, question) == CORRECT
@@ -344,17 +369,19 @@ def _planted_pred(stmt, rng):
 
 
 def _planted_batch(seed: int, n: int = 12):
-    """One random table plus ``n`` planted predictions with their golds."""
+    """One random table plus ``n`` planted predictions with their gold
+    logical forms."""
     rng = random.Random(seed)
     tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(1, 6))
     preds, golds, records = [], [], []
-    for _ in range(n):
-        gold = sample_logical_form(tab, rng, SamplerConfig())
-        stmt = compose(gold, tab)
-        question = template_question(stmt, tab)
-        preds.append(_planted_pred(stmt, rng))
-        golds.append(gold)
-        records.append(QuestionRecord(phase=1, table_id=tab.table_id, question=question, lf=gold))
+    with closing(TableCache()) as cache:
+        for _ in range(n):
+            gold = sample_logical_form(tab, rng, SamplerConfig(), cache)
+            stmt = compose(gold, tab)
+            question = template_question(stmt, tab)
+            preds.append(_planted_pred(stmt, rng))
+            golds.append(gold)
+            records.append(QuestionRecord(phase=1, table_id=tab.table_id, question=question, lf=gold))
     return tab, preds, golds, records
 
 
@@ -365,18 +392,21 @@ class TestSinglePassScoring:
         """execution_accuracy reads the flag off the classifier's label; the
         standalone flag stays the reference."""
         tab, preds, golds, records = _planted_batch(seed)
-        report = execution_accuracy(preds, golds, records, {tab.table_id: tab})
+        with closing(TableCache()) as cache:
+            report = execution_accuracy(preds, [compose(g, tab) for g in golds], records, {tab.table_id: tab}, cache)
         expected = sum(hallucination_flag(p, tab, r.question) for p, r in zip(preds, records))
         assert report.hallucination_count == expected
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_gold_composed_once_per_example(self, seed, monkeypatch):
-        """One compose per gold serves both its execution and the Wrong-slot
-        comparison; the labels still match classify_error's."""
+    def test_gold_composed_once_per_example(self, seed, monkeypatch, cache):
+        """The caller's composed gold serves both its execution and the
+        Wrong-slot comparison, and execution_accuracy composes nothing; the
+        labels still match classify_error's."""
         import textsql.evaluation as evaluation
 
         tab, preds, golds, records = _planted_batch(seed, n=20)
         expected = Counter(classify_error(p, g, tab, r.question) for p, g, r in zip(preds, golds, records))
+        gold_stmts = [compose(g, tab) for g in golds]
         calls = []
         real_compose = evaluation.compose
 
@@ -385,8 +415,8 @@ class TestSinglePassScoring:
             return real_compose(lf, t)
 
         monkeypatch.setattr(evaluation, "compose", counting_compose)
-        report = execution_accuracy(preds, golds, records, {tab.table_id: tab})
-        assert len(calls) <= len(preds)
+        report = execution_accuracy(preds, gold_stmts, records, {tab.table_id: tab}, cache)
+        assert calls == []
         assert report.error_counts == dict(expected)
 
     @given(st.integers(0, 10**6), st.sampled_from([" or 1=1", ";", " and 1=1", " limit 50", " -- x"]))
@@ -396,13 +426,15 @@ class TestSinglePassScoring:
         would return the gold rows for it."""
         rng = random.Random(seed)
         tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(1, 6))
-        gold = sample_logical_form(tab, rng, SamplerConfig())
-        text = render(compose(gold, tab))
-        record = QuestionRecord(phase=1, table_id=tab.table_id, question=text, lf=gold)
-        for pred in (text + tail, text[: rng.randrange(len(text))]):
-            report = execution_accuracy([pred], [gold], [record], {tab.table_id: tab})
-            if report.count(PARSE_FAILURE):
-                assert report.exec_correct == 0, pred
+        with closing(TableCache()) as cache:
+            gold = sample_logical_form(tab, rng, SamplerConfig(), cache)
+            gold_stmt = compose(gold, tab)
+            text = render(gold_stmt)
+            record = QuestionRecord(phase=1, table_id=tab.table_id, question=text, lf=gold)
+            for pred in (text + tail, text[: rng.randrange(len(text))]):
+                report = execution_accuracy([pred], [gold_stmt], [record], {tab.table_id: tab}, cache)
+                if report.count(PARSE_FAILURE):
+                    assert report.exec_correct == 0, pred
 
 
 # --- gold reuse against the scoring loops it replaced -------------------------
@@ -412,8 +444,7 @@ class TestSinglePassScoring:
 # reference: every prediction and tried candidate is executed and compared.
 
 
-def _oracle_execution_accuracy(preds, golds, records, tables, cache=None):
-    cache = cache if cache is not None else TableCache()
+def _oracle_execution_accuracy(preds, golds, records, tables, cache):
     exec_correct = 0
     halluc = 0
     counts = Counter()
@@ -446,8 +477,7 @@ def _oracle_execution_accuracy(preds, golds, records, tables, cache=None):
     )
 
 
-def _oracle_eg_select(cands, tab, cache=None):
-    cache = cache if cache is not None else TableCache()
+def _oracle_eg_select(cands, tab, cache):
     db = cache.get(tab)
     outcomes = []
     results = []
@@ -472,8 +502,7 @@ def _oracle_eg_select(cands, tab, cache=None):
     )
 
 
-def _oracle_eg_gain(pred_sets, golds, tables, cache=None):
-    cache = cache if cache is not None else TableCache()
+def _oracle_eg_gain(pred_sets, golds, tables, cache):
     correct_top1 = 0
     correct_eg = 0
     dropped = Counter()
@@ -557,25 +586,28 @@ class TestGoldReuse:
     def test_scores_match_executing_every_statement(self, seed):
         tab, preds, golds, records, pred_sets = _twin_batch(seed)
         tables = {tab.table_id: tab}
-        assert execution_accuracy(preds, golds, records, tables) == _oracle_execution_accuracy(
-            preds, golds, records, tables
-        )
-        assert eg_gain(pred_sets, golds, [tab] * len(golds)) == _oracle_eg_gain(
-            pred_sets, golds, [tab] * len(golds)
-        )
+        gold_stmts = [compose(g, tab) for g in golds]
+        with closing(TableCache()) as cache:
+            assert execution_accuracy(preds, gold_stmts, records, tables, cache) == _oracle_execution_accuracy(
+                preds, golds, records, tables, cache
+            )
+            assert eg_gain(pred_sets, gold_stmts, [tab] * len(golds), cache) == _oracle_eg_gain(
+                pred_sets, golds, [tab] * len(golds), cache
+            )
 
-    def test_twin_of_the_gold_is_executed(self):
+    def test_twin_of_the_gold_is_executed(self, cache):
         """On a text column 3.0 selects '3.0', not the gold's '3'."""
         tab = Table(table_id="1-3-1", headers=("A",), col_types=("text",), rows=(("3",), ("3.0",)))
         gold = LogicalForm(sel=0, agg=0, conds=(Condition(0, 0, 3),))
         record = QuestionRecord(phase=1, table_id=tab.table_id, question="which a is 3", lf=gold)
         twin = "select [a] from [1-3-1] where [a] = 3.0"
-        report = execution_accuracy([twin], [gold], [record], {tab.table_id: tab})
+        gold_stmt = compose(gold, tab)
+        report = execution_accuracy([twin], [gold_stmt], [record], {tab.table_id: tab}, cache)
         assert report.exec_correct == 0
-        assert eg_gain([CandidateList.from_texts([twin])], [gold], [tab]).correct_eg == 0
+        assert eg_gain([CandidateList.from_texts([twin])], [gold_stmt], [tab], cache).correct_eg == 0
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_gold_then_each_prediction_not_equal_to_it_executes(self, seed, monkeypatch):
+    def test_gold_then_each_prediction_not_equal_to_it_executes(self, seed, monkeypatch, cache):
         import textsql.evaluation as evaluation
 
         tab, preds, golds, records, _ = _twin_batch(seed, n=20)
@@ -587,7 +619,7 @@ class TestGoldReuse:
             return real_execute(stmt, db)
 
         monkeypatch.setattr(evaluation, "execute", counting_execute)
-        execution_accuracy(preds, golds, records, {tab.table_id: tab})
+        execution_accuracy(preds, [compose(g, tab) for g in golds], records, {tab.table_id: tab}, cache)
         expected = []
         for pred, gold in zip(preds, golds):
             stmt = parse(pred)

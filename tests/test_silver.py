@@ -67,47 +67,47 @@ class TestTemplateQuestion:
 
 
 class TestSampleLogicalForm:
-    def test_deterministic_given_seed(self, table_factory):
+    def test_deterministic_given_seed(self, table_factory, cache):
         tab = table_factory(random.Random(5))
         cfg = SamplerConfig()
-        a = sample_logical_form(tab, random.Random(11), cfg)
-        b = sample_logical_form(tab, random.Random(11), cfg)
+        a = sample_logical_form(tab, random.Random(11), cfg, cache)
+        b = sample_logical_form(tab, random.Random(11), cfg, cache)
         assert a == b
 
-    def test_empty_table_rejected(self):
+    def test_empty_table_rejected(self, cache):
         tab = Table("t-1", ("a",), ("text",), ())
         with pytest.raises(SamplerError):
-            sample_logical_form(tab, random.Random(0), SamplerConfig())
+            sample_logical_form(tab, random.Random(0), SamplerConfig(), cache)
 
-    def test_condition_count_bounds(self, table_factory):
+    def test_condition_count_bounds(self, table_factory, cache):
         tab = table_factory(random.Random(2))
         cfg = SamplerConfig(max_conds=2, allow_zero_conds=False)
         rng = random.Random(0)
-        counts = {len(sample_logical_form(tab, rng, cfg).conds) for _ in range(200)}
+        counts = {len(sample_logical_form(tab, rng, cfg, cache).conds) for _ in range(200)}
         assert counts == {1, 2}
 
-    def test_zero_conditions_allowed_by_default(self, table_factory):
+    def test_zero_conditions_allowed_by_default(self, table_factory, cache):
         tab = table_factory(random.Random(2))
         rng = random.Random(0)
-        counts = {len(sample_logical_form(tab, rng, SamplerConfig()).conds) for _ in range(200)}
+        counts = {len(sample_logical_form(tab, rng, SamplerConfig(), cache).conds) for _ in range(200)}
         assert counts == {0, 1, 2, 3}
 
-    def test_text_select_never_gets_sum_or_avg(self):
+    def test_text_select_never_gets_sum_or_avg(self, cache):
         tab = Table("t-1", ("name",), ("text",), (("alpha",), ("beta",)))
         rng = random.Random(0)
-        aggs = {sample_logical_form(tab, rng, SamplerConfig()).agg for _ in range(300)}
+        aggs = {sample_logical_form(tab, rng, SamplerConfig(), cache).agg for _ in range(300)}
         assert aggs == {0, 1, 2, 3}
 
-    def test_condition_values_are_actual_cells(self, table_factory):
+    def test_condition_values_are_actual_cells(self, table_factory, cache):
         tab = table_factory(random.Random(3), n_rows=5)
         rng = random.Random(1)
         for _ in range(100):
-            lf = sample_logical_form(tab, rng, SamplerConfig())
+            lf = sample_logical_form(tab, rng, SamplerConfig(), cache)
             for cond in lf.conds:
                 column = [row[cond.col] for row in tab.rows]
                 assert cond.value in column
 
-    def test_null_columns_are_avoided(self):
+    def test_null_columns_are_avoided(self, cache):
         tab = Table(
             "t-1",
             ("empty", "full"),
@@ -117,17 +117,17 @@ class TestSampleLogicalForm:
         cfg = SamplerConfig(max_conds=1, allow_zero_conds=False)
         rng = random.Random(0)
         for _ in range(50):
-            lf = sample_logical_form(tab, rng, cfg)
+            lf = sample_logical_form(tab, rng, cfg, cache)
             assert lf.conds[0].col == 1
 
     def test_zero_max_conds_with_zero_disallowed_refused(self):
         with pytest.raises(ValueError, match="no condition count"):
             SamplerConfig(max_conds=0, allow_zero_conds=False)
 
-    def test_zero_max_conds_samples_no_conditions(self, table_factory):
+    def test_zero_max_conds_samples_no_conditions(self, table_factory, cache):
         tab = table_factory(random.Random(2))
         rng = random.Random(0)
-        counts = {len(sample_logical_form(tab, rng, SamplerConfig(max_conds=0)).conds) for _ in range(50)}
+        counts = {len(sample_logical_form(tab, rng, SamplerConfig(max_conds=0), cache).conds) for _ in range(50)}
         assert counts == {0}
 
     def test_value_found_by_scan_when_every_draw_is_null(self):
@@ -142,11 +142,11 @@ class TestSampleLogicalForm:
         assert _sample_value(tab, 0, FirstRow(0)) == "only one"
         assert _sample_value(Table("t-2", ("a",), ("real",), ((None,), (float("nan"),))), 0, FirstRow(0)) is None
 
-    def test_all_null_table_rejected(self):
+    def test_all_null_table_rejected(self, cache):
         tab = Table("t-1", ("a",), ("text",), ((None,), (None,)))
         cfg = SamplerConfig(max_conds=1, allow_zero_conds=False)
         with pytest.raises(SamplerError, match="non-null"):
-            sample_logical_form(tab, random.Random(0), cfg)
+            sample_logical_form(tab, random.Random(0), cfg, cache)
 
 
 class TestNonFiniteCells:
@@ -154,18 +154,18 @@ class TestNonFiniteCells:
     it like a null: whether a run succeeds must not depend on the seed."""
 
     @pytest.mark.parametrize("seed", range(1, 9))
-    def test_never_drawn_as_a_condition_value(self, seed):
+    def test_never_drawn_as_a_condition_value(self, seed, cache):
         rows = tuple((f"p{i}", float("inf") if i == 7 else float(i)) for i in range(30))
         tab = Table("1-1", ("name", "score"), ("text", "real"), rows)
-        run = generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(seed), SamplerConfig())
+        run = generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(seed), SamplerConfig(), cache)
         assert len(run.examples) == 20
         assert all(c.value != float("inf") for ex in run.examples for c in ex.lf.conds)
 
-    def test_table_of_only_null_and_non_finite_cells_rejected(self):
+    def test_table_of_only_null_and_non_finite_cells_rejected(self, cache):
         tab = Table("t-1", ("a", "b"), ("real", "real"), ((float("nan"), None), (float("-inf"), float("inf"))))
         cfg = SamplerConfig(max_conds=1, allow_zero_conds=False)
         with pytest.raises(SamplerError, match="non-null finite"):
-            sample_logical_form(tab, random.Random(0), cfg)
+            sample_logical_form(tab, random.Random(0), cfg, cache)
 
 
 class TestGenerateSilver:
@@ -173,16 +173,16 @@ class TestGenerateSilver:
         rng = random.Random(seed)
         return [make_table(rng, n_rows=5) for _ in range(n)]
 
-    def test_yields_requested_count(self):
+    def test_yields_requested_count(self, cache):
         run = generate_silver(
-            self._tables(), 25, TemplateQuestionGenerator(), random.Random(0), SamplerConfig()
+            self._tables(), 25, TemplateQuestionGenerator(), random.Random(0), SamplerConfig(), cache
         )
         assert len(run.examples) == 25
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, cache):
         args = (self._tables(), 10, TemplateQuestionGenerator())
-        a = generate_silver(*args, random.Random(7), SamplerConfig())
-        b = generate_silver(*args, random.Random(7), SamplerConfig())
+        a = generate_silver(*args, random.Random(7), SamplerConfig(), cache)
+        b = generate_silver(*args, random.Random(7), SamplerConfig(), cache)
         assert a.examples == b.examples
         assert a.duplicates_kept == b.duplicates_kept
 
@@ -213,11 +213,11 @@ class TestGenerateSilver:
                 assert len(res.rows) >= 1
         cache.close()
 
-    def test_condition_values_appear_verbatim_in_question(self):
+    def test_condition_values_appear_verbatim_in_question(self, cache):
         tables = self._tables(seed=6)
         by_id = {t.table_id: t for t in tables}
         run = generate_silver(
-            tables, 40, TemplateQuestionGenerator(), random.Random(8), SamplerConfig()
+            tables, 40, TemplateQuestionGenerator(), random.Random(8), SamplerConfig(), cache
         )
         for ex in run.examples:
             stmt = compose(ex.lf, by_id[ex.table_id])
@@ -225,27 +225,27 @@ class TestGenerateSilver:
                 needle = value if isinstance(value, str) else str(value)
                 assert needle in ex.question or repr(value) in ex.question
 
-    def test_exhausted_statement_space_keeps_duplicates(self):
+    def test_exhausted_statement_space_keeps_duplicates(self, cache):
         tab = Table("t-1", ("n",), ("real",), ((1.0,),))
         cfg = SamplerConfig(max_conds=0)
-        run = generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(0), cfg)
+        run = generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(0), cfg, cache)
         assert len(run.examples) == 20
         # Only six distinct statements exist (one per aggregation slot).
         assert len({ex.sql_text for ex in run.examples}) == 6
         assert run.duplicates_kept == 14
 
-    def test_no_tables_rejected(self):
+    def test_no_tables_rejected(self, cache):
         with pytest.raises(SamplerError):
-            generate_silver([], 1, TemplateQuestionGenerator(), random.Random(0), SamplerConfig())
+            generate_silver([], 1, TemplateQuestionGenerator(), random.Random(0), SamplerConfig(), cache)
 
-    def test_empty_question_rejected(self):
+    def test_empty_question_rejected(self, cache):
         class SilentGenerator:
             def question_for(self, stmt, tab):
                 return ""
 
         with pytest.raises(SamplerError, match="empty question"):
             generate_silver(
-                self._tables(), 1, SilentGenerator(), random.Random(0), SamplerConfig()
+                self._tables(), 1, SilentGenerator(), random.Random(0), SamplerConfig(), cache
             )
 
 
@@ -347,7 +347,7 @@ class TestProbeMatchesMaterializedTable:
         oracle_cache.close()
         cache.close()
 
-    def test_generate_silver_materializes_nothing(self, monkeypatch):
+    def test_generate_silver_materializes_nothing(self, monkeypatch, cache):
         calls = {"materialize": 0, "probe": 0}
         real_materialize, real_probe = engine.materialize, TableCache.probe
 
@@ -363,7 +363,7 @@ class TestProbeMatchesMaterializedTable:
         monkeypatch.setattr(TableCache, "probe", counting_probe)
         rng = random.Random(3)
         tables = [make_table(rng, n_cols=4, n_rows=6) for _ in range(4)]
-        generate_silver(tables, 60, TemplateQuestionGenerator(), random.Random(1), SamplerConfig())
+        generate_silver(tables, 60, TemplateQuestionGenerator(), random.Random(1), SamplerConfig(), cache)
         assert calls["probe"] > 0
         assert calls["materialize"] == 0
 
@@ -378,8 +378,8 @@ class TestProbeMatchesMaterializedTable:
         assert not _cond_matches(tab, 0, 1, 5, cache)  # reopens after close
         cache.close()
 
-    def test_first_probe_refuses_a_bad_cell_in_another_column(self):
+    def test_first_probe_refuses_a_bad_cell_in_another_column(self, cache):
         # The probed real column is fine; the text column cannot be stored.
         tab = Table("t-1", ("n", "s"), ("real", "text"), ((1, "ok"), (5, "\ud800")))
         with pytest.raises(MaterializeError, match="surrogates not allowed"):
-            _cond_matches(tab, 0, 1, 1, TableCache())
+            _cond_matches(tab, 0, 1, 1, cache)

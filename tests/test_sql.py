@@ -1,12 +1,16 @@
 """Compose/render/parse round trips and the statement wire format."""
 
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textsql import (
+    AGG_NAMES,
+    OP_NAMES,
     ComposeError,
     Condition,
     LogicalForm,
@@ -23,10 +27,11 @@ from textsql import (
     render,
 )
 
+from textsql.data import AGG_AVG, AGG_SUM
 from textsql.normalize import NUMBER_RE
 from textsql.sql import RawStatement, _tokenize
 
-from conftest import PLATES_SQL
+from conftest import PLATES_SQL, make_table
 
 
 class TestQuoting:
@@ -94,6 +99,92 @@ class TestCompose:
         lf = LogicalForm(sel=0, agg=0, conds=(Condition(0, 0, True),))
         with pytest.raises(ComposeError, match="value type"):
             compose(lf, plates_table)
+
+    def test_finite_float_value_accepted(self, plates_table):
+        lf = LogicalForm(sel=0, agg=0, conds=(Condition(1, 1, 1e308),))
+        assert compose(lf, plates_table).conds[0][2] == 1e308
+
+    def test_integer_beyond_the_double_range_rejected(self, points_table):
+        # SQLite reads such a literal as infinity; converting it to a float
+        # to test it would overflow.
+        big = LogicalForm(sel=0, agg=0, conds=(Condition(2, 0, 10**400),))
+        with pytest.raises(ComposeError, match="beyond the double range: 1329 bits"):
+            compose(big, points_table)
+        edge = LogicalForm(sel=0, agg=0, conds=(Condition(2, 0, 2**1023),))
+        assert compose(edge, points_table).conds[0][2] == 2**1023
+
+    @pytest.mark.parametrize("agg", [AGG_SUM, AGG_AVG])
+    def test_sum_and_avg_on_a_text_column_rejected(self, plates_table, agg):
+        with pytest.raises(ComposeError, match=f"aggregation/type mismatch: {AGG_NAMES[agg]} on text column 0"):
+            compose(LogicalForm(sel=0, agg=agg), plates_table)
+
+    @pytest.mark.parametrize("agg", [AGG_SUM, AGG_AVG])
+    def test_sum_and_avg_on_a_real_column_accepted(self, points_table, agg):
+        assert render(compose(LogicalForm(sel=2, agg=agg), points_table)) == (
+            f"select {AGG_NAMES[agg]}([points]) from [2-777-1]"
+        )
+
+
+# Condition values of every kind a questions file can hold (a JSON string,
+# number, boolean, null or list), with NaN, the infinities and integers on
+# either side of the largest double.
+_ANY_VALUES = st.one_of(
+    st.text(max_size=6),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), int(sys.float_info.max), 2**1024]),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+def _composes(lf: LogicalForm, tab: Table) -> bool:
+    """The gold rule, stated independently of ``compose``."""
+    if not (0 <= lf.sel < tab.n_cols and 0 <= lf.agg < len(AGG_NAMES)):
+        return False
+    if lf.agg in (AGG_SUM, AGG_AVG) and tab.col_types[lf.sel] == "text":
+        return False
+    for cond in lf.conds:
+        value = cond.value
+        if not (0 <= cond.col < tab.n_cols and cond.op in (0, 1, 2)):
+            return False
+        if type(value) is not str and not (type(value) in (int, float) and _is_finite_double(value)):
+            return False
+    return True
+
+
+def _is_finite_double(number) -> bool:
+    try:
+        return math.isfinite(float(number))
+    except OverflowError:
+        return False
+
+
+class TestComposeIsTheGoldRule:
+    """``compose`` returns a statement exactly when a logical form is a
+    valid gold for its table, and otherwise raises ``ComposeError`` and no
+    other exception."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_composes_exactly_when_valid(self, data):
+        tab = make_table(random.Random(data.draw(st.integers(0, 10**6))), n_cols=data.draw(st.integers(1, 4)))
+
+        def index(n):  # one past each end of 0..n-1; for operators, 3 included
+            return data.draw(st.integers(-1, n))
+
+        conds = tuple(
+            Condition(index(tab.n_cols), index(len(OP_NAMES)), data.draw(_ANY_VALUES))
+            for _ in range(data.draw(st.integers(0, 3)))
+        )
+        lf = LogicalForm(sel=index(tab.n_cols), agg=index(len(AGG_NAMES)), conds=conds)
+        if _composes(lf, tab):
+            assert isinstance(compose(lf, tab), SqlStatement)
+        else:
+            with pytest.raises(ComposeError):
+                compose(lf, tab)
 
 
 class TestRender:
@@ -226,9 +317,11 @@ def statements(draw):
         rows=(),
     )
     n_conds = draw(st.integers(0, 3))
+    sel = draw(st.integers(0, n_cols - 1))
     lf = LogicalForm(
-        sel=draw(st.integers(0, n_cols - 1)),
-        agg=draw(st.integers(0, 5)),
+        sel=sel,
+        # sum and avg only on a real column.
+        agg=draw(st.integers(0, 5 if tab.col_types[sel] == "real" else 3)),
         conds=tuple(
             Condition(draw(st.integers(0, n_cols - 1)), draw(st.integers(0, 2)), draw(_VALUES))
             for _ in range(n_conds)
