@@ -42,21 +42,23 @@ MEDALS = Table(
     ),
 )
 
-workdir = Path(tempfile.mkdtemp())
-tables_path = workdir / "tables.jsonl"
-questions_path = workdir / "questions.jsonl"
+# The two input files live in a temporary directory, removed with them
+# once they are read.
+with tempfile.TemporaryDirectory() as workdir:
+    tables_path = Path(workdir) / "tables.jsonl"
+    questions_path = Path(workdir) / "questions.jsonl"
 
-# Tables serialize one JSON object per line and read back identically.
-tables_path.write_text(dump_tables([MEDALS]))
-tables = index_by_id(load_tables(tables_path))
-print("loaded tables:", sorted(tables))
+    # Tables serialize one JSON object per line and read back identically.
+    tables_path.write_text(dump_tables([MEDALS]))
+    tables = index_by_id(load_tables(tables_path))
+    print("loaded tables:", sorted(tables))
 
-# Questions carry the gold logical form as {sel, agg, conds} index triples.
-questions_path.write_text(
-    '{"phase": 1, "table_id": "1-demo-1", "question": "How many golds for Norway?",'
-    ' "sql": {"sel": 1, "agg": 4, "conds": [[0, 0, "Norway"]]}}\n'
-)
-record = load_questions(questions_path)[0]
+    # Questions carry the gold logical form as {sel, agg, conds} index triples.
+    questions_path.write_text(
+        '{"phase": 1, "table_id": "1-demo-1", "question": "How many golds for Norway?",'
+        ' "sql": {"sel": 1, "agg": 4, "conds": [[0, 0, "Norway"]]}}\n'
+    )
+    record = load_questions(questions_path)[0]
 print("question:", record.question)
 print("logical form:", record.lf)
 

@@ -7,6 +7,7 @@ appear verbatim. The result is cheap, valid, extraction-friendly data.
 """
 
 import random
+from itertools import islice
 
 from textsql import (
     Condition,
@@ -65,11 +66,14 @@ for _ in range(5):
 
 # generate_silver pairs each statement with its templated question and
 # de-duplicates identical statements by resampling (duplicates are kept,
-# but counted, once the retry budget runs out).
+# but counted, once the retry budget runs out). The run is lazy: each
+# example is sampled only when it is read, so a long run holds no examples,
+# and its duplicates_kept counts the examples read so far.
 run = generate_silver([CLIMATE], 8, TemplateQuestionGenerator(), random.Random(3), cfg, cache)
-print(f"generated {len(run.examples)} examples, {run.duplicates_kept} duplicates kept")
-for ex in run.examples[:4]:
+for ex in islice(run, 4):
     print("  Q:", ex.question)
     print("  A:", ex.sql_text)
+rest = sum(1 for _ in run)
+print(f"generated {4 + rest} examples, {run.duplicates_kept} duplicates kept")
 
 cache.close()

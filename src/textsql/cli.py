@@ -12,8 +12,6 @@ byte-identical; floats in text outputs are rounded to 12 significant
 digits. A command that fails writes no output file, whole or partial, and
 leaves any file already at an output path as it was: outputs are written
 beside their paths and put in place only once the command has succeeded.
-(``gate train`` saves its parameter blob and sidecar directly, before its
-metrics file is put in place.)
 
 Each flag is declared once, with its type, its range and its default. A
 value outside its flag's range (``--beam-width 0``, ``--lr 0``) is a usage
@@ -30,11 +28,24 @@ as it scores prediction *i*, so the first bad record in file order is the
 error reported, whatever its kind: an unknown table, a gold that does not
 compose, or a table the engine cannot hold.
 
-``eg`` reads its candidates file a block of lines at a time and scores each
-block before reading the next, so its memory grows with the questions and
-the tables, not with the candidates file. A bad line is therefore reported
-after the blocks before it ran, and an engine refusal in an earlier block is
-the error reported.
+``linearize``, ``silver``, ``eval`` and ``eg`` stream their records in
+blocks of one size: each reads a block (``silver`` samples one), handles it
+and writes its output lines before it reads the next. So memory grows with
+the tables, not with the records, except for what a command must keep:
+``eg`` holds the questions, which it looks up by qid, and ``silver`` the
+statements it has rendered, to de-duplicate them. The error reported is the
+first in block order, and within a block, reading comes before handling.
+A block is read whole (a malformed line) before any of its records is
+handled (an unknown table, a gold that does not compose, a table the engine
+cannot hold, in record order). So a bad record in an earlier block wins
+over a malformed line in a later one, and a malformed line wins over a bad
+record earlier in its own block. Bytes that are not UTF-8 are found as text
+is decoded, up to one 8 KiB chunk ahead of the line being read, so they can
+be reported a block early. ``silver`` checks every table before it samples
+any example. ``eval`` reads a block of predictions, then a block of
+questions; when one file ends before the other, that block is not scored,
+and the rest of the longer file is read to count it for the error ``N
+predictions for M records`` (so a malformed line there wins).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -49,8 +60,9 @@ import random
 import sys
 from collections import Counter
 from contextlib import ExitStack, closing, contextmanager, suppress
-from itertools import islice
+from itertools import islice, zip_longest
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .data import (
     DataError,
@@ -59,19 +71,20 @@ from .data import (
     _undecodable_line,
     index_by_id,
     iter_jsonl,
+    iter_questions,
     load_questions,
     load_tables,
 )
 from .eg import CandidateList, EgGainReport, eg_gain
 from .engine import TableCache
-from .evaluation import execution_accuracy, render_report_table, report_to_json
+from .evaluation import EvalReport, execution_accuracy, render_report_table, report_to_json
 from .gate import (
     CopyTaskConfig,
     grad_check,
     random_check_instance,
-    save_params,
     train_copy_model,
 )
+from .gate.model import encode_params, sidecar_path
 from .linearize import LinearizeConfig, build_example
 from .silver import SamplerConfig, TemplateQuestionGenerator, generate_silver
 from .sql import ComposeError, SqlStatement, compose, render
@@ -151,6 +164,36 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
+# Records per block for every command that streams its records (see the
+# module docstring). Memory holds one block of records and output lines, not
+# the file's; a block this size costs no throughput against the whole file
+# at once, where one record at a time does.
+_BLOCK_LINES = 256
+
+
+def _blocks(items: Iterable) -> Iterator[list]:
+    """Lists of up to ``_BLOCK_LINES`` consecutive items, in order; each is
+    read only when the one before it has been handled."""
+    it = iter(items)
+    while block := list(islice(it, _BLOCK_LINES)):
+        yield block
+
+
+def _iter_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file without their line ends, split as text
+    mode splits them: only a line feed, a carriage return or the two together
+    end one. An unreadable file or bytes that are not UTF-8 are a
+    ``DataError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                yield line.removesuffix("\n")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} line {_undecodable_line(path)} is not UTF-8 text ({exc.reason})") from exc
+
+
 # ----------------------------------------------------------------------
 # Flag types and the config file
 
@@ -216,12 +259,6 @@ def _require(args: argparse.Namespace, *names: str):
         raise UsageError(f"the following flags are required: {', '.join(missing)}")
 
 
-def _load_inputs(args: argparse.Namespace):
-    tables = index_by_id(load_tables(args.tables))
-    records = load_questions(args.questions)
-    return records, tables
-
-
 def _resolve(rec: QuestionRecord, tables: dict[str, Table], where: str = "") -> tuple[Table, SqlStatement]:
     """The table of ``rec`` and its gold composed against it. A gold that
     does not compose is a ``DataError`` whose message, like an unknown
@@ -243,7 +280,7 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     _require(args, "questions", "tables", "out")
     if args.mode == "baseline" and args.samples:
         raise UsageError("--samples requires --mode augmented")
-    records, tables = _load_inputs(args)
+    tables = index_by_id(load_tables(args.tables))
     lin_cfg = LinearizeConfig(
         include_types=args.mode == "augmented",
         sample_rows=args.samples,
@@ -253,19 +290,23 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     # Each table's part of the input, built on its first record.
     cache: dict = {}
-    skipped = 0
-    with _outputs(args.out) as (out,):
-        for i, rec in enumerate(records):
-            try:
-                tab, gold = _resolve(rec, tables)
-                ex = build_example(rec.question, tab, render(gold), lin_cfg, rng=rng, cache=cache)
-            except DataError as exc:
-                if not args.skip_bad:
-                    raise DataError(f"record {i}: {exc}") from exc
-                skipped += 1
-                continue
-            out.write(_json_line({"input": ex.input, "target": ex.target}))
-    written = len(records) - skipped
+    i = skipped = 0  # records read, records skipped
+    with closing(iter_questions(args.questions)) as records, _outputs(args.out) as (out,):
+        for block in _blocks(records):
+            lines = []
+            for _, rec in block:
+                try:
+                    tab, gold = _resolve(rec, tables)
+                    ex = build_example(rec.question, tab, render(gold), lin_cfg, rng=rng, cache=cache)
+                except DataError as exc:
+                    if not args.skip_bad:
+                        raise DataError(f"record {i}: {exc}") from exc
+                    skipped += 1
+                else:
+                    lines.append(_json_line({"input": ex.input, "target": ex.target}))
+                i += 1
+            out.writelines(lines)
+    written = i - skipped
     _log(f"linearize: wrote {written} examples to {args.out}" + (f" (skipped {skipped})" if skipped else ""))
     return 0
 
@@ -278,46 +319,52 @@ def _cmd_silver(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     tables = load_tables(args.tables)
     rng = random.Random(args.seed)
-    with closing(TableCache()) as cache:
+    with closing(TableCache()) as cache, _outputs(args.out) as (out,):
         run = generate_silver(tables, args.n, TemplateQuestionGenerator(), rng, sampler_cfg, cache)
-    rows = (
-        {
-            "phase": 99,
-            "table_id": ex.table_id,
-            "question": ex.question,
-            "sql": {
-                "sel": ex.lf.sel,
-                "agg": ex.lf.agg,
-                "conds": [[c.col, c.op, c.value] for c in ex.lf.conds],
-            },
-            "sql_text": ex.sql_text,
-        }
-        for ex in run.examples
-    )
-    with _outputs(args.out) as (out,):
-        out.writelines(map(_json_line, rows))
-    _log(f"silver: wrote {len(run.examples)} examples to {args.out} ({run.duplicates_kept} duplicates kept)")
+        for block in _blocks(run):
+            out.writelines(
+                _json_line(
+                    {
+                        "phase": 99,
+                        "table_id": ex.table_id,
+                        "question": ex.question,
+                        "sql": {
+                            "sel": ex.lf.sel,
+                            "agg": ex.lf.agg,
+                            "conds": [[c.col, c.op, c.value] for c in ex.lf.conds],
+                        },
+                        "sql_text": ex.sql_text,
+                    }
+                )
+                for ex in block
+            )
+    _log(f"silver: wrote {args.n} examples to {args.out} ({run.duplicates_kept} duplicates kept)")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "preds", "questions", "tables", "out_json")
-    try:
-        # Lines as text mode reads them: only \n, \r and \r\n end one.
-        with open(args.preds, encoding="utf-8") as fh:
-            preds = [line.removesuffix("\n") for line in fh]
-    except OSError as exc:
-        raise DataError(f"cannot read {args.preds}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        line = _undecodable_line(args.preds)
-        raise DataError(f"{args.preds} line {line} is not UTF-8 text ({exc.reason})") from exc
-    records, tables = _load_inputs(args)
-    if len(preds) != len(records):
-        raise DataError(f"{len(preds)} predictions for {len(records)} records")
-    # Each gold is composed as it is scored, so none is held.
-    golds = (_resolve(rec, tables, f"record {i}: ")[1] for i, rec in enumerate(records))
-    with closing(TableCache()) as cache:
-        report = execution_accuracy(preds, golds, records, tables, cache)
+    tables = index_by_id(load_tables(args.tables))
+    n = exec_correct = hallucinations = 0
+    counts: Counter = Counter()
+    with (
+        closing(TableCache()) as cache,
+        closing(_iter_lines(args.preds)) as preds,
+        closing(iter_questions(args.questions)) as entries,
+    ):
+        for texts, block in zip_longest(_blocks(preds), _blocks(entries), fillvalue=[]):
+            if len(texts) != len(block):
+                n_preds = n + len(texts) + sum(1 for _ in preds)
+                raise DataError(f"{n_preds} predictions for {n + len(block) + sum(1 for _ in entries)} records")
+            records = [rec for _, rec in block]
+            # Each gold is composed as it is scored, so none is held.
+            golds = (_resolve(rec, tables, f"record {i}: ")[1] for i, rec in enumerate(records, start=n))
+            part = execution_accuracy(texts, golds, records, tables, cache)
+            n += part.n
+            exec_correct += part.exec_correct
+            hallucinations += part.hallucination_count
+            counts.update(part.error_counts)
+    report = EvalReport.from_counts(n, exec_correct, counts, hallucinations)
     with _outputs(args.out_json, args.out_table) as (out_json, out_table):
         out_json.write(report_to_json(report))
         if out_table is not None:
@@ -326,15 +373,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-# Candidates lines ``eg`` scores per ``eg_gain`` call. Memory holds one block
-# of candidate lists and selections, not the file's; a block this size costs
-# no throughput against scoring the whole file at once.
-_EG_BLOCK_LINES = 256
-
-
 def _cmd_eg(args: argparse.Namespace) -> int:
     _require(args, "candidates", "questions", "tables", "out_selections", "out_report")
-    records, tables = _load_inputs(args)
+    tables = index_by_id(load_tables(args.tables))
+    records = load_questions(args.questions)
     n = correct_top1 = correct_eg = all_failed = 0
     dropped: Counter[str] = Counter()
     with (
@@ -342,7 +384,7 @@ def _cmd_eg(args: argparse.Namespace) -> int:
         closing(iter_jsonl(args.candidates)) as entries,
         _outputs(args.out_selections, args.out_report) as (out_selections, out_report),
     ):
-        while block := list(islice(entries, _EG_BLOCK_LINES)):
+        for block in _blocks(entries):
             pred_sets, golds, tabs = [], [], []
             for lineno, entry in block:
                 if "qid" not in entry or "candidates" not in entry:
@@ -436,13 +478,16 @@ def _cmd_gate_train(args: argparse.Namespace) -> int:
             "mean_p_ext_keyword": _round12(m.mean_p_ext_keyword),
         }
     )
-    # The parameters are saved inside the block, so a failed save leaves no
-    # metrics file.
-    with _outputs(args.out_metrics) as (out,):
+    sidecar = None if args.out_params is None else str(sidecar_path(args.out_params))
+    with _outputs(args.out_metrics, args.out_params, sidecar) as (out, blob_out, sidecar_out):
         out.writelines(map(_json_line, rows))
-        if args.out_params is not None:
-            save_params(result.model, args.out_params)
-            _log(f"gate train: params at {args.out_params}")
+        if blob_out is not None:
+            blob, sidecar_text = encode_params(result.model)
+            blob_out.flush()  # the blob's bytes bypass the text layer
+            blob_out.buffer.write(blob)
+            sidecar_out.write(sidecar_text)
+    if args.out_params is not None:
+        _log(f"gate train: params at {args.out_params}")
     _log(
         f"gate train: value copy accuracy {m.value_copy_accuracy:.3f} "
         f"(gated={not args.ablation}); metrics at {args.out_metrics}"

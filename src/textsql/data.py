@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 COLUMN_TYPES = ("text", "real")
 
@@ -116,7 +116,7 @@ class QuestionRecord:
             raise ValueError("question must be non-empty")
 
 
-def iter_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -240,9 +240,10 @@ def index_by_id(tables: Iterable[Table]) -> dict[str, Table]:
     return index
 
 
-def load_questions(path: str | Path) -> list[QuestionRecord]:
-    """Load a WikiSQL questions file, preserving file order."""
-    records: list[QuestionRecord] = []
+def iter_questions(path: str | Path) -> Iterator[tuple[int, QuestionRecord]]:
+    """The records of a WikiSQL questions file, each with its 1-based line
+    number, in file order. A line is read only when its record is asked
+    for, so a malformed line raises then."""
     for lineno, obj in iter_jsonl(path):
         phase = _require(obj, "phase", path, lineno)
         table_id = _require(obj, "table_id", path, lineno, str)
@@ -261,8 +262,12 @@ def load_questions(path: str | Path) -> list[QuestionRecord]:
             )
         except ValueError as exc:
             raise DataFormatError(str(exc), path, lineno) from exc
-        records.append(record)
-    return records
+        yield lineno, record
+
+
+def load_questions(path: str | Path) -> list[QuestionRecord]:
+    """Load a WikiSQL questions file, preserving file order."""
+    return [rec for _, rec in iter_questions(path)]
 
 
 def dump_tables(tables: Iterable[Table]) -> str:

@@ -188,6 +188,20 @@ class EvalReport:
     error_counts: dict[ErrorClass, int]
     hallucination_count: int
 
+    @classmethod
+    def from_counts(
+        cls, n: int, exec_correct: int, error_counts: Mapping[ErrorClass, int], hallucination_count: int
+    ) -> EvalReport:
+        """The report of ``n`` examples with these counts; the accuracy is an
+        exact fraction of ``n``, 0.0 when there are none."""
+        return cls(
+            n=n,
+            exec_correct=exec_correct,
+            exec_accuracy=exec_correct / n if n else 0.0,
+            error_counts=dict(error_counts),
+            hallucination_count=hallucination_count,
+        )
+
     def count(self, cls: ErrorClass) -> int:
         return self.error_counts.get(cls, 0)
 
@@ -236,14 +250,7 @@ def execution_accuracy(
         if not isinstance(stmt, ParseFailure):
             gold_res = execute(gold_stmt, db)
             exec_correct += results_equal(gold_res if stmt == gold_stmt else execute(stmt, db), gold_res)
-    n = len(preds)
-    return EvalReport(
-        n=n,
-        exec_correct=exec_correct,
-        exec_accuracy=exec_correct / n if n else 0.0,
-        error_counts=dict(counts),
-        hallucination_count=halluc,
-    )
+    return EvalReport.from_counts(len(preds), exec_correct, counts, halluc)
 
 
 def report_to_dict(report: EvalReport) -> dict:

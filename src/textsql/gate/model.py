@@ -250,21 +250,21 @@ class GateModel:
 # Serialization: a flat float64 blob plus a JSON sidecar describing it.
 
 
-def _sidecar_path(blob_path: Path) -> Path:
+def sidecar_path(blob_path: str | Path) -> Path:
+    """Where the sidecar of the blob at ``blob_path`` goes: beside it."""
+    blob_path = Path(blob_path)
     return blob_path.with_name(blob_path.name + ".json")
 
 
-def save_params(model: GateModel, blob_path: str | Path) -> Path:
-    """Write parameters to ``blob_path`` and a sidecar next to it.
+def encode_params(model: GateModel) -> tuple[bytes, str]:
+    """The blob's bytes and the sidecar's text for ``model``.
 
     The sidecar pins the format version, dtype, config, and the name, shape,
     and order of every array in the blob, so a load can verify byte layout.
     """
-    blob_path = Path(blob_path)
     names = sorted(model.params)
     arrays = [model.params[n].data for n in names]
     blob = np.concatenate([a.reshape(-1) for a in arrays]).astype(np.float64)
-    blob_path.write_bytes(blob.tobytes())
     sidecar = {
         "version": PARAMS_FORMAT_VERSION,
         "dtype": "float64",
@@ -272,8 +272,18 @@ def save_params(model: GateModel, blob_path: str | Path) -> Path:
         "config": asdict(model.cfg),
         "params": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
     }
-    path = _sidecar_path(blob_path)
-    path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    return blob.tobytes(), json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+
+
+def save_params(model: GateModel, blob_path: str | Path) -> Path:
+    """Write ``encode_params(model)`` to ``blob_path`` and its sidecar, and
+    return the sidecar's path. Each file is written in place, so a failed
+    sidecar write leaves the blob; ``gate train`` writes both through the
+    command line's writer instead."""
+    blob, text = encode_params(model)
+    Path(blob_path).write_bytes(blob)
+    path = sidecar_path(blob_path)
+    path.write_text(text)
     return path
 
 
@@ -285,7 +295,7 @@ def load_params(blob_path: str | Path) -> GateModel:
     """Rebuild a model from a blob written by :func:`save_params`."""
     blob_path = Path(blob_path)
     try:
-        sidecar = json.loads(_sidecar_path(blob_path).read_text(encoding="utf-8"))
+        sidecar = json.loads(sidecar_path(blob_path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParamsFormatError(f"cannot read sidecar for {blob_path}: {exc}") from exc
     if not isinstance(sidecar, dict):

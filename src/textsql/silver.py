@@ -10,6 +10,10 @@ equality, which always matches). A probe's literal comes from ``compose``'s
 rule for condition values, and the probe builds no statement object. No
 table is materialized.
 
+Generation is lazy: ``generate_silver`` returns an iterator that samples
+each example as it is read, so a run of any length holds no examples, only
+the set of statements it has rendered (for de-duplication).
+
 The neural question generator is out of scope here; the
 ``QuestionGenerator`` protocol is its seam and a deterministic template
 implementation stands in for it.
@@ -19,8 +23,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
+from typing import Iterator, Protocol
 
 from .data import (
     AGG_AVG,
@@ -185,12 +189,47 @@ class SilverExample:
     lf: LogicalForm
 
 
-@dataclass
 class SilverRun:
-    """Generated examples plus the run report."""
+    """The examples of one run, an iterator that samples each as it is
+    read, and ``duplicates_kept``: how many of those read so far are
+    duplicates kept once the resampling budget ran out. Made by
+    ``generate_silver``."""
 
-    examples: list[SilverExample] = field(default_factory=list)
-    duplicates_kept: int = 0
+    def __init__(
+        self,
+        tables: list[Table],
+        n: int,
+        qg: QuestionGenerator,
+        rng: random.Random,
+        cfg: SamplerConfig,
+        cache: TableCache,
+    ):
+        self.duplicates_kept = 0
+        self._examples = self._generate(tables, n, qg, rng, cfg, cache)
+
+    def __iter__(self) -> SilverRun:
+        return self
+
+    def __next__(self) -> SilverExample:
+        return next(self._examples)
+
+    def _generate(self, tables, n, qg, rng, cfg, cache) -> Iterator[SilverExample]:
+        seen: set[str] = set()
+        for _ in range(n):
+            for _attempt in range(_DEDUPE_RETRIES):
+                tab = tables[rng.randrange(len(tables))]
+                lf = sample_logical_form(tab, rng, cfg, cache)
+                stmt = compose(lf, tab)
+                sql_text = render(stmt)
+                if sql_text not in seen:
+                    break
+            else:
+                self.duplicates_kept += 1
+            seen.add(sql_text)
+            question = qg.question_for(stmt, tab)
+            if not question:
+                raise SamplerError("question generator returned an empty question")
+            yield SilverExample(question=question, sql_text=sql_text, table_id=tab.table_id, lf=lf)
 
 
 def generate_silver(
@@ -201,35 +240,21 @@ def generate_silver(
     cfg: SamplerConfig,
     cache: TableCache,
 ) -> SilverRun:
-    """Generate ``n`` silver (question, SQL, table) triples.
+    """Generate ``n`` silver (question, SQL, table) triples, lazily.
 
-    Tables are chosen uniformly. Identical rendered statements are
-    de-duplicated by resampling up to a retry bound, after which the
-    duplicate is kept and counted in the run report. A table the engine
-    cannot hold, by its names or by its cells, raises ``MaterializeError``
-    before any sampling, since no statement over it could execute.
+    The run is an iterator: each example is sampled, drawing from ``rng``
+    and probing in ``cache``, only when it is read, so the reader holds the
+    examples, not the run. What the run holds grows only with the set of
+    rendered statements seen. Tables are chosen uniformly. Identical
+    rendered statements are de-duplicated by resampling up to a retry
+    bound, after which the duplicate is kept and counted in the run's
+    ``duplicates_kept``. No tables, or a table the engine cannot hold, by
+    its names or by its cells, raises here, before any sampling, since no
+    statement over it could execute; an error in sampling raises when the
+    example that meets it is read.
     """
     if not tables:
         raise SamplerError("no tables to sample from")
     for tab in tables:
         cache.check(tab)
-    run = SilverRun()
-    seen: set[str] = set()
-    for _ in range(n):
-        for _attempt in range(_DEDUPE_RETRIES):
-            tab = tables[rng.randrange(len(tables))]
-            lf = sample_logical_form(tab, rng, cfg, cache)
-            stmt = compose(lf, tab)
-            sql_text = render(stmt)
-            if sql_text not in seen:
-                break
-        else:
-            run.duplicates_kept += 1
-        seen.add(sql_text)
-        question = qg.question_for(stmt, tab)
-        if not question:
-            raise SamplerError("question generator returned an empty question")
-        run.examples.append(
-            SilverExample(question=question, sql_text=sql_text, table_id=tab.table_id, lf=lf)
-        )
-    return run
+    return SilverRun(tables, n, qg, rng, cfg, cache)

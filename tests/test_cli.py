@@ -23,9 +23,10 @@ import textsql
 import textsql.cli
 import textsql.sql
 from textsql import Condition, LogicalForm, Table, compose, dump_tables, render
-from textsql.cli import _EG_BLOCK_LINES, build_parser, main
+from textsql.cli import _BLOCK_LINES, build_parser, main
 from textsql.data import index_by_id, load_questions, load_tables
 from textsql.eg import CandidateList, eg_gain
+from textsql.gate import load_params, save_params
 
 from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL, make_table
 
@@ -449,10 +450,11 @@ class TestSilver:
             return high
 
         per_example = (peak(2000) - peak(200)) / 1800
-        # What grows per example is the example itself and its statement in
-        # the de-duplication set, about 610 B here. Building every output
-        # row before writing the first made it about 1,140 B.
-        assert per_example < 800
+        # What grows per example is its statement in the de-duplication
+        # set, about 300 B here. Holding every example until the run ended
+        # made it about 620 B, and building every output row before writing
+        # the first about 1,140 B.
+        assert per_example < 400
 
     def test_silver_output_feeds_linearize(self, corpus, tmp_path):
         _, tables = corpus
@@ -639,7 +641,7 @@ class TestEgBlocks:
     """``eg`` scores its candidates file a block of lines at a time, but its
     outputs are those of one ``eg_gain`` call over the whole file."""
 
-    B = _EG_BLOCK_LINES
+    B = _BLOCK_LINES
     # Per question: the beam candidates a line draws from, clean and failing.
     POOLS = [
         [PLATES_SQL, "select [format] from [1-1000181-1]", "select [bogus] from [1-1000181-1]",
@@ -696,7 +698,7 @@ class TestEgBlocks:
         code, sel, rep = self._run(eg_corpus, tmp_path / "blocks", lines)
         assert code == 0
         # The same run with the whole file as one block: one eg_gain call.
-        monkeypatch.setattr(textsql.cli, "_EG_BLOCK_LINES", n + 1)
+        monkeypatch.setattr(textsql.cli, "_BLOCK_LINES", n + 1)
         code, sel_whole, rep_whole = self._run(eg_corpus, tmp_path / "whole", lines)
         assert code == 0
         assert sel.read_bytes() == sel_whole.read_bytes()
@@ -772,6 +774,247 @@ class TestEgBlocks:
         # Holding every candidate list and selection until the end made it
         # about 840 B.
         assert per_line < 500
+
+
+class TestStreamingBlocks:
+    """``linearize``, ``silver`` and ``eval`` stream their records a block at
+    a time, as ``eg`` does: their outputs are those of one block holding the
+    whole file, their memory does not grow with the records, and the error
+    reported is the first in the order the ``cli`` module docstring states."""
+
+    B = _BLOCK_LINES
+    # (table id, sel, agg, conds) per gold, and the predictions a line of
+    # that gold draws from, clean and failing.
+    GOLDS = [
+        (PLATES_ID, 5, 0, [[3, 0, "SOUTH AUSTRALIA"]]),
+        ("2-777-1", 2, 4, []),
+        ("2-777-1", 0, 0, [[2, 1, 2]]),
+        (PLATES_ID, 0, 3, []),
+    ]
+    POOLS = TestEgBlocks.POOLS
+
+    @pytest.fixture
+    def tables(self, tmp_path, plates_table, points_table):
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([plates_table, points_table]))
+        return tables
+
+    @staticmethod
+    def _record(table_id, sel, agg, conds):
+        return json.dumps({"phase": 1, "table_id": table_id, "question": "q south australia 2",
+                           "sql": {"sel": sel, "agg": agg, "conds": conds}})
+
+    def _inputs(self, n, seed=0):
+        """``n`` question lines and ``n`` prediction lines, aligned."""
+        rng = random.Random(seed)
+        kinds = [rng.randrange(len(self.GOLDS)) for _ in range(n)]
+        return [self._record(*self.GOLDS[k]) for k in kinds], [rng.choice(self.POOLS[k]) for k in kinds]
+
+    @staticmethod
+    def _write(work, questions, preds=()):
+        """The questions and predictions files, one line per item, in
+        ``work``."""
+        work.mkdir(exist_ok=True)
+        (work / "questions.jsonl").write_text("".join(line + "\n" for line in questions))
+        (work / "preds.txt").write_bytes(
+            b"".join((line if isinstance(line, bytes) else line.encode()) + b"\n" for line in preds)
+        )
+
+    @staticmethod
+    def _linearize(tables, work, *flags):
+        out = work / "lin.jsonl"
+        code = main(["linearize", "--questions", str(work / "questions.jsonl"), "--tables", str(tables),
+                     "--out", str(out), *flags])
+        return code, out
+
+    @staticmethod
+    def _eval(tables, work):
+        out_json, out_table = work / "r.json", work / "r.txt"
+        code = main(["eval", "--preds", str(work / "preds.txt"), "--questions", str(work / "questions.jsonl"),
+                     "--tables", str(tables), "--out-json", str(out_json), "--out-table", str(out_table)])
+        return code, out_json, out_table
+
+    @staticmethod
+    def _no_outputs(work, *outputs):
+        assert not any(path.exists() for path in outputs)
+        assert not [p for p in work.rglob("*") if p.name.endswith(".tmp")]
+
+    @staticmethod
+    def _peak(run):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = run()
+            _, high = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return high
+
+    @pytest.mark.parametrize("n", [0, B - 1, B, B + 1, 3 * B + 7], ids=["0", "B-1", "B", "B+1", "3B+7"])
+    def test_outputs_are_those_of_one_block(self, tables, tmp_path, monkeypatch, n):
+        self._write(tmp_path, *self._inputs(n))
+        flags = ["--mode", "augmented", "--samples", "1", "--dropout"]
+        code, lin = self._linearize(tables, tmp_path, *flags)
+        assert code == 0
+        code, out_json, out_table = self._eval(tables, tmp_path)
+        assert code == 0
+        outputs = lin.read_bytes(), out_json.read_bytes(), out_table.read_bytes()
+        monkeypatch.setattr(textsql.cli, "_BLOCK_LINES", n + 1)
+        assert self._linearize(tables, tmp_path, *flags)[0] == 0
+        assert self._eval(tables, tmp_path)[0] == 0
+        assert (lin.read_bytes(), out_json.read_bytes(), out_table.read_bytes()) == outputs
+        assert len(read_jsonl(lin)) == n
+        report = json.loads(out_json.read_text())
+        assert report["n"] == n
+        if n > self.B:  # the predictions mix outcomes
+            assert 0 < report["exec_correct"] < n and report["counts"]["ParseFailure"] > 0
+
+    def test_linearize_memory_does_not_grow_with_the_records(self, tables, tmp_path):
+        def peak(n):
+            work = tmp_path / str(n)
+            self._write(work, self._inputs(n)[0])
+            return self._peak(lambda: self._linearize(tables, work)[0])
+
+        n = 2 * self.B  # two blocks and more, so both runs hold a whole block
+        per_line = (peak(10 * n) - peak(n)) / (9 * n)
+        # Measured: about 3 B. Loading every record before writing the
+        # first line made it about 320 B.
+        assert per_line < 100
+
+    def test_eval_memory_does_not_grow_with_the_records(self, tables, tmp_path):
+        def peak(n):
+            work = tmp_path / str(n)
+            self._write(work, *self._inputs(n))
+            return self._peak(lambda: self._eval(tables, work)[0])
+
+        n = 2 * self.B
+        per_line = (peak(10 * n) - peak(n)) / (9 * n)
+        # Measured: about 35 B, the interpreter's free lists filling, which
+        # falls to about 10 B past 5,000 lines. Reading every prediction and
+        # record before scoring the first made it about 440 B.
+        assert per_line < 100
+
+    def test_linearize_bad_record_in_an_earlier_block_wins(self, tables, tmp_path, capsys):
+        questions, _ = self._inputs(3 * self.B + 7)
+        questions[3] = self._record(PLATES_ID, 99, 0, [])
+        questions[self.B + 5] = "{not json"
+        self._write(tmp_path, questions)
+        code, out = self._linearize(tables, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record 3: gold does not compose: sel index out of range: 99" in err and "JSON" not in err
+        self._no_outputs(tmp_path, out)
+
+    def test_linearize_malformed_line_beats_a_bad_record_earlier_in_its_block(self, tables, tmp_path, capsys):
+        questions, _ = self._inputs(3 * self.B + 7)
+        questions[self.B + 3] = self._record(PLATES_ID, 99, 0, [])
+        questions[self.B + 5] = "{not json"
+        self._write(tmp_path, questions)
+        code, out = self._linearize(tables, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"invalid JSON" in err and f"questions.jsonl:{self.B + 6})" in err and "record" not in err
+        self._no_outputs(tmp_path, out)
+
+    def test_eval_bad_gold_in_an_earlier_block_beats_a_misalignment(self, tables, tmp_path, capsys):
+        questions, preds = self._inputs(3 * self.B + 7)
+        questions[3] = self._record("9-9-9", 0, 0, [])
+        self._write(tmp_path, questions, preds + [PLATES_SQL])
+        code, out_json, out_table = self._eval(tables, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record 3: unknown table '9-9-9'" in err and "predictions for" not in err
+        self._no_outputs(tmp_path, out_json, out_table)
+
+    @pytest.mark.parametrize(
+        "n_preds, n_records", [(3 * B + 7, B + 2), (B + 2, 3 * B + 7), (2 * B, 2 * B + 1), (2 * B + 1, 2 * B), (0, 1)]
+    )
+    def test_eval_misalignment_counts_both_files(self, tables, tmp_path, capsys, n_preds, n_records):
+        questions, preds = self._inputs(max(n_preds, n_records))
+        self._write(tmp_path, questions[:n_records], preds[:n_preds])
+        code, out_json, out_table = self._eval(tables, tmp_path)
+        assert code == 2
+        assert f"data error: {n_preds} predictions for {n_records} records" in capsys.readouterr().err
+        self._no_outputs(tmp_path, out_json, out_table)
+
+    def test_eval_malformed_line_in_the_rest_beats_a_misalignment(self, tables, tmp_path, capsys):
+        questions, preds = self._inputs(3 * self.B + 7)
+        questions[3 * self.B] = json.dumps({"phase": 1, "table_id": PLATES_ID, "question": "q"})
+        self._write(tmp_path, questions, preds[: self.B + 1])
+        code, out_json, out_table = self._eval(tables, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"missing key 'sql'" in err and f"questions.jsonl:{3 * self.B + 1})" in err
+        self._no_outputs(tmp_path, out_json, out_table)
+
+    def test_eval_bad_gold_in_an_earlier_block_beats_bytes_that_are_not_utf8(self, tables, tmp_path, capsys):
+        questions, preds = self._inputs(4 * self.B)
+        questions[3] = self._record(PLATES_ID, 0, 0, [[0, 3, "x"]])
+        # Text is decoded a chunk ahead of the lines read; this line is
+        # far enough past the first block for that not to matter.
+        preds[3 * self.B + 5] = b"select \xff"
+        self._write(tmp_path, questions, preds)
+        code, out_json, out_table = self._eval(tables, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record 3: gold does not compose: unsupported operator" in err and "UTF-8" not in err
+        self._no_outputs(tmp_path, out_json, out_table)
+
+    def test_eval_bytes_that_are_not_utf8_in_a_later_block(self, tables, tmp_path, capsys):
+        questions, preds = self._inputs(4 * self.B)
+        preds[3 * self.B + 5] = b"select \xff"
+        self._write(tmp_path, questions, preds)
+        code, out_json, out_table = self._eval(tables, tmp_path)
+        assert code == 2
+        assert f"preds.txt line {3 * self.B + 6} is not UTF-8 text (invalid start byte)" in capsys.readouterr().err
+        self._no_outputs(tmp_path, out_json, out_table)
+
+    def test_eval_unreadable_predictions_file(self, tables, tmp_path, capsys):
+        questions, _ = self._inputs(3)
+        work = tmp_path / "w"
+        work.mkdir()
+        (work / "preds.txt").mkdir()
+        code = main(["eval", "--preds", str(work / "preds.txt"), "--questions", str(tables), "--tables", str(tables),
+                     "--out-json", str(work / "r.json")])
+        assert code == 2
+        assert f"cannot read {work / 'preds.txt'}: [Errno 21] Is a directory" in capsys.readouterr().err
+        self._no_outputs(work, work / "r.json")
+
+    def test_silver_engine_refusal_beats_any_sampling_error(self, tmp_path, capsys):
+        # Every table is checked before any example is sampled: the empty
+        # table would stop the first draw, but the colliding headers are
+        # the error reported.
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([Table("1-1-1", ("a",), ("text",), ()),
+                                       Table("1-2-3", ("A", "a"), ("text", "text"), (("x", "y"),))]))
+        out = tmp_path / "s.jsonl"
+        assert main(["silver", "--tables", str(tables), "--n", str(3 * self.B), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "table '1-2-3'" in err and "empty table" not in err
+        self._no_outputs(tmp_path, out)
+
+    def test_silver_stops_at_the_first_bad_example(self, tables, tmp_path, monkeypatch, capsys):
+        # Examples are sampled as they are read: a bad one in the second
+        # block ends the run before any later one is sampled.
+        calls = []
+        b = self.B
+
+        class Generator(textsql.cli.TemplateQuestionGenerator):
+            def question_for(self, stmt, tab):
+                calls.append(stmt)
+                if len(calls) == 2 * b + 1:
+                    raise AssertionError("sampled past the first bad example")
+                return "" if len(calls) == b + 5 else super().question_for(stmt, tab)
+
+        monkeypatch.setattr(textsql.cli, "TemplateQuestionGenerator", Generator)
+        out = tmp_path / "s.jsonl"
+        out.write_bytes(b"earlier run\n")
+        assert main(["silver", "--tables", str(tables), "--n", str(3 * self.B), "--out", str(out)]) == 2
+        assert "data error: question generator returned an empty question" in capsys.readouterr().err
+        assert len(calls) == self.B + 5
+        assert out.read_bytes() == b"earlier run\n"
+        self._no_outputs(tmp_path)
 
 
 class TestEgLoneSurrogate:
@@ -1305,8 +1548,6 @@ class TestGateTrain:
         assert read_jsonl(out)[-1]["gated"] is False
 
     def test_params_round_trip(self, tmp_path):
-        from textsql.gate import load_params
-
         out = tmp_path / "metrics.jsonl"
         params = tmp_path / "model.bin"
         code = main(["gate", "train", "--out-metrics", str(out),
@@ -1314,6 +1555,10 @@ class TestGateTrain:
         assert code == 0
         model = load_params(params)
         assert model.cfg.d_model == 8
+        # The bytes the library itself writes, through the command's writer.
+        sidecar = save_params(model, tmp_path / "again.bin")
+        assert params.read_bytes() == (tmp_path / "again.bin").read_bytes()
+        assert (tmp_path / "model.bin.json").read_bytes() == sidecar.read_bytes()
 
 
 class TestConfigFile:
@@ -1567,6 +1812,17 @@ class TestOutputs:
         assert not metrics.exists()
         self._no_temporaries(tmp_path)
 
+    def test_gate_train_with_a_directory_at_the_sidecar_path_writes_no_blob(self, tmp_path, capsys):
+        # The blob and its sidecar go through the writer with the metrics
+        # file: a sidecar that cannot be written leaves no orphan blob.
+        metrics, params = tmp_path / "metrics.jsonl", tmp_path / "p.bin"
+        (tmp_path / "p.bin.json").mkdir()
+        argv = ["gate", "train", "--out-metrics", str(metrics), "--out-params", str(params)]
+        assert main(argv + self.GATE_TRAIN) == 2
+        assert f"Is a directory: '{tmp_path / 'p.bin.json'}'" in capsys.readouterr().err
+        assert not params.exists() and not metrics.exists()
+        self._no_temporaries(tmp_path)
+
     def test_error_names_the_output_path_as_given(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["gate", "check", "--out", "nodir/report.json", "--seeds", "1"]) == 2
@@ -1588,7 +1844,7 @@ class TestOutputs:
     def test_files_at_eg_output_paths_unchanged_after_a_bad_line(self, corpus, tmp_path, monkeypatch):
         # One line per block: the first line's selection is written before
         # the second, bad line is read.
-        monkeypatch.setattr(textsql.cli, "_EG_BLOCK_LINES", 1)
+        monkeypatch.setattr(textsql.cli, "_BLOCK_LINES", 1)
         sel, rep = tmp_path / "sel.jsonl", tmp_path / "rep.json"
         sel.write_bytes(b"old selections\n")
         rep.write_bytes(b"old report\n")

@@ -16,6 +16,7 @@ from textsql import (
     load_questions,
     load_tables,
 )
+from textsql.data import iter_questions
 
 from conftest import PLATES_ID, PLATES_QUESTION
 
@@ -129,6 +130,43 @@ class TestLoadQuestions:
             load_questions(path)
         assert (info.value.path, info.value.line) == (str(path), 2)
         assert str(info.value).endswith(f"({path}:2)")
+
+
+class TestIterQuestions:
+    """``iter_questions`` is the one questions reader; ``load_questions`` is
+    its records in a list."""
+
+    GOOD = [
+        {"phase": 1, "table_id": PLATES_ID, "question": PLATES_QUESTION,
+         "sql": {"sel": 5, "agg": 0, "conds": [[3, 0, "SOUTH AUSTRALIA"]]}},
+        {"phase": 2, "table_id": "t-2", "question": "q2", "sql": {"sel": 1, "agg": 3, "conds": [[0, 1, 2.5], [1, 2, 7]]}},
+        {"phase": 3, "table_id": "t-3", "question": "q3", "sql": {"sel": 0, "agg": 0, "conds": []}},
+    ]
+
+    def test_same_records_as_load_questions_with_their_lines(self, tmp_path):
+        lines = [json.dumps(self.GOOD[0]), "", "  ", json.dumps(self.GOOD[1]), json.dumps(self.GOOD[2])]
+        path = write(tmp_path / "q.jsonl", "\n".join(lines) + "\n")
+        pairs = list(iter_questions(path))
+        assert [rec for _, rec in pairs] == load_questions(path)
+        assert [line for line, _ in pairs] == [1, 4, 5]  # blank lines are skipped, not renumbered
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["{not json", "[1]", json.dumps({"phase": 1, "table_id": "t", "question": "q"}),
+         json.dumps({"phase": 1, "table_id": "t", "question": "", "sql": {"sel": 0, "agg": 0, "conds": []}}),
+         json.dumps({"phase": 1, "table_id": "t", "question": "q", "sql": {"sel": 0, "agg": 0, "conds": [[0, True, 1]]}})],
+        ids=["invalid-json", "not-object", "missing-sql", "empty-question", "bool-operator"],
+    )
+    def test_malformed_line_named_alike_by_both(self, tmp_path, bad):
+        path = write(tmp_path / "q.jsonl", "".join(json.dumps(r) + "\n" for r in self.GOOD) + bad + "\n")
+        with pytest.raises(DataFormatError) as loaded:
+            load_questions(path)
+        records = iter_questions(path)
+        assert len([rec for _, rec in zip(range(3), records)]) == 3  # the good lines come first
+        with pytest.raises(DataFormatError) as streamed:
+            next(records)
+        assert str(streamed.value) == str(loaded.value)
+        assert (streamed.value.path, streamed.value.line) == (loaded.value.path, loaded.value.line) == (str(path), 4)
 
 
 class TestIndexById:

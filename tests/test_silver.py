@@ -3,6 +3,7 @@
 import random
 import sqlite3
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -157,9 +158,11 @@ class TestNonFiniteCells:
     def test_never_drawn_as_a_condition_value(self, seed, cache):
         rows = tuple((f"p{i}", float("inf") if i == 7 else float(i)) for i in range(30))
         tab = Table("1-1", ("name", "score"), ("text", "real"), rows)
-        run = generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(seed), SamplerConfig(), cache)
-        assert len(run.examples) == 20
-        assert all(c.value != float("inf") for ex in run.examples for c in ex.lf.conds)
+        examples = list(
+            generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(seed), SamplerConfig(), cache)
+        )
+        assert len(examples) == 20
+        assert all(c.value != float("inf") for ex in examples for c in ex.lf.conds)
 
     def test_table_of_only_null_and_non_finite_cells_rejected(self, cache):
         tab = Table("t-1", ("a", "b"), ("real", "real"), ((float("nan"), None), (float("-inf"), float("inf"))))
@@ -177,13 +180,23 @@ class TestGenerateSilver:
         run = generate_silver(
             self._tables(), 25, TemplateQuestionGenerator(), random.Random(0), SamplerConfig(), cache
         )
-        assert len(run.examples) == 25
+        assert len(list(run)) == 25
+        assert next(run, None) is None
+
+    def test_samples_each_example_as_it_is_read(self, cache):
+        args = (self._tables(), 10, TemplateQuestionGenerator())
+        whole = list(generate_silver(*args, random.Random(7), SamplerConfig(), cache))
+        rng = random.Random(7)
+        run = generate_silver(*args, rng, SamplerConfig(), cache)
+        assert rng.getstate() == random.Random(7).getstate()  # nothing drawn yet
+        assert list(islice(run, 3)) == whole[:3]
+        assert list(run) == whole[3:]
 
     def test_deterministic_given_seed(self, cache):
         args = (self._tables(), 10, TemplateQuestionGenerator())
         a = generate_silver(*args, random.Random(7), SamplerConfig(), cache)
         b = generate_silver(*args, random.Random(7), SamplerConfig(), cache)
-        assert a.examples == b.examples
+        assert list(a) == list(b)
         assert a.duplicates_kept == b.duplicates_kept
 
     def test_every_example_executes_cleanly(self):
@@ -193,7 +206,7 @@ class TestGenerateSilver:
         run = generate_silver(
             tables, 40, TemplateQuestionGenerator(), random.Random(2), SamplerConfig(), cache
         )
-        for ex in run.examples:
+        for ex in run:
             res = execute(ex.sql_text, cache.get(by_id[ex.table_id]))
             assert not res.is_error, res.error
         cache.close()
@@ -205,7 +218,7 @@ class TestGenerateSilver:
         run = generate_silver(
             tables, 40, TemplateQuestionGenerator(), random.Random(5), SamplerConfig(), cache
         )
-        for ex in run.examples:
+        for ex in run:
             tab = by_id[ex.table_id]
             for cond in ex.lf.conds:
                 probe = LogicalForm(sel=cond.col, agg=0, conds=(cond,))
@@ -219,7 +232,7 @@ class TestGenerateSilver:
         run = generate_silver(
             tables, 40, TemplateQuestionGenerator(), random.Random(8), SamplerConfig(), cache
         )
-        for ex in run.examples:
+        for ex in run:
             stmt = compose(ex.lf, by_id[ex.table_id])
             for _, _, value in stmt.conds:
                 needle = value if isinstance(value, str) else str(value)
@@ -229,9 +242,10 @@ class TestGenerateSilver:
         tab = Table("t-1", ("n",), ("real",), ((1.0,),))
         cfg = SamplerConfig(max_conds=0)
         run = generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(0), cfg, cache)
-        assert len(run.examples) == 20
+        examples = list(run)
+        assert len(examples) == 20
         # Only six distinct statements exist (one per aggregation slot).
-        assert len({ex.sql_text for ex in run.examples}) == 6
+        assert len({ex.sql_text for ex in examples}) == 6
         assert run.duplicates_kept == 14
 
     def test_no_tables_rejected(self, cache):
@@ -243,10 +257,9 @@ class TestGenerateSilver:
             def question_for(self, stmt, tab):
                 return ""
 
+        run = generate_silver(self._tables(), 1, SilentGenerator(), random.Random(0), SamplerConfig(), cache)
         with pytest.raises(SamplerError, match="empty question"):
-            generate_silver(
-                self._tables(), 1, SilentGenerator(), random.Random(0), SamplerConfig(), cache
-            )
+            next(run)
 
 
 class TestValidityProperty:
@@ -363,7 +376,8 @@ class TestProbeMatchesMaterializedTable:
         monkeypatch.setattr(TableCache, "probe", counting_probe)
         rng = random.Random(3)
         tables = [make_table(rng, n_cols=4, n_rows=6) for _ in range(4)]
-        generate_silver(tables, 60, TemplateQuestionGenerator(), random.Random(1), SamplerConfig(), cache)
+        run = generate_silver(tables, 60, TemplateQuestionGenerator(), random.Random(1), SamplerConfig(), cache)
+        assert len(list(run)) == 60
         assert calls["probe"] > 0
         assert calls["materialize"] == 0
 
