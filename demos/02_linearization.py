@@ -14,7 +14,6 @@ from textsql import (
     build_example,
     delinearize,
     linearize,
-    token_dropout,
 )
 
 PLAYERS = Table(
@@ -42,21 +41,20 @@ augmented = linearize(QUESTION, PLAYERS, aug_cfg)
 print("augmented (types + 2 sample cells per column):")
 print(" ", augmented)
 
-# Word dropout removes exactly one word per call, uniformly over question
-# and header words. Sentinels and the table id never disappear.
-drop_cfg = LinearizeConfig(dropout_enabled=True)
-print("dropout variants (one word gone in each):")
-for seed in range(3):
-    print(" ", token_dropout(baseline, random.Random(seed), drop_cfg))
-
 # build_example pairs the input with its target SQL text in one step.
-example = build_example(
-    QUESTION, PLAYERS, "select [points] from [2-demo-7] where [player] = 'antonio lang'",
-    LinearizeConfig(),
-)
+TARGET = "select [points] from [2-demo-7] where [player] = 'antonio lang'"
+example = build_example(QUESTION, PLAYERS, TARGET, LinearizeConfig())
 print("training pair:")
 print("  input: ", example.input)
 print("  target:", example.target)
+
+# With dropout enabled, build_example removes exactly one word per example,
+# uniformly over question and header words, drawn from a seeded random
+# source. Sentinels and the table id never disappear.
+drop_cfg = LinearizeConfig(dropout_enabled=True)
+print("dropout variants (one word gone in each):")
+for seed in range(3):
+    print(" ", build_example(QUESTION, PLAYERS, TARGET, drop_cfg, random.Random(seed)).input)
 
 # delinearize recovers the structured fields, including the per-column
 # samples of the augmented regime.

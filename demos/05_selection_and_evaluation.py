@@ -9,7 +9,6 @@ Wrong means every token is legitimate but a slot disagrees with gold.
 """
 
 from textsql import (
-    CandidateList,
     Condition,
     LogicalForm,
     QuestionRecord,
@@ -37,12 +36,13 @@ GOOD = "select [population] from [1-demo-5] where [city] = 'richmond'"
 cache = TableCache()
 
 # The top candidate names a column that does not exist; execution guidance
-# walks down the beam and picks the first candidate that runs.
-beam = CandidateList.from_texts([
+# walks down the beam (SQL texts, best first) and picks the first candidate
+# that runs.
+beam = [
     "select [inhabitants] from [1-demo-5] where [city] = 'richmond'",
     GOOD,
     "select [area] from [1-demo-5]",
-])
+]
 selection = eg_select(beam, CITIES, cache)
 print("tried, in rank order:")
 for outcome in selection.outcomes:
@@ -53,8 +53,7 @@ print("chosen:", selection.chosen_sql)
 # Over a batch, the gain is exact: integer counts, not rounded floats. Golds
 # arrive composed, so each is composed once however often it is scored.
 gold_stmt = compose(GOLD, CITIES)
-pred_sets = [beam, CandidateList.from_texts([GOOD])]
-report = eg_gain(pred_sets, [gold_stmt, gold_stmt], [CITIES, CITIES], cache)
+report = eg_gain([beam, [GOOD]], [gold_stmt, gold_stmt], [CITIES, CITIES], cache)
 print(f"top-1 accuracy {report.accuracy_top1} -> execution-guided {report.accuracy_eg}"
       f" (delta {report.delta})")
 

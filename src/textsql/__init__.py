@@ -22,7 +22,7 @@ from .data import (
     load_questions,
     load_tables,
 )
-from .eg import CandidateList, eg_gain, eg_select
+from .eg import eg_gain, eg_select
 from .engine import (
     ExecResult,
     MaterializeError,
@@ -48,9 +48,6 @@ from .linearize import (
     build_example,
     delinearize,
     linearize,
-    linearize_augmented,
-    linearize_baseline,
-    token_dropout,
 )
 from .normalize import cell_text, format_number, normalize_question, normalize_text
 from .silver import (
@@ -86,7 +83,6 @@ __all__ = [
     "index_by_id",
     "load_questions",
     "load_tables",
-    "CandidateList",
     "eg_gain",
     "eg_select",
     "ExecResult",
@@ -113,9 +109,6 @@ __all__ = [
     "build_example",
     "delinearize",
     "linearize",
-    "linearize_augmented",
-    "linearize_baseline",
-    "token_dropout",
     "SamplerConfig",
     "TemplateQuestionGenerator",
     "generate_silver",

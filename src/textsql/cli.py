@@ -8,8 +8,10 @@ verification and the synthetic copy task).
 
 Conventions shared by every subcommand: results go to files, never only to
 the console; every randomized step takes an explicit seed and reruns are
-byte-identical; floats in text outputs are rounded to 12 significant
-digits. A command that fails writes no output file, whole or partial, and
+byte-identical; figures a command computes (accuracies, the ``eg`` delta,
+losses, gradient errors) are rounded to 12 significant digits, while values
+read from the data (cells, condition values) are written as read. A
+command that fails writes no output file, whole or partial, and
 leaves any file already at an output path as it was: outputs are written
 beside their paths and put in place only once the command has succeeded.
 
@@ -75,7 +77,7 @@ from .data import (
     load_questions,
     load_tables,
 )
-from .eg import CandidateList, EgGainReport, eg_gain
+from .eg import EgGainReport, eg_gain
 from .engine import TableCache
 from .evaluation import EvalReport, execution_accuracy, render_report_table, report_to_json
 from .gate import (
@@ -86,6 +88,7 @@ from .gate import (
 )
 from .gate.model import encode_params, sidecar_path
 from .linearize import LinearizeConfig, build_example
+from .normalize import round12
 from .silver import SamplerConfig, TemplateQuestionGenerator, generate_silver
 from .sql import ComposeError, SqlStatement, compose, render
 
@@ -99,10 +102,6 @@ class _Parser(argparse.ArgumentParser):
     # UsageError so usage maps to exit code 1 and 2 stays for data errors.
     def error(self, message):
         raise UsageError(message)
-
-
-def _round12(x) -> float:
-    return float(f"{float(x):.12g}")
 
 
 # One encoder for every JSONL row; json.dumps would build one per call.
@@ -364,7 +363,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             exec_correct += part.exec_correct
             hallucinations += part.hallucination_count
             counts.update(part.error_counts)
-    report = EvalReport.from_counts(n, exec_correct, counts, hallucinations)
+    report = EvalReport(n, exec_correct, dict(counts), hallucinations)
     with _outputs(args.out_json, args.out_table) as (out_json, out_table):
         out_json.write(report_to_json(report))
         if out_table is not None:
@@ -385,7 +384,7 @@ def _cmd_eg(args: argparse.Namespace) -> int:
         _outputs(args.out_selections, args.out_report) as (out_selections, out_report),
     ):
         for block in _blocks(entries):
-            pred_sets, golds, tabs = [], [], []
+            beams, golds, tabs = [], [], []
             for lineno, entry in block:
                 if "qid" not in entry or "candidates" not in entry:
                     raise DataError(f"candidates line {lineno}: need keys 'qid' and 'candidates'")
@@ -397,9 +396,9 @@ def _cmd_eg(args: argparse.Namespace) -> int:
                     raise DataError(f"candidates line {lineno}: 'candidates' must be a non-empty list of strings")
                 tab, gold = _resolve(records[qid], tables, f"candidates line {lineno}: ")
                 tabs.append(tab)
-                pred_sets.append(CandidateList.from_texts(texts, beam_width=args.beam_width))
+                beams.append(texts[: args.beam_width])
                 golds.append(gold)
-            part = eg_gain(pred_sets, golds, tabs, cache)
+            part = eg_gain(beams, golds, tabs, cache)
             out_selections.writelines(
                 _json_line(
                     {
@@ -420,14 +419,14 @@ def _cmd_eg(args: argparse.Namespace) -> int:
             correct_eg += part.correct_eg
             all_failed += part.all_failed_count
             dropped.update(part.dropped_by_kind)
-        gain = EgGainReport.from_counts(n, correct_top1, correct_eg, dropped, all_failed)
+        gain = EgGainReport(n, correct_top1, correct_eg, dict(dropped), all_failed)
         report = {
             "n": gain.n,
             "correct_top1": gain.correct_top1,
             "correct_eg": gain.correct_eg,
-            "accuracy_top1": _round12(gain.accuracy_top1),
-            "accuracy_eg": _round12(gain.accuracy_eg),
-            "delta": _round12(gain.delta),
+            "accuracy_top1": round12(gain.accuracy_top1),
+            "accuracy_eg": round12(gain.accuracy_eg),
+            "delta": round12(gain.delta),
             "dropped_by_kind": gain.dropped_by_kind,
             "all_failed_count": gain.all_failed_count,
         }
@@ -445,9 +444,9 @@ def _cmd_gate_check(args: argparse.Namespace) -> int:
         result = grad_check(*random_check_instance(seed, **dims), epsilon=args.epsilon)
         overall = max(overall, result.max_rel_error)
         per_seed.append(
-            {"seed": seed, "max_rel_error": _round12(result.max_rel_error), "worst_param": result.worst_param}
+            {"seed": seed, "max_rel_error": round12(result.max_rel_error), "worst_param": result.worst_param}
         )
-    payload = {"epsilon": _round12(args.epsilon), **dims, "per_seed": per_seed, "max_rel_error": _round12(overall)}
+    payload = {"epsilon": round12(args.epsilon), **dims, "per_seed": per_seed, "max_rel_error": round12(overall)}
     with _outputs(args.out) as (out,):
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _log(f"gate check: max relative error {overall:.3e} over {args.seeds} seeds; report at {args.out}")
@@ -465,17 +464,17 @@ def _cmd_gate_train(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = train_copy_model(task_cfg, gated=not args.ablation, log_every=args.log_every)
-    rows: list[dict] = [{"step": step, "loss": _round12(loss)} for step, loss in result.history]
+    rows: list[dict] = [{"step": step, "loss": round12(loss)} for step, loss in result.history]
     m = result.metrics
     rows.append(
         {
             "final": True,
             "gated": not args.ablation,
             "n_examples": m.n_examples,
-            "value_copy_accuracy": _round12(m.value_copy_accuracy),
-            "sequence_exact_match": _round12(m.sequence_exact_match),
-            "mean_p_ext_value": _round12(m.mean_p_ext_value),
-            "mean_p_ext_keyword": _round12(m.mean_p_ext_keyword),
+            "value_copy_accuracy": round12(m.value_copy_accuracy),
+            "sequence_exact_match": round12(m.sequence_exact_match),
+            "mean_p_ext_value": round12(m.mean_p_ext_value),
+            "mean_p_ext_keyword": round12(m.mean_p_ext_keyword),
         }
     )
     sidecar = None if args.out_params is None else str(sidecar_path(args.out_params))

@@ -18,34 +18,6 @@ from .data import Table
 from .engine import ExecResult, TableCache, execute, results_equal
 from .sql import SqlStatement, parse
 
-DEFAULT_BEAM_WIDTH = 3
-
-
-@dataclass(frozen=True)
-class CandidateList:
-    """Ranked SQL candidates for one question.
-
-    ``candidates`` are SQL texts, best first; only the first ``beam_width``
-    take part in selection.
-    """
-
-    candidates: tuple[str, ...]
-    beam_width: int = DEFAULT_BEAM_WIDTH
-
-    def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("candidate list must be non-empty")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be at least 1")
-
-    @classmethod
-    def from_texts(cls, texts: Sequence[str], beam_width: int = DEFAULT_BEAM_WIDTH) -> "CandidateList":
-        """Wrap any sequence of texts, best first."""
-        return cls(tuple(texts), beam_width=beam_width)
-
-    def beam(self) -> tuple[str, ...]:
-        return self.candidates[: self.beam_width]
-
 
 def error_kind(message: str) -> str:
     """Coarse bucket for an execution error message."""
@@ -65,117 +37,111 @@ class CandidateOutcome:
 
     index: int
     sql_text: str
-    ok: bool
-    error: str | None
+    result: ExecResult
+
+    @property
+    def ok(self) -> bool:
+        return not self.result.is_error
+
+    @property
+    def error(self) -> str | None:
+        return self.result.error
 
     @property
     def kind(self) -> str | None:
-        return None if self.ok else error_kind(self.error or "")
+        return None if self.ok else error_kind(self.result.error or "")
 
 
 @dataclass(frozen=True, slots=True)
 class EgSelection:
-    chosen_sql: str
+    """The candidates tried for one beam, in order, and the one chosen: the
+    last tried when it executed, else the top one."""
+
     chosen_index: int
-    all_failed: bool
     outcomes: tuple[CandidateOutcome, ...]
-    chosen_result: ExecResult
+
+    @property
+    def chosen_sql(self) -> str:
+        return self.outcomes[self.chosen_index].sql_text
+
+    @property
+    def chosen_result(self) -> ExecResult:
+        return self.outcomes[self.chosen_index].result
+
+    @property
+    def all_failed(self) -> bool:
+        return not self.outcomes[-1].ok
 
 
 def eg_select(
-    cands: CandidateList,
+    beam: Sequence[str],
     tab: Table,
     cache: TableCache,
     *,
     gold: tuple[SqlStatement, ExecResult] | None = None,
 ) -> EgSelection:
-    """First candidate in the beam that executes without a runtime error.
+    """First candidate in ``beam`` (SQL texts, best first) that executes
+    without a runtime error.
 
     Each tried candidate is parsed once. Candidates after the winner are not
     executed. ``gold`` is a statement already executed on ``tab`` with its
     result: a candidate equal to it (the same rendered text, see
     ``SqlStatement``) takes that result object instead of running again. On
-    total failure the top candidate is returned with ``all_failed`` set and
-    its error result.
+    total failure the top candidate is chosen, with its error result. An
+    empty beam is a ``ValueError``.
     """
+    if not beam:
+        raise ValueError("beam must be non-empty")
     db = cache.get(tab)
     gold_stmt, gold_res = gold if gold is not None else (None, None)
     outcomes: list[CandidateOutcome] = []
-    results: list[ExecResult] = []
-    for i, sql_text in enumerate(cands.beam()):
+    for i, sql_text in enumerate(beam):
         stmt = parse(sql_text)
         res = gold_res if stmt == gold_stmt else execute(stmt, db)
-        results.append(res)
-        outcomes.append(CandidateOutcome(index=i, sql_text=sql_text, ok=not res.is_error, error=res.error))
+        outcomes.append(CandidateOutcome(i, sql_text, res))
         if not res.is_error:
-            return EgSelection(
-                chosen_sql=sql_text,
-                chosen_index=i,
-                all_failed=False,
-                outcomes=tuple(outcomes),
-                chosen_result=res,
-            )
-    return EgSelection(
-        chosen_sql=cands.candidates[0],
-        chosen_index=0,
-        all_failed=True,
-        outcomes=tuple(outcomes),
-        chosen_result=results[0],
-    )
+            return EgSelection(i, tuple(outcomes))
+    return EgSelection(0, tuple(outcomes))
 
 
 @dataclass(frozen=True)
 class EgGainReport:
     """Top-1 versus execution-guided accuracy on one example set.
 
-    Counts are integers so accuracy deltas derived from them are exact
-    fractions of n rather than differences of rounded floats.
+    Counts are integers so the accuracies and their delta are exact
+    fractions of ``n``, 0.0 when there are no examples.
     """
 
     n: int
     correct_top1: int
     correct_eg: int
-    accuracy_top1: float
-    accuracy_eg: float
-    delta: float
     dropped_by_kind: dict[str, int]
     all_failed_count: int
-    selections: tuple[EgSelection, ...]
+    selections: tuple[EgSelection, ...] = ()
 
-    @classmethod
-    def from_counts(
-        cls,
-        n: int,
-        correct_top1: int,
-        correct_eg: int,
-        dropped: Counter[str],
-        all_failed_count: int,
-        selections: tuple[EgSelection, ...] = (),
-    ) -> "EgGainReport":
-        """The report of ``n`` examples with these counts; accuracies and the
-        delta are exact fractions of ``n``, 0.0 when there are none."""
-        return cls(
-            n=n,
-            correct_top1=correct_top1,
-            correct_eg=correct_eg,
-            accuracy_top1=correct_top1 / n if n else 0.0,
-            accuracy_eg=correct_eg / n if n else 0.0,
-            delta=(correct_eg - correct_top1) / n if n else 0.0,
-            dropped_by_kind=dict(sorted(dropped.items())),
-            all_failed_count=all_failed_count,
-            selections=selections,
-        )
+    @property
+    def accuracy_top1(self) -> float:
+        return self.correct_top1 / self.n if self.n else 0.0
+
+    @property
+    def accuracy_eg(self) -> float:
+        return self.correct_eg / self.n if self.n else 0.0
+
+    @property
+    def delta(self) -> float:
+        return (self.correct_eg - self.correct_top1) / self.n if self.n else 0.0
 
 
 def eg_gain(
-    pred_sets: Sequence[CandidateList],
+    beams: Sequence[Sequence[str]],
     golds: Sequence[SqlStatement],
     tables: Sequence[Table],
     cache: TableCache,
 ) -> EgGainReport:
     """Score top-1 and execution-guided choices against gold executions.
 
-    ``golds`` are composed golds. All three sequences align index by index
+    ``beams`` hold each example's candidate texts, best first; ``golds``
+    are composed golds. All three sequences align index by index
     (one table per example; repeats are fine, the cache materializes each
     table once).
     Each gold is executed once and each beam is selected over once, with
@@ -185,8 +151,8 @@ def eg_gain(
     correct exactly when it executed and the selection is correct. The
     selections are returned in input order.
     """
-    if len(pred_sets) != len(golds):
-        raise ValueError(f"got {len(pred_sets)} candidate lists for {len(golds)} golds")
+    if len(beams) != len(golds):
+        raise ValueError(f"got {len(beams)} beams for {len(golds)} golds")
     if len(tables) != len(golds):
         raise ValueError(f"got {len(tables)} tables for {len(golds)} golds")
     correct_top1 = 0
@@ -194,9 +160,9 @@ def eg_gain(
     dropped: Counter[str] = Counter()
     all_failed = 0
     selections = []
-    for cands, gold_stmt, tab in zip(pred_sets, golds, tables):
+    for beam, gold_stmt, tab in zip(beams, golds, tables):
         gold_res = execute(gold_stmt, cache.get(tab))
-        selection = eg_select(cands, tab, cache, gold=(gold_stmt, gold_res))
+        selection = eg_select(beam, tab, cache, gold=(gold_stmt, gold_res))
         selections.append(selection)
         eg_ok = results_equal(selection.chosen_result, gold_res)
         correct_top1 += eg_ok and selection.outcomes[0].ok
@@ -205,6 +171,6 @@ def eg_gain(
         for outcome in selection.outcomes:
             if not outcome.ok:
                 dropped[outcome.kind] += 1
-    return EgGainReport.from_counts(
-        len(golds), correct_top1, correct_eg, dropped, all_failed, tuple(selections)
+    return EgGainReport(
+        len(golds), correct_top1, correct_eg, dict(sorted(dropped.items())), all_failed, tuple(selections)
     )

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .data import LogicalForm, QuestionRecord, Table
 from .engine import TableCache, execute, results_equal
-from .normalize import format_number, normalize_question, normalize_text
+from .normalize import format_number, normalize_question, normalize_text, round12
 from .sql import ParseFailure, RawStatement, SqlStatement, compose, parse_raw, resolve
 
 
@@ -179,28 +179,17 @@ class EvalReport:
 
     ``error_counts`` partitions the examples: Correct, ParseFailure, and the
     Invalid/Wrong slots sum to n. ``exec_correct`` is kept as an integer so
-    derived fractions stay exact.
+    ``exec_accuracy`` is an exact fraction of n, 0.0 when there are none.
     """
 
     n: int
     exec_correct: int
-    exec_accuracy: float
     error_counts: dict[ErrorClass, int]
     hallucination_count: int
 
-    @classmethod
-    def from_counts(
-        cls, n: int, exec_correct: int, error_counts: Mapping[ErrorClass, int], hallucination_count: int
-    ) -> EvalReport:
-        """The report of ``n`` examples with these counts; the accuracy is an
-        exact fraction of ``n``, 0.0 when there are none."""
-        return cls(
-            n=n,
-            exec_correct=exec_correct,
-            exec_accuracy=exec_correct / n if n else 0.0,
-            error_counts=dict(error_counts),
-            hallucination_count=hallucination_count,
-        )
+    @property
+    def exec_accuracy(self) -> float:
+        return self.exec_correct / self.n if self.n else 0.0
 
     def count(self, cls: ErrorClass) -> int:
         return self.error_counts.get(cls, 0)
@@ -250,7 +239,7 @@ def execution_accuracy(
         if not isinstance(stmt, ParseFailure):
             gold_res = execute(gold_stmt, db)
             exec_correct += results_equal(gold_res if stmt == gold_stmt else execute(stmt, db), gold_res)
-    return EvalReport.from_counts(len(preds), exec_correct, counts, halluc)
+    return EvalReport(len(preds), exec_correct, dict(counts), halluc)
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -262,7 +251,7 @@ def report_to_dict(report: EvalReport) -> dict:
     return {
         "n": report.n,
         "exec_correct": report.exec_correct,
-        "exec_accuracy": float(f"{report.exec_accuracy:.12g}"),
+        "exec_accuracy": round12(report.exec_accuracy),
         "hallucination_count": report.hallucination_count,
         "counts": {
             "Correct": report.count(CORRECT),

@@ -72,21 +72,6 @@ class LinearizedExample:
     target: str
 
 
-def linearize_baseline(question: str, tab: Table, cfg: LinearizeConfig) -> str:
-    """Question, table id, and column names only."""
-    if cfg.include_types:
-        raise LinearizeError("baseline mode requires include_types=False and sample_rows=0")
-    return linearize(question, tab, cfg)
-
-
-def linearize_augmented(question: str, tab: Table, cfg: LinearizeConfig) -> str:
-    """Column names interleaved with type tags and, per column, cell values
-    from the first ``sample_rows`` rows (clamped to the row count)."""
-    if not cfg.include_types:
-        raise LinearizeError("augmented mode requires include_types=True")
-    return linearize(question, tab, cfg)
-
-
 def linearize(question: str, tab: Table, cfg: LinearizeConfig) -> str:
     """The model input for ``question`` over ``tab``, in the regime ``cfg``
     sets: the baseline one without type tags, the augmented one with them."""
@@ -157,30 +142,6 @@ def _drop_one(question: str, table_text: tuple[str, array, array], rng: random.R
     return LinearizeConfig.bos + question + text[:start] + " ".join(words) + text[end:]
 
 
-def _split_fields(text: str, cfg: LinearizeConfig) -> list[str]:
-    if not text.startswith(cfg.bos) or not text.endswith(cfg.eos):
-        raise LinearizeError("input does not carry the bos/eos markers")
-    body = text[len(cfg.bos) : len(text) - len(cfg.eos)]
-    return body.split(cfg.sep)
-
-
-def token_dropout(text: str, rng: random.Random, cfg: LinearizeConfig) -> str:
-    """Remove exactly one droppable token, chosen uniformly.
-
-    A droppable token is a whitespace-delimited word outside the table-id
-    field; bos/sep/eos and the table id are preserved, and the other fields
-    come back with their whitespace runs collapsed to one space. The draw is
-    one ``rng.randrange`` over the droppable words; with none, no draw is
-    made and the input is returned unchanged. Deterministic given the rng
-    state. The fields are found by splitting on the sep marker, so a
-    question or header that holds the marker's text shifts them;
-    ``build_example`` drops from the fields before they are joined.
-    """
-    fields = _split_fields(text, cfg)
-    dropped = _drop_one(" ".join(fields[0].split()), _table_text(fields[1:], collapse=True), rng)
-    return text if dropped is None else dropped
-
-
 @dataclass(frozen=True)
 class LinearizedFields:
     """Structured view recovered from a linearized string."""
@@ -200,7 +161,9 @@ def delinearize(text: str, cfg: LinearizeConfig, k: int | None = None) -> Linear
     ``cfg.sample_rows``. Recovery assumes the question contains no sep
     token; callers flag records violating that.
     """
-    fields = _split_fields(text, cfg)
+    if not text.startswith(cfg.bos) or not text.endswith(cfg.eos):
+        raise LinearizeError("input does not carry the bos/eos markers")
+    fields = text[len(cfg.bos) : len(text) - len(cfg.eos)].split(cfg.sep)
     if len(fields) < 2:
         raise LinearizeError("expected at least a question and a table id")
     question, table_id, rest = fields[0], fields[1], fields[2:]

@@ -37,6 +37,13 @@ def format_number(x: int | float) -> str:
     return repr(x)
 
 
+def round12(x: float) -> float:
+    """A figure a command computes (an accuracy, a loss, a gradient error)
+    as its output writes it: rounded to 12 significant digits. Values read
+    from the data are written as read."""
+    return float(f"{float(x):.12g}")
+
+
 def cell_text(value: object) -> str:
     """Textual form of a table cell or condition value (lowercased strings)."""
     if isinstance(value, str):

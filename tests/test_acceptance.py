@@ -39,7 +39,6 @@ import numpy as np
 import pytest
 
 from textsql import (
-    CandidateList,
     Condition,
     ErrorClass,
     Kind,
@@ -56,7 +55,7 @@ from textsql import (
     eg_select,
     execute,
     execution_accuracy,
-    linearize_baseline,
+    linearize,
     load_questions,
     load_tables,
     index_by_id,
@@ -211,7 +210,7 @@ class TestCriterion5ExecutionGuidance:
                 texts = [f"select [not a column] from [{tab.table_id}]", good]
             else:
                 texts = [good, f"select [not a column] from [{tab.table_id}]"]
-            pred_sets.append(CandidateList.from_texts(texts))
+            pred_sets.append(texts)
             golds.append(gold)
             tables.append(tab)
         return pred_sets, golds, tables
@@ -327,7 +326,7 @@ class TestCriterion6Taxonomy:
 
 class TestCriterion7DatasetScale:
     def test_reference_linearization_golden(self, announce, plates_table):
-        got = linearize_baseline(PLATES_QUESTION, plates_table, LinearizeConfig())
+        got = linearize(PLATES_QUESTION, plates_table, LinearizeConfig())
         ok = got == PLATES_BASELINE
         announce(7, ok, "reference linearization matches its golden string byte for byte"
                         if ok else f"golden mismatch: {got!r}")

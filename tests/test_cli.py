@@ -25,7 +25,7 @@ import textsql.sql
 from textsql import Condition, LogicalForm, Table, compose, dump_tables, render
 from textsql.cli import _BLOCK_LINES, build_parser, main
 from textsql.data import index_by_id, load_questions, load_tables
-from textsql.eg import CandidateList, eg_gain
+from textsql.eg import eg_gain
 from textsql.gate import load_params, save_params
 
 from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL, make_table
@@ -271,6 +271,145 @@ class TestSilverGoldenBytes:
         out = tmp_path / "out.jsonl"
         assert main(["silver", "--tables", str(tables), "--n", "60", "--out", str(out)] + flags) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_SCORE_TABLES = [
+    {
+        "id": "5-gold",
+        "header": ["City", "Pop", "Area", "Note"],
+        "types": ["text", "real", "real", "text"],
+        "rows": [["Richmond", 3, -0.0, "x"], ["Hampton", 3.0, 2.5, ""], ["Oak  Park", 7, 0.0, None]],
+    },
+    {"id": "6-empty", "header": ["Only Col"], "types": ["real"], "rows": []},
+]
+
+_SCORE_RECORDS = [
+    ("5-gold", "What is the pop of Richmond?", 1, 0, [[0, 0, "Richmond"]]),
+    ("5-gold", "What is the pop of Hampton, not Richmond, with area 2.5?", 1, 0, [[0, 0, "Hampton"]]),
+    ("5-gold", "How many cities have a pop of 3 ?", 0, 3, [[1, 0, 3]]),
+    ("5-gold", "Which city has an area of -0.0 or 0 ?", 0, 0, [[2, 0, -0.0]]),
+    ("6-empty", "how many only col values", 0, 3, []),
+    ("5-gold", "which note for the city nowhere", 3, 0, [[0, 0, "Nowhere"]]),
+]
+
+# The gold of record 0, rendered.
+_GOLD0 = "select [pop] from [5-gold] where [city] = 'richmond'"
+
+# (record, prediction): every taxonomy class, a prediction equal to its gold,
+# empty results, 3 against 3.0, -0.0 against 0 and an unknown table.
+_EVAL_PAIRS = [
+    (0, _GOLD0),
+    (0, "select [pop] from"),
+    (0, "complete nonsense"),
+    (0, "select median([pop]) from [5-gold] where [city] = 'richmond'"),
+    (0, "select [mayor] from [5-gold] where [city] = 'richmond'"),
+    (0, "select [pop] from [5-gold] where [mayor] = 'richmond'"),
+    (0, "select [pop] from [5-gold] where [city] >= 'richmond'"),
+    (0, "select [pop] from [5-gold] where [city] = 'norfolk'"),
+    (0, "select count([pop]) from [5-gold] where [city] = 'richmond'"),
+    (0, "select [area] from [5-gold] where [city] = 'richmond'"),
+    (0, "select [pop] from [nope] where [city] = 'richmond'"),
+    (1, "select [pop] from [5-gold] where [area] = 2.5"),
+    (1, "select [pop] from [5-gold] where [city] = 'richmond'"),
+    (2, "select count([city]) from [5-gold] where [pop] > 3"),
+    (2, "select count([city]) from [5-gold] where [pop] = 3.0"),
+    (3, "select [city] from [5-gold] where [area] = 0"),
+    (3, "select [city] from [5-gold] where [area] = -0.0"),
+    (4, "select [only col] from [6-empty]"),
+    (4, "select count([only col]) from [6-empty]"),
+    (5, "select [note] from [5-gold] where [city] = 'nowhere'"),
+    (5, "select [note] from [5-gold] where [city] = 'richmond'"),
+]
+
+# (qid, candidates best first): every error kind, an all-failed beam, and
+# beams longer than two whose third candidate is the first to execute.
+_EG_LINES = [
+    (0, [_GOLD0]),
+    (0, ["select [mayor] from [5-gold]", _GOLD0]),
+    (0, ["select [area] from [5-gold] where [city] = 'richmond'", _GOLD0]),
+    (0, ["select [pop] from [5-gold] where [city] = '\ud800'", _GOLD0]),
+    (1, ["select [pop] from [nope]", "select [pop] from", "select [pop] from [5-gold] where [area] = 2.5"]),
+    (1, ["select [pop] from [5-gold] where [city] = 'richmond'", "select [bogus] from [5-gold]"]),
+    (2, ["select count([city]) from [5-gold] where [pop] = 3.0", "select count([city]) from [5-gold]"]),
+    (3, ["select [city] from [5-gold] where [area] = 0"]),
+    (4, ["select [x] from [6-empty]", "select garbage («", "select [only col] from [5-gold]"]),
+    (4, ["select [only col] from [6-empty]", "select count([only col]) from [6-empty]"]),
+    (5, ["select [note] from [5-gold] where [city] = 'nowhere'", "select [note] from [5-gold]"]),
+    (5, ["select max([note]) from [5-gold]", "select [x] from [5-gold]", "select [note] from [5-gold]", _GOLD0]),
+]
+
+
+def _write_score_inputs(tmp_path, records):
+    tables = tmp_path / "tables.jsonl"
+    tables.write_text("".join(json.dumps(t) + "\n" for t in _SCORE_TABLES))
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text("".join(
+        json.dumps({"phase": 1, "table_id": tid, "question": q, "sql": {"sel": sel, "agg": agg, "conds": conds}})
+        + "\n"
+        for tid, q, sel, agg, conds in records
+    ))
+    return questions, tables
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestEvalGoldenBytes:
+    """The report bytes of ``eval`` on predictions that hit every taxonomy
+    class, pinned so that a rewrite of the scorer or its report cannot
+    change them."""
+
+    def test_output_digests(self, tmp_path):
+        questions, tables = _write_score_inputs(tmp_path, [_SCORE_RECORDS[r] for r, _ in _EVAL_PAIRS])
+        preds = tmp_path / "preds.txt"
+        preds.write_text("".join(p + "\n" for _, p in _EVAL_PAIRS))
+        out_json, out_table = tmp_path / "eval.json", tmp_path / "eval.txt"
+        assert main([
+            "eval", "--preds", str(preds), "--questions", str(questions), "--tables", str(tables),
+            "--out-json", str(out_json), "--out-table", str(out_table),
+        ]) == 0
+        assert (_sha256(out_json), _sha256(out_table)) == (
+            "9c792dd30729c5e2437b4cf94893f517f3dd8ff15728b2f007694c2c1a382273",
+            "0acb9dd1bcdeac96efacdaa4a99bac149e7ff12240b7bf0fc1738c3af93e24a4",
+        )
+
+
+class TestEgGoldenBytes:
+    """The selection and report bytes of ``eg`` on beams that hit every
+    error kind, pinned so that a rewrite of the selection or of its report
+    cannot change them."""
+
+    @pytest.mark.parametrize(
+        "flags, digests",
+        [
+            (
+                [],
+                (
+                    "73159bf74f2b566239fc67abb623d14538c74877f3f46e2bf6f2090e551a75db",
+                    "272737612902e6a0be0ce1830923c66b3ebc03a253f9f4f9a7d72dc25f81ef0f",
+                ),
+            ),
+            (
+                ["--beam-width", "2"],
+                (
+                    "8d0e73c4a14da69e419f5c1ca8e40388f2ee19c97a04c6d19faff4c3db935f2d",
+                    "b6e5cbcd9fb66c5b122c15550a0547ad698b9db673207f8f337c1a74d4caf7f6",
+                ),
+            ),
+        ],
+        ids=["default-width", "width-2"],
+    )
+    def test_output_digests(self, tmp_path, flags, digests):
+        questions, tables = _write_score_inputs(tmp_path, _SCORE_RECORDS)
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text("".join(json.dumps({"qid": q, "candidates": c}) + "\n" for q, c in _EG_LINES))
+        sel, rep = tmp_path / "eg_selections.jsonl", tmp_path / "eg.json"
+        assert main([
+            "eg", "--candidates", str(cands), "--questions", str(questions), "--tables", str(tables),
+            "--out-selections", str(sel), "--out-report", str(rep), *flags,
+        ]) == 0
+        assert (_sha256(sel), _sha256(rep)) == digests
 
 
 _FUZZ_BASE = {
@@ -582,6 +721,27 @@ class TestEg:
         assert report["delta"] == 1.0
         assert report["dropped_by_kind"] == {"unknown_column": 1}
 
+    def test_beam_width_never_tries_past_the_width(self, corpus, tmp_path):
+        # The first two fail; the third would execute, but a beam of two
+        # falls back to the top candidate without trying it.
+        questions, tables = corpus
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({
+            "qid": 0,
+            "candidates": ["select [bogus] from [1-1000181-1]", "select [notes] from", PLATES_SQL],
+        }) + "\n")
+        sel_out, rep_out = tmp_path / "sel.jsonl", tmp_path / "rep.json"
+        code = main([
+            "eg", "--candidates", str(cands), "--questions", str(questions),
+            "--tables", str(tables), "--out-selections", str(sel_out),
+            "--out-report", str(rep_out), "--beam-width", "2",
+        ])
+        assert code == 0
+        sel = read_jsonl(sel_out)[0]
+        assert (sel["chosen_index"], sel["chosen"], sel["all_failed"]) == (0, "select [bogus] from [1-1000181-1]", True)
+        assert [o["index"] for o in sel["outcomes"]] == [0, 1]
+        assert json.loads(rep_out.read_text())["correct_eg"] == 0
+
     @pytest.mark.parametrize("qid", [5, True, False])
     def test_bad_qid_rejected(self, corpus, tmp_path, qid):
         questions, tables = corpus
@@ -709,7 +869,7 @@ class TestEgBlocks:
         entries = [json.loads(line) for line in lines]
         tabs = [by_id[records[e["qid"]].table_id] for e in entries]
         gain = eg_gain(
-            [CandidateList.from_texts(e["candidates"]) for e in entries],
+            [e["candidates"] for e in entries],
             [compose(records[e["qid"]].lf, tab) for e, tab in zip(entries, tabs)],
             tabs,
             cache,
@@ -1503,7 +1663,7 @@ class TestGateCheck:
     def test_report_matches_the_full_forward_oracle(self, tmp_path):
         from test_gate import full_forward_grad_check
 
-        from textsql.cli import _round12
+        from textsql.normalize import round12
         from textsql.gate import random_check_instance
 
         out = tmp_path / "check.json"
@@ -1514,10 +1674,10 @@ class TestGateCheck:
             model, src, tgt = random_check_instance(seed, **dims)
             result = full_forward_grad_check(model, src, tgt, 1e-5, model.gate_param_names())
             per_seed.append(
-                {"seed": seed, "max_rel_error": _round12(result.max_rel_error), "worst_param": result.worst_param}
+                {"seed": seed, "max_rel_error": round12(result.max_rel_error), "worst_param": result.worst_param}
             )
         overall = max(s["max_rel_error"] for s in per_seed)
-        expected = {"epsilon": _round12(1e-5), **dims, "per_seed": per_seed, "max_rel_error": overall}
+        expected = {"epsilon": round12(1e-5), **dims, "per_seed": per_seed, "max_rel_error": overall}
         assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import textsql.eg
 from textsql import (
-    CandidateList,
     Condition,
     LogicalForm,
     TableCache,
@@ -21,32 +20,13 @@ from textsql import (
     render,
     results_equal,
 )
-from textsql.eg import DEFAULT_BEAM_WIDTH, error_kind
+from textsql.eg import EgGainReport, error_kind
 
 from conftest import make_table
 
 
 def good_sql(tab, sel=0, conds=()):
     return render(compose(LogicalForm(sel=sel, agg=0, conds=conds), tab))
-
-
-class TestCandidateList:
-    def test_from_texts_keeps_order(self):
-        cands = CandidateList.from_texts(["a", "b", "c"])
-        assert cands.candidates == ("a", "b", "c")
-        assert cands.beam_width == DEFAULT_BEAM_WIDTH
-
-    def test_beam_truncates(self):
-        cands = CandidateList.from_texts(["a", "b", "c", "d"], beam_width=2)
-        assert cands.beam() == ("a", "b")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            CandidateList(())
-
-    def test_width_floor(self):
-        with pytest.raises(ValueError, match="beam_width"):
-            CandidateList.from_texts(["a"], beam_width=0)
 
 
 class TestErrorKind:
@@ -60,20 +40,14 @@ class TestErrorKind:
 
 class TestEgSelect:
     def test_clean_top_candidate_short_circuits(self, points_table, cache):
-        cands = CandidateList.from_texts(
-            [good_sql(points_table), "select [bogus] from [2-777-1]"]
-        )
-        sel = eg_select(cands, points_table, cache)
+        sel = eg_select([good_sql(points_table), "select [bogus] from [2-777-1]"], points_table, cache)
         assert sel.chosen_index == 0
         assert not sel.all_failed
         # The runner-up is never executed.
         assert len(sel.outcomes) == 1
 
     def test_recovers_on_runner_up(self, points_table, cache):
-        cands = CandidateList.from_texts(
-            ["select [bogus] from [2-777-1]", good_sql(points_table)]
-        )
-        sel = eg_select(cands, points_table, cache)
+        sel = eg_select(["select [bogus] from [2-777-1]", good_sql(points_table)], points_table, cache)
         assert sel.chosen_index == 1
         assert sel.chosen_sql == good_sql(points_table)
         assert [o.ok for o in sel.outcomes] == [False, True]
@@ -81,53 +55,51 @@ class TestEgSelect:
 
     def test_or_tail_is_passed_over(self, points_table, cache):
         good = good_sql(points_table, conds=(Condition(1, 1, 0),))
-        sel = eg_select(CandidateList.from_texts([good + " or 1=1", good]), points_table, cache)
+        sel = eg_select([good + " or 1=1", good], points_table, cache)
         assert sel.chosen_index == 1
         assert sel.outcomes[0].kind == "malformed"
 
     def test_other_tables_are_never_chosen(self, points_table, plates_table, cache):
         cache.get(plates_table)  # shares the database with the points table
-        cands = CandidateList.from_texts([
+        beam = [
             "select [name] from [sqlite_master]",
             "select [sql] from [sqlite_master]",
             "select [notes] from [1-1000181-1]",
             good_sql(points_table),
-        ], beam_width=4)
-        sel = eg_select(cands, points_table, cache)
+        ]
+        sel = eg_select(beam, points_table, cache)
         assert sel.chosen_index == 3
         assert [o.kind for o in sel.outcomes[:3]] == ["unknown_table"] * 3
-        sel = eg_select(CandidateList.from_texts(cands.beam()[:3]), points_table, cache)
+        sel = eg_select(beam[:3], points_table, cache)
         assert sel.all_failed
 
     def test_empty_result_set_is_a_win(self, points_table, cache):
         empty = good_sql(points_table, conds=(Condition(1, 1, 999),))
-        cands = CandidateList.from_texts([empty, good_sql(points_table)])
-        sel = eg_select(cands, points_table, cache)
+        sel = eg_select([empty, good_sql(points_table)], points_table, cache)
         assert sel.chosen_index == 0
         assert sel.chosen_result.rows == ()
 
     def test_all_failed_falls_back_to_top(self, points_table, cache):
-        cands = CandidateList.from_texts(
-            ["select [a] from [nope]", "drop table [2-777-1]", "select ((("]
-        )
-        sel = eg_select(cands, points_table, cache)
+        sel = eg_select(["select [a] from [nope]", "drop table [2-777-1]", "select ((("], points_table, cache)
         assert sel.all_failed
         assert sel.chosen_index == 0
         assert sel.chosen_sql == "select [a] from [nope]"
         assert sel.chosen_result.is_error
         assert len(sel.outcomes) == 3
 
-    def test_beam_width_bounds_attempts(self, points_table, cache):
-        cands = CandidateList.from_texts(
-            ["select [x] from [t]", "select [y] from [t]", good_sql(points_table)],
-            beam_width=2,
-        )
-        sel = eg_select(cands, points_table, cache)
-        assert sel.all_failed
-        assert len(sel.outcomes) == 2
+    def test_outcomes_carry_their_results(self, points_table, cache):
+        sel = eg_select(["select [a] from [nope]", good_sql(points_table)], points_table, cache)
+        failed, chosen = sel.outcomes
+        assert failed.result.is_error and failed.error == failed.result.error == "no such table: nope"
+        assert chosen.ok and chosen.error is None and chosen.kind is None
+        assert sel.chosen_result is chosen.result and sel.chosen_sql == chosen.sql_text
+
+    def test_empty_beam_rejected(self, points_table, cache):
+        with pytest.raises(ValueError, match="non-empty"):
+            eg_select([], points_table, cache)
 
     def test_shared_cache_reuses_database(self, points_table, cache):
-        eg_select(CandidateList.from_texts([good_sql(points_table)]), points_table, cache)
+        eg_select([good_sql(points_table)], points_table, cache)
         db = cache.get(points_table)
         assert cache.get(points_table) is db
 
@@ -148,7 +120,7 @@ class TestEgGain:
                 texts = [good, "select [whatever] from [t]"]
             tables.append(tab)
             golds.append(gold)
-            pred_sets.append(CandidateList.from_texts(texts))
+            pred_sets.append(texts)
         return pred_sets, golds, tables
 
     def test_gain_is_exactly_recovered_fraction(self, cache):
@@ -173,8 +145,7 @@ class TestEgGain:
         rng = random.Random(1)
         tab = make_table(rng, nasty=False)
         gold = compose(LogicalForm(sel=0, agg=0), tab)
-        cands = CandidateList.from_texts(["select [x] from [y]", "select garbage («"])
-        report = eg_gain([cands], [gold], [tab], cache)
+        report = eg_gain([["select [x] from [y]", "select garbage («"]], [gold], [tab], cache)
         assert report.all_failed_count == 1
         assert report.correct_eg == 0
 
@@ -184,8 +155,14 @@ class TestEgGain:
         assert report.delta == 0.0
         assert report.accuracy_top1 == 0.0
 
+    def test_ratios_derive_from_the_counts(self):
+        report = EgGainReport(n=3, correct_top1=1, correct_eg=2, dropped_by_kind={}, all_failed_count=0)
+        assert (report.accuracy_top1, report.accuracy_eg, report.delta) == (1 / 3, 2 / 3, 1 / 3)
+        empty = EgGainReport(n=0, correct_top1=0, correct_eg=0, dropped_by_kind={}, all_failed_count=0)
+        assert (empty.accuracy_top1, empty.accuracy_eg, empty.delta) == (0.0, 0.0, 0.0)
+
     def test_misaligned_lengths_rejected(self, points_table, cache):
-        cands = CandidateList.from_texts(["select [player] from [2-777-1]"])
+        cands = ["select [player] from [2-777-1]"]
         with pytest.raises(ValueError, match="golds"):
             eg_gain([cands], [], [points_table], cache)
         with pytest.raises(ValueError, match="tables"):
@@ -211,7 +188,7 @@ class TestEgGainSinglePass:
             texts = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
             tables.append(tab)
             golds.append(gold)
-            pred_sets.append(CandidateList.from_texts(texts, beam_width=rng.randrange(1, 4)))
+            pred_sets.append(texts[: rng.randrange(1, 4)])
         return pred_sets, golds, tables
 
     @given(st.integers(0, 10**6))
@@ -225,7 +202,7 @@ class TestEgGainSinglePass:
             for cands, gold, tab, selection in zip(pred_sets, golds, tables, report.selections):
                 db = cache.get(tab)
                 gold_res = execute(render(gold), db)
-                expected_top1 += results_equal(execute(cands.beam()[0], db), gold_res)
+                expected_top1 += results_equal(execute(cands[0], db), gold_res)
                 assert selection == eg_select(cands, tab, cache)
         assert report.correct_top1 == expected_top1
         assert len(report.selections) == report.n
@@ -264,7 +241,7 @@ class TestSelectionProperty:
         texts = [f"select [no col {i}] from [{tab.table_id}]" for i in range(5)]
         texts[slot] = good_sql(tab, sel=rng.randrange(tab.n_cols))
         with closing(TableCache()) as cache:
-            sel = eg_select(CandidateList.from_texts(texts, beam_width=5), tab, cache)
+            sel = eg_select(texts, tab, cache)
         assert not sel.all_failed
         assert sel.chosen_index == slot
         assert not sel.chosen_result.is_error

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textsql import (
-    CandidateList,
     Condition,
     ErrorClass,
     EvalReport,
@@ -259,6 +258,10 @@ class TestExecutionAccuracy:
         assert report.exec_accuracy == 0.0
         assert report.error_counts == {}
 
+    def test_accuracy_derives_from_the_counts(self):
+        assert EvalReport(n=4, exec_correct=1, error_counts={}, hallucination_count=0).exec_accuracy == 0.25
+        assert EvalReport(n=0, exec_correct=0, error_counts={}, hallucination_count=0).exec_accuracy == 0.0
+
     def test_misaligned_inputs_rejected(self, cache):
         with pytest.raises(ValueError, match="misaligned"):
             execution_accuracy([GOOD], [], [], {}, cache)
@@ -471,35 +474,20 @@ def _oracle_execution_accuracy(preds, golds, records, tables, cache):
     return EvalReport(
         n=n,
         exec_correct=exec_correct,
-        exec_accuracy=exec_correct / n if n else 0.0,
         error_counts=dict(counts),
         hallucination_count=halluc,
     )
 
 
-def _oracle_eg_select(cands, tab, cache):
+def _oracle_eg_select(beam, tab, cache):
     db = cache.get(tab)
     outcomes = []
-    results = []
-    for i, sql_text in enumerate(cands.beam()):
+    for i, sql_text in enumerate(beam):
         res = execute(sql_text, db)
-        results.append(res)
-        outcomes.append(CandidateOutcome(index=i, sql_text=sql_text, ok=not res.is_error, error=res.error))
+        outcomes.append(CandidateOutcome(index=i, sql_text=sql_text, result=res))
         if not res.is_error:
-            return EgSelection(
-                chosen_sql=sql_text,
-                chosen_index=i,
-                all_failed=False,
-                outcomes=tuple(outcomes),
-                chosen_result=res,
-            )
-    return EgSelection(
-        chosen_sql=cands.candidates[0],
-        chosen_index=0,
-        all_failed=True,
-        outcomes=tuple(outcomes),
-        chosen_result=results[0],
-    )
+            return EgSelection(chosen_index=i, outcomes=tuple(outcomes))
+    return EgSelection(chosen_index=0, outcomes=tuple(outcomes))
 
 
 def _oracle_eg_gain(pred_sets, golds, tables, cache):
@@ -508,9 +496,9 @@ def _oracle_eg_gain(pred_sets, golds, tables, cache):
     dropped = Counter()
     all_failed = 0
     selections = []
-    for cands, gold, tab in zip(pred_sets, golds, tables):
+    for beam, gold, tab in zip(pred_sets, golds, tables):
         gold_res = execute(compose(gold, tab), cache.get(tab))
-        selection = _oracle_eg_select(cands, tab, cache)
+        selection = _oracle_eg_select(beam, tab, cache)
         selections.append(selection)
         eg_ok = results_equal(selection.chosen_result, gold_res)
         correct_top1 += eg_ok and selection.outcomes[0].ok
@@ -524,9 +512,6 @@ def _oracle_eg_gain(pred_sets, golds, tables, cache):
         n=n,
         correct_top1=correct_top1,
         correct_eg=correct_eg,
-        accuracy_top1=correct_top1 / n if n else 0.0,
-        accuracy_eg=correct_eg / n if n else 0.0,
-        delta=(correct_eg - correct_top1) / n if n else 0.0,
         dropped_by_kind=dict(sorted(dropped.items())),
         all_failed_count=all_failed,
         selections=tuple(selections),
@@ -573,7 +558,7 @@ def _twin_batch(seed: int, n: int = 12):
         ]
         preds[i] = rng.choice(pool)
         texts = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
-        pred_sets.append(CandidateList.from_texts(texts, beam_width=rng.randrange(1, 4)))
+        pred_sets.append(texts[: rng.randrange(1, 4)])
     return tab, preds, golds, records, pred_sets
 
 
@@ -604,7 +589,7 @@ class TestGoldReuse:
         gold_stmt = compose(gold, tab)
         report = execution_accuracy([twin], [gold_stmt], [record], {tab.table_id: tab}, cache)
         assert report.exec_correct == 0
-        assert eg_gain([CandidateList.from_texts([twin])], [gold_stmt], [tab], cache).correct_eg == 0
+        assert eg_gain([[twin]], [gold_stmt], [tab], cache).correct_eg == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gold_then_each_prediction_not_equal_to_it_executes(self, seed, monkeypatch, cache):

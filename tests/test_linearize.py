@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textsql import (
@@ -13,9 +13,6 @@ from textsql import (
     build_example,
     delinearize,
     linearize,
-    linearize_augmented,
-    linearize_baseline,
-    token_dropout,
 )
 from textsql.linearize import LinearizeError
 from textsql.normalize import cell_text, normalize_question
@@ -111,31 +108,27 @@ class TestConfig:
 
 class TestBaseline:
     def test_reference_serialization(self, plates_table):
-        assert linearize_baseline(PLATES_QUESTION, plates_table, BASE) == PLATES_BASELINE
+        assert linearize(PLATES_QUESTION, plates_table, BASE) == PLATES_BASELINE
 
     def test_table_id_kept_verbatim(self, plates_table):
-        out = linearize_baseline("q", plates_table, BASE)
+        out = linearize("q", plates_table, BASE)
         assert "<sep>1-1000181-1<sep>" in out
 
     def test_separator_count_is_field_count_minus_one(self, plates_table):
         # question + id + one field per column
-        out = linearize_baseline("q", plates_table, BASE)
+        out = linearize("q", plates_table, BASE)
         assert out.count("<sep>") == 1 + plates_table.n_cols
-
-    def test_rejects_augmented_config(self, plates_table):
-        with pytest.raises(LinearizeError):
-            linearize_baseline("q", plates_table, AUG)
 
 
 class TestAugmented:
     def test_type_tag_follows_each_header(self, points_table):
         cfg = LinearizeConfig(include_types=True)
-        out = linearize_augmented("q", points_table, cfg)
+        out = linearize("q", points_table, cfg)
         body = out[len(cfg.bos) : -len(cfg.eos)].split(cfg.sep)
         assert body[2:] == ["player", "text", "no.", "real", "points", "real"]
 
     def test_sampled_cells_follow_type(self, points_table):
-        out = linearize_augmented("q", points_table, AUG)
+        out = linearize("q", points_table, AUG)
         body = out[len(AUG.bos) : -len(AUG.eos)].split(AUG.sep)
         assert body[2:6] == ["player", "text", "antonio lang", "washon lenard"]
         assert body[10:14] == ["points", "real", "1", "2.5"]
@@ -147,73 +140,62 @@ class TestAugmented:
             cfg = LinearizeConfig(include_types=True, sample_rows=k)
             tab = table_factory(rng, n_cols=2, n_rows=4)
             k_eff = min(k, tab.n_rows)
-            out = linearize_augmented("what is it", tab, cfg)
+            out = linearize("what is it", tab, cfg)
             assert out.count("<sep>") == 1 + tab.n_cols * (2 + k_eff)
 
     def test_sample_rows_clamped_to_table(self, points_table):
         cfg = LinearizeConfig(include_types=True, sample_rows=99)
-        out = linearize_augmented("q", points_table, cfg)
+        out = linearize("q", points_table, cfg)
         assert out.count("<sep>") == 1 + 3 * (2 + points_table.n_rows)
 
     def test_long_cells_truncated(self):
         tab = Table("t-1", ("a",), ("text",), (("x" * 50,),))
         cfg = LinearizeConfig(include_types=True, sample_rows=1, max_cell_len=32)
-        out = linearize_augmented("q", tab, cfg)
+        out = linearize("q", tab, cfg)
         assert "x" * 32 + "<eos>" in out
         assert "x" * 33 not in out
 
     def test_null_cell_becomes_empty_field(self):
         tab = Table("t-1", ("a",), ("text",), ((None,),))
-        out = linearize_augmented("q", tab, LinearizeConfig(include_types=True, sample_rows=1))
+        out = linearize("q", tab, LinearizeConfig(include_types=True, sample_rows=1))
         assert out.endswith("<sep>a<sep>text<sep><eos>")
 
-    def test_rejects_baseline_config(self, points_table):
-        with pytest.raises(LinearizeError):
-            linearize_augmented("q", points_table, BASE)
-
     def test_dispatch_follows_config(self, points_table):
-        assert linearize("q", points_table, BASE) == linearize_baseline("q", points_table, BASE)
-        assert linearize("q", points_table, AUG) == linearize_augmented("q", points_table, AUG)
+        assert linearize("q", points_table, BASE) == "<bos>q<sep>2-777-1<sep>player<sep>no.<sep>points<eos>"
+        assert linearize("q", points_table, AUG).startswith("<bos>q<sep>2-777-1<sep>player<sep>text<sep>")
 
 
 class TestTokenDropout:
-    def _input(self):
-        tab = Table("1-22-3", ("height m", "tie"), ("real", "text"), ())
-        return linearize_baseline("what is the tallest", tab, BASE)
+    """Dropout as ``build_example`` applies it."""
+
+    TAB = Table("1-22-3", ("height m", "tie"), ("real", "text"), ())
+    DROP = LinearizeConfig(dropout_enabled=True)
+
+    def _drop(self, seed, question="what is the tallest", tab=TAB):
+        return build_example(question, tab, "x", self.DROP, random.Random(seed)).input
 
     def test_deterministic_given_seed(self):
-        text = self._input()
-        a = token_dropout(text, random.Random(9), BASE)
-        b = token_dropout(text, random.Random(9), BASE)
-        assert a == b
+        assert self._drop(9) == self._drop(9)
 
     def test_exactly_one_word_removed(self):
-        text = self._input()
-        out = token_dropout(text, random.Random(1), BASE)
         n_words = lambda t: sum(len(f.split()) for f in t[5:-5].split("<sep>"))
-        assert n_words(out) == n_words(text) - 1
+        assert n_words(self._drop(1)) == n_words(linearize("what is the tallest", self.TAB, BASE)) - 1
 
     def test_table_id_and_markers_survive(self):
-        text = self._input()
         for seed in range(30):
-            out = token_dropout(text, random.Random(seed), BASE)
+            out = self._drop(seed)
             assert out.startswith("<bos>") and out.endswith("<eos>")
             assert out.split("<sep>")[1] == "1-22-3"
 
     def test_choice_is_uniform_over_droppable_words(self):
         # 4 question words + 3 header words = 7 droppable tokens.
-        text = self._input()
-        counts = Counter(token_dropout(text, random.Random(s), BASE) for s in range(14000))
+        counts = Counter(self._drop(s) for s in range(14000))
         assert len(counts) == 7
         assert all(abs(c - 2000) < 180 for c in counts.values())
 
     def test_no_droppable_words_is_identity(self):
-        text = "<bos><sep>1-22-3<sep><eos>"
-        assert token_dropout(text, random.Random(0), BASE) == text
-
-    def test_unmarked_text_rejected(self):
-        with pytest.raises(LinearizeError):
-            token_dropout("plain text", random.Random(0), BASE)
+        tab = Table("1-22-3", ("  ",), ("text",), ())
+        assert self._drop(0, " ", tab) == linearize(" ", tab, BASE) == "<bos><sep>1-22-3<sep>  <eos>"
 
     def test_sep_text_in_question_leaves_table_id_whole(self):
         tab = Table("t 9", ("height",), ("real",), ())
@@ -228,25 +210,6 @@ class TestTokenDropout:
             "<bos>what <sep><sep>t 9<sep>height<eos>",
             "<bos>what <sep> is<sep>t 9<sep><eos>",
         }
-
-    @given(
-        question=st.text(alphabet="ab <sEp>\t", max_size=16),
-        headers=st.lists(st.text(alphabet="ab <sEp>", min_size=1, max_size=6), min_size=1, max_size=3),
-        cells=st.lists(st.text(alphabet="ab <sep>", max_size=6), min_size=3, max_size=3),
-        k=st.integers(0, 2),
-        augmented=st.booleans(),
-        seed=st.integers(0, 10**6),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_build_example_drops_as_token_dropout_without_markers(
-        self, question, headers, cells, k, augmented, seed
-    ):
-        assume("<sep>" not in "|".join([question, *headers, *cells]).lower())
-        cfg = LinearizeConfig(include_types=augmented, sample_rows=k if augmented else 0, dropout_enabled=True)
-        rows = tuple(tuple(cells[r] for _ in headers) for r in range(k))
-        tab = Table("1-2 3", tuple(headers), ("text",) * len(headers), rows)
-        ex = build_example(question, tab, "x", cfg, random.Random(seed))
-        assert ex.input == token_dropout(linearize(question, tab, cfg), random.Random(seed), cfg)
 
 
 class TestAgainstPerCallOracle:
@@ -268,14 +231,17 @@ class TestAgainstPerCallOracle:
             assert linearize(question, tab, cfg) == _join(_fields(question, tab, cfg), cfg)
 
     @given(
-        fields=st.lists(_AWKWARD.filter(lambda t: "<sep>" not in t.lower()), min_size=1, max_size=6),
+        question=_AWKWARD.filter(lambda t: "<sep>" not in t.lower()),
+        headers=st.lists(_AWKWARD.filter(lambda t: t and "<sep>" not in t.lower()), min_size=1, max_size=5),
         seed=st.integers(0, 10**6),
     )
     @settings(max_examples=200, deadline=None)
-    def test_token_dropout_matches(self, fields, seed):
-        text = _join(fields, BASE)
+    def test_token_dropout_matches(self, question, headers, seed):
+        tab = Table("1-2 3", tuple(headers), ("text",) * len(headers), ())
+        cfg = LinearizeConfig(dropout_enabled=True)
         rng, oracle_rng = random.Random(seed), random.Random(seed)
-        assert token_dropout(text, rng, BASE) == _join(_drop_word(fields, oracle_rng), BASE)
+        got = build_example(question, tab, "x", cfg, rng).input
+        assert got == _join(_drop_word(_fields(question, tab, cfg), oracle_rng), cfg)
         assert rng.getstate() == oracle_rng.getstate()
 
 
@@ -314,7 +280,7 @@ class TestDelinearize:
         assert fields.types == ()
 
     def test_augmented_round_trip(self, points_table):
-        out = linearize_augmented("q", points_table, AUG)
+        out = linearize("q", points_table, AUG)
         fields = delinearize(out, AUG)
         assert fields.headers == ("player", "no.", "points")
         assert fields.types == ("text", "real", "real")
@@ -322,13 +288,17 @@ class TestDelinearize:
 
     def test_clamped_sample_count_needs_explicit_k(self, points_table):
         cfg = LinearizeConfig(include_types=True, sample_rows=99)
-        out = linearize_augmented("q", points_table, cfg)
+        out = linearize("q", points_table, cfg)
         fields = delinearize(out, cfg, k=points_table.n_rows)
         assert fields.headers == ("player", "no.", "points")
 
     def test_bad_group_count_rejected(self):
         with pytest.raises(LinearizeError, match="groups"):
             delinearize("<bos>q<sep>t<sep>lonely<eos>", AUG)
+
+    def test_unmarked_text_rejected(self):
+        with pytest.raises(LinearizeError, match="markers"):
+            delinearize("plain text", BASE)
 
     def test_too_few_fields_rejected(self):
         with pytest.raises(LinearizeError):
