@@ -179,23 +179,75 @@ def _render_condition(col: str, op: str, value, quote) -> str:
 
 
 # --- parsing ----------------------------------------------------------------
+#
+# The dialect is a regular language, so a statement in it is matched by an
+# anchored grammar: one head pattern, then one condition pattern per
+# condition, each matched where the last match ended. That is the success
+# path. A text the grammar misses is tokenized and walked token by token,
+# and the walk only explains the failure: ``eg``'s selection rows and
+# ``engine.execute``'s error text carry its message and token index.
+#
+# Both read the same tokens. Each token shape below has one definition; a
+# keyword folds ASCII case only and ends where a word token would end; and a
+# numeric literal converts through ``_number`` on both paths. Backtracking
+# cannot make the grammar accept what the tokenizer splits otherwise: a
+# token shorter than the tokenizer's leaves one of its own characters (a
+# ``]``, ``'``, word, number or operator character) where the grammar needs
+# whitespace, a keyword, a parenthesis, a literal or the end.
+
+# A quoted token is written as a run of plain characters between doubled
+# quotes (not as an alternation per character), which the regex engine
+# scans several times faster.
+_IDENT = r"\[[^\]]*(?:\]\][^\]]*)*\]"
+_STRING = r"'[^']*(?:''[^']*)*'"
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
+_OP = r"[=<>!]+"
 
 # One match per token, leading whitespace included; the last group catches
 # any character no token can start with.
 _TOKEN_RE = re.compile(
     rf"""
     \s*(?:
-        (\[(?:[^\]]|\]\])*\])
-      | ('(?:[^']|'')*')
+        ({_IDENT})
+      | ({_STRING})
       | ({NUMBER_RE.pattern})
-      | ([A-Za-z_][A-Za-z0-9_]*)
-      | ([=<>!]+)
+      | ({_WORD})
+      | ({_OP})
       | ([()])
       | (\S)
     )
     """,
     re.VERBOSE,
 )
+
+
+def _keyword(word: str) -> str:
+    """A keyword as the tokenizer reads one: ASCII case only (a plain
+    ``re.IGNORECASE`` also folds ``ſ`` to ``s``), ending where a word token
+    would end, so ``selectx`` and ``select1`` are other words."""
+    return rf"\s*(?ai:{word})(?![A-Za-z0-9_])"
+
+
+# Groups: aggregation word and its column, or the bare column; table id.
+_HEAD_RE = re.compile(
+    rf"""
+    {_keyword("select")}
+    \s*(?:({_WORD})\s*\(\s*({_IDENT})\s*\)|({_IDENT}))
+    {_keyword("from")}
+    \s*({_IDENT})
+    """,
+    re.VERBOSE,
+)
+
+
+def _condition_re(keyword: str) -> re.Pattern:
+    """Groups: column, operator, and the literal as a string or a number."""
+    return re.compile(rf"{_keyword(keyword)}\s*({_IDENT})\s*({_OP})\s*(?:({_STRING})|({NUMBER_RE.pattern}))")
+
+
+_WHERE_RE = _condition_re("where")
+_AND_RE = _condition_re("and")
+_SPACE_RE = re.compile(r"\s*")
 
 
 @dataclass(frozen=True)
@@ -229,6 +281,19 @@ class RawStatement:
     op_indices: tuple[int, ...]
 
 
+def _number(literal: str) -> int | float | None:
+    """A numeric literal's value: an int when it is all digits, else a float;
+    None when it has no finite value (``int()`` refuses more than 4,300
+    digits, which counts as infinite like a float that overflows)."""
+    try:
+        value = int(literal) if literal.lstrip("+-").isdigit() else float(literal)
+    except ValueError:  # more digits than int() converts
+        return None
+    if isinstance(value, float) and math.isinf(value):
+        return None
+    return value
+
+
 def _tokenize(text: str) -> list[tuple[str, object]] | ParseFailure:
     tokens: list[tuple[str, object]] = []
     for ident, string, number, word, op, paren, bad in _TOKEN_RE.findall(text):
@@ -237,11 +302,8 @@ def _tokenize(text: str) -> list[tuple[str, object]] | ParseFailure:
         elif string:
             tokens.append(("string", string[1:-1].replace("''", "'")))
         elif number:
-            try:
-                value = int(number) if number.lstrip("+-").isdigit() else float(number)
-            except ValueError:  # more digits than int() converts
-                value = math.inf
-            if isinstance(value, float) and math.isinf(value):
+            value = _number(number)
+            if value is None:
                 return ParseFailure(f"numeric literal out of range {number!r}", len(tokens))
             tokens.append(("number", value))
         elif word:
@@ -270,6 +332,49 @@ def _is_kw(tok: tuple[str, object], kw: str) -> bool:
 def parse_raw(text: str) -> RawStatement | ParseFailure:
     """Parse the statement shape, accepting any aggregation-function word and
     any operator token. Strict slot validation happens in ``resolve``.
+
+    The anchored grammar is the success path: a text it matches becomes a
+    ``RawStatement`` at once, its token indices counted from the fixed shape
+    (a head of 7 tokens with an aggregation, 4 without; 4 per condition,
+    the operator third). Any other text goes to ``_walk``, whose only job is
+    the ``ParseFailure``: the message and token index that ``eg``'s
+    selection rows and ``execute``'s error text report."""
+    head = _HEAD_RE.match(text)
+    if head is None:
+        return _walk(text)
+    agg_token, agg_col, col, table_id = head.groups()
+    i = 4 if agg_token is None else 7
+    conds: list[tuple[str, str, str | int | float]] = []
+    op_indices: list[int] = []
+    pos = head.end()
+    cond_re = _WHERE_RE
+    while (cond := cond_re.match(text, pos)) is not None:
+        cond_col, op, string, number = cond.groups()
+        if string is None:
+            value = _number(number)
+            if value is None:
+                return _walk(text)
+        else:
+            value = string[1:-1].replace("''", "'")
+        conds.append((cond_col[1:-1].replace("]]", "]"), op, value))
+        op_indices.append(i + 2)
+        i += 4
+        pos = cond.end()
+        cond_re = _AND_RE
+    if _SPACE_RE.fullmatch(text, pos) is None:
+        return _walk(text)
+    return RawStatement(
+        agg_token=agg_token,
+        agg_index=-1 if agg_token is None else 1,
+        sel_col=(col or agg_col)[1:-1].replace("]]", "]"),
+        table_id=table_id[1:-1].replace("]]", "]"),
+        conds=tuple(conds),
+        op_indices=tuple(op_indices),
+    )
+
+
+def _walk(text: str) -> RawStatement | ParseFailure:
+    """``parse_raw`` by tokens, for a text the grammar does not match.
 
     The walk moves one index along the token list, to which it appends the
     end sentinel ``("end", None)``: every lookahead reads a real token or the

@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from textsql import (
 
 from textsql.data import AGG_AVG, AGG_SUM
 from textsql.normalize import NUMBER_RE
-from textsql.sql import RawStatement, _tokenize
+from textsql.sql import _IDENT, _STRING, RawStatement, _tokenize
 
 from conftest import PLATES_SQL, make_table
 
@@ -585,3 +587,139 @@ class TestIndexWalkMatchesClosureWalk:
     )
     def test_edge_texts(self, text):
         assert parse_raw(text) == closure_parse_raw(text)
+
+
+# --- the grammar is the success path -------------------------------------------
+
+_EDGE_PIECES = st.sampled_from(
+    ["ſelect", "\u212a", "selectx", "select1", "fromx", "1and", "[a]]", "'it''s'", "'",
+     "[", "1.", ".5", "1e", "١٢", "9" * 5000]
+)
+_GLUE = st.sampled_from(["", " ", "\t", "\u00a0"])
+
+
+@st.composite
+def glued_texts(draw):
+    """Dialect and edge pieces glued by nothing, a space, a tab or a no-break
+    space: a statement's tokens, each slot filled with a spelling that fits
+    it or one that nearly does and maybe one token swapped for any piece, or
+    a free run of pieces."""
+
+    def one_of(*spellings):
+        return draw(st.sampled_from(spellings))
+
+    def ident():
+        return one_of("[a]", "[t]]1]", "[]", "[ b ]", "[a]]", "[")
+
+    if draw(st.booleans()):
+        pieces = draw(st.lists(st.one_of(_DIALECT_PIECES, _EDGE_PIECES), max_size=16))
+    else:
+        pieces = [one_of("select", "SELECT", "ſelect", "selectx", "select1")]
+        if draw(st.booleans()):
+            pieces += [one_of("max", "COUNT", "median", "select1"), "(", ident(), ")"]
+        else:
+            pieces.append(ident())
+        pieces += [one_of("from", "From", "fromx"), ident()]
+        for i in range(draw(st.integers(0, 3))):
+            pieces += [one_of("where", "WHERE") if i == 0 else one_of("and", "And", "1and"), ident()]
+            pieces += [one_of("=", ">", "<", ">=", "!=")]
+            pieces += [one_of("3", "-2.5", "+007", "1.", ".5", "1e", "1e400", "١٢", "9" * 5000,
+                              "'v'", "''''", "'it''s'", "'")]
+        if draw(st.booleans()):
+            pieces[draw(st.integers(0, len(pieces) - 1))] = draw(st.one_of(_DIALECT_PIECES, _EDGE_PIECES))
+    return "".join(piece + draw(_GLUE) for piece in pieces)
+
+
+class _Tokenized(Exception):
+    """Raised by a stand-in for ``_tokenize``: the text went to the walk."""
+
+
+def grammar_parse_raw(text: str) -> RawStatement | None:
+    """``parse_raw`` with the walk cut off: the grammar's statement, or None
+    when the grammar misses and the text would be tokenized."""
+    with mock.patch("textsql.sql._tokenize", side_effect=_Tokenized):
+        try:
+            return parse_raw(text)
+        except _Tokenized:
+            return None
+
+
+def _raw(sel_col, conds=(), op_indices=(), agg_token=None):
+    return RawStatement(agg_token, 1 if agg_token else -1, sel_col, "t", conds, op_indices)
+
+
+_NO_INT_LIMIT = not getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class TestGrammarMatchesWalk:
+    """The grammar matches exactly the texts the walk accepts, with the walk's
+    statement (the closure walk above is the oracle); every other text gets
+    the walk's failure."""
+
+    @given(st.one_of(dialect_texts(), glued_texts()))
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_exactly_what_the_walk_accepts(self, text):
+        walked = closure_parse_raw(text)
+        matched = grammar_parse_raw(text)
+        if isinstance(walked, RawStatement):
+            assert matched == walked  # complete, and sound where it matches
+        else:
+            assert matched is None
+        assert parse_raw(text) == walked
+
+    @given(statements())
+    @settings(max_examples=200, deadline=None)
+    def test_success_path_never_tokenizes(self, case):
+        stmt = compose(*case)
+        with mock.patch("textsql.sql._tokenize", side_effect=AssertionError("tokenized")):
+            assert parse(render(stmt)) == stmt
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("SELECT [a] FROM [t]", _raw("a")),
+            ("select[a]from[t]", _raw("a")),
+            ("SeLeCt MAX ( [a]]b] )FROM[t]", _raw("a]b", agg_token="MAX")),
+            (
+                "select [a] from [t] where [b] = 1and [c] = 2",
+                _raw("a", (("b", "=", 1), ("c", "=", 2)), (6, 10)),
+            ),
+            (
+                "select [a]\tfrom [t] where [b] >= 'it''s'\n",
+                _raw("a", (("b", ">=", "it's"),), (6,)),
+            ),
+            ("select [a] from [t] where [b] = ١٢", _raw("a", (("b", "=", 12),), (6,))),
+            ("select [a] from [t] where [b] < 1.and [c] = .5", _raw("a", (("b", "<", 1.0), ("c", "=", 0.5)), (6, 10))),
+            ("ſelect [a] from [t]", ParseFailure("unexpected character 'ſ'", 0)),
+            ("selectx [a] from [t]", ParseFailure("expected 'select', got 'selectx'", 0)),
+            ("select [a] fromx [t]", ParseFailure("expected 'from', got 'fromx'", 2)),
+            ("select [a] from [t] where [b] = 1eand [c] = 2", ParseFailure("expected 'and' or end of statement, got 'eand'", 8)),
+            ("select [a] from [t] where [b] = 1e400", ParseFailure("numeric literal out of range '1e400'", 7)),
+            pytest.param(
+                "select [a] from [t] where [b] = " + "9" * 5000,
+                ParseFailure(f"numeric literal out of range {'9' * 5000!r}", 7),
+                marks=pytest.mark.skipif(_NO_INT_LIMIT, reason="int() converts any number of digits"),
+                id="5000_digits",
+            ),
+        ],
+    )
+    def test_edge_texts(self, text, expected):
+        assert parse_raw(text) == closure_parse_raw(text) == expected
+        assert (grammar_parse_raw(text) is not None) == isinstance(expected, RawStatement)
+
+
+class TestQuotedTokenShapes:
+    """An identifier or string token is written as runs of plain characters
+    between doubled quotes; it matches exactly what the plain alternation
+    per character matches, first (longest) match and every other one."""
+
+    @pytest.mark.parametrize(
+        "shape, alternation", [(_IDENT, r"\[(?:[^\]]|\]\])*\]"), (_STRING, r"'(?:[^']|'')*'")]
+    )
+    @given(text=st.lists(st.sampled_from(["[", "]", "]]", "'", "''", "a", " "]), max_size=10).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_same_matches_as_the_alternation(self, shape, alternation, text):
+        first, expected = re.match(shape, text), re.match(alternation, text)
+        assert (first and first.group()) == (expected and expected.group())
+        for end in range(len(text) + 1):
+            assert (re.fullmatch(shape, text[:end]) is None) == (re.fullmatch(alternation, text[:end]) is None)
