@@ -20,14 +20,16 @@ from .sql import SqlStatement, parse
 
 
 def error_kind(message: str) -> str:
-    """Coarse bucket for an execution error message."""
-    m = message.lower()
-    if "no such column" in m:
-        return "unknown_column"
-    if "no such table" in m:
-        return "unknown_table"
-    if "syntax error" in m or "unrecognized token" in m or "incomplete input" in m:
+    """Coarse bucket for an error message ``execute`` wrote, read off the
+    start of the message, never from user text (a literal, a table id)
+    further in. SQLite only runs statements the engine rendered, so its own
+    parser messages (``incomplete input``) do not occur."""
+    if message.startswith("syntax error"):
         return "malformed"
+    if message.startswith("no such table: "):
+        return "unknown_table"
+    if message.startswith("no such column: "):
+        return "unknown_column"
     return "other"
 
 

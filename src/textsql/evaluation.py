@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .data import LogicalForm, QuestionRecord, Table
 from .engine import TableCache, execute, results_equal
 from .normalize import format_number, normalize_question, normalize_text, round12
-from .sql import ParseFailure, RawStatement, SqlStatement, compose, parse_raw, resolve
+from .sql import AGG_TOKEN_INDEX, ParseFailure, RawStatement, SqlStatement, compose, parse_raw, resolve
 
 
 class Kind(str, Enum):
@@ -90,11 +90,11 @@ def _first_invalid(
 ) -> Slot | None:
     """First Invalid condition that fires, in the fixed slot order.
 
-    ``stmt`` is ``resolve(raw)``: its failure at the aggregation token marks
+    ``stmt`` is ``resolve(raw)``: its failure at ``AGG_TOKEN_INDEX`` marks
     an unknown function, any other failure an unknown operator.
     """
     headers = {normalize_text(h) for h in tab.headers}
-    if isinstance(stmt, ParseFailure) and stmt.token_index == raw.agg_index:
+    if isinstance(stmt, ParseFailure) and stmt.token_index == AGG_TOKEN_INDEX:
         return Slot.AGG_FUNCTION
     if normalize_text(raw.sel_col) not in headers:
         return Slot.SELECT_COLUMN

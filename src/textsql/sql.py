@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .data import AGG_AVG, AGG_NAMES, AGG_NONE, AGG_SUM, DataError, LogicalForm, OP_OTHER, Table
 from .normalize import NUMBER_RE, format_number, normalize_text
@@ -182,10 +183,10 @@ def _render_condition(col: str, op: str, value, quote) -> str:
 #
 # The dialect is a regular language, so a statement in it is matched by an
 # anchored grammar: one head pattern, then one condition pattern per
-# condition, each matched where the last match ended. That is the success
-# path. A text the grammar misses is tokenized and walked token by token,
-# and the walk only explains the failure: ``eg``'s selection rows and
-# ``engine.execute``'s error text carry its message and token index.
+# condition, each matched where the last match ended. The grammar is the one
+# builder of a ``RawStatement``. A text it misses is tokenized and walked
+# token by token, and the walk only explains the miss: ``eg``'s selection
+# rows and ``engine.execute``'s error text carry its message and token index.
 #
 # Both read the same tokens. Each token shape below has one definition; a
 # keyword folds ASCII case only and ends where a word token would end; and a
@@ -194,6 +195,10 @@ def _render_condition(col: str, op: str, value, quote) -> str:
 # token shorter than the tokenizer's leaves one of its own characters (a
 # ``]``, ``'``, word, number or operator character) where the grammar needs
 # whitespace, a keyword, a parenthesis, a literal or the end.
+#
+# The layout fixes every token index: the aggregation word is token 1, the
+# head is 7 tokens with an aggregation and 4 without, and each condition is
+# 4 tokens with its operator third.
 
 # A quoted token is written as a run of plain characters between doubled
 # quotes (not as an alternation per character), which the regex engine
@@ -249,6 +254,9 @@ _WHERE_RE = _condition_re("where")
 _AND_RE = _condition_re("and")
 _SPACE_RE = re.compile(r"\s*")
 
+# The token index of a written aggregation word.
+AGG_TOKEN_INDEX = 1
+
 
 @dataclass(frozen=True)
 class ParseFailure:
@@ -262,36 +270,30 @@ class ParseFailure:
         return False
 
 
-@dataclass(frozen=True)
-class RawStatement:
-    """Shape-level parse of a statement before slot validation.
-
-    ``agg_token`` is the raw function name (None when no aggregation was
-    written) and each condition keeps its raw operator token. Evaluation uses
-    this to tell an unrecognized aggregation or operator apart from an
-    unparseable string. Token indices of the agg and operator tokens are
-    kept for failure reporting.
-    """
+class RawStatement(NamedTuple):
+    """Shape-level parse of a statement before slot validation: what the
+    text says. ``agg_token`` is the raw function name (None when no
+    aggregation was written) and each condition keeps its raw operator
+    token, so evaluation can tell an unrecognized aggregation or operator
+    apart from an unparseable string."""
 
     agg_token: str | None
-    agg_index: int
     sel_col: str
     table_id: str
     conds: tuple[tuple[str, str, str | int | float], ...]
-    op_indices: tuple[int, ...]
 
 
 def _number(literal: str) -> int | float | None:
     """A numeric literal's value: an int when it is all digits, else a float;
-    None when it has no finite value (``int()`` refuses more than 4,300
-    digits, which counts as infinite like a float that overflows)."""
+    None when it has no finite value. That refuses what ``compose`` refuses:
+    a float that overflows and an integer beyond the double range (``int()``
+    also refuses more than 4,300 digits)."""
     try:
         value = int(literal) if literal.lstrip("+-").isdigit() else float(literal)
-    except ValueError:  # more digits than int() converts
+        finite = math.isfinite(value)
+    except (ValueError, OverflowError):  # too many digits for int(), too large for a double
         return None
-    if isinstance(value, float) and math.isinf(value):
-        return None
-    return value
+    return value if finite else None
 
 
 def _tokenize(text: str) -> list[tuple[str, object]] | ParseFailure:
@@ -333,19 +335,14 @@ def parse_raw(text: str) -> RawStatement | ParseFailure:
     """Parse the statement shape, accepting any aggregation-function word and
     any operator token. Strict slot validation happens in ``resolve``.
 
-    The anchored grammar is the success path: a text it matches becomes a
-    ``RawStatement`` at once, its token indices counted from the fixed shape
-    (a head of 7 tokens with an aggregation, 4 without; 4 per condition,
-    the operator third). Any other text goes to ``_walk``, whose only job is
-    the ``ParseFailure``: the message and token index that ``eg``'s
-    selection rows and ``execute``'s error text report."""
+    The anchored grammar builds the statement; any text it misses goes to
+    ``_walk``, which only explains the miss with the ``ParseFailure`` that
+    ``eg``'s selection rows and ``execute``'s error text report."""
     head = _HEAD_RE.match(text)
     if head is None:
         return _walk(text)
     agg_token, agg_col, col, table_id = head.groups()
-    i = 4 if agg_token is None else 7
     conds: list[tuple[str, str, str | int | float]] = []
-    op_indices: list[int] = []
     pos = head.end()
     cond_re = _WHERE_RE
     while (cond := cond_re.match(text, pos)) is not None:
@@ -357,29 +354,24 @@ def parse_raw(text: str) -> RawStatement | ParseFailure:
         else:
             value = string[1:-1].replace("''", "'")
         conds.append((cond_col[1:-1].replace("]]", "]"), op, value))
-        op_indices.append(i + 2)
-        i += 4
         pos = cond.end()
         cond_re = _AND_RE
     if _SPACE_RE.fullmatch(text, pos) is None:
         return _walk(text)
     return RawStatement(
-        agg_token=agg_token,
-        agg_index=-1 if agg_token is None else 1,
-        sel_col=(col or agg_col)[1:-1].replace("]]", "]"),
-        table_id=table_id[1:-1].replace("]]", "]"),
-        conds=tuple(conds),
-        op_indices=tuple(op_indices),
+        agg_token, (col or agg_col)[1:-1].replace("]]", "]"), table_id[1:-1].replace("]]", "]"), tuple(conds)
     )
 
 
-def _walk(text: str) -> RawStatement | ParseFailure:
-    """``parse_raw`` by tokens, for a text the grammar does not match.
+def _walk(text: str) -> ParseFailure:
+    """Why the grammar misses ``text``: the first token, walked in order,
+    that does not fit the layout, or the tokenizer's own failure.
 
     The walk moves one index along the token list, to which it appends the
     end sentinel ``("end", None)``: every lookahead reads a real token or the
     sentinel, and a mismatch at the sentinel reports ``end of input`` at one
-    past the last token."""
+    past the last token. A text whose tokens all fit is one the grammar
+    matches, so reaching the end raises ``AssertionError``."""
     tokens = _tokenize(text)
     if isinstance(tokens, ParseFailure):
         return tokens
@@ -387,22 +379,16 @@ def _walk(text: str) -> RawStatement | ParseFailure:
 
     if not _is_kw(tokens[0], "select"):
         return _fail(tokens, 0, "'select'")
-    agg_token: str | None = None
-    agg_index = -1
-    kind, value = tokens[1]
+    kind = tokens[1][0]
     if kind == "word":
-        agg_token = str(value)
-        agg_index = 1
         if tokens[2][0] != "lparen":
             return _fail(tokens, 2, "'('")
         if tokens[3][0] != "ident":
             return _fail(tokens, 3, "a bracket-quoted column")
         if tokens[4][0] != "rparen":
             return _fail(tokens, 4, "')'")
-        sel_col = str(tokens[3][1])
         i = 5
     elif kind == "ident":
-        sel_col = str(value)
         i = 2
     else:
         return _fail(tokens, 1, "a column or aggregation function")
@@ -411,11 +397,8 @@ def _walk(text: str) -> RawStatement | ParseFailure:
         return _fail(tokens, i, "'from'")
     if tokens[i + 1][0] != "ident":
         return _fail(tokens, i + 1, "a bracket-quoted table id")
-    table_id = str(tokens[i + 1][1])
     i += 2
 
-    conds: list[tuple[str, str, str | int | float]] = []
-    op_indices: list[int] = []
     keyword = "where"
     while tokens[i] is not _END:
         if not _is_kw(tokens[i], keyword):
@@ -424,40 +407,28 @@ def _walk(text: str) -> RawStatement | ParseFailure:
             return _fail(tokens, i + 1, "a bracket-quoted condition column")
         if tokens[i + 2][0] != "op":
             return _fail(tokens, i + 2, "an operator")
-        kind, value = tokens[i + 3]
-        if kind != "string" and kind != "number":
+        if tokens[i + 3][0] not in ("string", "number"):
             return _fail(tokens, i + 3, "a literal")
-        conds.append((str(tokens[i + 1][1]), str(tokens[i + 2][1]), value))
-        op_indices.append(i + 2)
         i += 4
         keyword = "and"
-
-    return RawStatement(
-        agg_token=agg_token,
-        agg_index=agg_index,
-        sel_col=sel_col,
-        table_id=table_id,
-        conds=tuple(conds),
-        op_indices=tuple(op_indices),
-    )
+    raise AssertionError(f"the walk accepts a text the grammar misses: {text!r}")
 
 
 def resolve(raw: RawStatement) -> SqlStatement | ParseFailure:
     """Strict slot validation of a shape-level parse: the aggregation word
     must name a known function and every operator must be renderable. The
-    aggregation is checked first, so a failure at ``raw.agg_index`` means an
-    unknown function and any other failure an unknown operator."""
+    aggregation is checked first, so a failure at ``AGG_TOKEN_INDEX`` means
+    an unknown function and any other failure an unknown operator; the
+    failure's index is the token's place in the layout."""
     if raw.agg_token is None:
         agg = AGG_NONE
     else:
         agg = AGG_BY_NAME.get(raw.agg_token.lower())
         if agg is None:
-            return ParseFailure(
-                f"unknown aggregation function {raw.agg_token!r}", raw.agg_index
-            )
-    for (col, op, value), op_idx in zip(raw.conds, raw.op_indices):
+            return ParseFailure(f"unknown aggregation function {raw.agg_token!r}", AGG_TOKEN_INDEX)
+    for k, (_, op, _) in enumerate(raw.conds):
         if op not in RENDER_OPS:
-            return ParseFailure(f"unknown operator {op!r}", op_idx)
+            return ParseFailure(f"unknown operator {op!r}", (4 if raw.agg_token is None else 7) + 4 * k + 2)
     return SqlStatement(agg=agg, sel_col=raw.sel_col, table_id=raw.table_id, conds=raw.conds)
 
 

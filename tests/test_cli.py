@@ -693,6 +693,24 @@ class TestEval:
         assert (report["n"], report["exec_correct"]) == (2, 2)
 
 
+    def test_integer_literal_beyond_the_double_range_is_a_parse_failure(self, tmp_path):
+        # No double holds the literal, so scoring it as a number would overflow.
+        digits = "9" * 400
+        tables = tmp_path / "tables.jsonl"
+        tables.write_text(dump_tables([Table("t", ("a", "b"), ("text", "real"), (("x", 5.0),))]))
+        questions = tmp_path / "questions.jsonl"
+        questions.write_text(json.dumps(
+            {"phase": 1, "table_id": "t", "question": f"a when b is {digits}",
+             "sql": {"sel": 0, "agg": 0, "conds": [[1, 0, 5.0]]}}
+        ) + "\n")
+        preds = tmp_path / "preds.txt"
+        preds.write_text(f"select [a] from [t] where [b] = {digits}\n")
+        out = tmp_path / "report.json"
+        code = main(["eval", "--preds", str(preds), "--questions", str(questions),
+                     "--tables", str(tables), "--out-json", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["counts"]["ParseFailure"] == 1
+
 class TestEg:
     def test_selection_and_report(self, corpus, tmp_path):
         questions, tables = corpus

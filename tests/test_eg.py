@@ -33,8 +33,8 @@ class TestErrorKind:
     def test_buckets(self):
         assert error_kind("no such column: bogus") == "unknown_column"
         assert error_kind("no such table: t9") == "unknown_table"
-        assert error_kind('near "frm": syntax error') == "malformed"
-        assert error_kind("incomplete input") == "malformed"
+        assert error_kind("syntax error at token 2: expected 'from', got 'no such column'") == "malformed"
+        assert error_kind("no such table: no such column") == "unknown_table"
         assert error_kind("something else") == "other"
 
 

@@ -31,7 +31,7 @@ from textsql import (
 
 from textsql.data import AGG_AVG, AGG_SUM
 from textsql.normalize import NUMBER_RE
-from textsql.sql import _IDENT, _STRING, RawStatement, _tokenize
+from textsql.sql import _IDENT, _STRING, AGG_BY_NAME, RENDER_OPS, RawStatement, _tokenize
 
 from conftest import PLATES_SQL, make_table
 
@@ -270,7 +270,13 @@ class TestParse:
         assert render(parsed) == text
 
     @pytest.mark.parametrize(
-        "literal", ["1e400", "-1e400", pytest.param("9" * 5000, id="5000_digits")]
+        "literal",
+        [
+            "1e400",
+            "-1e400",
+            pytest.param("9" * 400, id="400_digits"),
+            pytest.param("9" * 5000, id="5000_digits"),
+        ],
     )
     def test_literal_without_finite_value_fails_at_its_token(self, literal):
         result = parse(f"select [a] from [t] where [b] > {literal}")
@@ -447,24 +453,28 @@ _TWIN_FAMILIES = ((3, 3.0, "3"), (0, 0.0, -0.0, "0"), (-3, -3.0), (1e16, 10**16)
 
 # --- differential test against the closure walker -----------------------------
 
-# The closure-based walk that ``parse_raw`` replaced, kept verbatim as the
-# reference: the index walk must return the same statement, or the same
-# failure message at the same token index.
-def closure_parse_raw(text: str) -> RawStatement | ParseFailure:
+# The closure-based walk that ``parse_raw`` replaced, kept as the reference:
+# ``parse_raw`` must return the same statement, or the same failure message
+# at the same token index. The walk also returns the token indices it
+# reached for the aggregation word (-1 when none is written) and for each
+# operator, which ``resolve`` must report for an unknown one.
+def closure_parse_raw(text: str) -> tuple[RawStatement | ParseFailure, int, tuple[int, ...]]:
     """Parse the statement shape, accepting any aggregation-function word and
     any operator token. Strict slot validation happens in ``resolve``."""
+    agg_index = -1
+    op_indices: list[int] = []
     tokens = _tokenize(text)
     if isinstance(tokens, ParseFailure):
-        return tokens
+        return tokens, agg_index, ()
 
     i = 0
 
     def peek() -> tuple[str, object] | None:
         return tokens[i] if i < len(tokens) else None
 
-    def fail(expected: str) -> ParseFailure:
+    def fail(expected: str) -> tuple[ParseFailure, int, tuple[int, ...]]:
         got = f"{tokens[i][1]!r}" if i < len(tokens) else "end of input"
-        return ParseFailure(f"expected {expected}, got {got}", i)
+        return ParseFailure(f"expected {expected}, got {got}", i), agg_index, tuple(op_indices)
 
     def is_keyword(tok, kw: str) -> bool:
         return tok is not None and tok[0] == "word" and str(tok[1]).lower() == kw
@@ -474,7 +484,6 @@ def closure_parse_raw(text: str) -> RawStatement | ParseFailure:
     i += 1
 
     agg_token: str | None = None
-    agg_index = -1
     tok = peek()
     if tok is not None and tok[0] == "word":
         agg_token = str(tok[1])
@@ -505,7 +514,6 @@ def closure_parse_raw(text: str) -> RawStatement | ParseFailure:
     i += 1
 
     conds: list[tuple[str, str, str | int | float]] = []
-    op_indices: list[int] = []
     if peek() is not None:
         if not is_keyword(peek(), "where"):
             return fail("'where' or end of statement")
@@ -531,14 +539,8 @@ def closure_parse_raw(text: str) -> RawStatement | ParseFailure:
                 return fail("'and' or end of statement")
             i += 1
 
-    return RawStatement(
-        agg_token=agg_token,
-        agg_index=agg_index,
-        sel_col=sel_col,
-        table_id=table_id,
-        conds=tuple(conds),
-        op_indices=tuple(op_indices),
-    )
+    raw = RawStatement(agg_token=agg_token, sel_col=sel_col, table_id=table_id, conds=tuple(conds))
+    return raw, agg_index, tuple(op_indices)
 
 
 _DIALECT_PIECES = st.sampled_from(
@@ -566,7 +568,7 @@ class TestIndexWalkMatchesClosureWalk:
     @given(dialect_texts())
     @settings(max_examples=600, deadline=None)
     def test_same_statement_or_same_failure(self, text):
-        assert parse_raw(text) == closure_parse_raw(text)
+        assert parse_raw(text) == closure_parse_raw(text)[0]
 
     @pytest.mark.parametrize(
         "text",
@@ -586,7 +588,7 @@ class TestIndexWalkMatchesClosureWalk:
         ],
     )
     def test_edge_texts(self, text):
-        assert parse_raw(text) == closure_parse_raw(text)
+        assert parse_raw(text) == closure_parse_raw(text)[0]
 
 
 # --- the grammar is the success path -------------------------------------------
@@ -644,25 +646,28 @@ def grammar_parse_raw(text: str) -> RawStatement | None:
             return None
 
 
-def _raw(sel_col, conds=(), op_indices=(), agg_token=None):
-    return RawStatement(agg_token, 1 if agg_token else -1, sel_col, "t", conds, op_indices)
-
-
-_NO_INT_LIMIT = not getattr(sys, "get_int_max_str_digits", lambda: 0)()
+def _raw(sel_col, conds=(), agg_token=None):
+    return RawStatement(agg_token, sel_col, "t", conds)
 
 
 class TestGrammarMatchesWalk:
     """The grammar matches exactly the texts the walk accepts, with the walk's
     statement (the closure walk above is the oracle); every other text gets
-    the walk's failure."""
+    the walk's failure, and an unknown aggregation or operator fails at the
+    token the walk reached for it."""
 
     @given(st.one_of(dialect_texts(), glued_texts()))
     @settings(max_examples=1500, deadline=None)
     def test_matches_exactly_what_the_walk_accepts(self, text):
-        walked = closure_parse_raw(text)
+        walked, agg_index, op_indices = closure_parse_raw(text)
         matched = grammar_parse_raw(text)
         if isinstance(walked, RawStatement):
             assert matched == walked  # complete, and sound where it matches
+            known = [(walked.agg_token.lower() in AGG_BY_NAME, agg_index)] if walked.agg_token is not None else []
+            known += [(op in RENDER_OPS, i) for (_, op, _), i in zip(walked.conds, op_indices)]
+            unknown = [i for ok, i in known if not ok]
+            if unknown:
+                assert parse(text).token_index == unknown[0]
         else:
             assert matched is None
         assert parse_raw(text) == walked
@@ -682,14 +687,14 @@ class TestGrammarMatchesWalk:
             ("SeLeCt MAX ( [a]]b] )FROM[t]", _raw("a]b", agg_token="MAX")),
             (
                 "select [a] from [t] where [b] = 1and [c] = 2",
-                _raw("a", (("b", "=", 1), ("c", "=", 2)), (6, 10)),
+                _raw("a", (("b", "=", 1), ("c", "=", 2))),
             ),
             (
                 "select [a]\tfrom [t] where [b] >= 'it''s'\n",
-                _raw("a", (("b", ">=", "it's"),), (6,)),
+                _raw("a", (("b", ">=", "it's"),)),
             ),
-            ("select [a] from [t] where [b] = ١٢", _raw("a", (("b", "=", 12),), (6,))),
-            ("select [a] from [t] where [b] < 1.and [c] = .5", _raw("a", (("b", "<", 1.0), ("c", "=", 0.5)), (6, 10))),
+            ("select [a] from [t] where [b] = ١٢", _raw("a", (("b", "=", 12),))),
+            ("select [a] from [t] where [b] < 1.and [c] = .5", _raw("a", (("b", "<", 1.0), ("c", "=", 0.5)))),
             ("ſelect [a] from [t]", ParseFailure("unexpected character 'ſ'", 0)),
             ("selectx [a] from [t]", ParseFailure("expected 'select', got 'selectx'", 0)),
             ("select [a] fromx [t]", ParseFailure("expected 'from', got 'fromx'", 2)),
@@ -698,13 +703,12 @@ class TestGrammarMatchesWalk:
             pytest.param(
                 "select [a] from [t] where [b] = " + "9" * 5000,
                 ParseFailure(f"numeric literal out of range {'9' * 5000!r}", 7),
-                marks=pytest.mark.skipif(_NO_INT_LIMIT, reason="int() converts any number of digits"),
                 id="5000_digits",
             ),
         ],
     )
     def test_edge_texts(self, text, expected):
-        assert parse_raw(text) == closure_parse_raw(text) == expected
+        assert parse_raw(text) == closure_parse_raw(text)[0] == expected
         assert (grammar_parse_raw(text) is not None) == isinstance(expected, RawStatement)
 
 
