@@ -116,19 +116,37 @@ class QuestionRecord:
             raise ValueError("question must be non-empty")
 
 
+# Decodes the lines that hold one object with JSON whitespace after it, as
+# ``json.loads`` would decode them.
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"
+
+
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """The objects of a JSONL file, each with its 1-based line number;
+    blank lines are skipped. A line is decoded as ``json.loads`` decodes
+    it, and a line that is not one JSON object raises ``DataFormatError``
+    naming the line."""
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-                    msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                    raise DataFormatError(f"invalid JSON: {msg}", path, lineno) from exc
-                if not isinstance(obj, dict):
-                    raise DataFormatError("line is not a JSON object", path, lineno)
+                    obj, end = _DECODER.raw_decode(line)
+                except (ValueError, RecursionError):
+                    obj = None
+                if type(obj) is not dict or line[end:].strip(_JSON_SPACE):
+                    # Anything but an object at the line's start with only
+                    # JSON whitespace after it: ``json.loads`` decides, so
+                    # each error keeps its own message.
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+                        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                        raise DataFormatError(f"invalid JSON: {msg}", path, lineno) from exc
+                    if not isinstance(obj, dict):
+                        raise DataFormatError("line is not a JSON object", path, lineno)
                 yield lineno, obj
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"not UTF-8 text ({exc.reason})", path, _undecodable_line(path)) from exc

@@ -154,12 +154,15 @@ def check_cells(tab: Table) -> None:
 
 @dataclass(frozen=True, slots=True)
 class TableDb:
-    """A materialized table: the connection holding its relation and the
-    table id that ``execute`` binds statements to. The connection may hold
-    other tables; only this one is reachable through the handle."""
+    """A materialized table: the connection holding its relation, the
+    table id that ``execute`` binds statements to, and ``headers``, the set
+    of its lowercased column names (``column_names``), which the taxonomy
+    reads. The connection may hold other tables; only this one is reachable
+    through the handle."""
 
     conn: sqlite3.Connection
     table_id: str
+    headers: frozenset[str]
 
 
 def materialize(tab: Table, conn: sqlite3.Connection | None = None) -> TableDb:
@@ -172,7 +175,11 @@ def materialize(tab: Table, conn: sqlite3.Connection | None = None) -> TableDb:
     """
     cols = column_names(tab)
     check_cells(tab)
-    rows = [tuple(_store_cell(v, t) for v, t in zip(row, tab.col_types)) for row in tab.rows]
+    # Numbers and nulls are stored as they are; only strings need ``_store_cell``.
+    rows = [
+        tuple(_store_cell(v, t) if type(v) is str else v for v, t in zip(row, tab.col_types))
+        for row in tab.rows
+    ]
     col_defs = ", ".join(f"{_quote(c)} {_SQL_TYPES[t]}" for c, t in zip(cols, tab.col_types))
     placeholders = ", ".join("?" for _ in cols)
     db = conn if conn is not None else sqlite3.connect(":memory:")
@@ -185,7 +192,7 @@ def materialize(tab: Table, conn: sqlite3.Connection | None = None) -> TableDb:
         if conn is None:
             db.close()
         raise MaterializeError(f"table {tab.table_id!r}: {exc}") from exc
-    return TableDb(db, tab.table_id)
+    return TableDb(db, tab.table_id, frozenset(cols))
 
 
 def _quote(ident: str) -> str:
@@ -221,7 +228,7 @@ def execute(statement: SqlStatement | ParseFailure | str, db: TableDb) -> ExecRe
         return ExecResult.from_error(f"no such table: {statement.table_id}")
     try:
         cur = db.conn.execute(_render(statement, _quote))
-        return ExecResult.from_rows(cur.fetchall())
+        return ExecResult(rows=tuple(cur.fetchall()))  # each row is already a tuple
     except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
         # A lone surrogate in a literal cannot be encoded for the engine.
         return ExecResult.from_error(str(exc))

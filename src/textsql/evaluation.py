@@ -73,6 +73,9 @@ class ErrorClass:
 
 CORRECT = ErrorClass(Kind.CORRECT)
 PARSE_FAILURE = ErrorClass(Kind.PARSE_FAILURE)
+# The Invalid and Wrong labels, by slot.
+_INVALID = {slot: ErrorClass(Kind.INVALID, slot) for slot in SLOT_ORDER}
+_WRONG = {slot: ErrorClass(Kind.WRONG, slot) for slot in SLOT_ORDER}
 
 
 def _value_forms(value) -> tuple[str, ...]:
@@ -85,15 +88,20 @@ def _value_forms(value) -> tuple[str, ...]:
     return (text,)
 
 
+def _header_set(tab: Table) -> frozenset[str]:
+    """The table's lowercased column names, as ``TableDb.headers`` holds them."""
+    return frozenset(map(normalize_text, tab.headers))
+
+
 def _first_invalid(
-    raw: RawStatement, stmt: SqlStatement | ParseFailure, tab: Table, question: str
+    raw: RawStatement, stmt: SqlStatement | ParseFailure, headers: frozenset[str], question: str
 ) -> Slot | None:
     """First Invalid condition that fires, in the fixed slot order.
 
     ``stmt`` is ``resolve(raw)``: its failure at ``AGG_TOKEN_INDEX`` marks
-    an unknown function, any other failure an unknown operator.
+    an unknown function, any other failure an unknown operator. ``headers``
+    is the table's header set (``_header_set``).
     """
-    headers = {normalize_text(h) for h in tab.headers}
     if isinstance(stmt, ParseFailure) and stmt.token_index == AGG_TOKEN_INDEX:
         return Slot.AGG_FUNCTION
     if normalize_text(raw.sel_col) not in headers:
@@ -102,10 +110,11 @@ def _first_invalid(
         return Slot.WHERE_COLUMN
     if isinstance(stmt, ParseFailure):
         return Slot.WHERE_OPER
-    haystack = normalize_question(question)
-    for _, _, value in raw.conds:
-        if not any(form in haystack for form in _value_forms(value)):
-            return Slot.WHERE_VALUE
+    if raw.conds:
+        haystack = normalize_question(question)
+        for _, _, value in raw.conds:
+            if not any(form in haystack for form in _value_forms(value)):
+                return Slot.WHERE_VALUE
     return None
 
 
@@ -144,20 +153,21 @@ def classify_error(pred_text: str, gold: LogicalForm, tab: Table, question: str)
     raw = parse_raw(pred_text)
     if isinstance(raw, ParseFailure):
         return PARSE_FAILURE
-    return _classify(raw, resolve(raw), compose(gold, tab), tab, question)
+    return _classify(raw, resolve(raw), compose(gold, tab), _header_set(tab), question)
 
 
 def _classify(
-    raw: RawStatement, stmt: SqlStatement | ParseFailure, gold: SqlStatement, tab: Table, question: str
+    raw: RawStatement, stmt: SqlStatement | ParseFailure, gold: SqlStatement, headers: frozenset[str], question: str
 ) -> ErrorClass:
-    """``classify_error`` past the parse: ``stmt`` is ``resolve(raw)`` and
-    ``gold`` the composed gold statement."""
-    invalid = _first_invalid(raw, stmt, tab, question)
+    """``classify_error`` past the parse: ``stmt`` is ``resolve(raw)``,
+    ``gold`` the composed gold statement and ``headers`` the table's header
+    set."""
+    invalid = _first_invalid(raw, stmt, headers, question)
     if invalid is not None:
-        return ErrorClass(Kind.INVALID, invalid)
+        return _INVALID[invalid]
     wrong = _first_wrong(stmt, gold)
     if wrong is not None:
-        return ErrorClass(Kind.WRONG, wrong)
+        return _WRONG[wrong]
     return CORRECT
 
 
@@ -170,7 +180,7 @@ def hallucination_flag(pred_text: str, tab: Table, question: str) -> bool:
     raw = parse_raw(pred_text)
     if isinstance(raw, ParseFailure):
         return False
-    return _first_invalid(raw, resolve(raw), tab, question) in _HALLUCINATION_SLOTS
+    return _first_invalid(raw, resolve(raw), _header_set(tab), question) in _HALLUCINATION_SLOTS
 
 
 @dataclass(frozen=True)
@@ -209,11 +219,14 @@ def execution_accuracy(
     composes each as it is asked for holds none of them. Each prediction
     is parsed once; the statement feeds both the taxonomy and the
     execution, so a prediction outside the dialect is never executed and
-    scores zero. The gold is executed once per prediction in the dialect,
-    and a prediction equal to its gold (the same rendered text, see
-    ``SqlStatement``) takes the gold's result instead of running again;
-    ``results_equal`` decides correctness. A missing table is a data error
-    and raises; so does a count of golds other than the predictions'.
+    scores zero. A prediction equal to its gold (the same rendered text,
+    see ``SqlStatement``) runs the gold once and scores by that result.
+    Any other prediction runs first: one that does not execute is wrong,
+    and its gold is not run, since an error variant never equals anything;
+    otherwise the gold runs and ``results_equal`` decides. Each score is
+    the one executing both statements would give. A missing table is a
+    data error and raises; so does a count of golds other than the
+    predictions'.
     """
     if len(preds) != len(records):
         raise ValueError(f"misaligned inputs: {len(preds)} preds, {len(records)} records")
@@ -232,13 +245,18 @@ def execution_accuracy(
             counts[PARSE_FAILURE] += 1
             continue
         stmt = resolve(raw)
-        label = _classify(raw, stmt, gold_stmt, tab, rec.question)
+        label = _classify(raw, stmt, gold_stmt, db.headers, rec.question)
         counts[label] += 1
         # Same as hallucination_flag, read off the label without a reparse.
         halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
-        if not isinstance(stmt, ParseFailure):
+        if isinstance(stmt, ParseFailure):
+            continue
+        if stmt == gold_stmt:
             gold_res = execute(gold_stmt, db)
-            exec_correct += results_equal(gold_res if stmt == gold_stmt else execute(stmt, db), gold_res)
+            exec_correct += results_equal(gold_res, gold_res)
+        else:
+            res = execute(stmt, db)
+            exec_correct += not res.is_error and results_equal(res, execute(gold_stmt, db))
     return EvalReport(len(preds), exec_correct, dict(counts), halluc)
 
 

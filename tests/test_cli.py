@@ -29,6 +29,7 @@ from textsql.eg import eg_gain
 from textsql.gate import load_params, save_params
 
 from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL, make_table
+from test_sql import glued_texts
 
 
 @pytest.fixture
@@ -532,6 +533,40 @@ class TestLinearizeFuzz:
             argv = ["eg", "--candidates", str(work / "cands.jsonl"), *inputs,
                     "--out-selections", str(work / "s.jsonl"), "--out-report", str(work / "r.json")]
         _assert_success_or_data_error(argv)
+
+
+# The fuzz record's gold, and predictions that execute on its table without
+# being equal to it, so that both execution orders are taken.
+_FUZZ_GOLD = "select [name] from [1-2-3] where [pts] = 3"
+_FUZZ_RUNNABLE = [_FUZZ_GOLD, "select [name] from [1-2-3]", "select count([pts]) from [1-2-3] where [pts] > 2",
+                  "select [rowid] from [1-2-3]", "select [name] from [1-2-3] where [pts] = 3.0"]
+
+
+class TestPredictionFuzz:
+    """Whatever a prediction or candidate says, ``eval`` and ``eg`` score
+    it and succeed: a prediction is never a data or an internal error."""
+
+    @given(texts=st.lists(glued_texts() | st.sampled_from(_FUZZ_RUNNABLE), min_size=1, max_size=4),
+           command=st.sampled_from(["eval", "eg"]))
+    @settings(max_examples=150, deadline=None)
+    def test_eval_and_eg_succeed(self, tmp_path_factory, texts, command):
+        work = tmp_path_factory.getbasetemp() / "prediction-fuzz"
+        work.mkdir(exist_ok=True)
+        tables, questions = work / "tables.jsonl", work / "questions.jsonl"
+        tables.write_text(json.dumps(_FUZZ_BASE["table"]) + "\n")
+        inputs = ["--questions", str(questions), "--tables", str(tables)]
+        if command == "eval":
+            questions.write_text((json.dumps(_FUZZ_BASE["record"]) + "\n") * len(texts))
+            (work / "preds.txt").write_text("".join(text + "\n" for text in texts))
+            argv = ["eval", "--preds", str(work / "preds.txt"), *inputs, "--out-json", str(work / "r.json")]
+        else:
+            questions.write_text(json.dumps(_FUZZ_BASE["record"]) + "\n")
+            (work / "cands.jsonl").write_text(json.dumps({"qid": 0, "candidates": texts}) + "\n")
+            argv = ["eg", "--candidates", str(work / "cands.jsonl"), *inputs,
+                    "--out-selections", str(work / "s.jsonl"), "--out-report", str(work / "r.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 0, err.getvalue()
 
 
 class TestSilver:

@@ -1,8 +1,11 @@
 """Loading, validation, and round-trip of the JSONL question/table files."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textsql import (
     AGG_NAMES,
@@ -16,7 +19,7 @@ from textsql import (
     load_questions,
     load_tables,
 )
-from textsql.data import iter_questions
+from textsql.data import _undecodable_line, iter_jsonl, iter_questions
 
 from conftest import PLATES_ID, PLATES_QUESTION
 
@@ -167,6 +170,77 @@ class TestIterQuestions:
             next(records)
         assert str(streamed.value) == str(loaded.value)
         assert (streamed.value.path, streamed.value.line) == (loaded.value.path, loaded.value.line) == (str(path), 4)
+
+
+def _json_loads_reader(path):
+    """The JSONL reader that decodes every line with ``json.loads``, kept as
+    the reference for ``iter_jsonl``'s messages and line numbers."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+                    msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                    raise DataFormatError(f"invalid JSON: {msg}", path, lineno) from exc
+                if not isinstance(obj, dict):
+                    raise DataFormatError("line is not a JSON object", path, lineno)
+                yield lineno, obj
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"not UTF-8 text ({exc.reason})", path, _undecodable_line(path)) from exc
+
+
+# Strings that may hold a lone surrogate, which ``json.dumps`` writes raw
+# (not valid UTF-8 once written) or escaped (valid, decoding to the surrogate).
+_KEYS = st.text(st.one_of(st.characters(), st.sampled_from(["\ud800", "\udfff"])), max_size=3)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | _KEYS
+    | st.sampled_from([math.nan, math.inf, -math.inf]),  # NaN, Infinity and -Infinity
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+_SPACE = st.just("") | st.text(st.sampled_from(" \t\r\x0b\xa0"), max_size=3)
+
+
+def _rarely(draw) -> bool:
+    return draw(st.sampled_from([False] * 7 + [True]))
+
+
+@st.composite
+def _jsonl_line(draw):
+    """One line's text: an object or, rarely, any JSON value, rarely
+    truncated, with JSON or other whitespace around it, rarely a BOM and
+    rarely data after it."""
+    value = draw(_VALUES if _rarely(draw) else st.dictionaries(_KEYS, _VALUES, max_size=3))
+    text = json.dumps(value, ensure_ascii=not _rarely(draw))
+    if _rarely(draw):
+        text = text[: draw(st.integers(0, len(text)))]
+    text = draw(_SPACE) + text + draw(_SPACE)
+    if _rarely(draw):
+        text = "\ufeff" + text
+    if _rarely(draw):
+        text += draw(st.sampled_from(["{}", " {}", "[]", " 1", "x", "}", "\ufeff"]))
+    return text
+
+
+def _read_all(reader, path):
+    """What ``reader`` yields, as text so that NaN compares equal to
+    itself, or the message and line number of its ``DataFormatError``."""
+    try:
+        return repr(list(reader(path)))
+    except DataFormatError as exc:
+        return (str(exc), exc.line)
+
+
+class TestIterJsonl:
+    @given(lines=st.lists(_jsonl_line(), min_size=1, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_decodes_and_fails_as_json_loads_does(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "jsonl-property.jsonl"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+        assert _read_all(iter_jsonl, path) == _read_all(_json_loads_reader, path)
 
 
 class TestIndexById:

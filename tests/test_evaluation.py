@@ -39,6 +39,7 @@ from textsql import (
 from textsql.eg import CandidateOutcome, EgGainReport, EgSelection
 from textsql.engine import results_equal
 from textsql.evaluation import CORRECT, PARSE_FAILURE, SLOT_ORDER, _HALLUCINATION_SLOTS, _classify
+from textsql.normalize import normalize_text
 from textsql.silver import SamplerConfig
 from textsql.sql import quote_ident, resolve
 
@@ -464,7 +465,7 @@ def _oracle_execution_accuracy(preds, golds, records, tables, cache):
             counts[PARSE_FAILURE] += 1
             continue
         stmt = resolve(raw)
-        label = _classify(raw, stmt, gold_stmt, tab, rec.question)
+        label = _classify(raw, stmt, gold_stmt, {normalize_text(h) for h in tab.headers}, rec.question)
         counts[label] += 1
         # Same as hallucination_flag, read off the label without a reparse.
         halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
@@ -593,6 +594,9 @@ class TestGoldReuse:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gold_then_each_prediction_not_equal_to_it_executes(self, seed, monkeypatch, cache):
+        """The exact execution sequence: a prediction equal to its gold runs
+        the gold once; any other prediction in the dialect runs first, and
+        its gold runs after it only when the prediction returned rows."""
         import textsql.evaluation as evaluation
 
         tab, preds, golds, records, _ = _twin_batch(seed, n=20)
@@ -606,13 +610,79 @@ class TestGoldReuse:
         monkeypatch.setattr(evaluation, "execute", counting_execute)
         execution_accuracy(preds, [compose(g, tab) for g in golds], records, {tab.table_id: tab}, cache)
         expected = []
+        skipped = 0
         for pred, gold in zip(preds, golds):
             stmt = parse(pred)
             if isinstance(stmt, ParseFailure):
                 continue
             gold_stmt = compose(gold, tab)
-            expected.append(gold_stmt)
             if stmt != gold_stmt:
                 expected.append(stmt)
+                if real_execute(stmt, cache.get(tab)).is_error:
+                    skipped += 1
+                    continue
+            expected.append(gold_stmt)
         assert calls == expected
+        assert skipped  # the batch holds a prediction whose gold is not run
         assert len(calls) < 2 * sum(not isinstance(parse(p), ParseFailure) for p in preds)
+
+
+class TestSkippedGold:
+    """A prediction that does not execute is wrong whatever its gold
+    returns, so its gold is not run; every score stays the one executing
+    both statements gives."""
+
+    @staticmethod
+    def _score(monkeypatch, cache, tab, gold, preds, question):
+        import textsql.evaluation as evaluation
+
+        calls = []
+        real_execute = evaluation.execute
+
+        def counting_execute(stmt, db):
+            calls.append(render(stmt))
+            return real_execute(stmt, db)
+
+        records = [QuestionRecord(phase=1, table_id=tab.table_id, question=question, lf=gold)] * len(preds)
+        golds = [compose(gold, tab)] * len(preds)
+        tables = {tab.table_id: tab}
+        monkeypatch.setattr(evaluation, "execute", counting_execute)
+        report = execution_accuracy(preds, golds, records, tables, cache)
+        monkeypatch.undo()
+        assert report == _oracle_execution_accuracy(preds, [gold] * len(preds), records, tables, cache)
+        return report, calls
+
+    def test_unknown_column_costs_one_execution_and_scores_zero(self, monkeypatch, cache):
+        pred = "select [nope] from [1-500-1] where [city] = 'richmond'"
+        report, calls = self._score(monkeypatch, cache, CITIES, GOLD, [pred], QUESTION)
+        assert calls == [pred]
+        assert report.exec_correct == 0
+        assert report.count(ErrorClass(Kind.INVALID, Slot.SELECT_COLUMN)) == 1
+
+    def test_gold_that_cannot_execute_scores_every_prediction_zero(self, monkeypatch, cache):
+        """A lone surrogate in the gold's literal cannot reach the engine, so
+        the gold is an error variant, equal to nothing."""
+        gold = LogicalForm(sel=1, agg=0, conds=(Condition(0, 0, "rich\ud800mond"),))
+        gold_text = render(compose(gold, CITIES))
+        assert execute(compose(gold, CITIES), cache.get(CITIES)).is_error
+        preds = [
+            gold_text,  # equal to the gold: the gold runs once
+            "select [population] from [1-500-1]",  # returns rows: the gold runs after it
+            "select [population] from [1-500-1] where [city] = 'richmond'",
+            "select [nope] from [1-500-1]",  # an error: the gold is not run
+        ]
+        report, calls = self._score(monkeypatch, cache, CITIES, gold, preds, "rich\ud800mond " + QUESTION)
+        assert report.exec_correct == 0
+        assert calls == [gold_text, preds[1], gold_text, preds[2], gold_text, preds[3]]
+
+    def test_rowid_prediction_is_executed_and_scored_by_its_rows(self, monkeypatch, cache):
+        """SQLite resolves ``rowid`` though the table has no such column and
+        the taxonomy calls it Invalid: whether the gold runs follows from
+        execution, never from the label."""
+        tab = Table(table_id="1-9-1", headers=("Name", "N"), col_types=("text", "real"), rows=(("a", 1), ("b", 2)))
+        gold = LogicalForm(sel=1, agg=0, conds=(Condition(0, 0, "b"),))
+        pred = "select [rowid] from [1-9-1] where [name] = 'b'"
+        report, calls = self._score(monkeypatch, cache, tab, gold, [pred], "which n is b")
+        assert calls == [pred, render(compose(gold, tab))]
+        assert report.count(ErrorClass(Kind.INVALID, Slot.SELECT_COLUMN)) == 1
+        assert report.exec_correct == 1
