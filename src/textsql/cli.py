@@ -62,12 +62,13 @@ import random
 import sys
 from collections import Counter
 from contextlib import ExitStack, closing, contextmanager, suppress
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .data import (
     DataError,
+    DataFormatError,
     QuestionRecord,
     Table,
     _undecodable_line,
@@ -181,11 +182,15 @@ def _blocks(items: Iterable) -> Iterator[list]:
 def _iter_lines(path: str) -> Iterator[str]:
     """The lines of a UTF-8 text file without their line ends, split as text
     mode splits them: only a line feed, a carriage return or the two together
-    end one. An unreadable file or bytes that are not UTF-8 are a
-    ``DataError``."""
+    end one. An unreadable file, bytes that are not UTF-8 and a byte-order
+    mark at the start of the file are a ``DataError``, as the JSONL inputs
+    refuse them; a U+FEFF anywhere else is part of its line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            first = fh.readline()  # read, not sought back to: the file may be a pipe
+            if first.startswith("\ufeff"):
+                raise DataFormatError("byte-order mark at the start of the file", path, 1)
+            for line in chain([first] if first else [], fh):
                 yield line.removesuffix("\n")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .data import Table
-from .engine import ExecResult, TableCache, execute, results_equal
-from .sql import SqlStatement, parse
+from .engine import ExecResult, TableCache, agrees_with_gold, execute
+from .sql import ParseFailure, SqlStatement, parse
 
 
 def error_kind(message: str) -> str:
@@ -35,10 +35,13 @@ def error_kind(message: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class CandidateOutcome:
-    """Execution outcome of one tried candidate."""
+    """Execution outcome of one tried candidate: its text, the statement
+    parsed from it (a ``ParseFailure`` for text outside the dialect) and
+    the result of executing that statement."""
 
     index: int
     sql_text: str
+    statement: SqlStatement | ParseFailure
     result: ExecResult
 
     @property
@@ -75,32 +78,22 @@ class EgSelection:
         return not self.outcomes[-1].ok
 
 
-def eg_select(
-    beam: Sequence[str],
-    tab: Table,
-    cache: TableCache,
-    *,
-    gold: tuple[SqlStatement, ExecResult] | None = None,
-) -> EgSelection:
+def eg_select(beam: Sequence[str], tab: Table, cache: TableCache) -> EgSelection:
     """First candidate in ``beam`` (SQL texts, best first) that executes
     without a runtime error.
 
-    Each tried candidate is parsed once. Candidates after the winner are not
-    executed. ``gold`` is a statement already executed on ``tab`` with its
-    result: a candidate equal to it (the same rendered text, see
-    ``SqlStatement``) takes that result object instead of running again. On
-    total failure the top candidate is chosen, with its error result. An
-    empty beam is a ``ValueError``.
+    Each tried candidate is parsed once and executed once; candidates after
+    the winner are neither. On total failure the top candidate is chosen,
+    with its error result. An empty beam is a ``ValueError``.
     """
     if not beam:
         raise ValueError("beam must be non-empty")
     db = cache.get(tab)
-    gold_stmt, gold_res = gold if gold is not None else (None, None)
     outcomes: list[CandidateOutcome] = []
     for i, sql_text in enumerate(beam):
         stmt = parse(sql_text)
-        res = gold_res if stmt == gold_stmt else execute(stmt, db)
-        outcomes.append(CandidateOutcome(i, sql_text, res))
+        res = execute(stmt, db)
+        outcomes.append(CandidateOutcome(i, sql_text, stmt, res))
         if not res.is_error:
             return EgSelection(i, tuple(outcomes))
     return EgSelection(0, tuple(outcomes))
@@ -146,12 +139,13 @@ def eg_gain(
     are composed golds. All three sequences align index by index
     (one table per example; repeats are fine, the cache materializes each
     table once).
-    Each gold is executed once and each beam is selected over once, with
-    the gold's result passed in, so a tried candidate equal to the gold is
-    not executed; ``results_equal`` decides correctness. The top candidate
-    is always tried first and is chosen whenever it executes, so top-1 is
-    correct exactly when it executed and the selection is correct. The
-    selections are returned in input order.
+    Each beam is selected over once, and ``agrees_with_gold`` scores the
+    chosen candidate: the gold runs after the selection, and only when the
+    chosen candidate executed and is not equal to it, so an all-failed
+    beam runs no gold. The top candidate is always tried first and is
+    chosen whenever it executes, so top-1 is correct exactly when it
+    executed and the selection is correct. The selections are returned in
+    input order.
     """
     if len(beams) != len(golds):
         raise ValueError(f"got {len(beams)} beams for {len(golds)} golds")
@@ -163,10 +157,10 @@ def eg_gain(
     all_failed = 0
     selections = []
     for beam, gold_stmt, tab in zip(beams, golds, tables):
-        gold_res = execute(gold_stmt, cache.get(tab))
-        selection = eg_select(beam, tab, cache, gold=(gold_stmt, gold_res))
+        selection = eg_select(beam, tab, cache)
         selections.append(selection)
-        eg_ok = results_equal(selection.chosen_result, gold_res)
+        chosen = selection.outcomes[selection.chosen_index]
+        eg_ok = agrees_with_gold(chosen.statement, chosen.result, gold_stmt, cache.get(tab))
         correct_top1 += eg_ok and selection.outcomes[0].ok
         correct_eg += eg_ok
         all_failed += selection.all_failed

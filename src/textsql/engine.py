@@ -357,14 +357,10 @@ def results_equal(a: ExecResult, b: ExecResult) -> bool:
     """Multiset equality of result rows after normalization.
 
     Text compares lowercased and trimmed; numbers with relative tolerance
-    1e-9. An error variant never equals anything, itself included. This is
-    the one gold rule of ``eval`` and ``eg``: a result compared with itself
-    (a statement equal to its gold reuses the gold's result) is equal
-    exactly when it is not an error. SQLite never returns NaN, so that
-    check skips the rows without changing the answer.
+    1e-9. An error variant never equals anything, itself included. Every
+    result the engine returns equals itself (SQLite never returns NaN, and
+    inf is close to inf), which ``agrees_with_gold`` relies on.
     """
-    if a is b:
-        return not a.is_error
     if a.is_error or b.is_error:
         return False
     if len(a.rows) != len(b.rows):
@@ -378,3 +374,19 @@ def results_equal(a: ExecResult, b: ExecResult) -> bool:
         if not all(_cells_equal(ca, cb) for ca, cb in zip(ra, rb)):
             return False
     return True
+
+
+def agrees_with_gold(
+    statement: SqlStatement | ParseFailure, result: ExecResult, gold: SqlStatement, db: TableDb
+) -> bool:
+    """The one gold rule of ``eval`` and ``eg``: whether ``statement``,
+    which executed on ``db`` to ``result``, answers as ``gold`` does.
+
+    An error agrees with nothing, so its gold is not run. A statement equal
+    to its gold (the same rendered text, see ``SqlStatement``) counts as
+    its own gold result, since every result equals itself. Any other
+    statement runs the gold, and ``results_equal`` decides.
+    """
+    if result.is_error:
+        return False
+    return statement == gold or results_equal(result, execute(gold, db))

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .data import LogicalForm, QuestionRecord, Table
-from .engine import TableCache, execute, results_equal
+from .engine import TableCache, agrees_with_gold, execute
 from .normalize import format_number, normalize_question, normalize_text, round12
 from .sql import AGG_TOKEN_INDEX, ParseFailure, RawStatement, SqlStatement, compose, parse_raw, resolve
 
@@ -100,13 +100,14 @@ def _first_invalid(
 
     ``stmt`` is ``resolve(raw)``: its failure at ``AGG_TOKEN_INDEX`` marks
     an unknown function, any other failure an unknown operator. ``headers``
-    is the table's header set (``_header_set``).
+    is the table's header set (``_header_set``); the parse lowercased the
+    column names, so they are looked up as they are.
     """
     if isinstance(stmt, ParseFailure) and stmt.token_index == AGG_TOKEN_INDEX:
         return Slot.AGG_FUNCTION
-    if normalize_text(raw.sel_col) not in headers:
+    if raw.sel_col not in headers:
         return Slot.SELECT_COLUMN
-    if any(normalize_text(col) not in headers for col, _, _ in raw.conds):
+    if any(col not in headers for col, _, _ in raw.conds):
         return Slot.WHERE_COLUMN
     if isinstance(stmt, ParseFailure):
         return Slot.WHERE_OPER
@@ -119,27 +120,28 @@ def _first_invalid(
 
 
 def _cond_key(col: str, op: str, value) -> tuple:
-    """Multiset key for one condition; numeric and text values never collide."""
+    """Multiset key for one condition; numeric and text values never
+    collide, and a number is keyed by its value, so ``3`` and ``3.0`` agree."""
     if isinstance(value, str):
-        return (normalize_text(col), op, "s", normalize_text(value))
-    return (normalize_text(col), op, "n", float(value))
+        return (col, op, "s", value)
+    return (col, op, "n", float(value))
 
 
 def _first_wrong(pred: SqlStatement, gold: SqlStatement) -> Slot | None:
-    """First differing slot, or None when the statements agree."""
+    """First differing slot, or None when the statements agree. Both are
+    in normal form (see ``SqlStatement``), so names and string literals
+    compare as they are."""
     if pred == gold:
         return None
     if pred.agg != gold.agg:
         return Slot.AGG_FUNCTION
-    if normalize_text(pred.sel_col) != normalize_text(gold.sel_col):
+    if pred.sel_col != gold.sel_col:
         return Slot.SELECT_COLUMN
-    pred_conds = [(normalize_text(c), op, v) for c, op, v in pred.conds]
-    gold_conds = [(normalize_text(c), op, v) for c, op, v in gold.conds]
-    if Counter(c for c, _, _ in pred_conds) != Counter(c for c, _, _ in gold_conds):
+    if Counter(c for c, _, _ in pred.conds) != Counter(c for c, _, _ in gold.conds):
         return Slot.WHERE_COLUMN
-    if Counter((c, op) for c, op, _ in pred_conds) != Counter((c, op) for c, op, _ in gold_conds):
+    if Counter((c, op) for c, op, _ in pred.conds) != Counter((c, op) for c, op, _ in gold.conds):
         return Slot.WHERE_OPER
-    if Counter(_cond_key(*c) for c in pred_conds) != Counter(_cond_key(*c) for c in gold_conds):
+    if Counter(_cond_key(*c) for c in pred.conds) != Counter(_cond_key(*c) for c in gold.conds):
         return Slot.WHERE_VALUE
     return None
 
@@ -219,14 +221,11 @@ def execution_accuracy(
     composes each as it is asked for holds none of them. Each prediction
     is parsed once; the statement feeds both the taxonomy and the
     execution, so a prediction outside the dialect is never executed and
-    scores zero. A prediction equal to its gold (the same rendered text,
-    see ``SqlStatement``) runs the gold once and scores by that result.
-    Any other prediction runs first: one that does not execute is wrong,
-    and its gold is not run, since an error variant never equals anything;
-    otherwise the gold runs and ``results_equal`` decides. Each score is
-    the one executing both statements would give. A missing table is a
-    data error and raises; so does a count of golds other than the
-    predictions'.
+    scores zero. Every other prediction runs, and ``agrees_with_gold``
+    scores it: its gold runs only when a prediction that executed is not
+    equal to it. Each score is the one executing both statements would
+    give. A missing table is a data error and raises; so does a count of
+    golds other than the predictions'.
     """
     if len(preds) != len(records):
         raise ValueError(f"misaligned inputs: {len(preds)} preds, {len(records)} records")
@@ -249,14 +248,8 @@ def execution_accuracy(
         counts[label] += 1
         # Same as hallucination_flag, read off the label without a reparse.
         halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
-        if isinstance(stmt, ParseFailure):
-            continue
-        if stmt == gold_stmt:
-            gold_res = execute(gold_stmt, db)
-            exec_correct += results_equal(gold_res, gold_res)
-        else:
-            res = execute(stmt, db)
-            exec_correct += not res.is_error and results_equal(res, execute(gold_stmt, db))
+        if not isinstance(stmt, ParseFailure):
+            exec_correct += agrees_with_gold(stmt, execute(stmt, db), gold_stmt, db)
     return EvalReport(len(preds), exec_correct, dict(counts), halluc)
 
 

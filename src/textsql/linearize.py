@@ -36,7 +36,7 @@ from itertools import accumulate
 from typing import ClassVar
 
 from .data import DataError, Table
-from .normalize import cell_text, normalize_question
+from .normalize import cell_text, normalize_question, normalize_text
 
 
 class LinearizeError(DataError):
@@ -86,7 +86,7 @@ def _table_fields(tab: Table, cfg: LinearizeConfig) -> list[str]:
     if not cfg.include_types:
         if cfg.sample_rows != 0:
             raise LinearizeError("baseline mode requires include_types=False and sample_rows=0")
-        fields += [h.lower() for h in tab.headers]
+        fields += [normalize_text(h) for h in tab.headers]
         return fields
     n, width = cfg.max_cell_len, tab.n_cols
     try:
@@ -94,7 +94,7 @@ def _table_fields(tab: Table, cfg: LinearizeConfig) -> list[str]:
     except TypeError as exc:
         raise LinearizeError(f"table {tab.table_id!r}: {exc}") from exc
     for j, (header, col_type) in enumerate(zip(tab.headers, tab.col_types)):
-        fields += (header.lower(), col_type, *cells[j::width])
+        fields += (normalize_text(header), col_type, *cells[j::width])
     return fields
 
 

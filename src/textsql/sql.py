@@ -40,9 +40,10 @@ class SqlStatement:
     """One WikiSQL-subset statement with resolved column names.
 
     ``conds`` holds ``(column_name, op, value)`` triples where ``op`` is one
-    of ``=``, ``>``, ``<`` and ``value`` is a string or number. String values
-    and column names are expected in normalized (lowercase) form; ``compose``
-    produces them that way.
+    of ``=``, ``>``, ``<`` and ``value`` is a string or number. Column names
+    and string values are in normal form (``normalize_text``, lowercase), as
+    the engine names columns and stores cells; ``compose`` and ``parse``
+    build them that way, and keep the table id as written.
 
     Two statements are equal exactly when they render to the same text, so
     equal statements select the same rows: ``3`` and ``3.0`` differ (on a
@@ -272,7 +273,9 @@ class ParseFailure:
 
 class RawStatement(NamedTuple):
     """Shape-level parse of a statement before slot validation: what the
-    text says. ``agg_token`` is the raw function name (None when no
+    text says, with the select column, each condition column and each
+    string literal in normal form (``normalize_text``) and the table id as
+    written. ``agg_token`` is the raw function name (None when no
     aggregation was written) and each condition keeps its raw operator
     token, so evaluation can tell an unrecognized aggregation or operator
     apart from an unparseable string."""
@@ -335,7 +338,8 @@ def parse_raw(text: str) -> RawStatement | ParseFailure:
     """Parse the statement shape, accepting any aggregation-function word and
     any operator token. Strict slot validation happens in ``resolve``.
 
-    The anchored grammar builds the statement; any text it misses goes to
+    The anchored grammar builds the statement, lowercasing the column names
+    and string literals as ``compose`` does; any text it misses goes to
     ``_walk``, which only explains the miss with the ``ParseFailure`` that
     ``eg``'s selection rows and ``execute``'s error text report."""
     head = _HEAD_RE.match(text)
@@ -352,15 +356,14 @@ def parse_raw(text: str) -> RawStatement | ParseFailure:
             if value is None:
                 return _walk(text)
         else:
-            value = string[1:-1].replace("''", "'")
-        conds.append((cond_col[1:-1].replace("]]", "]"), op, value))
+            value = normalize_text(string[1:-1].replace("''", "'"))
+        conds.append((normalize_text(cond_col[1:-1].replace("]]", "]")), op, value))
         pos = cond.end()
         cond_re = _AND_RE
     if _SPACE_RE.fullmatch(text, pos) is None:
         return _walk(text)
-    return RawStatement(
-        agg_token, (col or agg_col)[1:-1].replace("]]", "]"), table_id[1:-1].replace("]]", "]"), tuple(conds)
-    )
+    sel_col = normalize_text((col or agg_col)[1:-1].replace("]]", "]"))
+    return RawStatement(agg_token, sel_col, table_id[1:-1].replace("]]", "]"), tuple(conds))
 
 
 def _walk(text: str) -> ParseFailure:
@@ -433,9 +436,11 @@ def resolve(raw: RawStatement) -> SqlStatement | ParseFailure:
 
 
 def parse(text: str) -> SqlStatement | ParseFailure:
-    """Inverse of ``render`` on its image; tolerant of surrounding whitespace
-    and keyword case. Failures are values so that evaluation can count
-    malformed generations instead of crashing."""
+    """Inverse of ``render`` on statements in normal form (see
+    ``SqlStatement``); tolerant of surrounding whitespace and keyword case,
+    and of the case of column names and string literals, which it
+    lowercases. Failures are values so that evaluation can count malformed
+    generations instead of crashing."""
     raw = parse_raw(text)
     if isinstance(raw, ParseFailure):
         return raw

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import textsql.engine
 from textsql import Condition, LogicalForm, QuestionRecord, Table, TableCache
 
 PLATES_ID = "1-1000181-1"
@@ -147,3 +148,19 @@ def cache():
     engine = TableCache()
     yield engine
     engine.close()
+
+
+def count_executions(monkeypatch, caller, record=lambda stmt: stmt) -> list:
+    """Record ``record(stmt)`` for every statement executed through the
+    ``caller`` module (a prediction or candidate) or through the engine's
+    gold rule (a gold), in call order."""
+    calls = []
+    real_execute = textsql.engine.execute
+
+    def counting_execute(stmt, db):
+        calls.append(record(stmt))
+        return real_execute(stmt, db)
+
+    monkeypatch.setattr(caller, "execute", counting_execute)
+    monkeypatch.setattr(textsql.engine, "execute", counting_execute)
+    return calls

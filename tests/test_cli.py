@@ -11,6 +11,7 @@ import random
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -727,6 +728,43 @@ class TestEval:
         report = json.loads(out.read_text())
         assert (report["n"], report["exec_correct"]) == (2, 2)
 
+
+    def test_byte_order_mark_before_the_first_prediction_is_refused(self, corpus, tmp_path, capsys):
+        """A UTF-8 byte-order mark at the start of ``--preds`` is bad data,
+        as it is in the JSONL inputs: exit 2 naming line 1, and the reports
+        of an earlier run are left as they were. Without it the same lines
+        score with no ParseFailure; a U+FEFF further in is prediction text."""
+        code, out, table_out = self._run(corpus, tmp_path, [PLATES_SQL] * 3)
+        assert code == 0
+        assert json.loads(out.read_text())["counts"]["ParseFailure"] == 0
+        earlier = out.read_bytes(), table_out.read_bytes()
+        questions, tables = corpus
+        preds = tmp_path / "preds.txt"
+        argv = ["eval", "--preds", str(preds), "--questions", str(questions), "--tables", str(tables),
+                "--out-json", str(out), "--out-table", str(table_out)]
+        preds.write_bytes(b"\xef\xbb\xbf" + preds.read_bytes())
+        assert main(argv) == 2
+        assert f"byte-order mark at the start of the file ({preds}:1)" in capsys.readouterr().err
+        assert (out.read_bytes(), table_out.read_bytes()) == earlier
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+        preds.write_text(PLATES_SQL + "\n\ufeff" + PLATES_SQL + "\n" + PLATES_SQL + "\n", encoding="utf-8")
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["counts"]["ParseFailure"] == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_predictions_read_from_a_pipe(self, corpus, tmp_path):
+        """The start of ``--preds`` is read, never sought back to."""
+        questions, tables = corpus
+        fifo = tmp_path / "preds.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(PLATES_SQL + "\n",), daemon=True)
+        writer.start()
+        out = tmp_path / "report.json"
+        code = main(["eval", "--preds", str(fifo), "--questions", str(questions), "--tables", str(tables),
+                     "--out-json", str(out)])
+        writer.join(timeout=10)
+        assert code == 0
+        assert json.loads(out.read_text())["exec_correct"] == 1
 
     def test_integer_literal_beyond_the_double_range_is_a_parse_failure(self, tmp_path):
         # No double holds the literal, so scoring it as a number would overflow.

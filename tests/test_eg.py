@@ -22,7 +22,7 @@ from textsql import (
 )
 from textsql.eg import EgGainReport, error_kind
 
-from conftest import make_table
+from conftest import count_executions, make_table
 
 
 def good_sql(tab, sel=0, conds=()):
@@ -208,26 +208,36 @@ class TestEgGainSinglePass:
         assert len(report.selections) == report.n
 
     def test_gold_and_each_tried_candidate_execute_once(self, monkeypatch, cache):
+        """Each beam runs its tried candidates in order, then its gold only
+        when the chosen candidate executed and is not equal to the gold."""
         pred_sets, golds, tables = self._random_set(3)
-        calls = []
-        real_execute = textsql.eg.execute
-
-        def counting_execute(sql_text, db):
-            calls.append(sql_text)
-            return real_execute(sql_text, db)
-
-        monkeypatch.setattr(textsql.eg, "execute", counting_execute)
+        calls = count_executions(monkeypatch, textsql.eg)
         report = eg_gain(pred_sets, golds, tables, cache)
         # The set has runner-up recoveries and an all-failed beam.
         assert report.correct_eg > report.correct_top1 and report.all_failed_count
-        # A tried candidate equal to the gold takes the gold's result.
-        assert any(parse(o.sql_text) == g for g, sel in zip(golds, report.selections) for o in sel.outcomes)
         expected = []
+        skipped = 0
         for gold, selection in zip(golds, report.selections):
-            expected.append(gold)
-            tried = (parse(o.sql_text) for o in selection.outcomes)
-            expected.extend(stmt for stmt in tried if stmt != gold)
+            tried = [parse(o.sql_text) for o in selection.outcomes]
+            expected.extend(tried)
+            if not selection.all_failed and tried[selection.chosen_index] != gold:
+                expected.append(gold)
+            else:
+                skipped += 1
         assert calls == expected
+        # Both reasons to skip the gold occur: a chosen candidate equal to
+        # it, and an all-failed beam.
+        assert skipped > report.all_failed_count
+
+    def test_all_failed_beam_runs_no_gold(self, monkeypatch, cache):
+        rng = random.Random(1)
+        tab = make_table(rng, nasty=False)
+        gold = compose(LogicalForm(sel=0, agg=0), tab)
+        beam = [f"select [no such col] from [{tab.table_id}]", "select garbage («"]
+        calls = count_executions(monkeypatch, textsql.eg)
+        report = eg_gain([beam], [gold], [tab], cache)
+        assert report.all_failed_count == 1 and report.correct_eg == 0
+        assert calls == [parse(text) for text in beam]
 
 
 class TestSelectionProperty:

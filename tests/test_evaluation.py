@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import textsql.evaluation
 from textsql import (
     Condition,
     ErrorClass,
@@ -43,7 +44,7 @@ from textsql.normalize import normalize_text
 from textsql.silver import SamplerConfig
 from textsql.sql import quote_ident, resolve
 
-from conftest import make_table
+from conftest import count_executions, make_table
 
 CITIES = Table(
     table_id="1-500-1",
@@ -444,8 +445,8 @@ class TestSinglePassScoring:
 # --- gold reuse against the scoring loops it replaced -------------------------
 
 # ``execution_accuracy``, ``eg_select`` and ``eg_gain`` as they were before a
-# statement equal to its gold took the gold's result, kept verbatim as the
-# reference: every prediction and tried candidate is executed and compared.
+# gold ran only when needed, kept as the reference: every prediction, tried
+# candidate and gold is executed, and the results are compared.
 
 
 def _oracle_execution_accuracy(preds, golds, records, tables, cache):
@@ -485,7 +486,7 @@ def _oracle_eg_select(beam, tab, cache):
     outcomes = []
     for i, sql_text in enumerate(beam):
         res = execute(sql_text, db)
-        outcomes.append(CandidateOutcome(index=i, sql_text=sql_text, result=res))
+        outcomes.append(CandidateOutcome(index=i, sql_text=sql_text, statement=parse(sql_text), result=res))
         if not res.is_error:
             return EgSelection(chosen_index=i, outcomes=tuple(outcomes))
     return EgSelection(chosen_index=0, outcomes=tuple(outcomes))
@@ -564,8 +565,9 @@ def _twin_batch(seed: int, n: int = 12):
 
 
 class TestGoldReuse:
-    """A prediction or tried candidate equal to its gold takes the gold's
-    result; scores, labels and selections stay those of executing it."""
+    """A prediction or chosen candidate equal to its gold counts as its own
+    gold result; scores, labels and selections stay those of executing
+    both."""
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
@@ -595,19 +597,11 @@ class TestGoldReuse:
     @pytest.mark.parametrize("seed", range(5))
     def test_gold_then_each_prediction_not_equal_to_it_executes(self, seed, monkeypatch, cache):
         """The exact execution sequence: a prediction equal to its gold runs
-        the gold once; any other prediction in the dialect runs first, and
-        its gold runs after it only when the prediction returned rows."""
-        import textsql.evaluation as evaluation
-
+        once, as the gold would (it renders the same text); any other
+        prediction in the dialect runs first, and its gold runs after it
+        only when the prediction returned rows."""
         tab, preds, golds, records, _ = _twin_batch(seed, n=20)
-        calls = []
-        real_execute = evaluation.execute
-
-        def counting_execute(stmt, db):
-            calls.append(stmt)
-            return real_execute(stmt, db)
-
-        monkeypatch.setattr(evaluation, "execute", counting_execute)
+        calls = count_executions(monkeypatch, textsql.evaluation)
         execution_accuracy(preds, [compose(g, tab) for g in golds], records, {tab.table_id: tab}, cache)
         expected = []
         skipped = 0
@@ -618,7 +612,7 @@ class TestGoldReuse:
             gold_stmt = compose(gold, tab)
             if stmt != gold_stmt:
                 expected.append(stmt)
-                if real_execute(stmt, cache.get(tab)).is_error:
+                if execute(stmt, cache.get(tab)).is_error:
                     skipped += 1
                     continue
             expected.append(gold_stmt)
@@ -634,19 +628,10 @@ class TestSkippedGold:
 
     @staticmethod
     def _score(monkeypatch, cache, tab, gold, preds, question):
-        import textsql.evaluation as evaluation
-
-        calls = []
-        real_execute = evaluation.execute
-
-        def counting_execute(stmt, db):
-            calls.append(render(stmt))
-            return real_execute(stmt, db)
-
         records = [QuestionRecord(phase=1, table_id=tab.table_id, question=question, lf=gold)] * len(preds)
         golds = [compose(gold, tab)] * len(preds)
         tables = {tab.table_id: tab}
-        monkeypatch.setattr(evaluation, "execute", counting_execute)
+        calls = count_executions(monkeypatch, textsql.evaluation, render)
         report = execution_accuracy(preds, golds, records, tables, cache)
         monkeypatch.undo()
         assert report == _oracle_execution_accuracy(preds, [gold] * len(preds), records, tables, cache)
@@ -686,3 +671,62 @@ class TestSkippedGold:
         assert calls == [pred, render(compose(gold, tab))]
         assert report.count(ErrorClass(Kind.INVALID, Slot.SELECT_COLUMN)) == 1
         assert report.exec_correct == 1
+
+
+# --- the normal form -----------------------------------------------------------
+
+_CAPITAL_HEADERS = ("Été", "Größe", "İl", "City", "NOTES", "Rank")
+_CAPITAL_CELLS = ("Été", "Straße", "İstanbul", "Richmond", "ÅS]'x", "north east")
+
+
+def _flip_case(text: str, rng: random.Random) -> str:
+    """``text`` with the case of some letters flipped, ASCII or not, each to
+    a capital that lowercases back to it (``ß`` has none); a dotted ``i̇``
+    may also become ``İ``, whose lowercase it is."""
+    if rng.random() < 0.5:
+        text = text.replace("i\u0307", "İ")
+    return "".join(c.upper() if rng.random() < 0.5 and c.upper().lower() == c else c for c in text)
+
+
+class TestNormalForm:
+    """A gold written with its column names and string literals in another
+    case is the gold: it parses equal to it, gets the label the gold's own
+    text gets, and executes to the gold's answer."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_case_variant_of_the_gold_is_the_gold(self, seed):
+        rng = random.Random(seed)
+        tab = make_table(rng, n_cols=rng.randrange(1, 4), n_rows=rng.randrange(1, 5))
+        rows = tuple(
+            tuple(rng.choice(_CAPITAL_CELLS) if t == "text" else v for v, t in zip(row, tab.col_types))
+            for row in tab.rows
+        )
+        tab = Table(tab.table_id, tuple(rng.sample(_CAPITAL_HEADERS, tab.n_cols)), tab.col_types, rows)
+        sel = rng.randrange(tab.n_cols)
+        cols = rng.sample(range(tab.n_cols), rng.randrange(0, tab.n_cols + 1))
+        lf = LogicalForm(
+            sel=sel,
+            agg=rng.randrange(6 if tab.col_types[sel] == "real" else 4),
+            conds=tuple(Condition(col, rng.randrange(3), rng.choice(rows)[col]) for col in cols),
+        )
+        gold = compose(lf, tab)
+        variant = replace(
+            gold,
+            sel_col=_flip_case(gold.sel_col, rng),
+            conds=tuple(
+                (_flip_case(col, rng), op, _flip_case(value, rng) if isinstance(value, str) else value)
+                for col, op, value in gold.conds
+            ),
+        )
+        text, gold_text = render(variant), render(gold)
+        # Some values are in the question and some are not, so Correct and
+        # Invalid/where_value both occur.
+        question = "which " + " ".join(str(c.value) for c in lf.conds if rng.random() < 0.8)
+        assert parse(text) == gold
+        assert classify_error(text, lf, tab, question) == classify_error(gold_text, lf, tab, question)
+        with closing(TableCache()) as cache:
+            db = cache.get(tab)
+            res, gold_res = execute(text, db), execute(gold_text, db)
+        assert not gold_res.is_error
+        assert results_equal(res, gold_res), (text, res)

@@ -30,7 +30,7 @@ from textsql import (
 )
 
 from textsql.data import AGG_AVG, AGG_SUM
-from textsql.normalize import NUMBER_RE
+from textsql.normalize import NUMBER_RE, normalize_text
 from textsql.sql import _IDENT, _STRING, AGG_BY_NAME, RENDER_OPS, RawStatement, _tokenize
 
 from conftest import PLATES_SQL, make_table
@@ -227,6 +227,13 @@ class TestParse:
         parsed = parse("  SELECT  Count( [a] )  FROM [t-1]  ")
         assert parsed == SqlStatement(agg=3, sel_col="a", table_id="t-1")
 
+    def test_lowercases_names_and_string_literals_not_the_table_id(self):
+        parsed = parse("select MAX([Größe]) from [T-1] where [ÉTÉ] = 'Oui' and [İl] > 3")
+        assert parsed == SqlStatement(
+            agg=1, sel_col="größe", table_id="T-1", conds=(("été", "=", "oui"), ("i\u0307l", ">", 3))
+        )
+        assert parse(render(parsed)) == parsed
+
     def test_truncated_statement_fails_one_past_last_token(self):
         failure = parse("select [a] from")
         assert isinstance(failure, ParseFailure)
@@ -314,7 +321,7 @@ def statements(draw):
     n_cols = draw(st.integers(1, 5))
     headers = []
     for i in range(n_cols):
-        name = draw(st.text(alphabet="abcxyz]'`\" é", min_size=1, max_size=8))
+        name = draw(st.text(alphabet="abcxyzAXÉİß]'`\" é", min_size=1, max_size=8))
         while name.lower() in [h.lower() for h in headers] or not name.strip():
             name = name + chr(ord("a") + i)
         headers.append(name)
@@ -338,7 +345,7 @@ def statements(draw):
     return lf, tab
 
 
-_IDENT_TEXTS = st.text(alphabet="ab]'` é\n[", max_size=6)
+_IDENT_TEXTS = st.text(alphabet="abAÉİ]'` é\n[", max_size=6)
 _NUMBER_TEXTS = st.one_of(
     st.from_regex(NUMBER_RE, fullmatch=True),
     st.sampled_from(["1e400", "-1e400", "1e-400", "+007", ".5", "1.", "1e16"]),
@@ -361,7 +368,7 @@ def near_statements(draw):
     def literal():
         if draw(st.booleans()):
             return draw(_NUMBER_TEXTS)
-        return "'" + draw(st.text(alphabet="x'] é", max_size=5)).replace("'", "''") + "'"
+        return "'" + draw(st.text(alphabet="xXÉİ'] é", max_size=5)).replace("'", "''") + "'"
 
     toks = [word("select")]
     agg = draw(st.sampled_from(["", "max", "min", "count", "sum", "avg", "median"]))
@@ -386,9 +393,18 @@ class TestRoundTripProperty:
     @given(statements())
     @settings(max_examples=300, deadline=None)
     def test_parse_render_compose_identity(self, case):
+        """A composed statement round-trips, and the same statement written
+        with the table's own case parses to it: the lowercased statement."""
         lf, tab = case
         stmt = compose(lf, tab)
         assert parse(render(stmt)) == stmt
+        as_written = SqlStatement(
+            agg=lf.agg,
+            sel_col=tab.headers[lf.sel],
+            table_id=tab.table_id,
+            conds=tuple((tab.headers[c.col], RENDER_OPS[c.op], c.value) for c in lf.conds),
+        )
+        assert parse(render(as_written)) == stmt
 
     @given(near_statements())
     @settings(max_examples=500, deadline=None)
@@ -455,9 +471,11 @@ _TWIN_FAMILIES = ((3, 3.0, "3"), (0, 0.0, -0.0, "0"), (-3, -3.0), (1e16, 10**16)
 
 # The closure-based walk that ``parse_raw`` replaced, kept as the reference:
 # ``parse_raw`` must return the same statement, or the same failure message
-# at the same token index. The walk also returns the token indices it
-# reached for the aggregation word (-1 when none is written) and for each
-# operator, which ``resolve`` must report for an unknown one.
+# at the same token index. Like ``parse_raw``, it lowercases the column names
+# and string literals and keeps the table id as written. The walk also
+# returns the token indices it reached for the aggregation word (-1 when none
+# is written) and for each operator, which ``resolve`` must report for an
+# unknown one.
 def closure_parse_raw(text: str) -> tuple[RawStatement | ParseFailure, int, tuple[int, ...]]:
     """Parse the statement shape, accepting any aggregation-function word and
     any operator token. Strict slot validation happens in ``resolve``."""
@@ -494,13 +512,13 @@ def closure_parse_raw(text: str) -> tuple[RawStatement | ParseFailure, int, tupl
         i += 1
         if peek() is None or peek()[0] != "ident":
             return fail("a bracket-quoted column")
-        sel_col = str(peek()[1])
+        sel_col = normalize_text(str(peek()[1]))
         i += 1
         if peek() is None or peek()[0] != "rparen":
             return fail("')'")
         i += 1
     elif tok is not None and tok[0] == "ident":
-        sel_col = str(tok[1])
+        sel_col = normalize_text(str(tok[1]))
         i += 1
     else:
         return fail("a column or aggregation function")
@@ -521,7 +539,7 @@ def closure_parse_raw(text: str) -> tuple[RawStatement | ParseFailure, int, tupl
         while True:
             if peek() is None or peek()[0] != "ident":
                 return fail("a bracket-quoted condition column")
-            col = str(peek()[1])
+            col = normalize_text(str(peek()[1]))
             i += 1
             if peek() is None or peek()[0] != "op":
                 return fail("an operator")
@@ -531,7 +549,7 @@ def closure_parse_raw(text: str) -> tuple[RawStatement | ParseFailure, int, tupl
             tok = peek()
             if tok is None or tok[0] not in ("string", "number"):
                 return fail("a literal")
-            conds.append((col, op, tok[1]))
+            conds.append((col, op, normalize_text(tok[1]) if tok[0] == "string" else tok[1]))
             i += 1
             if peek() is None:
                 break
