@@ -195,7 +195,9 @@ def _iter_lines(path: str) -> Iterator[str]:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path} line {_undecodable_line(path)} is not UTF-8 text ({exc.reason})") from exc
+        line = _undecodable_line(path)
+        at = "" if line is None else f" line {line}"
+        raise DataError(f"{path}{at} is not UTF-8 text ({exc.reason})") from exc
 
 
 # ----------------------------------------------------------------------

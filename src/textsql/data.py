@@ -14,6 +14,7 @@ per-instance dict) and may be shared freely across threads afterward.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -155,7 +156,12 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 def _undecodable_line(path: str | Path) -> int | None:
     """The first line, numbered as text-mode reading numbers it, holding
     bytes that are not UTF-8. Text mode decodes a chunk at a time, so the
-    error itself cannot tell."""
+    error itself cannot tell, and the file is read again from its start.
+    Only a regular file is: a pipe cannot be read twice, and opening a
+    drained one again waits for a writer that may never come. Anything else,
+    or a file no longer holding such a line, gives None."""
+    if not os.path.isfile(path):
+        return None
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:

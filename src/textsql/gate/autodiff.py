@@ -1,19 +1,27 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 A deliberately small tape: just the operations the encoder-decoder and the
-extraction gate need. Every op records a closure that routes the output
-gradient to its parents; ``backward()`` on a scalar walks the graph once in
-reverse topological order and drops each interior node's gradient once it
-has been passed on, so only the leaves keep theirs. All math is double
-precision so finite-difference checks resolve well below the acceptance
-tolerance.
+extraction gate need. A node is one op's output: it records its parents and
+a closure that routes its gradient to them. ``backward()`` on a scalar walks
+the graph once in reverse topological order and drops each interior node's
+gradient once it has been passed on, so only the leaves keep theirs. All
+math is double precision so finite-difference checks resolve well below
+the acceptance tolerance.
 
-Ops work on a leading batch axis: ``matmul`` and ``transpose`` act on the
-last two axes of ``(..., T, d)`` arrays, ``take_rows`` gathers with id
-arrays of any shape, and broadcasting a parameter over the batch sums its
-gradient back down. One tape therefore covers a whole batch. Inside
-``no_grad()`` ops record neither parents nor closures, for forward-only
-passes such as decoding and finite differences.
+On arrays as small as the gate's, recording a node costs about as much as
+the arithmetic it records, so the gate's composite layers are fused into
+single nodes with hand-written backward passes: ``linear`` (``x @ w + b``),
+``layer_norm`` and ``nll`` (the negative log likelihood of target ids).
+Each fused forward evaluates the same numpy expressions, in the same order,
+as the elementary ops it stands for, so its values are bit-identical to
+theirs.
+
+Ops work on a leading batch axis: ``matmul``, ``linear`` and ``transpose``
+act on the last two axes of ``(..., T, d)`` arrays, ``take_rows`` gathers
+with id arrays of any shape, and broadcasting a parameter over the batch
+sums its gradient back down. One tape therefore covers a whole batch.
+Inside ``no_grad()`` ops record neither parents nor closures, for
+forward-only passes such as decoding and finite differences.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ def no_grad():
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to the shape it was broadcast from."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -52,7 +62,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is np.ndarray and data.dtype == np.float64:
+            self.data = data  # what asarray would return, without its call
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         if _parents and _grad_enabled.get() and any(p.requires_grad for p in _parents):
             self.requires_grad = True
@@ -126,23 +139,38 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray):
+    """Route the gradient ``g`` of ``a @ b`` to both operands."""
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(g @ _swap(b.data), a.shape))
+    if b.requires_grad:
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            # A weight shared over the batch: fold the batch into rows.
+            rows = a.data.reshape(-1, a.shape[-1])
+            b._accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
+        else:
+            b._accumulate(_unbroadcast(_swap(a.data) @ g, b.shape))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes, broadcast over leading ones."""
-    out_data = a.data @ b.data
+
+    def backward(out: Tensor):
+        _matmul_backward(a, b, out.grad)
+
+    return Tensor(a.data @ b.data, _parents=(a, b), _backward_fn=backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map ``x @ w + b`` as one node: ``add(matmul(x, w), b)``."""
 
     def backward(out: Tensor):
         g = out.grad
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ _swap(b.data), a.shape))
+        _matmul_backward(x, w, g)
         if b.requires_grad:
-            if b.data.ndim == 2 and a.data.ndim > 2:
-                # A weight shared over the batch: fold the batch into rows.
-                rows = a.data.reshape(-1, a.shape[-1])
-                b._accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
-            else:
-                b._accumulate(_unbroadcast(_swap(a.data) @ g, b.shape))
+            b._accumulate(_unbroadcast(g, b.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward_fn=backward)
+    return Tensor(x.data @ w.data + b.data, _parents=(x, w, b), _backward_fn=backward)
 
 
 def _unary(a: Tensor, out_data, da_fn) -> Tensor:
@@ -167,24 +195,11 @@ def relu(a: Tensor) -> Tensor:
     return _unary(a, np.maximum(a.data, 0.0), lambda g, y: g * (a.data > 0.0))
 
 
-def exp(a: Tensor) -> Tensor:
-    return _unary(a, np.exp(a.data), lambda g, y: g * y)
-
-
-def log(a: Tensor) -> Tensor:
-    return _unary(a, np.log(a.data), lambda g, y: g / a.data)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     # Stable on both tails.
     x = a.data
     y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     return _unary(a, y, lambda g, out: g * out * (1.0 - out))
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    out_data = a.data**exponent
-    return _unary(a, out_data, lambda g, y: g * exponent * a.data ** (exponent - 1.0))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -251,9 +266,49 @@ def take_rows(a: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-row layer normalization with learnable gain and bias."""
-    m = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, m)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, _as_tensor(eps)), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    """Per-row layer normalization with learnable gain and bias, as one node.
+
+    Forward and backward take the steps of the elementary ops it replaces
+    (a mean, the centered row, the mean square plus ``eps`` to the power
+    -0.5, then gain and bias), in their order: the values are theirs bit for
+    bit, and the gradient is theirs up to the order in which ``x``'s
+    contributions are summed."""
+    n = x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    shifted_var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n) + eps
+    inv = shifted_var**-0.5
+    normed = centered * inv
+
+    def backward(out: Tensor):
+        g = out.grad
+        if x.requires_grad:
+            d_normed = g * gain.data
+            # Through the variance, once per factor of centered * centered.
+            d_var = (d_normed * centered).sum(axis=-1, keepdims=True) * -0.5 * shifted_var**-1.5 * (1.0 / n)
+            d_centered = d_normed * inv + d_var * centered + d_var * centered
+            d_x = d_centered - d_centered.sum(axis=-1, keepdims=True) * (1.0 / n)
+            x._accumulate(_unbroadcast(d_x, x.shape))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+
+    return Tensor(normed * gain.data + bias.data, _parents=(x, gain, bias), _backward_fn=backward)
+
+
+def nll(p: Tensor, ids: np.ndarray, floor: float) -> Tensor:
+    """``-log(p[..., id] + floor)`` at each position's target id, as one node.
+
+    ``p`` is ``(..., v)`` and ``ids`` has its leading shape. Picking the
+    entry gives the same bits as summing ``p`` times a one-hot row, which
+    adds only exact zeros to it."""
+    ids = np.asarray(ids, dtype=np.int64)[..., None]
+    shifted = np.take_along_axis(p.data, ids, axis=-1)[..., 0] + floor
+
+    def backward(out: Tensor):
+        if p.requires_grad:
+            grad = np.zeros_like(p.data)
+            np.put_along_axis(grad, ids, (-out.grad / shifted)[..., None], axis=-1)
+            p._accumulate(grad)
+
+    return Tensor(np.log(shifted) * -1.0, _parents=(p,), _backward_fn=backward)

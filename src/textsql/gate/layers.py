@@ -25,6 +25,7 @@ from .autodiff import (
     add,
     concat_last,
     layer_norm,
+    linear,
     matmul,
     mul,
     relu,
@@ -141,7 +142,7 @@ def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, T
     score = matmul(q, transpose(kv))
     attn = softmax(score)
     read = matmul(attn, kv)
-    context = relu(add(matmul(read, params.ff_w), params.ff_b))
+    context = relu(linear(read, params.ff_w, params.ff_b))
     return score, attn, context
 
 
@@ -160,14 +161,14 @@ def extraction_gate(h_dec, context, params: GateParams) -> Tensor:
     n_dec = layer_norm(h_dec, params.ln_dec_gain, params.ln_dec_bias)
     n_ctx = layer_norm(context, params.ln_ctx_gain, params.ln_ctx_bias)
     joined = concat_last(n_dec, n_ctx)
-    return sigmoid(add(matmul(joined, params.gate_w), params.gate_b))
+    return sigmoid(linear(joined, params.gate_w, params.gate_b))
 
 
 def generation_head(h_dec, params: GateParams) -> Tensor:
     """Vocabulary softmax over decoder states, shape ([B,] T, v)."""
     h_dec = _as_tensor(h_dec)
     _check_states(h_dec, params, "h_dec")
-    return softmax(add(matmul(h_dec, params.out_w), params.out_b))
+    return softmax(linear(h_dec, params.out_w, params.out_b))
 
 
 def copy_distribution(attn, src_ids, vocab_size: int) -> Tensor:

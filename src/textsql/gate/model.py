@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, log, matmul, mul, no_grad, relu, reshape, softmax, take_rows, tmean, transpose, tsum
-from .layers import GateActivations, GateParams, one_hot, run_gate
+from .autodiff import Tensor, add, linear, matmul, mul, nll, no_grad, relu, reshape, softmax, take_rows, tmean, transpose
+from .layers import GateActivations, GateParams, run_gate
 
 PARAMS_FORMAT_VERSION = 1
 _LOG_FLOOR = 1e-12
@@ -142,8 +142,8 @@ class GateModel:
             score = add(score, Tensor(mask))
         attended = matmul(matmul(softmax(score), v), p[f"{side}.wo"])
         h = add(x, attended)
-        ff = matmul(relu(add(matmul(h, p[f"{side}.ff_w1"]), p[f"{side}.ff_b1"])), p[f"{side}.ff_w2"])
-        return add(h, add(ff, p[f"{side}.ff_b2"]))
+        hidden = relu(linear(h, p[f"{side}.ff_w1"], p[f"{side}.ff_b1"]))
+        return add(h, linear(hidden, p[f"{side}.ff_w2"], p[f"{side}.ff_b2"]))
 
     def _encode(self, src_ids: np.ndarray) -> Tensor:
         n = src_ids.shape[-1]
@@ -176,11 +176,10 @@ class GateModel:
         and its mean: a scalar, or with ``blocks`` one mean per block of
         that many equal, contiguous blocks of batch rows."""
         tensors, snapshot = run_gate(h_enc, h_dec, src, params, gated=self.gated)
-        picked = tsum(mul(tensors["o_final"], Tensor(one_hot(tgt, self.cfg.vocab_size))), axis=-1)
-        nll = mul(log(add(picked, Tensor(_LOG_FLOOR))), Tensor(-1.0))
+        losses = nll(tensors["o_final"], tgt, _LOG_FLOOR)
         # Equal lengths, so the mean over every position of a block is the
         # mean of its examples' means.
-        return snapshot, nll, tmean(reshape(nll, (-1,) if blocks is None else (blocks, -1)), axis=-1)
+        return snapshot, losses, tmean(reshape(losses, (-1,) if blocks is None else (blocks, -1)), axis=-1)
 
     def _check_pair(self, src_ids, tgt_ids) -> tuple[np.ndarray, np.ndarray]:
         src = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")
@@ -193,8 +192,8 @@ class GateModel:
         """Teacher-forced pass with per-position negative log likelihood."""
         single = np.ndim(src_ids) == 1
         src, tgt = self._check_pair(src_ids, tgt_ids)
-        snapshot, nll, loss = self._head(self.gate_params(), *self._states(src, tgt), src, tgt)
-        per_position = nll.data.copy()
+        snapshot, losses, loss = self._head(self.gate_params(), *self._states(src, tgt), src, tgt)
+        per_position = losses.data.copy()
         if single:
             snapshot = GateActivations(**{k: v[0] for k, v in vars(snapshot).items()})
             per_position = per_position[0]

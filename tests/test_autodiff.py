@@ -1,19 +1,22 @@
-"""Reverse-mode tape: every op's gradient against central differences."""
+"""Reverse-mode tape: every op's gradient against central differences,
+and each fused op against the elementary ops it stands for."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textsql.gate.autodiff import (
     Tensor,
+    _unary,
     add,
     concat_last,
-    exp,
     layer_norm,
-    log,
+    linear,
     matmul,
     mul,
+    nll,
     no_grad,
-    power,
     relu,
     sigmoid,
     softmax,
@@ -23,6 +26,7 @@ from textsql.gate.autodiff import (
     transpose,
     tsum,
 )
+from textsql.gate.layers import one_hot
 
 EPS = 1e-6
 TOL = 1e-7
@@ -81,11 +85,6 @@ class TestElementwise:
         a[np.abs(a) < 0.1] = 0.5
         check_grads(lambda x: tsum(relu(x)), a)
 
-    def test_exp_log(self):
-        a = rand((3, 3), 7, scale=0.5, offset=2.0)
-        check_grads(lambda x: tsum(exp(x)), a)
-        check_grads(lambda x: tsum(log(x)), a)
-
     def test_sigmoid(self):
         a = rand((3, 3), 8, scale=2.0)
         check_grads(lambda x: tsum(sigmoid(x)), a)
@@ -94,11 +93,6 @@ class TestElementwise:
         out = sigmoid(Tensor(np.array([-1000.0, 0.0, 1000.0])))
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0])
         assert np.all(np.isfinite(out.data))
-
-    def test_power(self):
-        a = rand((3, 3), 9, scale=0.3, offset=2.0)
-        check_grads(lambda x: tsum(power(x, 2.0)), a)
-        check_grads(lambda x: tsum(power(x, -0.5)), a)
 
 
 class TestMatmul:
@@ -222,6 +216,149 @@ class TestStructural:
         check_grads(lambda a, g, b: tsum(mul(layer_norm(a, g, b), Tensor(w))), x, gain, bias)
 
 
+class TestFusedGradients:
+    def test_linear(self):
+        x, w, b = rand((3, 4), 60), rand((4, 2), 61), rand((2,), 62)
+        check_grads(lambda x, w, b: tsum(mul(linear(x, w, b), Tensor(rand((3, 2), 63)))), x, w, b)
+
+    def test_linear_batch_against_shared_weight(self):
+        x, w, b = rand((2, 3, 4), 64), rand((4, 5), 65), rand((5,), 66)
+        check_grads(lambda x, w, b: tsum(mul(linear(x, w, b), Tensor(rand((2, 3, 5), 67)))), x, w, b)
+
+    def test_linear_with_a_copy_axis(self):
+        x, w, b = rand((2, 3, 4), 68), rand((2, 4, 5), 69), rand((2, 1, 5), 70)
+        check_grads(lambda x, w, b: tsum(mul(linear(x, w, b), Tensor(rand((2, 3, 5), 71)))), x, w, b)
+
+    def test_layer_norm_with_a_copy_axis(self):
+        x = rand((2, 3, 5), 72, scale=2.0, offset=1.0)
+        gain = rand((2, 1, 5), 73, scale=0.2, offset=1.0)
+        bias = rand((2, 1, 5), 74, scale=0.2)
+        w = rand((2, 3, 5), 75)
+        check_grads(lambda a, g, b: tsum(mul(layer_norm(a, g, b), Tensor(w))), x, gain, bias)
+
+    def test_nll(self):
+        p = np.random.default_rng(76).uniform(0.2, 1.0, size=(2, 3, 6))
+        ids = np.array([[0, 5, 5], [2, 3, 0]])
+        check_grads(lambda p: tsum(mul(nll(p, ids, 1e-12), Tensor(rand((2, 3), 77)))), p)
+
+
+# The elementary-op definitions the fused ops replaced, kept as their
+# oracles; ``power`` and ``log`` have no other use, so only these keep them.
+
+
+def _power(a, exponent):
+    return _unary(a, a.data**exponent, lambda g, y: g * exponent * a.data ** (exponent - 1.0))
+
+
+def _log(a):
+    return _unary(a, np.log(a.data), lambda g, y: g / a.data)
+
+
+def composite_layer_norm(x, gain, bias, eps=1e-6):
+    m = tmean(x, axis=-1, keepdims=True)
+    centered = sub(x, m)
+    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
+    inv = _power(add(var, Tensor(eps)), -0.5)
+    return add(mul(mul(centered, inv), gain), bias)
+
+
+def composite_linear(x, w, b):
+    return add(matmul(x, w), b)
+
+
+def composite_nll(p, ids, floor):
+    picked = tsum(mul(p, Tensor(one_hot(ids, p.shape[-1]))), axis=-1)
+    return mul(_log(add(picked, Tensor(floor))), Tensor(-1.0))
+
+
+def assert_fused_matches(fused, composite, arrays, seed):
+    """The two graphs' forwards are equal bit for bit, and each input's
+    gradient is within 1e-12 of the composite's, relative to the largest
+    entry of the latter, under one random weighting of the output."""
+    outs, grads = [], []
+    for op in (fused, composite):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*tensors)
+        weights = np.random.default_rng(seed).standard_normal(out.shape)
+        tsum(mul(out, Tensor(weights))).backward()
+        outs.append(out.data)
+        grads.append([t.grad for t in tensors])
+    assert np.array_equal(outs[0], outs[1])
+    for got, want in zip(*grads):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+# States are (T, d), a batch (B, T, d) with shared parameters, or a batch
+# whose parameters carry gradcheck's copy axis: vectors (C, 1, d) and
+# matrices (C, r, c), with C = B.
+_LAYOUTS = st.sampled_from(["single", "batch", "copies"])
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestFusedOps:
+    @given(
+        layout=_LAYOUTS,
+        n=st.integers(1, 4),
+        t=st.integers(1, 5),
+        d=st.integers(1, 8),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        offset=st.sampled_from([0.0, 5.0, -1e3]),
+        flat_rows=st.booleans(),
+        seed=_SEEDS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_layer_norm(self, layout, n, t, d, scale, offset, flat_rows, seed):
+        rng = np.random.default_rng(seed)
+        lead = () if layout == "single" else (n,)
+        vector = (n, 1, d) if layout == "copies" else (d,)
+        x = rng.standard_normal((*lead, t, d)) * scale + offset
+        if flat_rows:  # zero variance: the epsilon alone keeps the scale finite
+            x[..., 1:] = x[..., :1]
+        gain = rng.standard_normal(vector) * 0.5 + 1.0
+        bias = rng.standard_normal(vector)
+        assert_fused_matches(layer_norm, composite_layer_norm, [x, gain, bias], seed)
+
+    @given(
+        layout=_LAYOUTS,
+        n=st.integers(1, 4),
+        t=st.integers(1, 5),
+        r=st.integers(1, 8),
+        c=st.integers(1, 8),
+        seed=_SEEDS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_linear(self, layout, n, t, r, c, seed):
+        rng = np.random.default_rng(seed)
+        lead = () if layout == "single" else (n,)
+        copies = layout == "copies"
+        x = rng.standard_normal((*lead, t, r))
+        w = rng.standard_normal((n, r, c) if copies else (r, c))
+        b = rng.standard_normal((n, 1, c) if copies else (c,))
+        assert_fused_matches(linear, composite_linear, [x, w, b], seed)
+
+    @given(
+        batched=st.booleans(),
+        n=st.integers(1, 4),
+        t=st.integers(1, 5),
+        v=st.integers(1, 12),
+        zeros=st.booleans(),
+        seed=_SEEDS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_nll(self, batched, n, t, v, zeros, seed):
+        rng = np.random.default_rng(seed)
+        lead = (n,) if batched else ()
+        logits = rng.standard_normal((*lead, t, v)) * 3.0
+        p = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        ids = rng.integers(0, v, size=(*lead, t))
+        if zeros:  # a target given no mass at all: the floor alone is logged
+            np.put_along_axis(p, ids[..., None], 0.0, axis=-1)
+        assert_fused_matches(
+            lambda p: nll(p, ids, 1e-12), lambda p: composite_nll(p, ids, 1e-12), [p], seed
+        )
+
+
 class TestTape:
     def test_diamond_graph_grad(self):
         x = Tensor(np.array(3.0), requires_grad=True)
@@ -265,10 +402,11 @@ class TestTape:
     def test_backward_frees_interior_gradients(self):
         x = Tensor(rand((2, 3), 55), requires_grad=True)
         h = mul(x, x)
-        out = tsum(exp(h))
+        out = tsum(sigmoid(h))
         out.backward()
         assert h.grad is None and out.grad is None
-        np.testing.assert_allclose(x.grad, 2 * x.data * np.exp(x.data**2))
+        s = 1.0 / (1.0 + np.exp(-x.data**2))
+        np.testing.assert_allclose(x.grad, 2 * x.data * s * (1.0 - s))
 
 
 class TestNoGrad:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import gc
 import hashlib
 import io
@@ -12,6 +13,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -2001,6 +2003,50 @@ class TestNotUtf8:
                      "--out-report", str(tmp_path / "r")])
         assert code == 2
         assert f"not UTF-8 text (invalid start byte) ({bad}:3)" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("flag", ["--preds", "--candidates"])
+    def test_pipe_exits_without_reading_it_again(self, corpus, tmp_path, flag):
+        """A drained pipe cannot be read again to find the bad line: opening
+        it a second time would wait for a writer that has gone."""
+        questions, tables = corpus
+        fifo = tmp_path / "input.fifo"
+        os.mkfifo(fifo)
+        if flag == "--preds":
+            argv = ["eval", "--preds", str(fifo), "--out-json", str(tmp_path / "r.json")]
+            data = PLATES_SQL.encode() + b"\n\xff\n"
+        else:
+            argv = ["eg", "--candidates", str(fifo), "--out-selections", str(tmp_path / "s"),
+                    "--out-report", str(tmp_path / "r")]
+            data = json.dumps({"qid": 0, "candidates": [PLATES_SQL]}).encode() + b'\n{"qid": "\xff"}\n'
+        src = str(Path(textsql.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "textsql.cli", *argv, "--questions", str(questions), "--tables", str(tables)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while True:  # a non-blocking open, so a child that never reads cannot hang the test
+                try:
+                    fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                    break
+                except OSError as exc:
+                    if exc.errno != errno.ENXIO or proc.poll() is not None or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
+            os.set_blocking(fd, True)
+            with open(fd, "wb") as writer:
+                writer.write(data)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 2
+        expected = f"{fifo} is not UTF-8 text" if flag == "--preds" else f"not UTF-8 text (invalid start byte) ({fifo})"
+        assert expected in err
+        assert "None" not in err
 
     def test_config(self, corpus, tmp_path, capsys):
         _, tables = corpus

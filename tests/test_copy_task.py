@@ -16,6 +16,7 @@ from textsql.gate import (
     make_example,
     train_copy_model,
 )
+from textsql.gate import copy_task
 from textsql.gate.copy_task import (
     QUESTION_WORDS,
     SRC_COND_POS,
@@ -216,3 +217,13 @@ class TestEvaluate:
         assert metrics.sequence_exact_match == seq_hits / n
         assert metrics.mean_p_ext_value == pytest.approx(np.mean(p_value), rel=1e-12)
         assert metrics.mean_p_ext_keyword == pytest.approx(np.mean(p_keyword), rel=1e-12)
+
+    def test_chunk_size_leaves_the_metrics_unchanged(self, monkeypatch):
+        """Rows decode independently and the examples are drawn in one
+        stream, so how many go in one pass is invisible in the metrics."""
+        result = train_copy_model(FAST)
+        metrics = []
+        for chunk in (16, 32):
+            monkeypatch.setattr(copy_task, "_EVAL_CHUNK", chunk)
+            metrics.append(evaluate_copy_model(result.model, result.vocab, 70, np.random.default_rng(5)))
+        assert metrics[0] == metrics[1]
