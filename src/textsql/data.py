@@ -5,7 +5,9 @@ per line with keys ``id``, ``header``, ``types``, ``rows``; the questions
 file carries ``phase``, ``table_id``, ``question``, and ``sql`` (an object
 with ``sel``, ``agg``, ``conds``). Loading checks the JSON type of every
 field; whether a gold logical form fits its table is ``sql.compose``'s
-rule, the only one.
+rule, the only one. Each question line gets one shape check, which builds
+its record; only a line that fails it is walked field by field, and the
+walk names the line's first bad field.
 
 Loading is single-threaded per file. Loaded objects are frozen, slotted (no
 per-instance dict) and may be shared freely across threads afterward.
@@ -171,11 +173,10 @@ def _undecodable_line(path: str | Path) -> int | None:
     return None
 
 
-# The JSON types of the loaded fields, checked in one place: the loaders read
-# every field through ``_require``, every condition through ``_condition`` and
-# every table's rows through ``_rows``, so a wrongly typed field is a
-# DataFormatError naming its line rather than a crash downstream or a silent
-# coercion.
+# The JSON types of the loaded fields, named in one place: a bad field is
+# found by ``_require``, a bad condition by ``_condition`` and bad rows by
+# ``_rows``, so a wrongly typed field is a DataFormatError naming its line
+# rather than a crash downstream or a silent coercion.
 _JSON_TYPE_NAMES = {
     str: "a string",
     int: "an integer",
@@ -269,24 +270,53 @@ def iter_questions(path: str | Path) -> Iterator[tuple[int, QuestionRecord]]:
     number, in file order. A line is read only when its record is asked
     for, so a malformed line raises then."""
     for lineno, obj in iter_jsonl(path):
-        phase = _require(obj, "phase", path, lineno)
-        table_id = _require(obj, "table_id", path, lineno, str)
-        question = _require(obj, "question", path, lineno, str)
-        sql = _require(obj, "sql", path, lineno, dict)
-        sel = _require(sql, "sel", path, lineno, int)
-        agg = _require(sql, "agg", path, lineno, int)
-        conds_raw = _require(sql, "conds", path, lineno, list)
-        conds = tuple([_condition(c, i, path, lineno) for i, c in enumerate(conds_raw)])
-        try:
-            record = QuestionRecord(
-                phase=phase,
-                table_id=table_id,
-                question=question,
-                lf=LogicalForm(sel=sel, agg=agg, conds=conds),
-            )
-        except ValueError as exc:
-            raise DataFormatError(str(exc), path, lineno) from exc
-        yield lineno, record
+        yield lineno, _question_record(obj) or _walk_question(obj, path, lineno)
+
+
+def _question_record(obj: dict) -> QuestionRecord | None:
+    """The record of a well-formed question line after one shape check, or
+    None for a line that ``_walk_question`` must explain."""
+    try:
+        phase, table_id, question, sql = obj["phase"], obj["table_id"], obj["question"], obj["sql"]
+        sel, agg, conds_raw = sql["sel"], sql["agg"], sql["conds"]
+    except (KeyError, TypeError):  # a missing key, or ``sql`` not an object
+        return None
+    if not (
+        type(table_id) is str and type(question) is str and question
+        and type(sql) is dict and type(sel) is int and type(agg) is int and type(conds_raw) is list
+    ):
+        return None
+    conds = []
+    for cond in conds_raw:
+        if type(cond) is not list or len(cond) != 3:
+            return None
+        col, op, value = cond
+        if type(col) is not int or type(op) is not int:
+            return None
+        conds.append(Condition(col, op, value))
+    return QuestionRecord(phase, table_id, question, LogicalForm(sel, agg, tuple(conds)))
+
+
+def _walk_question(obj: dict, path: str | Path, lineno: int) -> QuestionRecord:
+    """A question line read field by field, in the order a reader sees
+    them: the first bad field raises ``DataFormatError`` naming the line."""
+    phase = _require(obj, "phase", path, lineno)
+    table_id = _require(obj, "table_id", path, lineno, str)
+    question = _require(obj, "question", path, lineno, str)
+    sql = _require(obj, "sql", path, lineno, dict)
+    sel = _require(sql, "sel", path, lineno, int)
+    agg = _require(sql, "agg", path, lineno, int)
+    conds_raw = _require(sql, "conds", path, lineno, list)
+    conds = tuple([_condition(c, i, path, lineno) for i, c in enumerate(conds_raw)])
+    try:
+        return QuestionRecord(
+            phase=phase,
+            table_id=table_id,
+            question=question,
+            lf=LogicalForm(sel=sel, agg=agg, conds=conds),
+        )
+    except ValueError as exc:
+        raise DataFormatError(str(exc), path, lineno) from exc
 
 
 def load_questions(path: str | Path) -> list[QuestionRecord]:

@@ -11,7 +11,7 @@ yields a definite prediction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .data import Table
@@ -36,25 +36,28 @@ def error_kind(message: str) -> str:
 @dataclass(frozen=True, slots=True)
 class CandidateOutcome:
     """Execution outcome of one tried candidate: its text, the statement
-    parsed from it (a ``ParseFailure`` for text outside the dialect) and
-    the result of executing that statement."""
+    parsed from it (a ``ParseFailure`` for text outside the dialect), the
+    result of executing that statement, and ``kind``, the ``error_kind``
+    of the result's error (None when it executed), bucketed once as the
+    outcome is built."""
 
     index: int
     sql_text: str
     statement: SqlStatement | ParseFailure
     result: ExecResult
+    kind: str | None = field(init=False)
+
+    def __post_init__(self):
+        error = self.result.error
+        object.__setattr__(self, "kind", None if error is None else error_kind(error))
 
     @property
     def ok(self) -> bool:
-        return not self.result.is_error
+        return self.kind is None
 
     @property
     def error(self) -> str | None:
         return self.result.error
-
-    @property
-    def kind(self) -> str | None:
-        return None if self.ok else error_kind(self.result.error or "")
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,14 +162,16 @@ def eg_gain(
     for beam, gold_stmt, tab in zip(beams, golds, tables):
         selection = eg_select(beam, tab, cache)
         selections.append(selection)
-        chosen = selection.outcomes[selection.chosen_index]
-        eg_ok = agrees_with_gold(chosen.statement, chosen.result, gold_stmt, cache.get(tab))
-        correct_top1 += eg_ok and selection.outcomes[0].ok
-        correct_eg += eg_ok
-        all_failed += selection.all_failed
         for outcome in selection.outcomes:
-            if not outcome.ok:
+            if outcome.kind is not None:
                 dropped[outcome.kind] += 1
+        # ``outcome`` is the last tried: it executed unless every candidate failed.
+        if outcome.kind is not None:
+            all_failed += 1
+            continue
+        eg_ok = agrees_with_gold(outcome.statement, outcome.result, gold_stmt, cache.get(tab))
+        correct_top1 += eg_ok and selection.chosen_index == 0
+        correct_eg += eg_ok
     return EgGainReport(
         len(golds), correct_top1, correct_eg, dict(sorted(dropped.items())), all_failed, tuple(selections)
     )

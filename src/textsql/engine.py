@@ -216,12 +216,13 @@ def execute(statement: SqlStatement | ParseFailure | str, db: TableDb) -> ExecRe
     though other tables share the database. Anything the engine rejects
     (unknown column, text it cannot encode) becomes an error variant too.
     """
-    if isinstance(statement, str):
-        statement = parse(statement)
-    if isinstance(statement, ParseFailure):
-        return ExecResult.from_error(
-            f"syntax error at token {statement.token_index}: {statement.message}"
-        )
+    if not isinstance(statement, SqlStatement):  # scoring passes statements it has parsed
+        if isinstance(statement, str):
+            statement = parse(statement)
+        if isinstance(statement, ParseFailure):
+            return ExecResult.from_error(
+                f"syntax error at token {statement.token_index}: {statement.message}"
+            )
     if statement.table_id != db.table_id and (
         statement.table_id.translate(_ASCII_FOLD) != db.table_id.translate(_ASCII_FOLD)
     ):
@@ -359,12 +360,16 @@ def results_equal(a: ExecResult, b: ExecResult) -> bool:
     Text compares lowercased and trimmed; numbers with relative tolerance
     1e-9. An error variant never equals anything, itself included. Every
     result the engine returns equals itself (SQLite never returns NaN, and
-    inf is close to inf), which ``agrees_with_gold`` relies on.
+    inf is close to inf), which ``agrees_with_gold`` relies on. A pair of
+    one-row results has nothing to sort, so its cells compare in place.
     """
     if a.is_error or b.is_error:
         return False
     if len(a.rows) != len(b.rows):
         return False
+    if len(a.rows) == 1:
+        (ra,), (rb,) = a.rows, b.rows
+        return len(ra) == len(rb) and all(map(_cells_equal, ra, rb))
     key = lambda row: tuple(_canon_cell(c) for c in row)
     rows_a = sorted(a.rows, key=key)
     rows_b = sorted(b.rows, key=key)

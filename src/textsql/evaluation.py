@@ -130,13 +130,16 @@ def _cond_key(col: str, op: str, value) -> tuple:
 def _first_wrong(pred: SqlStatement, gold: SqlStatement) -> Slot | None:
     """First differing slot, or None when the statements agree. Both are
     in normal form (see ``SqlStatement``), so names and string literals
-    compare as they are."""
-    if pred == gold:
-        return None
+    compare as they are. Whether the whole statements are equal is
+    ``agrees_with_gold``'s question, asked once per prediction; the same
+    conditions in the same order are equal multisets under ``_cond_key``,
+    so that case skips the counting."""
     if pred.agg != gold.agg:
         return Slot.AGG_FUNCTION
     if pred.sel_col != gold.sel_col:
         return Slot.SELECT_COLUMN
+    if pred.conds == gold.conds:
+        return None
     if Counter(c for c, _, _ in pred.conds) != Counter(c for c, _, _ in gold.conds):
         return Slot.WHERE_COLUMN
     if Counter((c, op) for c, op, _ in pred.conds) != Counter((c, op) for c, op, _ in gold.conds):

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import textsql.data
 from textsql import (
     AGG_NAMES,
     ComposeError,
+    Condition,
     DataFormatError,
+    LogicalForm,
     OP_NAMES,
+    QuestionRecord,
     Table,
     compose,
     dump_tables,
@@ -135,6 +139,35 @@ class TestLoadQuestions:
         assert str(info.value).endswith(f"({path}:2)")
 
 
+_MISSING = object()  # a key to delete
+_SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats(allow_nan=False) | st.text(max_size=4)
+
+
+@st.composite
+def _question_object(draw):
+    """A well-formed question line's object: any JSON ``phase``, string
+    ``table_id``, non-empty ``question``, integer indices and conditions
+    with any value; now and then with keys the reader ignores."""
+    conds = draw(st.lists(st.tuples(st.integers(-3, 2**64), st.integers(-3, 9), _SCALARS | st.lists(_SCALARS, max_size=2)),
+                          max_size=4))
+    sql = {"sel": draw(st.integers(-3, 2**64)), "agg": draw(st.integers(-3, 9)), "conds": [list(c) for c in conds]}
+    obj = {"phase": draw(_SCALARS | st.lists(_SCALARS, max_size=2)), "table_id": draw(st.text(max_size=6)),
+           "question": draw(st.text(min_size=1, max_size=8)), "sql": sql}
+    if draw(st.booleans()):
+        obj["extra"] = draw(_SCALARS)
+        sql["extra"] = draw(_SCALARS)
+    return obj
+
+
+def _walk_fields(obj) -> QuestionRecord:
+    """The record a well-formed question line holds, read field by field:
+    the oracle for the loader's one shape check."""
+    sql = obj["sql"]
+    conds = tuple(Condition(col, op, value) for col, op, value in sql["conds"])
+    lf = LogicalForm(sel=sql["sel"], agg=sql["agg"], conds=conds)
+    return QuestionRecord(phase=obj["phase"], table_id=obj["table_id"], question=obj["question"], lf=lf)
+
+
 class TestIterQuestions:
     """``iter_questions`` is the one questions reader; ``load_questions`` is
     its records in a list."""
@@ -170,6 +203,76 @@ class TestIterQuestions:
             next(records)
         assert str(streamed.value) == str(loaded.value)
         assert (streamed.value.path, streamed.value.line) == (loaded.value.path, loaded.value.line) == (str(path), 4)
+
+
+    # Each malformed shape, as a change to a good line, with the message
+    # that names its first bad field.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            *[(f, _MISSING, f"missing key {f[-1]!r}") for f in
+              [("phase",), ("table_id",), ("question",), ("sql",), ("sql", "sel"), ("sql", "agg"), ("sql", "conds")]],
+            (("table_id",), 5, "'table_id' is not a string: got an integer"),
+            (("table_id",), None, "'table_id' is not a string: got null"),
+            (("question",), ["q"], "'question' is not a string: got a list"),
+            (("sql",), [], "'sql' is not an object: got a list"),
+            (("sql",), "x", "'sql' is not an object: got a string"),
+            (("sql",), None, "'sql' is not an object: got null"),
+            (("sql", "sel"), 1.0, "'sel' is not an integer: got a number"),
+            (("sql", "sel"), "0", "'sel' is not an integer: got a string"),
+            (("sql", "agg"), None, "'agg' is not an integer: got null"),
+            (("sql", "conds"), {}, "'conds' is not a list: got an object"),
+            (("sql", "conds"), "abc", "'conds' is not a list: got a string"),
+            (("sql", "sel"), True, "'sel' is not an integer: got a boolean"),
+            (("sql", "agg"), False, "'agg' is not an integer: got a boolean"),
+            (("sql", "conds"), [[True, 0, "x"]], "condition 0 column is not an integer: got a boolean"),
+            (("sql", "conds"), [[0, True, "x"]], "condition 0 operator is not an integer: got a boolean"),
+            (("sql", "conds"), [[0.0, 0, "x"]], "condition 0 column is not an integer: got a number"),
+            (("sql", "conds"), [[0, 0, "x"], "abc"], "condition 1 is not a [column, operator, value] list: got a string"),
+            (("sql", "conds"), [[0, 0]], "condition 0 is not a [column, operator, value] list: got 2 elements"),
+            (("sql", "conds"), [[0, 0, "x", 1]], "condition 0 is not a [column, operator, value] list: got 4 elements"),
+            (("sql", "conds"), [{"a": 1, "b": 2, "c": 3}],
+             "condition 0 is not a [column, operator, value] list: got an object"),
+            (("question",), "", "question must be non-empty"),
+        ],
+    )
+    def test_malformed_shape_names_its_first_bad_field(self, tmp_path, field, value, message):
+        """A missing key, a wrong JSON type, ``true`` as an index, a
+        condition that is not a three-element list and an empty question
+        each raise their own message, naming the line."""
+        obj = json.loads(json.dumps(self.GOOD[1]))
+        *parents, key = field
+        owner = obj
+        for name in parents:
+            owner = owner[name]
+        if value is _MISSING:
+            del owner[key]
+        else:
+            owner[key] = value
+        path = write(tmp_path / "q.jsonl", json.dumps(self.GOOD[0]) + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            list(iter_questions(path))
+        assert str(info.value) == f"{message} ({path}:2)"
+        assert (info.value.path, info.value.line) == (str(path), 2)
+
+    def test_well_formed_lines_are_not_walked(self, tmp_path, monkeypatch):
+        """Each well-formed line gets one shape check; the field walk runs
+        only for a line that fails it."""
+        walked = []
+        real_walk = textsql.data._walk_question
+        monkeypatch.setattr(textsql.data, "_walk_question", lambda *a: walked.append(a[2]) or real_walk(*a))
+        bad = dict(self.GOOD[2], question="")
+        path = write(tmp_path / "q.jsonl", "".join(json.dumps(r) + "\n" for r in [*self.GOOD, bad]))
+        with pytest.raises(DataFormatError, match="question must be non-empty"):
+            list(iter_questions(path))
+        assert walked == [4]
+
+    @given(st.lists(_question_object(), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_well_formed_lines_load_as_the_field_walk_reads_them(self, tmp_path_factory, objs):
+        path = tmp_path_factory.getbasetemp() / "questions-property.jsonl"
+        write(path, "".join(json.dumps(obj) + "\n" for obj in objs))
+        assert list(iter_questions(path)) == [(i, _walk_fields(obj)) for i, obj in enumerate(objs, start=1)]
 
 
 def _json_loads_reader(path):

@@ -229,6 +229,24 @@ class TestEgGainSinglePass:
         # it, and an all-failed beam.
         assert skipped > report.all_failed_count
 
+    def test_each_outcome_bucketed_once_and_each_beam_selected_once(self, monkeypatch, cache):
+        """``error_kind`` runs once per failed candidate, however often its
+        outcome is read afterwards (as ``eg``'s selection rows read it), and
+        ``eg_select`` once per beam."""
+        pred_sets, golds, tables = self._random_set(3)
+        bucketed, selected = [], []
+        real_kind, real_select = textsql.eg.error_kind, textsql.eg.eg_select
+        monkeypatch.setattr(textsql.eg, "error_kind", lambda message: bucketed.append(message) or real_kind(message))
+        monkeypatch.setattr(
+            textsql.eg, "eg_select", lambda beam, tab, c: selected.append(beam) or real_select(beam, tab, c)
+        )
+        report = eg_gain(pred_sets, golds, tables, cache)
+        for _ in range(2):
+            rows = [(sel.all_failed, [(o.ok, o.error, o.kind) for o in sel.outcomes]) for sel in report.selections]
+        failed = [error for _, outcomes in rows for ok, error, _ in outcomes if not ok]
+        assert failed and bucketed == failed
+        assert selected == pred_sets
+
     def test_all_failed_beam_runs_no_gold(self, monkeypatch, cache):
         rng = random.Random(1)
         tab = make_table(rng, nasty=False)

@@ -26,7 +26,15 @@ from textsql import (
 )
 
 from textsql.eg import error_kind
-from textsql.engine import _TABLES_PER_DB, _quote, _store_cell, agrees_with_gold, column_names
+from textsql.engine import (
+    _TABLES_PER_DB,
+    _canon_cell,
+    _cells_equal,
+    _quote,
+    _store_cell,
+    agrees_with_gold,
+    column_names,
+)
 from textsql.sql import _render
 
 from conftest import make_table
@@ -495,6 +503,41 @@ class TestSharedDatabases:
         cache.close()
 
 
+def _sorted_results_equal(a: ExecResult, b: ExecResult) -> bool:
+    """``results_equal`` as it compares rows of any count: both sides
+    sorted by canonical cells, then compared row by row. The oracle for
+    its one-row path."""
+    if a.is_error or b.is_error or len(a.rows) != len(b.rows):
+        return False
+    key = lambda row: tuple(_canon_cell(c) for c in row)
+    return all(
+        len(ra) == len(rb) and all(_cells_equal(ca, cb) for ca, cb in zip(ra, rb))
+        for ra, rb in zip(sorted(a.rows, key=key), sorted(b.rows, key=key))
+    )
+
+
+_WORDS = ["South Australia", "new south wales", "3", "it's", "café"]
+
+
+@st.composite
+def _cell_pair(draw):
+    """Two cells that may or may not compare equal: numbers just inside or
+    just outside the 1e-9 relative tolerance (or an int and its float),
+    ``None`` against a falsy cell, text differing in case, surrounding
+    whitespace or content, and a number against text."""
+    kind = draw(st.sampled_from(["int", "float", "none", "text", "number_text"]))
+    if kind in ("int", "float"):
+        x = draw(st.integers(-(10**9), 10**9) if kind == "int" else st.floats(-1e9, 1e9))
+        rel = draw(st.sampled_from([0.0, 5e-10, -5e-10, 9.9e-10, -9.9e-10, 1.01e-9, -1.01e-9, 1e-6]))
+        return x, (x * (1 + rel) if rel else float(x))
+    if kind == "none":
+        return None, draw(st.sampled_from([None, "", 0, 0.0]))
+    word = draw(st.sampled_from(_WORDS))
+    if kind == "number_text":
+        return 3, word
+    return word, draw(st.sampled_from([word, word.upper(), word.title(), f"  {word}\t", f"{word}x", word[1:]]))
+
+
 class TestResultsEqual:
     def test_row_order_ignored(self):
         a = ExecResult.from_rows([("x",), ("y",)])
@@ -525,6 +568,25 @@ class TestResultsEqual:
         err = ExecResult.from_error("boom")
         assert not results_equal(err, err)
         assert not results_equal(err, ExecResult.from_rows([]))
+
+    def test_one_row_pair_builds_no_sort_keys(self):
+        with mock.patch("textsql.engine._canon_cell", side_effect=AssertionError("sorted")):
+            assert results_equal(ExecResult.from_rows([("X ", 2, None)]), ExecResult.from_rows([("x", 2.0, None)]))
+            assert not results_equal(ExecResult.from_rows([("x", 2)]), ExecResult.from_rows([("x", 3)]))
+
+    @given(st.lists(_cell_pair(), max_size=4), st.sampled_from(["same", "shorter", "longer"]), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_one_row_pair_answers_as_the_sorted_comparison(self, pairs, width, swap):
+        row_a = tuple(a for a, _ in pairs)
+        row_b = tuple(b for _, b in pairs)
+        if width == "shorter":
+            row_b = row_b[:-1]
+        elif width == "longer":
+            row_b += (None,)
+        a, b = ExecResult.from_rows([row_a]), ExecResult.from_rows([row_b])
+        if swap:
+            a, b = b, a
+        assert results_equal(a, b) == _sorted_results_equal(a, b)
 
 
 class TestResultEqualsItself:
