@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(gate_sub, "check", _cmd_gate_check, "finite-difference gradient check")
     p.add_argument("--out", help="JSON report path")
-    p.add_argument("--seeds", type=_number(int, 0), default=20, help="number of random instances")
+    p.add_argument("--seeds", type=_number(int, 1), default=20, help="number of random instances")
     p.add_argument("--epsilon", type=_number(float, 0, strict=True), default=1e-5, help="finite-difference step")
     p.add_argument("--d-model", type=_number(int, 1), default=8)
     p.add_argument("--vocab-size", type=_number(int, 2), default=20)

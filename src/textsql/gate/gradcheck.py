@@ -7,15 +7,20 @@ zero do not blow up the ratio. A coordinate whose error is not finite fails
 its parameter with an error of ``inf``.
 
 No ``gate.*`` parameter reaches the encoder or decoder states, so the
-states are computed once per check and the perturbed losses come from
-batched passes of the gate-and-loss head alone: the perturbed copies of a
-parameter go in on a leading copy axis (row 2i is coordinate i plus
-epsilon, row 2i+1 coordinate i minus epsilon), the states and ids are
-repeated across that axis, and each copy's loss is the mean of its own
-block of per-position losses. The copies run in chunks of ``_COORD_CHUNK``
-coordinates, which bounds the memory of one pass. Every copy goes through
-the same numpy operations as an unbatched pass, so every loss, and so every
-result, is bit-identical to that of a full forward per coordinate.
+states are computed once per check, with no tape, and everything else runs
+on them through the gate-and-loss head alone. The analytic gradients come
+from one forward and backward pass of the head. The perturbed losses come
+from batched head passes: the coordinates of every checked parameter are
+laid end to end and cut into chunks of ``_COORD_CHUNK``, and each chunk is
+one pass that may span several parameters. A parameter that owns one of
+the chunk's coordinates goes in with a leading copy axis (row 2i is the
+chunk's coordinate i plus epsilon, row 2i+1 the same coordinate minus
+epsilon, every other row unperturbed); every other parameter is shared by
+all rows. The states and ids are repeated across that axis, and each copy's
+loss is the mean of its own block of per-position losses. The chunk bounds
+the memory of one pass. Every copy goes through the same numpy operations
+as an unbatched pass, so every loss, and so every result, is bit-identical
+to that of a full forward per coordinate.
 """
 
 from __future__ import annotations
@@ -40,28 +45,55 @@ class GradCheckResult:
     per_param: dict[str, float]
 
 
-def _head_losses(model: GateModel, name: str, states, src: np.ndarray, tgt: np.ndarray, epsilon: float) -> np.ndarray:
-    """Perturbed losses of every coordinate of gate parameter ``name``:
+def _head_grads(model: GateModel, names: list[str], states, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """The analytic gradients of ``names`` from one backward pass of the
+    head, flattened and laid end to end. Each gate parameter's ``.grad`` is
+    cleared before and after, as ``loss_and_grads`` does."""
+    gate = [model.params[n] for n in model.gate_param_names()]
+    for t in gate:
+        t.grad = None
+    _, _, loss = model._head(model.gate_params(), *states, src, tgt)
+    loss.backward()
+    # Every gate parameter reaches the loss, so each has a gradient.
+    flat = np.concatenate([model.params[n].grad.reshape(-1) for n in names])
+    for t in gate:
+        t.grad = None
+    return flat
+
+
+def _perturbed_losses(
+    model: GateModel, names: list[str], states, src: np.ndarray, tgt: np.ndarray, epsilon: float
+) -> np.ndarray:
+    """Perturbed losses of every coordinate of ``names``, laid end to end:
     entry 2i is coordinate i plus epsilon, entry 2i+1 minus epsilon."""
-    data = model.params[name].data
-    flat = data.reshape(-1)
     base = model.gate_params()
-    h_enc, h_dec = (h.data for h in states)
+    datas = [model.params[n].data for n in names]
+    ends = np.cumsum([d.size for d in datas])
+    total = int(ends[-1])
     examples = src.shape[0]
+    rows_by_copies: dict[int, tuple[Tensor, Tensor, np.ndarray, np.ndarray]] = {}
     losses = []
-    for start in range(0, flat.size, _COORD_CHUNK):
-        coords = np.arange(start, min(start + _COORD_CHUNK, flat.size))
-        copies = 2 * coords.size
-        stack = np.repeat(flat[None, :], copies, axis=0)
-        pair = 2 * np.arange(coords.size)
-        stack[pair, coords] += epsilon
-        stack[pair + 1, coords] -= epsilon
-        # One row of parameters per batch row, copy-major like the repeated
-        # states and ids.
-        per_row = np.repeat(stack.reshape(copies, -1, data.shape[-1]), examples, axis=0)
-        params = replace(base, **{name.removeprefix("gate."): per_row})
-        enc, dec, src_rows, tgt_rows = (np.concatenate([a] * copies) for a in (h_enc, h_dec, src, tgt))
-        _, _, loss = model._head(params, Tensor(enc), Tensor(dec), src_rows, tgt_rows, blocks=copies)
+    for start in range(0, total, _COORD_CHUNK):
+        stop = min(start + _COORD_CHUNK, total)
+        copies = 2 * (stop - start)
+        fields = {}
+        for name, data, end in zip(names, datas, ends):
+            first = end - data.size
+            if end <= start or first >= stop:
+                continue
+            owned = np.arange(max(first, start), min(end, stop))
+            flat = data.reshape(-1)
+            stack = np.repeat(flat[None, :], copies, axis=0)
+            pair = 2 * (owned - start)
+            stack[pair, owned - first] += epsilon
+            stack[pair + 1, owned - first] -= epsilon
+            # One row of parameters per batch row, copy-major like the
+            # repeated states and ids.
+            fields[name.removeprefix("gate.")] = np.repeat(stack.reshape(copies, -1, data.shape[-1]), examples, axis=0)
+        if copies not in rows_by_copies:
+            enc, dec, src_rows, tgt_rows = (np.concatenate([a] * copies) for a in (*(h.data for h in states), src, tgt))
+            rows_by_copies[copies] = (Tensor(enc), Tensor(dec), src_rows, tgt_rows)
+        _, _, loss = model._head(replace(base, **fields), *rows_by_copies[copies], blocks=copies)
         losses.append(loss.data)
     return np.concatenate(losses)
 
@@ -75,32 +107,38 @@ def grad_check(
 ) -> GradCheckResult:
     """Compare analytic and numeric gradients coordinate by coordinate.
 
-    ``param_names`` may name ``gate.*`` parameters only, and defaults to all
-    of them. The encoder and decoder states are computed once, after the
-    backward pass; each parameter gets its perturbed losses from one batched
-    head pass on them per chunk of ``_COORD_CHUNK`` coordinates.
-    ``epsilon`` must be positive and finite.
+    ``param_names`` may name ``gate.*`` parameters only, must name at least
+    one, and defaults to all of them; a repeated name is checked once. The
+    encoder and decoder states are computed once, with no tape. The
+    analytic gradients come from one head backward pass on them, and the
+    perturbed losses from one batched head pass per chunk of
+    ``_COORD_CHUNK`` coordinates, counted across the checked parameters in
+    order, so a chunk may span several of them. ``epsilon`` must be
+    positive and finite.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     gate_names = model.gate_param_names()
     if param_names is None:
         param_names = gate_names
+    if not param_names:
+        raise ValueError("param_names must name at least one gate parameter")
     unknown = [n for n in param_names if n not in gate_names]
     if unknown:
         raise ValueError(f"unknown gate parameters: {unknown}; only gate.* parameters can be checked")
-    _, grads = model.loss_and_grads(src_ids, tgt_ids)
+    names = list(dict.fromkeys(param_names))
     src, tgt = model._check_pair(src_ids, tgt_ids)
-    per_param: dict[str, float] = {}
     with no_grad():
         states = model._states(src, tgt)
-        for name in param_names:
-            losses = _head_losses(model, name, states, src, tgt, epsilon)
-            numeric = (losses[0::2] - losses[1::2]) / (2.0 * epsilon)
-            analytic = grads[name].reshape(-1)
-            rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_FLOOR)
-            # max() would skip a NaN, so a non-finite error counts as inf.
-            per_param[name] = float(np.where(np.isfinite(rel), rel, np.inf).max())
+    analytic = _head_grads(model, names, states, src, tgt)
+    with no_grad():
+        losses = _perturbed_losses(model, names, states, src, tgt, epsilon)
+    numeric = (losses[0::2] - losses[1::2]) / (2.0 * epsilon)
+    rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_FLOOR)
+    # max() would skip a NaN, so a non-finite error counts as inf.
+    rel = np.where(np.isfinite(rel), rel, np.inf)
+    ends = np.cumsum([model.params[n].data.size for n in names])
+    per_param = {n: float(part.max()) for n, part in zip(names, np.split(rel, ends[:-1]))}
     return GradCheckResult(
         max_rel_error=max(per_param.values()),
         worst_param=max(per_param, key=per_param.get),

@@ -1773,6 +1773,17 @@ class TestGateCheck:
         expected = {"epsilon": round12(1e-5), **dims, "per_seed": per_seed, "max_rel_error": overall}
         assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
+    def test_zero_seeds_is_usage_error(self, tmp_path, capsys):
+        # No instance checked would report a max relative error of 0.0.
+        out = tmp_path / "check.json"
+        assert main(["gate", "check", "--out", str(out), "--seeds", "0"]) == 1
+        assert "usage error: argument --seeds: must be >= 1, got 0" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": 0}))
+        assert main(["gate", "check", "--out", str(out), "--config", str(cfg)]) == 1
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGateTrain:
     ARGS = ["--steps", "40", "--d-model", "8", "--batch-size", "4",

@@ -488,6 +488,27 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="finite"):
             grad_check(model, src, tgt, epsilon=epsilon)
 
+    def test_empty_param_names_rejected(self):
+        model, src, tgt = random_check_instance(0)
+        with pytest.raises(ValueError, match="param_names must name at least one"):
+            grad_check(model, src, tgt, param_names=[])
+
+    def test_leaves_no_grad_and_the_parameters_unchanged(self):
+        model, src, tgt = random_check_instance(6)
+        before = {n: t.data.tobytes() for n, t in model.params.items()}
+        grad_check(model, src, tgt)
+        assert all(t.grad is None for t in model.params.values())
+        assert {n: t.data.tobytes() for n, t in model.params.items()} == before
+
+    def test_stale_gate_grads_do_not_change_the_result(self):
+        model, src, tgt = random_check_instance(6)
+        expected = grad_check(model, src, tgt)
+        for name in model.gate_param_names():
+            model.params[name].grad = np.full_like(model.params[name].data, 7.0)
+        result = grad_check(model, src, tgt)
+        assert [v.hex() for v in result.per_param.values()] == [v.hex() for v in expected.per_param.values()]
+        assert all(t.grad is None for t in model.params.values())
+
     def test_non_finite_errors_fail_the_check(self):
         model, src, tgt = random_check_instance(0)
         model.params["gate.out_b"].data[0] = math.nan
@@ -524,6 +545,7 @@ def full_forward_grad_check(model, src_ids, tgt_ids, epsilon, param_names) -> Gr
 
 
 _CHECK_NAMES = ["gate.gate_b", "gate.gate_w", "gate.ln_ctx_gain", "gate.out_b", "gate.w_q"]
+_GATE_NAMES = random_check_instance(0)[0].gate_param_names()
 
 
 class TestFullModelGradients:
@@ -588,8 +610,9 @@ class TestGradCheckReusesStates:
         model, src, tgt = random_check_instance(3)
         counts = self._count_state_calls(model, monkeypatch)
         grad_check(model, src, tgt, param_names=names)
-        # One forward for the analytic gradients, one for the reused states.
-        assert counts == {"_encode": 2, "_decode_states": 2}
+        # The states are computed once; the analytic gradients and every
+        # perturbed loss run on them.
+        assert counts == {"_encode": 1, "_decode_states": 1}
 
 
 class TestGradCheckBatchesCopies:
@@ -607,8 +630,36 @@ class TestGradCheckBatchesCopies:
         bits = [[v.hex() for v in r.per_param.values()] for r in results]
         assert bits[0] == bits[1] == bits[2]
 
+    @given(
+        seed=st.integers(0, 10**6),
+        d_model=st.integers(1, 4),
+        batch=st.sampled_from([None, 2]),
+        gated=st.booleans(),
+        names=st.lists(st.sampled_from(_GATE_NAMES), min_size=1, max_size=8),
+        chunk=st.sampled_from([1, 3, 7, 64, 10**6]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_chunks_spanning_parameters_match_the_oracle_bit_for_bit(self, seed, d_model, batch, gated, names, chunk):
+        # Names in any order, some repeated, with chunks that straddle the
+        # boundaries between parameters.
+        cfg = GateConfig(vocab_size=6, d_model=d_model, max_src_len=3, max_tgt_len=2, seed=seed)
+        model = GateModel(cfg, gated=gated)
+        rng = np.random.default_rng(seed + 1)
+        lead = () if batch is None else (batch,)
+        src = rng.integers(0, cfg.vocab_size, size=lead + (3,))
+        tgt = rng.integers(0, cfg.vocab_size, size=lead + (2,))
+        unique = list(dict.fromkeys(names))
+        expected = full_forward_grad_check(model, src, tgt, 1e-5, unique)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gradcheck, "_COORD_CHUNK", chunk)
+            result = grad_check(model, src, tgt, param_names=names)
+        assert list(result.per_param) == unique
+        assert {n: v.hex() for n, v in result.per_param.items()} == {
+            n: v.hex() for n, v in expected.per_param.items()
+        }
+
     @pytest.mark.parametrize("chunk", [None, 5])
-    def test_one_gate_pass_per_parameter_and_chunk(self, chunk, monkeypatch):
+    def test_one_gate_pass_per_chunk_across_parameters(self, chunk, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(gradcheck, "_COORD_CHUNK", chunk)
         model, src, tgt = random_check_instance(3)
@@ -622,12 +673,14 @@ class TestGradCheckBatchesCopies:
         monkeypatch.setattr(model_module, "run_gate", counted)
         grad_check(model, src, tgt)
         size = gradcheck._COORD_CHUNK
-        coords = [model.params[n].data.size for n in model.gate_param_names()]
-        # One pass for the analytic gradients, then one per parameter and
-        # chunk, whose batch holds two copies per coordinate.
-        assert len(calls) == 1 + sum(-(-n // size) for n in coords)
+        coords = sum(model.params[n].data.size for n in model.gate_param_names())
+        # One pass for the analytic gradients, then one per chunk of the
+        # coordinates of all parameters laid end to end, whose batch holds
+        # two copies per coordinate: 1 + 7 at the default shape (429
+        # coordinates), 1 + 86 in chunks of 5.
+        assert len(calls) == {None: 8, 5: 87}[chunk] == 1 + -(-coords // size)
         assert calls[0] == 1
-        assert max(calls[1:]) == 2 * min(size, max(coords))
+        assert max(calls[1:]) == 2 * min(size, coords)
 
     def test_copies_run_like_separate_passes(self):
         d, vocab, copies = 4, 9, 3

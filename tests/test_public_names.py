@@ -1,5 +1,10 @@
-"""The package's public names: ``__all__`` against what ``__init__`` binds."""
+"""The package's public names: ``__all__`` against what ``__init__`` binds,
+and what importing the package pulls in."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -26,3 +31,13 @@ def test_all_lists_exactly_the_bound_public_names(module):
     }
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) == bound
+
+
+def test_import_leaves_numpy_out():
+    # Only the gate uses numpy, and the package does not import the gate.
+    src = str(Path(textsql.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, textsql; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
