@@ -26,7 +26,6 @@ from .model import (
     GateModel,
     ParamsFormatError,
     load_params,
-    save_params,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "GateModel",
     "ParamsFormatError",
     "load_params",
-    "save_params",
 ]

@@ -10,11 +10,14 @@ the acceptance tolerance.
 
 On arrays as small as the gate's, recording a node costs about as much as
 the arithmetic it records, so the gate's composite layers are fused into
-single nodes with hand-written backward passes: ``linear`` (``x @ w + b``),
-``layer_norm`` and ``nll`` (the negative log likelihood of target ids).
-Each fused forward evaluates the same numpy expressions, in the same order,
-as the elementary ops it stands for, so its values are bit-identical to
-theirs.
+single nodes with hand-written backward passes: ``block`` (a transformer
+block: self-attention and a feed-forward layer, each with its residual),
+``linear`` (``x @ w + b``), ``layer_norm`` and ``nll`` (the negative log
+likelihood of target ids). Each fused forward evaluates the same numpy
+expressions, in the same order, as the elementary ops it stands for, so its
+values are bit-identical to theirs. ``block_forward`` is ``block``'s forward
+on plain arrays; with the keys and values of earlier rows it computes new
+rows alone, which is how greedy decoding steps the causal decoder.
 
 Ops work on a leading batch axis: ``matmul``, ``linear`` and ``transpose``
 act on the last two axes of ``(..., T, d)`` arrays, ``take_rows`` gathers
@@ -139,17 +142,21 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
+def _rhs_grad(a: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of ``b``, of shape ``shape``, in ``a @ b`` given ``g``."""
+    if len(shape) == 2 and a.ndim > 2:
+        # A weight shared over the batch: fold the batch into rows.
+        rows = a.reshape(-1, a.shape[-1])
+        return rows.T @ g.reshape(-1, g.shape[-1])
+    return _unbroadcast(_swap(a) @ g, shape)
+
+
 def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray):
     """Route the gradient ``g`` of ``a @ b`` to both operands."""
     if a.requires_grad:
         a._accumulate(_unbroadcast(g @ _swap(b.data), a.shape))
     if b.requires_grad:
-        if b.data.ndim == 2 and a.data.ndim > 2:
-            # A weight shared over the batch: fold the batch into rows.
-            rows = a.data.reshape(-1, a.shape[-1])
-            b._accumulate(rows.T @ g.reshape(-1, g.shape[-1]))
-        else:
-            b._accumulate(_unbroadcast(_swap(a.data) @ g, b.shape))
+        b._accumulate(_rhs_grad(a.data, g, b.shape))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -202,17 +209,24 @@ def sigmoid(a: Tensor) -> Tensor:
     return _unary(a, y, lambda g, out: g * out * (1.0 - out))
 
 
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(a: Tensor) -> Tensor:
     """Row softmax over the last axis (max-shifted for stability; the shift
     does not change the derivative)."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_rows(a.data)
 
     def backward(out: Tensor):
         if a.requires_grad:
-            g = out.grad
-            a._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
+            a._accumulate(_softmax_grad(y, out.grad))
 
     return Tensor(y, _parents=(a,), _backward_fn=backward)
 
@@ -251,16 +265,19 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
 
 
 def take_rows(a: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D tensor by integer ids (embedding lookup); ids of
-    shape ``(...)`` give an output of shape ``(..., a.shape[1])``."""
+    """Gather rows of a 2-D tensor by integer ids in ``[0, rows)``
+    (embedding lookup); ids of shape ``(...)`` give an output of shape
+    ``(..., a.shape[1])``.
+
+    The backward sums each row's gradients in the order of ``ids``, as
+    ``np.add.at`` would, with one ``np.bincount`` over flat positions."""
     ids = np.asarray(ids, dtype=np.int64)
     out_data = a.data[ids]
 
     def backward(out: Tensor):
         if a.requires_grad:
-            grad = np.zeros_like(a.data)
-            np.add.at(grad, ids.reshape(-1), out.grad.reshape(-1, a.shape[1]))
-            a._accumulate(grad)
+            flat = ids.reshape(-1, 1) * a.shape[1] + np.arange(a.shape[1])
+            a._accumulate(np.bincount(flat.ravel(), out.grad.ravel(), a.data.size).reshape(a.shape))
 
     return Tensor(out_data, _parents=(a,), _backward_fn=backward)
 
@@ -312,3 +329,62 @@ def nll(p: Tensor, ids: np.ndarray, floor: float) -> Tensor:
             p._accumulate(grad)
 
     return Tensor(np.log(shifted) * -1.0, _parents=(p,), _backward_fn=backward)
+
+
+def block_forward(x, wq, wk, wv, wo, w1, b1, w2, b2, mask=None, past=None):
+    """The numpy forward of :func:`block`: its output, and the arrays its
+    backward reads, ``(q, k, v, attn, read, h, pre, hidden)``.
+
+    ``past`` holds the keys and values of earlier rows, which go before
+    those of ``x``'s rows. So with the keys and values of a causal block's
+    first rows, ``x`` as its next rows and no mask, the output is that of
+    the block's next rows; ``k`` and ``v`` come back extended."""
+    q = x @ wq
+    k = x @ wk
+    v = x @ wv
+    if past is not None:
+        k = np.concatenate([past[0], k], axis=-2)
+        v = np.concatenate([past[1], v], axis=-2)
+    score = q @ _swap(k) * x.shape[-1] ** -0.5
+    if mask is not None:
+        score = score + mask
+    attn = _softmax_rows(score)
+    read = attn @ v
+    h = x + read @ wo
+    pre = h @ w1 + b1
+    hidden = np.maximum(pre, 0.0)
+    return h + (hidden @ w2 + b2), (q, k, v, attn, read, h, pre, hidden)
+
+
+def block(x: Tensor, wq, wk, wv, wo, w1, b1, w2, b2, mask: np.ndarray | None = None) -> Tensor:
+    """A transformer block as one node: self-attention with queries, keys
+    and values ``x @ wq``, ``x @ wk``, ``x @ wv``, scores scaled by
+    ``d ** -0.5`` plus ``mask``, output projection ``wo`` and a residual;
+    then ``relu(h @ w1 + b1) @ w2 + b2`` and a second residual.
+
+    The forward evaluates the expressions of the elementary ops, and the
+    backward sums each gradient in the order the tape would, so values and
+    gradients are theirs bit for bit."""
+    weights = (wq, wk, wv, wo, w1, b1, w2, b2)
+    out, (q, k, v, attn, read, h, pre, hidden) = block_forward(x.data, *(w.data for w in weights), mask=mask)
+    scale = x.shape[-1] ** -0.5
+
+    def backward(node: Tensor):
+        g = node.grad
+        d_pre = g @ _swap(w2.data) * (pre > 0.0)
+        d_h = g + d_pre @ _swap(w1.data)
+        d_read = d_h @ _swap(wo.data)
+        d_score = _softmax_grad(attn, d_read @ _swap(v)) * scale
+        d_q = d_score @ k
+        d_k = _swap(_swap(q) @ d_score)
+        d_v = _rhs_grad(attn, d_read, v.shape)
+        if x.requires_grad:
+            # The tape's order: the residual's share, then the query's, the
+            # key's and the value's.
+            x._accumulate(d_h + d_q @ _swap(wq.data) + d_k @ _swap(wk.data) + d_v @ _swap(wv.data))
+        inputs = (x.data, x.data, x.data, read, h, None, hidden, None)  # None: a bias
+        for w, a, d in zip(weights, inputs, (d_q, d_k, d_v, d_h, d_pre, d_pre, g, g)):
+            if w.requires_grad:
+                w._accumulate(_unbroadcast(d, w.shape) if a is None else _rhs_grad(a, d, w.shape))
+
+    return Tensor(out, _parents=(x, *weights), _backward_fn=backward)

@@ -30,8 +30,8 @@ TGT_VALUE_POS = 7
 TGT_KEYWORD_POS = (0, 2, 4)  # select, from, where
 # Held-out examples per batched decode. Bigger chunks make fewer, larger
 # passes, but a chunk's activations are all live at once: decoding the
-# default held-out set (200 examples) as one chunk raised the peak RSS of
-# `gate train` by about 6 MB.
+# default held-out set (200 examples) as one chunk raised the peak RSS of a
+# 60-step `gate train` by about 7 MB.
 _EVAL_CHUNK = 32
 
 
@@ -99,15 +99,8 @@ def build_vocab(cfg: CopyTaskConfig) -> CopyVocab:
 
 def make_example(vocab: CopyVocab, rng: np.random.Generator, heldout: bool) -> tuple[np.ndarray, np.ndarray]:
     """Sample one (source, target) pair from the grammar."""
-    what, is_, when = (vocab.id_of(w) for w in QUESTION_WORDS)
-    select, from_, where, eq, tab = (vocab.id_of(w) for w in TARGET_WORDS)
-    sel_col = vocab.col_ids[rng.integers(len(vocab.col_ids))]
-    cond_col = vocab.col_ids[rng.integers(len(vocab.col_ids))]
-    pool = vocab.heldout_value_ids if heldout else vocab.train_value_ids
-    value = pool[rng.integers(len(pool))]
-    src = np.array([what, is_, sel_col, when, cond_col, is_, value], dtype=np.int64)
-    tgt = np.array([select, sel_col, from_, tab, where, cond_col, eq, value], dtype=np.int64)
-    return src, tgt
+    src, tgt = _draw_batch(vocab, rng, 1, heldout)
+    return src[0], tgt[0]
 
 
 def gate_config_for(cfg: CopyTaskConfig, vocab: CopyVocab) -> GateConfig:
@@ -141,9 +134,21 @@ class TrainResult:
 
 
 def _draw_batch(vocab: CopyVocab, rng: np.random.Generator, n: int, heldout: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` examples stacked into (n, SRC_LEN) and (n, TGT_LEN) id arrays."""
-    pairs = [make_example(vocab, rng, heldout=heldout) for _ in range(n)]
-    return np.stack([src for src, _ in pairs]), np.stack([tgt for _, tgt in pairs])
+    """``n`` examples as (n, SRC_LEN) and (n, TGT_LEN) id arrays. Each
+    draws its selected column, condition column and value, in that order,
+    one ``rng.integers`` call each."""
+    what, is_, when = (vocab.id_of(w) for w in QUESTION_WORDS)
+    select, from_, where, eq, tab = (vocab.id_of(w) for w in TARGET_WORDS)
+    cols = vocab.col_ids
+    pool = vocab.heldout_value_ids if heldout else vocab.train_value_ids
+    draw = rng.integers
+    draws = [(cols[draw(len(cols))], cols[draw(len(cols))], pool[draw(len(pool))]) for _ in range(n)]
+    slots = np.array(draws, dtype=np.int64).reshape(n, 3)
+    src = np.tile(np.array([what, is_, 0, when, 0, is_, 0], dtype=np.int64), (n, 1))
+    tgt = np.tile(np.array([select, 0, from_, tab, where, 0, eq, 0], dtype=np.int64), (n, 1))
+    src[:, [SRC_SEL_POS, SRC_COND_POS, SRC_VALUE_POS]] = slots
+    tgt[:, [1, 5, TGT_VALUE_POS]] = slots
+    return src, tgt
 
 
 def evaluate_copy_model(model: GateModel, vocab: CopyVocab, n_examples: int, rng: np.random.Generator) -> CopyMetrics:

@@ -25,12 +25,14 @@ to that of a full forward per coordinate.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad
+from .layers import GateParams
 from .model import GateConfig, GateModel
 
 REL_FLOOR = 1e-6
@@ -45,14 +47,17 @@ class GradCheckResult:
     per_param: dict[str, float]
 
 
-def _head_grads(model: GateModel, names: list[str], states, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+def _head_grads(
+    model: GateModel, base: GateParams, names: list[str], states, src: np.ndarray, tgt: np.ndarray
+) -> np.ndarray:
     """The analytic gradients of ``names`` from one backward pass of the
-    head, flattened and laid end to end. Each gate parameter's ``.grad`` is
-    cleared before and after, as ``loss_and_grads`` does."""
+    head with ``base``, the model's gate parameters, flattened and laid end
+    to end. Each gate parameter's ``.grad`` is cleared before and after, as
+    ``loss_and_grads`` does."""
     gate = [model.params[n] for n in model.gate_param_names()]
     for t in gate:
         t.grad = None
-    _, _, loss = model._head(model.gate_params(), *states, src, tgt)
+    _, _, loss = model._head(base, *states, src, tgt)
     loss.backward()
     # Every gate parameter reaches the loss, so each has a gradient.
     flat = np.concatenate([model.params[n].grad.reshape(-1) for n in names])
@@ -62,11 +67,14 @@ def _head_grads(model: GateModel, names: list[str], states, src: np.ndarray, tgt
 
 
 def _perturbed_losses(
-    model: GateModel, names: list[str], states, src: np.ndarray, tgt: np.ndarray, epsilon: float
+    model: GateModel, base: GateParams, names: list[str], states, src: np.ndarray, tgt: np.ndarray, epsilon: float
 ) -> np.ndarray:
     """Perturbed losses of every coordinate of ``names``, laid end to end:
-    entry 2i is coordinate i plus epsilon, entry 2i+1 minus epsilon."""
-    base = model.gate_params()
+    entry 2i is coordinate i plus epsilon, entry 2i+1 minus epsilon.
+
+    ``base`` is validated already, and each chunk's copies have the shapes
+    it checked, with a copy axis in front: they go into a shallow copy of
+    it without a second check."""
     datas = [model.params[n].data for n in names]
     ends = np.cumsum([d.size for d in datas])
     total = int(ends[-1])
@@ -76,7 +84,8 @@ def _perturbed_losses(
     for start in range(0, total, _COORD_CHUNK):
         stop = min(start + _COORD_CHUNK, total)
         copies = 2 * (stop - start)
-        fields = {}
+        chunk = copy.copy(base)
+        chunk.copies = copies * examples
         for name, data, end in zip(names, datas, ends):
             first = end - data.size
             if end <= start or first >= stop:
@@ -89,11 +98,12 @@ def _perturbed_losses(
             stack[pair + 1, owned - first] -= epsilon
             # One row of parameters per batch row, copy-major like the
             # repeated states and ids.
-            fields[name.removeprefix("gate.")] = np.repeat(stack.reshape(copies, -1, data.shape[-1]), examples, axis=0)
+            rows = np.repeat(stack.reshape(copies, -1, data.shape[-1]), examples, axis=0)
+            setattr(chunk, name.removeprefix("gate."), Tensor(rows))
         if copies not in rows_by_copies:
             enc, dec, src_rows, tgt_rows = (np.concatenate([a] * copies) for a in (*(h.data for h in states), src, tgt))
             rows_by_copies[copies] = (Tensor(enc), Tensor(dec), src_rows, tgt_rows)
-        _, _, loss = model._head(replace(base, **fields), *rows_by_copies[copies], blocks=copies)
+        _, _, loss = model._head(chunk, *rows_by_copies[copies], blocks=copies)
         losses.append(loss.data)
     return np.concatenate(losses)
 
@@ -128,11 +138,12 @@ def grad_check(
         raise ValueError(f"unknown gate parameters: {unknown}; only gate.* parameters can be checked")
     names = list(dict.fromkeys(param_names))
     src, tgt = model._check_pair(src_ids, tgt_ids)
+    base = model.gate_params()
     with no_grad():
         states = model._states(src, tgt)
-    analytic = _head_grads(model, names, states, src, tgt)
+    analytic = _head_grads(model, base, names, states, src, tgt)
     with no_grad():
-        losses = _perturbed_losses(model, names, states, src, tgt, epsilon)
+        losses = _perturbed_losses(model, base, names, states, src, tgt, epsilon)
     numeric = (losses[0::2] - losses[1::2]) / (2.0 * epsilon)
     rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_FLOOR)
     # max() would skip a NaN, so a non-finite error counts as inf.

@@ -211,8 +211,9 @@ def merge(o_gen, o_ext, p_ext) -> Tensor:
 
 @dataclass(frozen=True)
 class GateActivations:
-    """Numpy snapshot of one pass through the extraction layer; arrays carry
-    a leading batch axis when the pass had one."""
+    """Numpy snapshot of one pass through the extraction layer, as
+    ``GateModel.forward`` returns it; arrays carry a leading batch axis when
+    the pass had one."""
 
     score: np.ndarray
     attn: np.ndarray
@@ -223,12 +224,14 @@ class GateActivations:
     o_final: np.ndarray
 
 
-def run_gate(h_enc, h_dec, src_ids, params: GateParams, gated: bool = True) -> tuple[dict, GateActivations]:
+def run_gate(h_enc, h_dec, src_ids, params: GateParams, gated: bool = True) -> dict[str, Tensor]:
     """Full extraction-layer pass.
 
-    Returns the live tensors (for backprop) and a detached activation
-    snapshot. ``gated=False`` multiplies the gate by zero, disabling copying
-    so the output reduces to the generation softmax; used by ablations.
+    Returns the live tensors by name, the fields of ``GateActivations``:
+    the graph for backprop, or constants under ``no_grad()``. Nothing is
+    copied; ``GateModel.forward`` takes its snapshot from them.
+    ``gated=False`` multiplies the gate by zero, disabling copying so the
+    output reduces to the generation softmax; used by ablations.
     """
     score, attn, context = cross_attention(h_enc, h_dec, params)
     p_ext = extraction_gate(h_dec, context, params)
@@ -237,14 +240,4 @@ def run_gate(h_enc, h_dec, src_ids, params: GateParams, gated: bool = True) -> t
     o_gen = generation_head(h_dec, params)
     o_ext = copy_distribution(attn, src_ids, params.vocab_size)
     o_final = merge(o_gen, o_ext, p_ext)
-    tensors = {
-        "score": score,
-        "attn": attn,
-        "context": context,
-        "p_ext": p_ext,
-        "o_gen": o_gen,
-        "o_ext": o_ext,
-        "o_final": o_final,
-    }
-    snapshot = GateActivations(**{k: v.data.copy() for k, v in tensors.items()})
-    return tensors, snapshot
+    return dict(score=score, attn=attn, context=context, p_ext=p_ext, o_gen=o_gen, o_ext=o_ext, o_final=o_final)

@@ -18,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, linear, matmul, mul, nll, no_grad, relu, reshape, softmax, take_rows, tmean, transpose
+from .autodiff import Tensor, add, block, block_forward, nll, no_grad, reshape, take_rows, tmean
 from .layers import GateActivations, GateParams, run_gate
 
 PARAMS_FORMAT_VERSION = 1
 _LOG_FLOOR = 1e-12
 _MASK_OFF = -1e9
+# The weights of a side's block, in the argument order of ``block``.
+_BLOCK = ("wq", "wk", "wv", "wo", "ff_w1", "ff_b1", "ff_w2", "ff_b2")
 
 
 @dataclass(frozen=True)
@@ -122,28 +124,19 @@ class GateModel:
 
     def _check_ids(self, ids: np.ndarray, limit: int, name: str) -> np.ndarray:
         """Validate an id sequence or batch; always returns a (B, n) batch."""
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
         if ids.ndim not in (1, 2) or ids.size == 0:
             raise ValueError(f"{name} must be a non-empty flat id sequence or a batch of them")
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integer ids, got dtype {ids.dtype}")
         if ids.shape[-1] > limit:
             raise ValueError(f"{name} longer than the configured maximum ({ids.shape[-1]} > {limit})")
         if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:
             raise ValueError(f"{name} out of vocabulary range")
-        return ids.reshape(-1, ids.shape[-1])
+        return ids.reshape(-1, ids.shape[-1]).astype(np.int64, copy=False)
 
     def _block(self, x: Tensor, side: str, mask: np.ndarray | None) -> Tensor:
-        p = self.params
-        scale = self.cfg.d_model**-0.5
-        q = matmul(x, p[f"{side}.wq"])
-        k = matmul(x, p[f"{side}.wk"])
-        v = matmul(x, p[f"{side}.wv"])
-        score = mul(matmul(q, transpose(k)), Tensor(scale))
-        if mask is not None:
-            score = add(score, Tensor(mask))
-        attended = matmul(matmul(softmax(score), v), p[f"{side}.wo"])
-        h = add(x, attended)
-        hidden = relu(linear(h, p[f"{side}.ff_w1"], p[f"{side}.ff_b1"]))
-        return add(h, linear(hidden, p[f"{side}.ff_w2"], p[f"{side}.ff_b2"]))
+        return block(x, *(self.params[f"{side}.{n}"] for n in _BLOCK), mask=mask)
 
     def _encode(self, src_ids: np.ndarray) -> Tensor:
         n = src_ids.shape[-1]
@@ -171,15 +164,15 @@ class GateModel:
         src: np.ndarray,
         tgt: np.ndarray,
         blocks: int | None = None,
-    ) -> tuple[GateActivations, Tensor, Tensor]:
-        """The gate with ``params`` on the states, then the per-position NLL
-        and its mean: a scalar, or with ``blocks`` one mean per block of
-        that many equal, contiguous blocks of batch rows."""
-        tensors, snapshot = run_gate(h_enc, h_dec, src, params, gated=self.gated)
+    ) -> tuple[dict[str, Tensor], Tensor, Tensor]:
+        """The gate's tensors with ``params`` on the states, then the
+        per-position NLL and its mean: a scalar, or with ``blocks`` one mean
+        per block of that many equal, contiguous blocks of batch rows."""
+        tensors = run_gate(h_enc, h_dec, src, params, gated=self.gated)
         losses = nll(tensors["o_final"], tgt, _LOG_FLOOR)
         # Equal lengths, so the mean over every position of a block is the
         # mean of its examples' means.
-        return snapshot, losses, tmean(reshape(losses, (-1,) if blocks is None else (blocks, -1)), axis=-1)
+        return tensors, losses, tmean(reshape(losses, (-1,) if blocks is None else (blocks, -1)), axis=-1)
 
     def _check_pair(self, src_ids, tgt_ids) -> tuple[np.ndarray, np.ndarray]:
         src = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")
@@ -192,17 +185,11 @@ class GateModel:
         """Teacher-forced pass with per-position negative log likelihood."""
         single = np.ndim(src_ids) == 1
         src, tgt = self._check_pair(src_ids, tgt_ids)
-        snapshot, losses, loss = self._head(self.gate_params(), *self._states(src, tgt), src, tgt)
-        per_position = losses.data.copy()
-        if single:
-            snapshot = GateActivations(**{k: v[0] for k, v in vars(snapshot).items()})
-            per_position = per_position[0]
-        return ForwardPass(
-            activations=snapshot,
-            per_position_loss=per_position,
-            loss=float(loss.data),
-            loss_tensor=loss,
-        )
+        tensors, losses, loss = self._head(self.gate_params(), *self._states(src, tgt), src, tgt)
+        # Copies, so that writing to them cannot reach the tape.
+        row = 0 if single else slice(None)
+        snapshot = GateActivations(**{k: t.data[row].copy() for k, t in tensors.items()})
+        return ForwardPass(snapshot, losses.data[row].copy(), float(loss.data), loss)
 
     def loss_and_grads(self, src_ids, tgt_ids) -> tuple[float, dict[str, np.ndarray]]:
         """One backward pass over one example or a batch; gradients (batch
@@ -225,24 +212,33 @@ class GateModel:
         """Argmax decoding for a fixed number of steps: a token list for one
         source sequence, one list per row for a batch.
 
-        The encoder runs once. Each step reruns the causal decoder over the
-        prefix and reads the gate at the last position only, with no tape.
+        The encoder runs once, with no tape. The decoder is one causal
+        block, so a position's state depends only on the positions up to
+        it: each step runs the block on the newest position alone, against
+        the keys and values kept from the steps before (``block_forward``'s
+        ``past``), and reads the gate on that one state.
         """
         single = np.ndim(src_ids) == 1
         src_ids = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")
-        if not 1 <= n_steps <= self.cfg.max_tgt_len:
-            raise ValueError("n_steps must fit the configured target length")
-        out = np.full((src_ids.shape[0], 1), self.cfg.start_id, dtype=np.int64)
+        limit = self.cfg.max_tgt_len
+        if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or not 1 <= n_steps <= limit:
+            raise ValueError(f"n_steps must be an integer from 1 to the target length {limit}, got {n_steps!r}")
+        p = self.params
+        weights = [p[f"dec.{n}"].data for n in _BLOCK]
         params = self.gate_params()
+        tokens = np.full(src_ids.shape[0], self.cfg.start_id, dtype=np.int64)
+        out, past = [], None
         with no_grad():
             h_enc = self._encode(src_ids)
-            for _ in range(n_steps):
-                last = Tensor(self._decode_states(out).data[:, -1:])
-                tensors, _ = run_gate(h_enc, last, src_ids, params, gated=self.gated)
-                step = np.argmax(tensors["o_final"].data[:, -1], axis=-1)
-                out = np.concatenate([out, step[:, None]], axis=1)
-        tokens = out[:, 1:].tolist()
-        return tokens[0] if single else tokens
+            for t in range(n_steps):
+                x = (p["emb"].data[tokens] + p["pos_tgt"].data[t])[:, None]
+                state, saved = block_forward(x, *weights, past=past)
+                past = saved[1:3]
+                o_final = run_gate(h_enc, Tensor(state), src_ids, params, gated=self.gated)["o_final"]
+                tokens = np.argmax(o_final.data[:, -1], axis=-1)
+                out.append(tokens)
+        decoded = np.stack(out, axis=1).tolist()
+        return decoded[0] if single else decoded
 
 
 # ----------------------------------------------------------------------
@@ -274,24 +270,13 @@ def encode_params(model: GateModel) -> tuple[bytes, str]:
     return blob.tobytes(), json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
 
 
-def save_params(model: GateModel, blob_path: str | Path) -> Path:
-    """Write ``encode_params(model)`` to ``blob_path`` and its sidecar, and
-    return the sidecar's path. Each file is written in place, so a failed
-    sidecar write leaves the blob; ``gate train`` writes both through the
-    command line's writer instead."""
-    blob, text = encode_params(model)
-    Path(blob_path).write_bytes(blob)
-    path = sidecar_path(blob_path)
-    path.write_text(text)
-    return path
-
-
 class ParamsFormatError(ValueError):
     """The blob or sidecar does not describe a loadable parameter set."""
 
 
 def load_params(blob_path: str | Path) -> GateModel:
-    """Rebuild a model from a blob written by :func:`save_params`."""
+    """Rebuild a model from a blob and sidecar with the contents that
+    :func:`encode_params` gives, the sidecar at ``sidecar_path(blob_path)``."""
     blob_path = Path(blob_path)
     try:
         sidecar = json.loads(sidecar_path(blob_path).read_text(encoding="utf-8"))

@@ -10,6 +10,7 @@ from textsql.gate.autodiff import (
     Tensor,
     _unary,
     add,
+    block,
     concat_last,
     layer_norm,
     linear,
@@ -271,10 +272,24 @@ def composite_nll(p, ids, floor):
     return mul(_log(add(picked, Tensor(floor))), Tensor(-1.0))
 
 
-def assert_fused_matches(fused, composite, arrays, seed):
+def composite_block(x, wq, wk, wv, wo, w1, b1, w2, b2, mask=None):
+    q = matmul(x, wq)
+    k = matmul(x, wk)
+    v = matmul(x, wv)
+    score = mul(matmul(q, transpose(k)), Tensor(x.shape[-1] ** -0.5))
+    if mask is not None:
+        score = add(score, Tensor(mask))
+    attended = matmul(matmul(softmax(score), v), wo)
+    h = add(x, attended)
+    hidden = relu(linear(h, w1, b1))
+    return add(h, linear(hidden, w2, b2))
+
+
+def assert_fused_matches(fused, composite, arrays, seed, exact=False):
     """The two graphs' forwards are equal bit for bit, and each input's
     gradient is within 1e-12 of the composite's, relative to the largest
-    entry of the latter, under one random weighting of the output."""
+    entry of the latter (``exact``: equal bit for bit), under one random
+    weighting of the output."""
     outs, grads = [], []
     for op in (fused, composite):
         tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -286,7 +301,10 @@ def assert_fused_matches(fused, composite, arrays, seed):
     assert np.array_equal(outs[0], outs[1])
     for got, want in zip(*grads):
         assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 # States are (T, d), a batch (B, T, d) with shared parameters, or a batch
@@ -356,6 +374,47 @@ class TestFusedOps:
             np.put_along_axis(p, ids[..., None], 0.0, axis=-1)
         assert_fused_matches(
             lambda p: nll(p, ids, 1e-12), lambda p: composite_nll(p, ids, 1e-12), [p], seed
+        )
+
+
+    @given(
+        rows=st.integers(1, 6),
+        d=st.integers(1, 5),
+        shape=st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        seed=_SEEDS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_take_rows(self, rows, d, shape, seed):
+        # Repeated ids with gradients of mixed magnitudes, where the order
+        # of the sum shows in the last bits: ``np.add.at``'s order.
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, rows, size=shape)
+        w = rng.standard_normal((*shape, d)) * 10.0 ** rng.integers(-8, 9, size=(*shape, 1))
+        t = Tensor(rng.standard_normal((rows, d)), requires_grad=True)
+        tsum(mul(take_rows(t, ids), Tensor(w))).backward()
+        expected = np.zeros((rows, d))
+        np.add.at(expected, ids.reshape(-1), w.reshape(-1, d))
+        assert np.array_equal(t.grad, expected)
+
+    @given(
+        batched=st.booleans(),
+        b=st.integers(1, 4),
+        t=st.integers(1, 8),
+        d=st.one_of(st.integers(1, 8), st.sampled_from([16, 32])),
+        masked=st.booleans(),
+        seed=_SEEDS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block(self, batched, b, t, d, masked, seed):
+        # Every gradient bit for bit too: the model's embeddings sum the
+        # input's gradient, and any other order differs in the last bits.
+        rng = np.random.default_rng(seed)
+        lead = (b,) if batched else ()
+        shapes = [(*lead, t, d), (d, d), (d, d), (d, d), (d, d), (d, 2 * d), (2 * d,), (2 * d, d), (d,)]
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        mask = np.triu(np.full((t, t), -1e9), k=1) if masked else None
+        assert_fused_matches(
+            lambda *a: block(*a, mask=mask), lambda *a: composite_block(*a, mask=mask), arrays, seed, exact=True
         )
 
 

@@ -29,7 +29,8 @@ from textsql import Condition, LogicalForm, Table, compose, dump_tables, render
 from textsql.cli import _BLOCK_LINES, build_parser, main
 from textsql.data import index_by_id, load_questions, load_tables
 from textsql.eg import eg_gain
-from textsql.gate import load_params, save_params
+from textsql.gate import load_params
+from textsql.gate.model import encode_params, sidecar_path
 
 from conftest import PLATES_BASELINE, PLATES_ID, PLATES_QUESTION, PLATES_SQL, make_table
 from test_sql import glued_texts
@@ -1819,10 +1820,11 @@ class TestGateTrain:
         assert code == 0
         model = load_params(params)
         assert model.cfg.d_model == 8
-        # The bytes the library itself writes, through the command's writer.
-        sidecar = save_params(model, tmp_path / "again.bin")
-        assert params.read_bytes() == (tmp_path / "again.bin").read_bytes()
-        assert (tmp_path / "model.bin.json").read_bytes() == sidecar.read_bytes()
+        # The bytes the library itself encodes, through the command's writer.
+        blob, text = encode_params(model)
+        assert params.read_bytes() == blob
+        assert sidecar_path(params) == tmp_path / "model.bin.json"
+        assert sidecar_path(params).read_bytes() == text.encode("utf-8")
 
 
 class TestConfigFile:

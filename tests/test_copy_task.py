@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textsql.gate import (
     CopyTaskConfig,
@@ -92,6 +94,46 @@ class TestGrammar:
         assert cfg.max_src_len == SRC_LEN
         assert cfg.max_tgt_len == TGT_LEN
         assert cfg.start_id == 0
+
+
+def one_example(vocab, rng, heldout):
+    """Oracle: one (source, target) pair as ``make_example`` built it, from
+    one draw each of the selected column, condition column and value."""
+    what, is_, when = (vocab.id_of(w) for w in QUESTION_WORDS)
+    select, from_, where, eq, tab = (vocab.id_of(w) for w in TARGET_WORDS)
+    sel_col = vocab.col_ids[rng.integers(len(vocab.col_ids))]
+    cond_col = vocab.col_ids[rng.integers(len(vocab.col_ids))]
+    pool = vocab.heldout_value_ids if heldout else vocab.train_value_ids
+    value = pool[rng.integers(len(pool))]
+    src = np.array([what, is_, sel_col, when, cond_col, is_, value], dtype=np.int64)
+    tgt = np.array([select, sel_col, from_, tab, where, cond_col, eq, value], dtype=np.int64)
+    return src, tgt
+
+
+class TestDrawBatch:
+    @given(
+        n_cols=st.integers(1, 6),
+        n_train=st.integers(1, 30),
+        n_heldout=st.integers(1, 10),
+        n=st.integers(0, 40),
+        heldout=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_make_example_loop(self, n_cols, n_train, n_heldout, n, heldout, seed):
+        vocab = build_vocab(CopyTaskConfig(n_cols=n_cols, n_train_values=n_train, n_heldout_values=n_heldout))
+        batch_rng, loop_rng, one_rng = (np.random.default_rng(seed) for _ in range(3))
+        src, tgt = copy_task._draw_batch(vocab, batch_rng, n, heldout)
+        pairs = [one_example(vocab, loop_rng, heldout) for _ in range(n)]
+        assert src.dtype == tgt.dtype == np.int64
+        assert src.shape == (n, SRC_LEN) and tgt.shape == (n, TGT_LEN)
+        assert src.tolist() == [s.tolist() for s, _ in pairs]
+        assert tgt.tolist() == [t.tolist() for _, t in pairs]
+        # The same draws, so the streams stay in step.
+        assert batch_rng.integers(2**62) == loop_rng.integers(2**62)
+        for want_src, want_tgt in pairs:
+            got_src, got_tgt = make_example(vocab, one_rng, heldout=heldout)
+            assert got_src.tolist() == want_src.tolist() and got_tgt.tolist() == want_tgt.tolist()
 
 
 class TestConfigValidation:

@@ -22,13 +22,19 @@ from textsql.gate import (
     load_params,
     merge,
     random_check_instance,
-    run_gate,
-    save_params,
 )
 from textsql.gate import gradcheck
+from textsql.gate import layers
 from textsql.gate import model as model_module
 from textsql.gate.autodiff import Tensor, no_grad
 from textsql.gate.gradcheck import REL_FLOOR
+from textsql.gate.layers import GateActivations
+from textsql.gate.model import encode_params, sidecar_path
+
+
+def gate_arrays(*args, **kwargs) -> GateActivations:
+    """``layers.run_gate``'s tensors as arrays, by field."""
+    return GateActivations(**{k: t.data for k, t in layers.run_gate(*args, **kwargs).items()})
 
 
 def rand_params(d, vocab, seed):
@@ -118,7 +124,7 @@ class TestLayerOracle:
         h_dec = rng.standard_normal((2, d))
         src_ids = rng.integers(0, vocab, size=3)
         params = rand_params(d, vocab, 1)
-        _, snap = run_gate(h_enc, h_dec, src_ids, params)
+        snap = gate_arrays(h_enc, h_dec, src_ids, params)
         score, attn, context, p_ext, o_gen, o_ext, o_final = naive_gate(
             h_enc, h_dec, src_ids, params, vocab
         )
@@ -137,9 +143,9 @@ class TestLayerOracle:
         h_dec = rng.standard_normal((B, 2, d))
         src_ids = rng.integers(0, vocab, size=(B, 3))
         params = rand_params(d, vocab, 1)
-        _, batched = run_gate(h_enc, h_dec, src_ids, params)
+        batched = gate_arrays(h_enc, h_dec, src_ids, params)
         for i in range(B):
-            _, one = run_gate(h_enc[i], h_dec[i], src_ids[i], params)
+            one = gate_arrays(h_enc[i], h_dec[i], src_ids[i], params)
             for name in ("score", "attn", "context", "p_ext", "o_gen", "o_ext", "o_final"):
                 np.testing.assert_allclose(getattr(batched, name)[i], getattr(one, name), rtol=1e-13, atol=1e-15)
 
@@ -163,7 +169,7 @@ class TestDistributionInvariants:
         h_enc = rng.standard_normal((S, d)) * 2
         h_dec = rng.standard_normal((T, d)) * 2
         src_ids = rng.integers(0, vocab, size=S)
-        _, snap = run_gate(h_enc, h_dec, src_ids, params, gated=gated)
+        snap = gate_arrays(h_enc, h_dec, src_ids, params, gated=gated)
         return snap
 
     def test_attention_rows_sum_to_one(self):
@@ -337,8 +343,9 @@ class TestBatchedModel:
 
     def test_training_step_records_few_nodes(self):
         """The fused ops keep the tape short: a batched training step
-        records 59 nodes (90 when layer norm, each affine map and the loss
-        head were built from elementary ops)."""
+        records 32 nodes (59 when each transformer block was built from
+        elementary ops, 90 when layer norm, each affine map and the loss
+        head were too)."""
         cfg, src, tgt = _batch_instance(0, 16)
         model = GateModel(cfg)
         passes = []
@@ -353,7 +360,7 @@ class TestBatchedModel:
                 seen[id(node)] = node
                 stack.extend(node._parents)
         recorded = sum(1 for node in seen.values() if node._parents)
-        assert recorded <= 60
+        assert recorded <= 32
 
     def test_batched_forward_stacks_single_passes(self):
         cfg, src, tgt = _batch_instance(5, 4)
@@ -392,6 +399,62 @@ class TestBatchedModel:
                 o_final = model.forward(s, np.array(prefix + [0])).activations.o_final
                 prefix.append(int(np.argmax(o_final[-1])))
             assert tokens == prefix
+
+
+def recompute_decode(model, src, n_steps):
+    """Oracle: greedy decoding that reruns the causal decoder over the whole
+    prefix at every step. Returns the tokens, one list per row, and each
+    step's distribution at the last position, (B, v)."""
+    out = np.full((src.shape[0], 1), model.cfg.start_id, dtype=np.int64)
+    params = model.gate_params()
+    dists = []
+    with no_grad():
+        h_enc = model._encode(src)
+        for _ in range(n_steps):
+            last = Tensor(model._decode_states(out).data[:, -1:])
+            dist = layers.run_gate(h_enc, last, src, params, gated=model.gated)["o_final"].data[:, -1]
+            dists.append(dist)
+            out = np.concatenate([out, np.argmax(dist, axis=-1)[:, None]], axis=1)
+    return out[:, 1:].tolist(), dists
+
+
+class TestCachedDecoding:
+    @given(
+        seed=st.integers(0, 10**6),
+        vocab=st.integers(2, 24),
+        d_model=st.integers(1, 16),
+        src_len=st.integers(1, 7),
+        tgt_len=st.integers(1, 8),
+        batch=st.integers(1, 12),
+        gated=st.booleans(),
+        trained=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_full_recompute(self, seed, vocab, d_model, src_len, tgt_len, batch, gated, trained):
+        cfg = GateConfig(vocab_size=vocab, d_model=d_model, max_src_len=src_len, max_tgt_len=tgt_len, seed=seed)
+        model = GateModel(cfg, gated=gated)
+        rng = np.random.default_rng(seed + 1)
+        src = rng.integers(0, vocab, size=(batch, src_len))
+        if trained:
+            tgt = rng.integers(0, vocab, size=(batch, tgt_len))
+            for _ in range(3):
+                model.sgd_step(model.loss_and_grads(src, tgt)[1], lr=0.5)
+        expected_tokens, expected = recompute_decode(model, src, tgt_len)
+        seen = []
+        original = model_module.run_gate
+
+        def recorded(*args, **kwargs):
+            tensors = original(*args, **kwargs)
+            seen.append(tensors["o_final"].data[:, -1])
+            return tensors
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "run_gate", recorded)
+            tokens = model.decode_greedy(src, tgt_len)
+        assert tokens == expected_tokens
+        assert len(seen) == tgt_len
+        for got, want in zip(seen, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestGateModel:
@@ -439,6 +502,23 @@ class TestGateModel:
         assert all(isinstance(t, int) and 0 <= t < 11 for t in out)
         with pytest.raises(ValueError):
             model.decode_greedy(np.array([1]), n_steps=6)
+
+    def test_ids_must_be_integers(self):
+        model = GateModel(self.CFG)
+        tgt = np.array([3, 4, 5])
+        # Each ran before: 1.5 was read as id 1, booleans as ids 0 and 1, and
+        # n_steps=True as one step.
+        for src, tgt_ids in (([1.5, 2, 3, 4, 5], tgt), ([True, False, True], tgt), ([1, 2], [3.0, 4.0])):
+            with pytest.raises(ValueError, match="integer ids"):
+                model.forward(src, tgt_ids)
+        with pytest.raises(ValueError, match="integer ids"):
+            model.decode_greedy(np.array([1.0, 2.0]), 2)
+        with pytest.raises(ValueError, match="integer ids"):
+            grad_check(model, np.array([[True, False]]), np.array([[1, 2]]))
+        for n_steps in (True, 2.0):
+            with pytest.raises(ValueError, match="n_steps must be an integer from 1 to the target length 5"):
+                model.decode_greedy(np.array([1, 2]), n_steps)
+        assert len(model.decode_greedy(np.array([1, 2], dtype=np.uint8), np.int64(2))) == 2
 
     def test_gate_param_names_prefixed_and_sorted(self):
         model = GateModel(self.CFG)
@@ -592,6 +672,17 @@ class TestGradCheckReusesStates:
             _, grads = model.loss_and_grads(src, tgt)
             model.sgd_step(grads, lr=0.5)
 
+    def test_gate_params_are_validated_once(self, monkeypatch):
+        # Each chunk's copies go into the parameters without a second walk
+        # over their shapes.
+        model, src, tgt = random_check_instance(3)
+        calls = []
+        original = GateParams.__post_init__
+        monkeypatch.setattr(GateParams, "__post_init__", lambda params: calls.append(1) or original(params))
+        monkeypatch.setattr(gradcheck, "_COORD_CHUNK", 5)
+        grad_check(model, src, tgt)
+        assert len(calls) == 1
+
     @staticmethod
     def _count_state_calls(model, monkeypatch) -> dict[str, int]:
         counts = {"_encode": 0, "_decode_states": 0}
@@ -693,10 +784,10 @@ class TestGradCheckBatchesCopies:
         ln_ctx_gain = rng.standard_normal((copies, 1, d))
         stacked = replace(base, out_w=out_w, ln_ctx_gain=ln_ctx_gain)
         assert stacked.copies == copies and base.copies is None
-        _, batched = run_gate(h_enc, h_dec, src_ids, stacked)
+        batched = gate_arrays(h_enc, h_dec, src_ids, stacked)
         for i in range(copies):
             one = replace(base, out_w=out_w[i], ln_ctx_gain=ln_ctx_gain[i, 0])
-            _, single = run_gate(h_enc[i], h_dec[i], src_ids[i], one)
+            single = gate_arrays(h_enc[i], h_dec[i], src_ids[i], one)
             for name in ("score", "attn", "context", "p_ext", "o_gen", "o_ext", "o_final"):
                 assert getattr(batched, name)[i].tobytes() == getattr(single, name).tobytes(), name
 
@@ -714,7 +805,7 @@ class TestCopyAxisValidation:
             (np.zeros((3, self.D)), np.zeros((2, self.D))),
         ):
             with pytest.raises(ValueError, match="batch axis of 3"):
-                run_gate(h_enc, h_dec, np.zeros(h_enc.shape[:-1], dtype=int), params)
+                gate_arrays(h_enc, h_dec, np.zeros(h_enc.shape[:-1], dtype=int), params)
         with pytest.raises(ValueError, match="batch axis of 3"):
             generation_head(np.zeros((1, 2, self.D)), params)
         with pytest.raises(ValueError, match="batch axis of 3"):
@@ -744,6 +835,16 @@ class TestCopyAxisValidation:
             self._params(**fields)
 
 
+def write_params(model, blob):
+    """``encode_params``' blob and sidecar, written where ``load_params``
+    reads them; returns the sidecar's path."""
+    data, text = encode_params(model)
+    blob.write_bytes(data)
+    sidecar = sidecar_path(blob)
+    sidecar.write_text(text, encoding="utf-8")
+    return sidecar
+
+
 class TestPersistence:
     CFG = GateConfig(vocab_size=9, d_model=6, max_src_len=5, max_tgt_len=4, seed=3)
 
@@ -753,7 +854,7 @@ class TestPersistence:
         _, grads = model.loss_and_grads(src, np.array([4, 5]))
         model.sgd_step(grads, lr=0.1)
         blob = tmp_path / "model.bin"
-        save_params(model, blob)
+        write_params(model, blob)
         loaded = load_params(blob)
         assert loaded.cfg == model.cfg
         assert loaded.gated == model.gated
@@ -766,7 +867,7 @@ class TestPersistence:
 
         model = GateModel(self.CFG)
         blob = tmp_path / "model.bin"
-        save_params(model, blob)
+        write_params(model, blob)
         meta = json.loads((blob.parent / (blob.name + ".json")).read_text())
         assert meta["version"] == 1
         assert meta["dtype"] == "float64"
@@ -775,7 +876,7 @@ class TestPersistence:
     def test_truncated_blob_rejected(self, tmp_path):
         model = GateModel(self.CFG)
         blob = tmp_path / "model.bin"
-        save_params(model, blob)
+        write_params(model, blob)
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(ParamsFormatError):
             load_params(blob)
@@ -785,7 +886,7 @@ class TestPersistence:
 
         model = GateModel(self.CFG)
         blob = tmp_path / "model.bin"
-        save_params(model, blob)
+        write_params(model, blob)
         sidecar = blob.parent / (blob.name + ".json")
         meta = json.loads(sidecar.read_text())
         meta["version"] = 99
@@ -796,7 +897,7 @@ class TestPersistence:
     def test_missing_sidecar_rejected(self, tmp_path):
         model = GateModel(self.CFG)
         blob = tmp_path / "model.bin"
-        save_params(model, blob)
+        write_params(model, blob)
         (blob.parent / (blob.name + ".json")).unlink()
         with pytest.raises(ParamsFormatError):
             load_params(blob)
@@ -805,7 +906,7 @@ class TestPersistence:
         import json
 
         blob = tmp_path / "model.bin"
-        save_params(GateModel(self.CFG), blob)
+        write_params(GateModel(self.CFG), blob)
         sidecar = blob.parent / (blob.name + ".json")
         meta = json.loads(sidecar.read_text())
         edit(meta)
@@ -814,14 +915,14 @@ class TestPersistence:
 
     def test_non_utf8_sidecar_rejected(self, tmp_path):
         blob = tmp_path / "model.bin"
-        sidecar = save_params(GateModel(self.CFG), blob)
+        sidecar = write_params(GateModel(self.CFG), blob)
         sidecar.write_bytes(sidecar.read_bytes() + b"\xff")
         with pytest.raises(ParamsFormatError, match="cannot read"):
             load_params(blob)
 
     def test_sidecar_list_rejected(self, tmp_path):
         blob = tmp_path / "model.bin"
-        sidecar = save_params(GateModel(self.CFG), blob)
+        sidecar = write_params(GateModel(self.CFG), blob)
         sidecar.write_text("[1, 2]\n")
         with pytest.raises(ParamsFormatError, match="JSON object"):
             load_params(blob)
