@@ -49,7 +49,8 @@ questions; when one file ends before the other, that block is not scored,
 and the rest of the longer file is read to count it for the error ``N
 predictions for M records`` (so a malformed line there wins).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error (or a ``gate train``
+whose loss diverged), 3 internal error.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from .engine import TableCache
 from .evaluation import EvalReport, execution_accuracy, render_report_table, report_to_json
 from .gate import (
     CopyTaskConfig,
+    TrainingDiverged,
     grad_check,
     random_check_instance,
     train_copy_model,
@@ -470,7 +472,10 @@ def _cmd_gate_train(args: argparse.Namespace) -> int:
         eval_size=args.eval_size,
         seed=args.seed,
     )
-    result = train_copy_model(task_cfg, gated=not args.ablation, log_every=args.log_every)
+    try:
+        result = train_copy_model(task_cfg, gated=not args.ablation, log_every=args.log_every)
+    except TrainingDiverged as exc:
+        raise DataError(f"gate train diverged: {exc}; try a smaller --lr") from exc
     rows: list[dict] = [{"step": step, "loss": round12(loss)} for step, loss in result.history]
     m = result.metrics
     rows.append(

@@ -210,7 +210,13 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
+    # The row max taken down the columns of the transposed rows: numpy
+    # reduces a short contiguous last axis several times slower. A max does
+    # not round, so every softmax keeps the bits it has with
+    # ``x.max(axis=-1, keepdims=True)``.
+    k = x.shape[-1]
+    top = np.ascontiguousarray(x.reshape(-1, k).T).max(axis=0).reshape(*x.shape[:-1], 1)
+    z = x - top
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -251,15 +257,20 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the last axis."""
-    out_data = np.concatenate([a.data, b.data], axis=-1)
+    """Concatenate along the last axis, after broadcasting the others."""
+    a_data, b_data = a.data, b.data
+    if a_data.shape[:-1] != b_data.shape[:-1]:
+        lead = np.broadcast_shapes(a_data.shape[:-1], b_data.shape[:-1])
+        a_data = np.broadcast_to(a_data, (*lead, a_data.shape[-1]))
+        b_data = np.broadcast_to(b_data, (*lead, b_data.shape[-1]))
+    out_data = np.concatenate([a_data, b_data], axis=-1)
     split = a.data.shape[-1]
 
     def backward(out: Tensor):
         if a.requires_grad:
-            a._accumulate(out.grad[..., :split])
+            a._accumulate(_unbroadcast(out.grad[..., :split], a.shape))
         if b.requires_grad:
-            b._accumulate(out.grad[..., split:])
+            b._accumulate(_unbroadcast(out.grad[..., split:], b.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward_fn=backward)
 
@@ -316,10 +327,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
 def nll(p: Tensor, ids: np.ndarray, floor: float) -> Tensor:
     """``-log(p[..., id] + floor)`` at each position's target id, as one node.
 
-    ``p`` is ``(..., v)`` and ``ids`` has its leading shape. Picking the
-    entry gives the same bits as summing ``p`` times a one-hot row, which
-    adds only exact zeros to it."""
+    ``p`` is ``(..., v)`` and ``ids`` has a shape that its leading shape
+    broadcasts against. Picking the entry gives the same bits as summing
+    ``p`` times a one-hot row, which adds only exact zeros to it."""
     ids = np.asarray(ids, dtype=np.int64)[..., None]
+    if ids.ndim < p.data.ndim:
+        ids = ids.reshape((1,) * (p.data.ndim - ids.ndim) + ids.shape)
     shifted = np.take_along_axis(p.data, ids, axis=-1)[..., 0] + floor
 
     def backward(out: Tensor):

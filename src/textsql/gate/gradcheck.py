@@ -13,14 +13,16 @@ from one forward and backward pass of the head. The perturbed losses come
 from batched head passes: the coordinates of every checked parameter are
 laid end to end and cut into chunks of ``_COORD_CHUNK``, and each chunk is
 one pass that may span several parameters. A parameter that owns one of
-the chunk's coordinates goes in with a leading copy axis (row 2i is the
-chunk's coordinate i plus epsilon, row 2i+1 the same coordinate minus
-epsilon, every other row unperturbed); every other parameter is shared by
-all rows. The states and ids are repeated across that axis, and each copy's
-loss is the mean of its own block of per-position losses. The chunk bounds
-the memory of one pass. Every copy goes through the same numpy operations
-as an unbatched pass, so every loss, and so every result, is bit-identical
-to that of a full forward per coordinate.
+the chunk's coordinates goes in with a leading copy axis that broadcasts
+against the states' batch (copy 2i is the chunk's coordinate i plus
+epsilon, copy 2i+1 the same coordinate minus epsilon, every other copy
+unperturbed); every other parameter is shared by all copies. The states
+and ids keep their batch, so a value that no copied parameter reaches is
+computed once, not once per copy, and each copy's loss is the mean of its
+own per-position losses. The chunk bounds the memory of one pass. Every
+copy goes through the same numpy operations as an unbatched pass, so every
+loss, and so every result, is bit-identical to that of a full forward per
+coordinate.
 """
 
 from __future__ import annotations
@@ -73,37 +75,29 @@ def _perturbed_losses(
     entry 2i is coordinate i plus epsilon, entry 2i+1 minus epsilon.
 
     ``base`` is validated already, and each chunk's copies have the shapes
-    it checked, with a copy axis in front: they go into a shallow copy of
-    it without a second check."""
+    it checked, with a broadcast copy axis in front: they go into a shallow
+    copy of it without a second check."""
     datas = [model.params[n].data for n in names]
     ends = np.cumsum([d.size for d in datas])
     total = int(ends[-1])
-    examples = src.shape[0]
-    rows_by_copies: dict[int, tuple[Tensor, Tensor, np.ndarray, np.ndarray]] = {}
     losses = []
     for start in range(0, total, _COORD_CHUNK):
         stop = min(start + _COORD_CHUNK, total)
         copies = 2 * (stop - start)
         chunk = copy.copy(base)
-        chunk.copies = copies * examples
+        chunk.copy_shape = (copies, 1)
         for name, data, end in zip(names, datas, ends):
             first = end - data.size
             if end <= start or first >= stop:
                 continue
             owned = np.arange(max(first, start), min(end, stop))
-            flat = data.reshape(-1)
-            stack = np.repeat(flat[None, :], copies, axis=0)
+            stack = np.repeat(data.reshape(1, -1), copies, axis=0)
             pair = 2 * (owned - start)
             stack[pair, owned - first] += epsilon
             stack[pair + 1, owned - first] -= epsilon
-            # One row of parameters per batch row, copy-major like the
-            # repeated states and ids.
-            rows = np.repeat(stack.reshape(copies, -1, data.shape[-1]), examples, axis=0)
-            setattr(chunk, name.removeprefix("gate."), Tensor(rows))
-        if copies not in rows_by_copies:
-            enc, dec, src_rows, tgt_rows = (np.concatenate([a] * copies) for a in (*(h.data for h in states), src, tgt))
-            rows_by_copies[copies] = (Tensor(enc), Tensor(dec), src_rows, tgt_rows)
-        _, _, loss = model._head(chunk, *rows_by_copies[copies], blocks=copies)
+            # (C, 1, r, c) for a matrix, (C, 1, 1, n) for a vector.
+            setattr(chunk, name.removeprefix("gate."), Tensor(stack.reshape(copies, 1, -1, data.shape[-1])))
+        _, _, loss = model._head(chunk, *states, src, tgt)
         losses.append(loss.data)
     return np.concatenate(losses)
 
@@ -121,10 +115,11 @@ def grad_check(
     one, and defaults to all of them; a repeated name is checked once. The
     encoder and decoder states are computed once, with no tape. The
     analytic gradients come from one head backward pass on them, and the
-    perturbed losses from one batched head pass per chunk of
-    ``_COORD_CHUNK`` coordinates, counted across the checked parameters in
-    order, so a chunk may span several of them. ``epsilon`` must be
-    positive and finite.
+    perturbed losses from one head pass per chunk of ``_COORD_CHUNK``
+    coordinates, counted across the checked parameters in order, so a chunk
+    may span several of them. In that pass the perturbed parameters carry a
+    copy axis that broadcasts against the states, which are not repeated.
+    ``epsilon`` must be positive and finite.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")

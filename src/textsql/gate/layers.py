@@ -8,9 +8,13 @@ source tokens directly through the attention weights.
 All functions accept either ``Tensor`` nodes (differentiable path used in
 training) or plain numpy arrays (coerced to constants). States are
 ``(positions, d)`` for one sequence or ``(batch, positions, d)`` for a
-batch; every output then carries the same leading batch axis. With
-parameters that carry a copy axis (see ``GateParams``), batch row i runs
-with parameter copy i.
+batch; every output then carries the same leading batch axis. Parameters
+may carry a copy axis (see ``GateParams``) that broadcasts against the
+batch: a value takes the copy axis only once a copied parameter reaches
+it, so what no copied parameter reaches is computed once for every copy.
+The layers that take an earlier layer's output (``extraction_gate``,
+``copy_distribution``, ``merge``) accept any leading shapes that broadcast
+together, but never mix an unbatched input with batched ones.
 """
 
 from __future__ import annotations
@@ -47,11 +51,15 @@ class GateParams:
     w_q, w_kv, ff_w are (d, d); ff_b and the four layer-norm vectors are
     (d,); gate_w is (2d, 1) with gate_b (1,); out_w is (d, v) with out_b (v,).
 
-    Any field may instead hold C copies of itself on a leading copy axis: a
-    matrix becomes (C, r, c) and a vector (C, 1, n). Every field that has
-    the axis must agree on C, which is then ``copies``, and the states these
-    parameters run on must carry a batch axis of C: batch row i runs with
-    copy i, while fields without the axis are shared by every row.
+    Any field may instead hold C copies of itself on a leading copy axis,
+    in one of two layouts. With one row per copy, a matrix becomes
+    (C, r, c) and a vector (C, 1, n), and the states must have a batch of C
+    (batch row i runs with copy i) or of 1 (every copy runs on it). With a
+    broadcast copy axis, a matrix becomes (C, 1, r, c) and a vector
+    (C, 1, 1, n); against states of any batch B, every copy runs on every
+    example and the outputs are (C, B, ...). Every field that has the axis
+    must agree on its shape, which is then ``copy_shape``, (C,) or (C, 1);
+    fields without it are shared by every copy.
     """
 
     w_q: Tensor
@@ -66,11 +74,11 @@ class GateParams:
     gate_b: Tensor
     out_w: Tensor
     out_b: Tensor
-    copies: int | None = field(init=False, default=None, repr=False)
+    copy_shape: tuple[int, ...] = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         trailing: dict[str, tuple[int, ...]] = {}
-        copies: set[int] = set()
+        leads: set[tuple[int, ...]] = set()
         for f in fields(self):
             if not f.init:
                 continue
@@ -80,16 +88,17 @@ class GateParams:
                 setattr(self, f.name, value)
             rank = 2 if f.name in _MATRICES else 1
             shape = value.shape
-            if len(shape) == 3 and (rank == 2 or shape[1] == 1):
-                copies.add(shape[0])
-                shape = shape[3 - rank :]
-            elif len(shape) != rank:
-                kind = "(C, r, c)" if rank == 2 else "(C, 1, n)"
-                raise ValueError(f"{f.name} must be {rank}-D or carry a copy axis as {kind}, got {shape}")
+            if len(shape) != rank:
+                lead, row = shape[:-2], shape[-2:]
+                if len(lead) not in (1, 2) or lead[1:] not in ((), (1,)) or rank == 1 and row[0] != 1:
+                    kind = "(C, [1,] r, c)" if rank == 2 else "(C, [1,] 1, n)"
+                    raise ValueError(f"{f.name} must be {rank}-D or carry a copy axis as {kind}, got {shape}")
+                leads.add(lead)
+                shape = row[2 - rank :]
             trailing[f.name] = shape
-        if len(copies) > 1:
-            raise ValueError(f"copy axes disagree: {sorted(copies)}")
-        self.copies = copies.pop() if copies else None
+        if len(leads) > 1:
+            raise ValueError(f"copy axes disagree: {sorted(leads)}")
+        self.copy_shape = leads.pop() if leads else ()
         d = trailing["w_q"][0]
         if any(trailing[n] != (d, d) for n in ("w_q", "w_kv", "ff_w")):
             raise ValueError("projection matrices must be square and agree on width")
@@ -99,6 +108,11 @@ class GateParams:
             raise ValueError("gate projection must map 2*d features to a scalar")
         if trailing["out_w"][0] != d or trailing["out_b"] != (trailing["out_w"][1],):
             raise ValueError("output head shapes disagree")
+
+    @property
+    def copies(self) -> int | None:
+        """C, the number of copies, or None without a copy axis."""
+        return self.copy_shape[0] if self.copy_shape else None
 
     @property
     def d_model(self) -> int:
@@ -114,12 +128,34 @@ def one_hot(ids: np.ndarray, n: int) -> np.ndarray:
     return (np.asarray(ids)[..., None] == np.arange(n)).astype(np.float64)
 
 
-def _check_states(h: Tensor, params: GateParams, name: str):
+def _joint_lead(*leads: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The shape that leading (batch and copy) shapes broadcast to, or None
+    when they do not broadcast or mix an unbatched shape, (), with batched
+    ones."""
+    if all(lead == leads[0] for lead in leads):
+        return leads[0]
+    if not all(leads):
+        return None
+    try:
+        return np.broadcast_shapes(*leads)
+    except ValueError:
+        return None
+
+
+def _check_states(h: Tensor, params: GateParams, name: str) -> tuple[int, ...]:
+    """Check states against ``params``; returns the leading shape of what
+    the layers compute from them: the batch, broadcast against the copy
+    axis."""
     d = params.d_model
     if h.data.ndim not in (2, 3) or h.shape[-1] != d:
         raise ValueError(f"{name} must have shape ([batch,] positions, {d}), got {h.shape}")
-    if params.copies is not None and h.shape[:-2] != (params.copies,):
-        raise ValueError(f"{name} must have a batch axis of {params.copies}, one row per parameter copy, got {h.shape}")
+    lead = params.copy_shape
+    if not lead:
+        return h.shape[:-2]
+    if h.data.ndim != 3 or len(lead) == 1 and h.shape[0] not in (1, lead[0]):
+        sizes = f"of {lead[0]} or 1" if len(lead) == 1 else "of any size"
+        raise ValueError(f"{name} must have a batch axis {sizes} to run parameter copies {lead} on, got {h.shape}")
+    return lead if len(lead) == 1 else (lead[0], h.shape[0])
 
 
 def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, Tensor]:
@@ -129,7 +165,8 @@ def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, T
     the encoder. Scores are raw dot products (no scaling). The attention
     readout passes through a single ReLU feed-forward to form the context.
     Returns (score, attn, context) with shapes (T, S), (T, S), (T, d),
-    each with a leading batch axis when the states have one.
+    each with a leading batch axis when the states have one, and with the
+    copy axis when a copied parameter reaches it.
     """
     h_enc = _as_tensor(h_enc)
     h_dec = _as_tensor(h_dec)
@@ -154,10 +191,9 @@ def extraction_gate(h_dec, context, params: GateParams) -> Tensor:
     """
     h_dec = _as_tensor(h_dec)
     context = _as_tensor(context)
-    _check_states(h_dec, params, "h_dec")
-    _check_states(context, params, "context")
-    if h_dec.shape[:-1] != context.shape[:-1]:
-        raise ValueError("h_dec and context must align by position")
+    lead = _check_states(h_dec, params, "h_dec")
+    if context.shape[-2:] != h_dec.shape[-2:] or _joint_lead(lead, context.shape[:-2]) is None:
+        raise ValueError(f"h_dec and context must align by position, got {h_dec.shape} and {context.shape}")
     n_dec = layer_norm(h_dec, params.ln_dec_gain, params.ln_dec_bias)
     n_ctx = layer_norm(context, params.ln_ctx_gain, params.ln_ctx_bias)
     joined = concat_last(n_dec, n_ctx)
@@ -177,14 +213,15 @@ def copy_distribution(attn, src_ids, vocab_size: int) -> Tensor:
     Position t assigns each source token's attention weight to that token's
     vocabulary id; repeated ids accumulate. Rows sum to 1 whenever the
     attention rows do. ``src_ids`` is (S,) for attention of shape (T, S),
-    or (B, S) for attention of shape (B, T, S).
+    or (B, S) for attention of shape (..., B, T, S) or any leading shape
+    that broadcasts against (B,).
     """
     attn = _as_tensor(attn)
     ids = np.asarray(src_ids, dtype=np.int64)
     if ids.ndim not in (1, 2):
         raise ValueError("src_ids must be a flat id sequence or a batch of them")
-    expected = (*ids.shape[:-1], "positions", ids.shape[-1])
-    if attn.data.ndim != ids.ndim + 1 or attn.shape[-1] != ids.shape[-1] or attn.shape[:-2] != ids.shape[:-1]:
+    if attn.data.ndim < 2 or attn.shape[-1] != ids.shape[-1] or _joint_lead(attn.shape[:-2], ids.shape[:-1]) is None:
+        expected = (*ids.shape[:-1], "positions", ids.shape[-1])
         raise ValueError(f"attn must have shape ({', '.join(map(str, expected))}), got {attn.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ValueError("src_ids out of vocabulary range")
@@ -195,15 +232,16 @@ def merge(o_gen, o_ext, p_ext) -> Tensor:
     """Blend generation and copy distributions with the gate.
 
     Computes (1 - p) * o_gen + p * o_ext row-wise; a convex combination, so
-    rows stay valid distributions.
+    rows stay valid distributions. The three leading shapes broadcast.
     """
     o_gen = _as_tensor(o_gen)
     o_ext = _as_tensor(o_ext)
     p_ext = _as_tensor(p_ext)
-    if o_gen.shape != o_ext.shape:
+    lead = _joint_lead(o_gen.shape[:-2], o_ext.shape[:-2])
+    if o_gen.shape[-2:] != o_ext.shape[-2:] or lead is None:
         raise ValueError("o_gen and o_ext must share a shape")
-    if p_ext.shape != (*o_gen.shape[:-1], 1):
-        expected = ", ".join(map(str, (*o_gen.shape[:-1], 1)))
+    if p_ext.shape[-2:] != (*o_gen.shape[-2:-1], 1) or _joint_lead(lead, p_ext.shape[:-2]) is None:
+        expected = ", ".join(map(str, (*lead, *o_gen.shape[-2:-1], 1)))
         raise ValueError(f"p_ext must have shape ({expected}), got {p_ext.shape}")
     keep = sub(Tensor(1.0), p_ext)
     return add(mul(keep, o_gen), mul(p_ext, o_ext))

@@ -163,16 +163,16 @@ class GateModel:
         h_dec: Tensor,
         src: np.ndarray,
         tgt: np.ndarray,
-        blocks: int | None = None,
     ) -> tuple[dict[str, Tensor], Tensor, Tensor]:
         """The gate's tensors with ``params`` on the states, then the
-        per-position NLL and its mean: a scalar, or with ``blocks`` one mean
-        per block of that many equal, contiguous blocks of batch rows."""
+        per-position NLL, (..., B, T), and its mean over the batch and the
+        positions: a scalar, or one mean per parameter copy when ``params``
+        have a broadcast copy axis."""
         tensors = run_gate(h_enc, h_dec, src, params, gated=self.gated)
         losses = nll(tensors["o_final"], tgt, _LOG_FLOOR)
-        # Equal lengths, so the mean over every position of a block is the
+        # Equal lengths, so the mean over every position of a batch is the
         # mean of its examples' means.
-        return tensors, losses, tmean(reshape(losses, (-1,) if blocks is None else (blocks, -1)), axis=-1)
+        return tensors, losses, tmean(reshape(losses, (*losses.shape[:-2], -1)), axis=-1)
 
     def _check_pair(self, src_ids, tgt_ids) -> tuple[np.ndarray, np.ndarray]:
         src = self._check_ids(src_ids, self.cfg.max_src_len, "src_ids")

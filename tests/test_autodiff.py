@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from textsql.gate.autodiff import (
     Tensor,
+    _softmax_rows,
     _unary,
     add,
     block,
@@ -151,6 +153,38 @@ class TestSoftmax:
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data[0, 0], 1.0)
 
+    @given(
+        x=arrays(
+            np.float64,
+            st.lists(st.integers(0, 5), min_size=0, max_size=3).flatmap(
+                lambda lead: st.integers(1, 24).map(lambda k: (*lead, k))
+            ),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+        ),
+        view=st.sampled_from(["as is", "transposed", "strided", "reversed"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_keep_the_bits_of_the_last_axis_max(self, x, view):
+        # Ties, signed zeros, infinities and NaNs, on contiguous arrays and
+        # on views: the oracle is the expression with numpy's row max. A NaN
+        # is compared as NaN whatever its sign: which of a row's NaNs a max
+        # returns is not specified, and it is the only bit that may differ.
+        if view == "transposed" and x.ndim >= 2 and x.shape[-2] > 0:
+            x = np.swapaxes(x, -1, -2)
+        elif view == "strided" and x.shape[-1] > 1:
+            x = x[..., ::2]
+        elif view == "reversed":
+            x = x[..., ::-1]
+        with np.errstate(all="ignore"):
+            want = x - x.max(axis=-1, keepdims=True)
+            want = np.exp(want) / np.exp(want).sum(axis=-1, keepdims=True)
+            got = _softmax_rows(x)
+        assert got.shape == want.shape
+        assert np.where(np.isnan(got), np.nan, got).tobytes() == np.where(np.isnan(want), np.nan, want).tobytes()
+
 
 class TestReductions:
     def test_sum_full(self):
@@ -241,6 +275,25 @@ class TestFusedGradients:
         p = np.random.default_rng(76).uniform(0.2, 1.0, size=(2, 3, 6))
         ids = np.array([[0, 5, 5], [2, 3, 0]])
         check_grads(lambda p: tsum(mul(nll(p, ids, 1e-12), Tensor(rand((2, 3), 77)))), p)
+
+    def test_nll_broadcasts_the_ids(self):
+        # A leading copy axis on p alone: the ids are those of every copy.
+        p = np.random.default_rng(78).uniform(0.2, 1.0, size=(4, 2, 3, 6))
+        ids = np.array([[0, 5, 5], [2, 3, 0]])
+        out = nll(Tensor(p), ids, 1e-12)
+        assert out.shape == (4, 2, 3)
+        for copy in range(4):
+            assert out.data[copy].tobytes() == nll(Tensor(p[copy]), ids, 1e-12).data.tobytes()
+        check_grads(lambda p: tsum(mul(nll(p, ids, 1e-12), Tensor(rand((4, 2, 3), 79)))), p)
+
+    def test_concat_last_broadcasts_leading_axes(self):
+        a, b = rand((2, 3, 2), 80), rand((4, 1, 3, 5), 81)
+        out = concat_last(Tensor(a), Tensor(b))
+        assert out.shape == (4, 2, 3, 7)
+        want = np.concatenate([np.broadcast_to(a, (4, 2, 3, 2)), np.broadcast_to(b, (4, 2, 3, 5))], axis=-1)
+        assert np.array_equal(out.data, want)
+        w = rand((4, 2, 3, 7), 82)
+        check_grads(lambda x, y: tsum(mul(concat_last(x, y), Tensor(w))), a, b)
 
 
 # The elementary-op definitions the fused ops replaced, kept as their

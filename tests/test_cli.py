@@ -1812,6 +1812,15 @@ class TestGateTrain:
         assert code == 0
         assert read_jsonl(out)[-1]["gated"] is False
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_a_data_error(self, tmp_path, capsys):
+        out, params = tmp_path / "m.jsonl", tmp_path / "model.bin"
+        code = main(["gate", "train", "--steps", "2", "--lr", "1e300",
+                     "--out-metrics", str(out), "--out-params", str(params)])
+        assert code == 2
+        assert "data error: gate train diverged: loss became nan at step 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_params_round_trip(self, tmp_path):
         out = tmp_path / "metrics.jsonl"
         params = tmp_path / "model.bin"

@@ -1,7 +1,7 @@
 """Extraction layer math against loop-based oracles, plus the host model."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from textsql.gate import (
 from textsql.gate import gradcheck
 from textsql.gate import layers
 from textsql.gate import model as model_module
-from textsql.gate.autodiff import Tensor, no_grad
+from textsql.gate.autodiff import Tensor, no_grad, reshape, tmean
 from textsql.gate.gradcheck import REL_FLOOR
 from textsql.gate.layers import GateActivations
 from textsql.gate.model import encode_params, sidecar_path
@@ -758,7 +758,7 @@ class TestGradCheckBatchesCopies:
         original = model_module.run_gate
 
         def counted(*args, **kwargs):
-            calls.append(args[0].shape[0])
+            calls.append((args[0].shape[0], args[3].copies))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(model_module, "run_gate", counted)
@@ -766,12 +766,14 @@ class TestGradCheckBatchesCopies:
         size = gradcheck._COORD_CHUNK
         coords = sum(model.params[n].data.size for n in model.gate_param_names())
         # One pass for the analytic gradients, then one per chunk of the
-        # coordinates of all parameters laid end to end, whose batch holds
-        # two copies per coordinate: 1 + 7 at the default shape (429
+        # coordinates of all parameters laid end to end, whose copy axis
+        # holds two copies per coordinate: 1 + 7 at the default shape (429
         # coordinates), 1 + 86 in chunks of 5.
         assert len(calls) == {None: 8, 5: 87}[chunk] == 1 + -(-coords // size)
-        assert calls[0] == 1
-        assert max(calls[1:]) == 2 * min(size, coords)
+        assert calls[0] == (1, None)
+        # The states keep the example batch; only the parameters are copied.
+        assert {batch for batch, _ in calls} == {1}
+        assert max(copies for _, copies in calls[1:]) == 2 * min(size, coords)
 
     def test_copies_run_like_separate_passes(self):
         d, vocab, copies = 4, 9, 3
@@ -806,8 +808,12 @@ class TestCopyAxisValidation:
         ):
             with pytest.raises(ValueError, match="batch axis of 3"):
                 gate_arrays(h_enc, h_dec, np.zeros(h_enc.shape[:-1], dtype=int), params)
-        with pytest.raises(ValueError, match="batch axis of 3"):
-            generation_head(np.zeros((1, 2, self.D)), params)
+        # States of batch 1 broadcast against the copies, as if repeated.
+        rng = np.random.default_rng(5)
+        copied = self._params(out_w=rng.standard_normal((self.C, self.D, self.V)))
+        h_dec = rng.standard_normal((1, 2, self.D))
+        repeated = generation_head(np.repeat(h_dec, self.C, axis=0), copied).data
+        assert generation_head(h_dec, copied).data.tobytes() == repeated.tobytes()
         with pytest.raises(ValueError, match="batch axis of 3"):
             extraction_gate(np.zeros((2, 2, self.D)), np.zeros((2, 2, self.D)), params)
 
@@ -833,6 +839,88 @@ class TestCopyAxisValidation:
     def test_trailing_shapes_are_checked(self, fields, message):
         with pytest.raises(ValueError, match=message):
             self._params(**fields)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"out_w": np.zeros((3, 2, 4, 6))}, "copy axis"),
+            ({"ff_b": np.zeros((3, 1, 2, 4))}, "copy axis"),
+            ({"ff_b": np.zeros((3, 1, 1, 5))}, "width 4"),
+            ({"w_q": np.zeros((3, 1, 4, 4)), "out_b": np.zeros((3, 1, 6))}, "copy axes disagree"),
+        ],
+    )
+    def test_broadcast_copy_axis_shapes_are_checked(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            self._params(**fields)
+
+    def test_broadcast_copy_axis_needs_batched_states(self):
+        params = self._params(out_w=np.zeros((self.C, 1, self.D, self.V)))
+        assert params.copy_shape == (self.C, 1)
+        with pytest.raises(ValueError, match="batch axis of any size"):
+            generation_head(np.zeros((2, self.D)), params)
+        # A context whose copy axis is not the parameters' does not align.
+        with pytest.raises(ValueError, match="align"):
+            extraction_gate(np.zeros((2, 2, self.D)), np.zeros((self.C + 1, 2, 2, self.D)), params)
+
+
+_PARAM_FIELDS = [f.name for f in fields(GateParams) if f.init]
+
+
+class TestBroadcastCopyAxis:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        vocab=st.integers(2, 6),
+        src_len=st.integers(1, 4),
+        tgt_len=st.integers(1, 3),
+        copies=st.integers(1, 5),
+        batch=st.sampled_from([None, 1, 2, 3]),
+        copied=st.sets(st.sampled_from(_PARAM_FIELDS), min_size=1),
+        gated=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_an_explicit_repetition(self, seed, d, vocab, src_len, tgt_len, copies, batch, copied, gated):
+        # Copies of any subset of the fields run either one row per copy on
+        # states of batch 1 (``batch`` None), or broadcast as (C, 1, ...)
+        # against a batch of examples. Either way each copy's outputs and
+        # losses are, byte for byte, those of the old layout: the states and
+        # ids repeated once per copy, each copy repeated once per example.
+        rng = np.random.default_rng(seed)
+        rows = batch is None
+        b = 1 if rows else batch
+        base = rand_params(d, vocab, seed)
+        broadcast, repeated = {}, {}
+        for name in copied:
+            shape = getattr(base, name).shape
+            row = shape if len(shape) == 2 else (1, *shape)
+            values = rng.standard_normal((copies, *row))
+            broadcast[name] = values if rows else values[:, None]
+            repeated[name] = np.repeat(values, b, axis=0)
+        h_enc = rng.standard_normal((b, src_len, d))
+        h_dec = rng.standard_normal((b, tgt_len, d))
+        src = rng.integers(0, vocab, size=(b, src_len))
+        tgt = rng.integers(0, vocab, size=(b, tgt_len))
+        params = replace(base, **broadcast)
+        assert params.copy_shape == ((copies,) if rows else (copies, 1))
+        model = GateModel(GateConfig(vocab_size=vocab, d_model=d, max_src_len=src_len, max_tgt_len=tgt_len), gated=gated)
+        got, got_losses, got_loss = model._head(params, h_enc, h_dec, src, tgt)
+        stacked = (np.concatenate([a] * copies) for a in (h_enc, h_dec, src, tgt))
+        want, want_losses, want_loss = model._head(replace(base, **repeated), *stacked)
+
+        def per_copy(a):
+            # (C, B, T, n): a value that no copied field reaches has no copy axis.
+            return np.broadcast_to(a.reshape(-1, b, *a.shape[-2:]), (copies, b, *a.shape[-2:]))
+
+        got_arrays = {name: t.data for name, t in got.items()} | {"losses": got_losses.data[..., None]}
+        want_arrays = {name: t.data for name, t in want.items()} | {"losses": want_losses.data[..., None]}
+        for name, a in got_arrays.items():
+            for c in range(copies):
+                assert per_copy(a)[c].tobytes() == per_copy(want_arrays[name])[c].tobytes(), name
+        if rows:
+            # The copies are the batch: one mean over all of them.
+            assert got_loss.data.tobytes() == want_loss.data.tobytes()
+        else:
+            assert got_loss.data.tobytes() == tmean(reshape(want_losses, (copies, -1)), axis=-1).data.tobytes()
 
 
 def write_params(model, blob):
