@@ -174,7 +174,7 @@ def _undecodable_line(path: str | Path) -> int | None:
 
 
 # The JSON types of the loaded fields, named in one place: a bad field is
-# found by ``_require``, a bad condition by ``_condition`` and bad rows by
+# found by ``_walk``, a bad condition by ``_condition`` and bad rows by
 # ``_rows``, so a wrongly typed field is a DataFormatError naming its line
 # rather than a crash downstream or a silent coercion.
 _JSON_TYPE_NAMES = {
@@ -187,18 +187,24 @@ _JSON_TYPE_NAMES = {
     dict: "an object",
 }
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+# Each object's fields in reading order, with the JSON type each must have
+# (None: any).
+_TABLE_FIELDS = (("id", str), ("header", list), ("types", list), ("rows", list))
+_QUESTION_FIELDS = (("phase", None), ("table_id", str), ("question", str), ("sql", dict))
+_SQL_FIELDS = (("sel", int), ("agg", int), ("conds", list))
 
 
-def _require(obj: dict, key: str, path: str | Path, lineno: int, kind: type | None = None):
-    """``obj[key]``, which must be present and, when ``kind`` is given, of
-    exactly that JSON type, so that JSON ``true`` is not the index 1."""
-    if key not in obj:
-        raise DataFormatError(f"missing key {key!r}", path, lineno)
-    value = obj[key]
-    if kind is not None and type(value) is not kind:
-        got = _JSON_TYPE_NAMES[type(value)]
-        raise DataFormatError(f"{key!r} is not {_JSON_TYPE_NAMES[kind]}: got {got}", path, lineno)
-    return value
+def _walk(obj: dict, spec: tuple, path: str | Path, lineno: int) -> list:
+    """The values of ``spec``'s keys in ``obj``, in order. Each must be
+    present and, when a type is given, of exactly that JSON type, so that
+    JSON ``true`` is not the index 1; the first that is not raises."""
+    for key, kind in spec:
+        if key not in obj:
+            raise DataFormatError(f"missing key {key!r}", path, lineno)
+        if kind is not None and type(obj[key]) is not kind:
+            got = _JSON_TYPE_NAMES[type(obj[key])]
+            raise DataFormatError(f"{key!r} is not {_JSON_TYPE_NAMES[kind]}: got {got}", path, lineno)
+    return [obj[key] for key, _ in spec]
 
 
 def _condition(cond, i: int, path: str | Path, lineno: int) -> Condition:
@@ -241,10 +247,8 @@ def load_tables(path: str | Path) -> list[Table]:
     tables: list[Table] = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
-        table_id = _require(obj, "id", path, lineno, str)
-        header = _require(obj, "header", path, lineno, list)
-        types = _require(obj, "types", path, lineno, list)
-        rows = _rows(_require(obj, "rows", path, lineno, list), path, lineno)
+        table_id, header, types, rows = _walk(obj, _TABLE_FIELDS, path, lineno)
+        rows = _rows(rows, path, lineno)
         try:
             table = Table(table_id=table_id, headers=tuple(header), col_types=tuple(types), rows=rows)
         except ValueError as exc:
@@ -300,13 +304,8 @@ def _question_record(obj: dict) -> QuestionRecord | None:
 def _walk_question(obj: dict, path: str | Path, lineno: int) -> QuestionRecord:
     """A question line read field by field, in the order a reader sees
     them: the first bad field raises ``DataFormatError`` naming the line."""
-    phase = _require(obj, "phase", path, lineno)
-    table_id = _require(obj, "table_id", path, lineno, str)
-    question = _require(obj, "question", path, lineno, str)
-    sql = _require(obj, "sql", path, lineno, dict)
-    sel = _require(sql, "sel", path, lineno, int)
-    agg = _require(sql, "agg", path, lineno, int)
-    conds_raw = _require(sql, "conds", path, lineno, list)
+    phase, table_id, question, sql = _walk(obj, _QUESTION_FIELDS, path, lineno)
+    sel, agg, conds_raw = _walk(sql, _SQL_FIELDS, path, lineno)
     conds = tuple([_condition(c, i, path, lineno) for i, c in enumerate(conds_raw)])
     try:
         return QuestionRecord(

@@ -63,14 +63,6 @@ class ExecResult:
         if (self.rows is None) == (self.error is None):
             raise ValueError("exactly one of rows/error must be set")
 
-    @classmethod
-    def from_rows(cls, rows) -> "ExecResult":
-        return cls(rows=tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def from_error(cls, message: str) -> "ExecResult":
-        return cls(error=message)
-
     @property
     def is_error(self) -> bool:
         return self.error is not None
@@ -220,19 +212,19 @@ def execute(statement: SqlStatement | ParseFailure | str, db: TableDb) -> ExecRe
         if isinstance(statement, str):
             statement = parse(statement)
         if isinstance(statement, ParseFailure):
-            return ExecResult.from_error(
-                f"syntax error at token {statement.token_index}: {statement.message}"
+            return ExecResult(
+                error=f"syntax error at token {statement.token_index}: {statement.message}"
             )
     if statement.table_id != db.table_id and (
         statement.table_id.translate(_ASCII_FOLD) != db.table_id.translate(_ASCII_FOLD)
     ):
-        return ExecResult.from_error(f"no such table: {statement.table_id}")
+        return ExecResult(error=f"no such table: {statement.table_id}")
     try:
         cur = db.conn.execute(_render(statement, _quote))
         return ExecResult(rows=tuple(cur.fetchall()))  # each row is already a tuple
     except (sqlite3.Error, sqlite3.Warning, UnicodeEncodeError) as exc:
         # A lone surrogate in a literal cannot be encoded for the engine.
-        return ExecResult.from_error(str(exc))
+        return ExecResult(error=str(exc))
 
 
 # The probe's statement up to its one condition, per column type.

@@ -164,7 +164,7 @@ def evaluate_copy_model(model: GateModel, vocab: CopyVocab, n_examples: int, rng
         value_hits += int(np.sum(decoded[:, TGT_VALUE_POS] == tgt[:, TGT_VALUE_POS]))
         seq_hits += int(np.sum(np.all(decoded == tgt, axis=1)))
         with no_grad():
-            gate = model.forward(src, tgt).activations.p_ext[..., 0]
+            gate = model.forward(src, tgt).activations["p_ext"][..., 0]
         p_value.extend(gate[:, TGT_VALUE_POS].tolist())
         p_keyword.extend(gate[:, TGT_KEYWORD_POS].ravel().tolist())
     return CopyMetrics(

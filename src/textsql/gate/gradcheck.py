@@ -54,18 +54,11 @@ def _head_grads(
 ) -> np.ndarray:
     """The analytic gradients of ``names`` from one backward pass of the
     head with ``base``, the model's gate parameters, flattened and laid end
-    to end. Each gate parameter's ``.grad`` is cleared before and after, as
-    ``loss_and_grads`` does."""
-    gate = [model.params[n] for n in model.gate_param_names()]
-    for t in gate:
-        t.grad = None
+    to end. ``GateModel._backward`` runs the pass, as it does for
+    ``loss_and_grads``, so no parameter keeps a ``.grad``."""
     _, _, loss = model._head(base, *states, src, tgt)
-    loss.backward()
-    # Every gate parameter reaches the loss, so each has a gradient.
-    flat = np.concatenate([model.params[n].grad.reshape(-1) for n in names])
-    for t in gate:
-        t.grad = None
-    return flat
+    grads = model._backward(loss)
+    return np.concatenate([grads[n].reshape(-1) for n in names])
 
 
 def _perturbed_losses(
@@ -75,8 +68,9 @@ def _perturbed_losses(
     entry 2i is coordinate i plus epsilon, entry 2i+1 minus epsilon.
 
     ``base`` is validated already, and each chunk's copies have the shapes
-    it checked, with a broadcast copy axis in front: they go into a shallow
-    copy of it without a second check."""
+    it checked, with the copy axis in front, (C, 1, r, c) for a matrix and
+    (C, 1, 1, n) for a vector: they go into a shallow copy of it, with
+    ``copies`` set, without a second check."""
     datas = [model.params[n].data for n in names]
     ends = np.cumsum([d.size for d in datas])
     total = int(ends[-1])
@@ -85,7 +79,7 @@ def _perturbed_losses(
         stop = min(start + _COORD_CHUNK, total)
         copies = 2 * (stop - start)
         chunk = copy.copy(base)
-        chunk.copy_shape = (copies, 1)
+        chunk.copies = copies
         for name, data, end in zip(names, datas, ends):
             first = end - data.size
             if end <= start or first >= stop:

@@ -9,12 +9,13 @@ All functions accept either ``Tensor`` nodes (differentiable path used in
 training) or plain numpy arrays (coerced to constants). States are
 ``(positions, d)`` for one sequence or ``(batch, positions, d)`` for a
 batch; every output then carries the same leading batch axis. Parameters
-may carry a copy axis (see ``GateParams``) that broadcasts against the
-batch: a value takes the copy axis only once a copied parameter reaches
-it, so what no copied parameter reaches is computed once for every copy.
-The layers that take an earlier layer's output (``extraction_gate``,
-``copy_distribution``, ``merge``) accept any leading shapes that broadcast
-together, but never mix an unbatched input with batched ones.
+may carry a copy axis C (see ``GateParams``) in front of a batch of
+states, so outputs are (C, B, ...): a value takes the copy axis only once
+a copied parameter reaches it, so what no copied parameter reaches is
+computed once for every copy. The layers that take an earlier layer's
+output (``extraction_gate``, ``copy_distribution``, ``merge``) accept any
+leading shapes that broadcast together, but never mix an unbatched input
+with batched ones.
 """
 
 from __future__ import annotations
@@ -51,15 +52,12 @@ class GateParams:
     w_q, w_kv, ff_w are (d, d); ff_b and the four layer-norm vectors are
     (d,); gate_w is (2d, 1) with gate_b (1,); out_w is (d, v) with out_b (v,).
 
-    Any field may instead hold C copies of itself on a leading copy axis,
-    in one of two layouts. With one row per copy, a matrix becomes
-    (C, r, c) and a vector (C, 1, n), and the states must have a batch of C
-    (batch row i runs with copy i) or of 1 (every copy runs on it). With a
-    broadcast copy axis, a matrix becomes (C, 1, r, c) and a vector
-    (C, 1, 1, n); against states of any batch B, every copy runs on every
-    example and the outputs are (C, B, ...). Every field that has the axis
-    must agree on its shape, which is then ``copy_shape``, (C,) or (C, 1);
-    fields without it are shared by every copy.
+    Any field may instead hold C copies of itself on a copy axis that
+    broadcasts against a batch of states: a matrix as (C, 1, r, c), a
+    vector as (C, 1, 1, n). Against states of any batch B, every copy runs
+    on every example and the outputs are (C, B, ...). Every field that has
+    the axis must agree on C, which is then ``copies`` (None without the
+    axis); fields without it are shared by every copy.
     """
 
     w_q: Tensor
@@ -74,11 +72,11 @@ class GateParams:
     gate_b: Tensor
     out_w: Tensor
     out_b: Tensor
-    copy_shape: tuple[int, ...] = field(init=False, default=(), repr=False)
+    copies: int | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         trailing: dict[str, tuple[int, ...]] = {}
-        leads: set[tuple[int, ...]] = set()
+        copies: set[int] = set()
         for f in fields(self):
             if not f.init:
                 continue
@@ -89,16 +87,15 @@ class GateParams:
             rank = 2 if f.name in _MATRICES else 1
             shape = value.shape
             if len(shape) != rank:
-                lead, row = shape[:-2], shape[-2:]
-                if len(lead) not in (1, 2) or lead[1:] not in ((), (1,)) or rank == 1 and row[0] != 1:
-                    kind = "(C, [1,] r, c)" if rank == 2 else "(C, [1,] 1, n)"
+                if len(shape) != 4 or shape[1] != 1 or rank == 1 and shape[2] != 1:
+                    kind = "(C, 1, r, c)" if rank == 2 else "(C, 1, 1, n)"
                     raise ValueError(f"{f.name} must be {rank}-D or carry a copy axis as {kind}, got {shape}")
-                leads.add(lead)
-                shape = row[2 - rank :]
+                copies.add(shape[0])
+                shape = shape[4 - rank :]
             trailing[f.name] = shape
-        if len(leads) > 1:
-            raise ValueError(f"copy axes disagree: {sorted(leads)}")
-        self.copy_shape = leads.pop() if leads else ()
+        if len(copies) > 1:
+            raise ValueError(f"copy axes disagree: {sorted(copies)}")
+        self.copies = copies.pop() if copies else None
         d = trailing["w_q"][0]
         if any(trailing[n] != (d, d) for n in ("w_q", "w_kv", "ff_w")):
             raise ValueError("projection matrices must be square and agree on width")
@@ -108,11 +105,6 @@ class GateParams:
             raise ValueError("gate projection must map 2*d features to a scalar")
         if trailing["out_w"][0] != d or trailing["out_b"] != (trailing["out_w"][1],):
             raise ValueError("output head shapes disagree")
-
-    @property
-    def copies(self) -> int | None:
-        """C, the number of copies, or None without a copy axis."""
-        return self.copy_shape[0] if self.copy_shape else None
 
     @property
     def d_model(self) -> int:
@@ -144,18 +136,15 @@ def _joint_lead(*leads: tuple[int, ...]) -> tuple[int, ...] | None:
 
 def _check_states(h: Tensor, params: GateParams, name: str) -> tuple[int, ...]:
     """Check states against ``params``; returns the leading shape of what
-    the layers compute from them: the batch, broadcast against the copy
-    axis."""
+    the layers compute from them: the batch, or (C, B) with C copies."""
     d = params.d_model
     if h.data.ndim not in (2, 3) or h.shape[-1] != d:
         raise ValueError(f"{name} must have shape ([batch,] positions, {d}), got {h.shape}")
-    lead = params.copy_shape
-    if not lead:
+    if params.copies is None:
         return h.shape[:-2]
-    if h.data.ndim != 3 or len(lead) == 1 and h.shape[0] not in (1, lead[0]):
-        sizes = f"of {lead[0]} or 1" if len(lead) == 1 else "of any size"
-        raise ValueError(f"{name} must have a batch axis {sizes} to run parameter copies {lead} on, got {h.shape}")
-    return lead if len(lead) == 1 else (lead[0], h.shape[0])
+    if h.data.ndim != 3:
+        raise ValueError(f"{name} must have a batch axis of any size to run parameter copies on, got {h.shape}")
+    return (params.copies, h.shape[0])
 
 
 def cross_attention(h_enc, h_dec, params: GateParams) -> tuple[Tensor, Tensor, Tensor]:
@@ -247,27 +236,13 @@ def merge(o_gen, o_ext, p_ext) -> Tensor:
     return add(mul(keep, o_gen), mul(p_ext, o_ext))
 
 
-@dataclass(frozen=True)
-class GateActivations:
-    """Numpy snapshot of one pass through the extraction layer, as
-    ``GateModel.forward`` returns it; arrays carry a leading batch axis when
-    the pass had one."""
-
-    score: np.ndarray
-    attn: np.ndarray
-    context: np.ndarray
-    p_ext: np.ndarray
-    o_gen: np.ndarray
-    o_ext: np.ndarray
-    o_final: np.ndarray
-
-
 def run_gate(h_enc, h_dec, src_ids, params: GateParams, gated: bool = True) -> dict[str, Tensor]:
     """Full extraction-layer pass.
 
-    Returns the live tensors by name, the fields of ``GateActivations``:
-    the graph for backprop, or constants under ``no_grad()``. Nothing is
-    copied; ``GateModel.forward`` takes its snapshot from them.
+    Returns the live tensors by name (``score``, ``attn``, ``context``,
+    ``p_ext``, ``o_gen``, ``o_ext``, ``o_final``), the only record of a
+    pass: the graph for backprop, or constants under ``no_grad()``. Nothing
+    is copied; ``GateModel.forward`` takes its snapshot from them.
     ``gated=False`` multiplies the gate by zero, disabling copying so the
     output reduces to the generation softmax; used by ablations.
     """

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, add, block, block_forward, nll, no_grad, reshape, take_rows, tmean
-from .layers import GateActivations, GateParams, run_gate
+from .layers import GateParams, run_gate
 
 PARAMS_FORMAT_VERSION = 1
 _LOG_FLOOR = 1e-12
@@ -53,11 +53,12 @@ class GateConfig:
 class ForwardPass:
     """Teacher-forced pass: activations plus the training loss.
 
-    For a batch, ``per_position_loss`` is (B, T) and ``loss`` is the batch
-    mean of each example's mean NLL.
+    ``activations`` holds numpy copies of ``run_gate``'s tensors, under
+    the same names. For a batch, ``per_position_loss`` is (B, T) and
+    ``loss`` is the batch mean of each example's mean NLL.
     """
 
-    activations: GateActivations
+    activations: dict[str, np.ndarray]
     per_position_loss: np.ndarray
     loss: float
     loss_tensor: Tensor = field(repr=False)
@@ -167,7 +168,7 @@ class GateModel:
         """The gate's tensors with ``params`` on the states, then the
         per-position NLL, (..., B, T), and its mean over the batch and the
         positions: a scalar, or one mean per parameter copy when ``params``
-        have a broadcast copy axis."""
+        have a copy axis."""
         tensors = run_gate(h_enc, h_dec, src, params, gated=self.gated)
         losses = nll(tensors["o_final"], tgt, _LOG_FLOOR)
         # Equal lengths, so the mean over every position of a batch is the
@@ -188,21 +189,27 @@ class GateModel:
         tensors, losses, loss = self._head(self.gate_params(), *self._states(src, tgt), src, tgt)
         # Copies, so that writing to them cannot reach the tape.
         row = 0 if single else slice(None)
-        snapshot = GateActivations(**{k: t.data[row].copy() for k, t in tensors.items()})
+        snapshot = {k: t.data[row].copy() for k, t in tensors.items()}
         return ForwardPass(snapshot, losses.data[row].copy(), float(loss.data), loss)
 
-    def loss_and_grads(self, src_ids, tgt_ids) -> tuple[float, dict[str, np.ndarray]]:
-        """One backward pass over one example or a batch; gradients (batch
-        means for a batch) are returned, not stored."""
+    def _backward(self, loss: Tensor) -> dict[str, np.ndarray]:
+        """Every parameter's gradient of ``loss``, zeros where the loss does
+        not reach it. Each ``.grad`` is cleared before and after, so the
+        gradients are returned, not stored."""
         for t in self.params.values():
             t.grad = None
-        fp = self.forward(src_ids, tgt_ids)
-        fp.loss_tensor.backward()
+        loss.backward()
         grads = {}
         for name, t in self.params.items():
             grads[name] = np.zeros_like(t.data) if t.grad is None else t.grad
             t.grad = None
-        return fp.loss, grads
+        return grads
+
+    def loss_and_grads(self, src_ids, tgt_ids) -> tuple[float, dict[str, np.ndarray]]:
+        """One backward pass over one example or a batch; gradients (batch
+        means for a batch) are returned, not stored."""
+        fp = self.forward(src_ids, tgt_ids)
+        return fp.loss, self._backward(fp.loss_tensor)
 
     def sgd_step(self, grads: dict[str, np.ndarray], lr: float):
         for name, t in self.params.items():

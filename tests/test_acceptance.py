@@ -156,7 +156,7 @@ class TestCriterion3GateMath:
             result = grad_check(model, src, tgt, epsilon=1e-5)
             worst = max(worst, result.max_rel_error)
             acts = model.forward(src, tgt).activations
-            for rows in (acts.attn, acts.o_gen, acts.o_ext, acts.o_final):
+            for rows in (acts["attn"], acts["o_gen"], acts["o_ext"], acts["o_final"]):
                 worst_sum_dev = max(worst_sum_dev, float(np.abs(rows.sum(axis=-1) - 1.0).max()))
         rng = np.random.default_rng(0)
         o_gen = rng.dirichlet(np.ones(7), size=4)

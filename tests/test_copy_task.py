@@ -252,7 +252,7 @@ class TestEvaluate:
             decoded = model.decode_greedy(src, TGT_LEN)
             value_hits += decoded[TGT_VALUE_POS] == tgt[TGT_VALUE_POS]
             seq_hits += decoded == list(tgt)
-            gate = model.forward(src, tgt).activations.p_ext[:, 0]
+            gate = model.forward(src, tgt).activations["p_ext"][:, 0]
             p_value.append(gate[TGT_VALUE_POS])
             p_keyword.extend(gate[k] for k in TGT_KEYWORD_POS)
         assert metrics.value_copy_accuracy == value_hits / n

@@ -53,13 +53,9 @@ class TestExecResult:
         with pytest.raises(ValueError):
             ExecResult(rows=(), error="boom")
 
-    def test_from_rows_coerces_to_tuples(self):
-        res = ExecResult.from_rows([["a", 1]])
-        assert res.rows == (("a", 1),)
-        assert not res.is_error
-
-    def test_from_error(self):
-        assert ExecResult.from_error("boom").is_error
+    def test_is_error(self):
+        assert ExecResult(error="boom").is_error
+        assert not ExecResult(rows=(("a", 1),)).is_error
 
 
 class TestMaterialize:
@@ -371,7 +367,7 @@ class TestDialect:
             conds = tuple(_cell_condition(tab, rng) for _ in range(rng.randrange(0, 3)))
             lf = LogicalForm(sel=rng.randrange(tab.n_cols), agg=rng.randrange(6), conds=conds)
             text = render(_statement(lf, tab))
-            assert execute(text, db) == ExecResult.from_rows(db.conn.execute(text).fetchall()), text
+            assert execute(text, db) == ExecResult(rows=tuple(db.conn.execute(text).fetchall())), text
         db.conn.close()
 
 
@@ -460,9 +456,9 @@ def _one_table_db(tab):
 
 def _run_alone(conn, stmt):
     try:
-        return ExecResult.from_rows(conn.execute(_render(stmt, _quote)).fetchall())
+        return ExecResult(rows=tuple(conn.execute(_render(stmt, _quote)).fetchall()))
     except sqlite3.Error as exc:
-        return ExecResult.from_error(str(exc))
+        return ExecResult(error=str(exc))
 
 
 class TestSharedDatabases:
@@ -540,39 +536,39 @@ def _cell_pair(draw):
 
 class TestResultsEqual:
     def test_row_order_ignored(self):
-        a = ExecResult.from_rows([("x",), ("y",)])
-        b = ExecResult.from_rows([("y",), ("x",)])
+        a = ExecResult(rows=(("x",), ("y",)))
+        b = ExecResult(rows=(("y",), ("x",)))
         assert results_equal(a, b)
 
     def test_int_and_float_compare_numerically(self):
-        assert results_equal(ExecResult.from_rows([(21,)]), ExecResult.from_rows([(21.0,)]))
+        assert results_equal(ExecResult(rows=((21,),)), ExecResult(rows=((21.0,),)))
 
     def test_text_case_and_padding_ignored(self):
-        a = ExecResult.from_rows([("South Australia ",)])
-        b = ExecResult.from_rows([("south australia",)])
+        a = ExecResult(rows=(("South Australia ",),))
+        b = ExecResult(rows=(("south australia",),))
         assert results_equal(a, b)
 
     def test_number_never_equals_its_string_form(self):
-        assert not results_equal(ExecResult.from_rows([(21,)]), ExecResult.from_rows([("21",)]))
+        assert not results_equal(ExecResult(rows=((21,),)), ExecResult(rows=(("21",),)))
 
     def test_row_count_matters(self):
-        a = ExecResult.from_rows([("x",)])
-        b = ExecResult.from_rows([("x",), ("x",)])
+        a = ExecResult(rows=(("x",),))
+        b = ExecResult(rows=(("x",), ("x",)))
         assert not results_equal(a, b)
 
     def test_none_only_equals_none(self):
-        assert results_equal(ExecResult.from_rows([(None,)]), ExecResult.from_rows([(None,)]))
-        assert not results_equal(ExecResult.from_rows([(None,)]), ExecResult.from_rows([("",)]))
+        assert results_equal(ExecResult(rows=((None,),)), ExecResult(rows=((None,),)))
+        assert not results_equal(ExecResult(rows=((None,),)), ExecResult(rows=(("",),)))
 
     def test_errors_never_equal(self):
-        err = ExecResult.from_error("boom")
+        err = ExecResult(error="boom")
         assert not results_equal(err, err)
-        assert not results_equal(err, ExecResult.from_rows([]))
+        assert not results_equal(err, ExecResult(rows=()))
 
     def test_one_row_pair_builds_no_sort_keys(self):
         with mock.patch("textsql.engine._canon_cell", side_effect=AssertionError("sorted")):
-            assert results_equal(ExecResult.from_rows([("X ", 2, None)]), ExecResult.from_rows([("x", 2.0, None)]))
-            assert not results_equal(ExecResult.from_rows([("x", 2)]), ExecResult.from_rows([("x", 3)]))
+            assert results_equal(ExecResult(rows=(("X ", 2, None),)), ExecResult(rows=(("x", 2.0, None),)))
+            assert not results_equal(ExecResult(rows=(("x", 2),)), ExecResult(rows=(("x", 3),)))
 
     @given(st.lists(_cell_pair(), max_size=4), st.sampled_from(["same", "shorter", "longer"]), st.booleans())
     @settings(max_examples=500, deadline=None)
@@ -583,7 +579,7 @@ class TestResultsEqual:
             row_b = row_b[:-1]
         elif width == "longer":
             row_b += (None,)
-        a, b = ExecResult.from_rows([row_a]), ExecResult.from_rows([row_b])
+        a, b = ExecResult(rows=(row_a,)), ExecResult(rows=(row_b,))
         if swap:
             a, b = b, a
         assert results_equal(a, b) == _sorted_results_equal(a, b)

@@ -1,6 +1,7 @@
 """Extraction layer math against loop-based oracles, plus the host model."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -26,15 +27,14 @@ from textsql.gate import (
 from textsql.gate import gradcheck
 from textsql.gate import layers
 from textsql.gate import model as model_module
-from textsql.gate.autodiff import Tensor, no_grad, reshape, tmean
+from textsql.gate.autodiff import Tensor, no_grad
 from textsql.gate.gradcheck import REL_FLOOR
-from textsql.gate.layers import GateActivations
 from textsql.gate.model import encode_params, sidecar_path
 
 
-def gate_arrays(*args, **kwargs) -> GateActivations:
-    """``layers.run_gate``'s tensors as arrays, by field."""
-    return GateActivations(**{k: t.data for k, t in layers.run_gate(*args, **kwargs).items()})
+def gate_arrays(*args, **kwargs) -> dict[str, np.ndarray]:
+    """``layers.run_gate``'s tensors as arrays, by name."""
+    return {k: t.data for k, t in layers.run_gate(*args, **kwargs).items()}
 
 
 def rand_params(d, vocab, seed):
@@ -128,13 +128,13 @@ class TestLayerOracle:
         score, attn, context, p_ext, o_gen, o_ext, o_final = naive_gate(
             h_enc, h_dec, src_ids, params, vocab
         )
-        np.testing.assert_allclose(snap.score, score, atol=1e-10)
-        np.testing.assert_allclose(snap.attn, attn, atol=1e-12)
-        np.testing.assert_allclose(snap.context, context, atol=1e-10)
-        np.testing.assert_allclose(snap.p_ext[:, 0], p_ext, atol=1e-12)
-        np.testing.assert_allclose(snap.o_gen, o_gen, atol=1e-12)
-        np.testing.assert_allclose(snap.o_ext, o_ext, atol=1e-12)
-        np.testing.assert_allclose(snap.o_final, o_final, atol=1e-12)
+        np.testing.assert_allclose(snap["score"], score, atol=1e-10)
+        np.testing.assert_allclose(snap["attn"], attn, atol=1e-12)
+        np.testing.assert_allclose(snap["context"], context, atol=1e-10)
+        np.testing.assert_allclose(snap["p_ext"][:, 0], p_ext, atol=1e-12)
+        np.testing.assert_allclose(snap["o_gen"], o_gen, atol=1e-12)
+        np.testing.assert_allclose(snap["o_ext"], o_ext, atol=1e-12)
+        np.testing.assert_allclose(snap["o_final"], o_final, atol=1e-12)
 
     def test_batched_pass_stacks_per_example_passes(self):
         d, vocab, B = 4, 9, 3
@@ -147,7 +147,7 @@ class TestLayerOracle:
         for i in range(B):
             one = gate_arrays(h_enc[i], h_dec[i], src_ids[i], params)
             for name in ("score", "attn", "context", "p_ext", "o_gen", "o_ext", "o_final"):
-                np.testing.assert_allclose(getattr(batched, name)[i], getattr(one, name), rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(batched[name][i], one[name], rtol=1e-13, atol=1e-15)
 
     def test_scores_are_unscaled_dot_products(self):
         # No 1/sqrt(d) factor on the extraction read.
@@ -175,25 +175,25 @@ class TestDistributionInvariants:
     def test_attention_rows_sum_to_one(self):
         for seed in range(10):
             snap = self._snapshot(seed)
-            np.testing.assert_allclose(snap.attn.sum(axis=-1), 1.0, atol=1e-6)
+            np.testing.assert_allclose(snap["attn"].sum(axis=-1), 1.0, atol=1e-6)
 
     def test_all_output_rows_are_distributions(self):
         for seed in range(10):
             snap = self._snapshot(seed)
-            for dist in (snap.o_gen, snap.o_ext, snap.o_final):
+            for dist in (snap["o_gen"], snap["o_ext"], snap["o_final"]):
                 assert np.all(dist >= 0)
                 np.testing.assert_allclose(dist.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_gate_strictly_interior(self):
         for seed in range(10):
             snap = self._snapshot(seed)
-            assert np.all(snap.p_ext > 0.0)
-            assert np.all(snap.p_ext < 1.0)
+            assert np.all(snap["p_ext"] > 0.0)
+            assert np.all(snap["p_ext"] < 1.0)
 
     def test_ablation_reduces_to_generation_head(self):
         snap = self._snapshot(3, gated=False)
-        np.testing.assert_array_equal(snap.o_final, snap.o_gen)
-        np.testing.assert_array_equal(snap.p_ext, np.zeros_like(snap.p_ext))
+        np.testing.assert_array_equal(snap["o_final"], snap["o_gen"])
+        np.testing.assert_array_equal(snap["p_ext"], np.zeros_like(snap["p_ext"]))
 
 
 class TestMergeLimits:
@@ -367,12 +367,12 @@ class TestBatchedModel:
         model = GateModel(cfg)
         fp = model.forward(src, tgt)
         assert fp.per_position_loss.shape == (4, cfg.max_tgt_len)
-        assert fp.activations.o_final.shape == (4, cfg.max_tgt_len, cfg.vocab_size)
+        assert fp.activations["o_final"].shape == (4, cfg.max_tgt_len, cfg.vocab_size)
         for i in range(4):
             one = model.forward(src[i], tgt[i])
             assert one.per_position_loss.shape == (cfg.max_tgt_len,)
             np.testing.assert_allclose(fp.per_position_loss[i], one.per_position_loss, rtol=1e-13)
-            np.testing.assert_allclose(fp.activations.p_ext[i], one.activations.p_ext, rtol=1e-13)
+            np.testing.assert_allclose(fp.activations["p_ext"][i], one.activations["p_ext"], rtol=1e-13)
 
     def test_no_grad_forward_records_nothing_and_matches(self):
         cfg, src, tgt = _batch_instance(6, 3)
@@ -396,7 +396,7 @@ class TestBatchedModel:
         for s, tokens in zip(src, batched):
             prefix: list[int] = []
             for _ in range(cfg.max_tgt_len):
-                o_final = model.forward(s, np.array(prefix + [0])).activations.o_final
+                o_final = model.forward(s, np.array(prefix + [0])).activations["o_final"]
                 prefix.append(int(np.argmax(o_final[-1])))
             assert tokens == prefix
 
@@ -473,7 +473,7 @@ class TestGateModel:
         src = np.array([1, 2, 3, 4])
         tgt = np.array([5, 6, 7])
         fp = model.forward(src, tgt)
-        expected = [-math.log(fp.activations.o_final[t, tgt[t]] + 1e-12) for t in range(3)]
+        expected = [-math.log(fp.activations["o_final"][t, tgt[t]] + 1e-12) for t in range(3)]
         np.testing.assert_allclose(fp.per_position_loss, expected, atol=1e-12)
         assert fp.loss == pytest.approx(sum(expected) / 3)
         assert fp.loss > 0
@@ -530,7 +530,7 @@ class TestGateModel:
     def test_ungated_model_ignores_copying(self):
         model = GateModel(self.CFG, gated=False)
         fp = model.forward(np.array([1, 2]), np.array([3]))
-        np.testing.assert_array_equal(fp.activations.o_final, fp.activations.o_gen)
+        np.testing.assert_array_equal(fp.activations["o_final"], fp.activations["o_gen"])
 
 
 class TestGradCheck:
@@ -776,22 +776,25 @@ class TestGradCheckBatchesCopies:
         assert max(copies for _, copies in calls[1:]) == 2 * min(size, coords)
 
     def test_copies_run_like_separate_passes(self):
-        d, vocab, copies = 4, 9, 3
+        d, vocab, copies, batch = 4, 9, 3, 2
         rng = np.random.default_rng(44)
-        h_enc = rng.standard_normal((copies, 3, d))
-        h_dec = rng.standard_normal((copies, 2, d))
-        src_ids = rng.integers(0, vocab, size=(copies, 3))
+        h_enc = rng.standard_normal((batch, 3, d))
+        h_dec = rng.standard_normal((batch, 2, d))
+        src_ids = rng.integers(0, vocab, size=(batch, 3))
         base = rand_params(d, vocab, 1)
-        out_w = rng.standard_normal((copies, d, vocab))
-        ln_ctx_gain = rng.standard_normal((copies, 1, d))
+        out_w = rng.standard_normal((copies, 1, d, vocab))
+        ln_ctx_gain = rng.standard_normal((copies, 1, 1, d))
         stacked = replace(base, out_w=out_w, ln_ctx_gain=ln_ctx_gain)
         assert stacked.copies == copies and base.copies is None
         batched = gate_arrays(h_enc, h_dec, src_ids, stacked)
         for i in range(copies):
-            one = replace(base, out_w=out_w[i], ln_ctx_gain=ln_ctx_gain[i, 0])
-            single = gate_arrays(h_enc[i], h_dec[i], src_ids[i], one)
-            for name in ("score", "attn", "context", "p_ext", "o_gen", "o_ext", "o_final"):
-                assert getattr(batched, name)[i].tobytes() == getattr(single, name).tobytes(), name
+            one = replace(base, out_w=out_w[i, 0], ln_ctx_gain=ln_ctx_gain[i, 0, 0])
+            for j in range(batch):
+                single = gate_arrays(h_enc[j], h_dec[j], src_ids[j], one)
+                for name, a in single.items():
+                    # A value that no copied field reaches has no copy axis.
+                    got = batched[name][i, j] if batched[name].ndim == a.ndim + 2 else batched[name][j]
+                    assert got.tobytes() == a.tobytes(), name
 
 
 class TestCopyAxisValidation:
@@ -801,39 +804,34 @@ class TestCopyAxisValidation:
         return replace(rand_params(self.D, self.V, 0), **fields)
 
     def test_copy_axis_must_match_the_states_batch(self):
-        params = self._params(out_w=np.zeros((self.C, self.D, self.V)))
-        for h_enc, h_dec in (
-            (np.zeros((self.C + 1, 3, self.D)), np.zeros((self.C + 1, 2, self.D))),
-            (np.zeros((3, self.D)), np.zeros((2, self.D))),
-        ):
-            with pytest.raises(ValueError, match="batch axis of 3"):
-                gate_arrays(h_enc, h_dec, np.zeros(h_enc.shape[:-1], dtype=int), params)
-        # States of batch 1 broadcast against the copies, as if repeated.
-        rng = np.random.default_rng(5)
-        copied = self._params(out_w=rng.standard_normal((self.C, self.D, self.V)))
-        h_dec = rng.standard_normal((1, 2, self.D))
-        repeated = generation_head(np.repeat(h_dec, self.C, axis=0), copied).data
-        assert generation_head(h_dec, copied).data.tobytes() == repeated.tobytes()
-        with pytest.raises(ValueError, match="batch axis of 3"):
-            extraction_gate(np.zeros((2, 2, self.D)), np.zeros((2, 2, self.D)), params)
+        # The copies run against a batch of any size, and every input of a
+        # layer must come from that one batch.
+        params = self._params(out_w=np.zeros((self.C, 1, self.D, self.V)))
+        for batch in (1, 2, self.C + 1):
+            assert generation_head(np.zeros((batch, 2, self.D)), params).shape == (self.C, batch, 2, self.V)
+        with pytest.raises(ValueError, match="share a batch shape"):
+            cross_attention(np.zeros((2, 3, self.D)), np.zeros((self.C, 2, self.D)), params)
+        for context in (np.zeros((self.C, 2, self.D)), np.zeros((self.C, self.C, 2, self.D))):
+            with pytest.raises(ValueError, match="align"):
+                extraction_gate(np.zeros((2, 2, self.D)), context, params)
 
     def test_fields_must_agree_on_the_copy_axis(self):
         with pytest.raises(ValueError, match="copy axes disagree"):
-            self._params(w_q=np.zeros((2, self.D, self.D)), out_b=np.zeros((3, 1, self.V)))
+            self._params(w_q=np.zeros((2, 1, self.D, self.D)), out_b=np.zeros((3, 1, 1, self.V)))
 
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"w_kv": np.zeros((3, 4, 5))}, "square"),
-            ({"ff_b": np.zeros((3, 1, 5))}, "width 4"),
+            ({"w_kv": np.zeros((3, 1, 4, 5))}, "square"),
+            ({"ff_b": np.zeros((3, 1, 1, 5))}, "width 4"),
             ({"ln_dec_gain": np.zeros(5)}, "width 4"),
             ({"ff_b": np.zeros((3, 2, 4))}, "copy axis"),
             ({"ln_ctx_bias": np.zeros((1, 4))}, "copy axis"),
             ({"w_q": np.zeros((2, 3, 4, 4))}, "copy axis"),
-            ({"gate_w": np.zeros((3, 8, 2))}, "gate projection"),
-            ({"gate_b": np.zeros((3, 1, 2))}, "gate projection"),
-            ({"out_w": np.zeros((3, 4, 6)), "out_b": np.zeros((3, 1, 7))}, "output head"),
-            ({"out_w": np.zeros((3, 5, 6))}, "output head"),
+            ({"gate_w": np.zeros((3, 1, 8, 2))}, "gate projection"),
+            ({"gate_b": np.zeros((3, 1, 1, 2))}, "gate projection"),
+            ({"out_w": np.zeros((3, 1, 4, 6)), "out_b": np.zeros((3, 1, 1, 7))}, "output head"),
+            ({"out_w": np.zeros((3, 1, 5, 6))}, "output head"),
         ],
     )
     def test_trailing_shapes_are_checked(self, fields, message):
@@ -846,16 +844,27 @@ class TestCopyAxisValidation:
             ({"out_w": np.zeros((3, 2, 4, 6))}, "copy axis"),
             ({"ff_b": np.zeros((3, 1, 2, 4))}, "copy axis"),
             ({"ff_b": np.zeros((3, 1, 1, 5))}, "width 4"),
-            ({"w_q": np.zeros((3, 1, 4, 4)), "out_b": np.zeros((3, 1, 6))}, "copy axes disagree"),
+            ({"w_q": np.zeros((3, 1, 4, 4)), "out_b": np.zeros((2, 1, 1, 6))}, "copy axes disagree"),
         ],
     )
     def test_broadcast_copy_axis_shapes_are_checked(self, fields, message):
         with pytest.raises(ValueError, match=message):
             self._params(**fields)
 
+    @pytest.mark.parametrize(
+        "field, shape, message",
+        [
+            ("out_w", (3, 4, 6), "out_w must be 2-D or carry a copy axis as (C, 1, r, c), got (3, 4, 6)"),
+            ("ff_b", (3, 1, 4), "ff_b must be 1-D or carry a copy axis as (C, 1, 1, n), got (3, 1, 4)"),
+        ],
+    )
+    def test_one_row_per_copy_is_refused(self, field, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self._params(**{field: np.zeros(shape)})
+
     def test_broadcast_copy_axis_needs_batched_states(self):
         params = self._params(out_w=np.zeros((self.C, 1, self.D, self.V)))
-        assert params.copy_shape == (self.C, 1)
+        assert params.copies == self.C
         with pytest.raises(ValueError, match="batch axis of any size"):
             generation_head(np.zeros((2, self.D)), params)
         # A context whose copy axis is not the parameters' does not align.
@@ -874,53 +883,42 @@ class TestBroadcastCopyAxis:
         src_len=st.integers(1, 4),
         tgt_len=st.integers(1, 3),
         copies=st.integers(1, 5),
-        batch=st.sampled_from([None, 1, 2, 3]),
+        batch=st.integers(1, 3),
         copied=st.sets(st.sampled_from(_PARAM_FIELDS), min_size=1),
         gated=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_an_explicit_repetition(self, seed, d, vocab, src_len, tgt_len, copies, batch, copied, gated):
-        # Copies of any subset of the fields run either one row per copy on
-        # states of batch 1 (``batch`` None), or broadcast as (C, 1, ...)
-        # against a batch of examples. Either way each copy's outputs and
-        # losses are, byte for byte, those of the old layout: the states and
-        # ids repeated once per copy, each copy repeated once per example.
+        # Copies of any subset of the fields, as (C, 1, ...), broadcast
+        # against a batch of examples. Each copy's outputs, per-position
+        # losses and loss are, byte for byte, those of the pass repeated for
+        # it alone: the same states and ids, that copy's fields, no copy axis.
         rng = np.random.default_rng(seed)
-        rows = batch is None
-        b = 1 if rows else batch
         base = rand_params(d, vocab, seed)
-        broadcast, repeated = {}, {}
+        values = {}
         for name in copied:
             shape = getattr(base, name).shape
-            row = shape if len(shape) == 2 else (1, *shape)
-            values = rng.standard_normal((copies, *row))
-            broadcast[name] = values if rows else values[:, None]
-            repeated[name] = np.repeat(values, b, axis=0)
-        h_enc = rng.standard_normal((b, src_len, d))
-        h_dec = rng.standard_normal((b, tgt_len, d))
-        src = rng.integers(0, vocab, size=(b, src_len))
-        tgt = rng.integers(0, vocab, size=(b, tgt_len))
-        params = replace(base, **broadcast)
-        assert params.copy_shape == ((copies,) if rows else (copies, 1))
-        model = GateModel(GateConfig(vocab_size=vocab, d_model=d, max_src_len=src_len, max_tgt_len=tgt_len), gated=gated)
-        got, got_losses, got_loss = model._head(params, h_enc, h_dec, src, tgt)
-        stacked = (np.concatenate([a] * copies) for a in (h_enc, h_dec, src, tgt))
-        want, want_losses, want_loss = model._head(replace(base, **repeated), *stacked)
+            values[name] = rng.standard_normal((copies, 1, *shape) if len(shape) == 2 else (copies, 1, 1, *shape))
+        h_enc = rng.standard_normal((batch, src_len, d))
+        h_dec = rng.standard_normal((batch, tgt_len, d))
+        src = rng.integers(0, vocab, size=(batch, src_len))
+        tgt = rng.integers(0, vocab, size=(batch, tgt_len))
+        params = replace(base, **values)
+        assert params.copies == copies
+        cfg = GateConfig(vocab_size=vocab, d_model=d, max_src_len=src_len, max_tgt_len=tgt_len)
+        model = GateModel(cfg, gated=gated)
 
-        def per_copy(a):
-            # (C, B, T, n): a value that no copied field reaches has no copy axis.
-            return np.broadcast_to(a.reshape(-1, b, *a.shape[-2:]), (copies, b, *a.shape[-2:]))
+        def arrays(head):
+            tensors, losses, loss = head
+            return {name: t.data for name, t in tensors.items()} | {"losses": losses.data, "loss": loss.data}
 
-        got_arrays = {name: t.data for name, t in got.items()} | {"losses": got_losses.data[..., None]}
-        want_arrays = {name: t.data for name, t in want.items()} | {"losses": want_losses.data[..., None]}
-        for name, a in got_arrays.items():
-            for c in range(copies):
-                assert per_copy(a)[c].tobytes() == per_copy(want_arrays[name])[c].tobytes(), name
-        if rows:
-            # The copies are the batch: one mean over all of them.
-            assert got_loss.data.tobytes() == want_loss.data.tobytes()
-        else:
-            assert got_loss.data.tobytes() == tmean(reshape(want_losses, (copies, -1)), axis=-1).data.tobytes()
+        got = arrays(model._head(params, h_enc, h_dec, src, tgt))
+        for c in range(copies):
+            one = replace(base, **{name: v[c].reshape(getattr(base, name).shape) for name, v in values.items()})
+            for name, want in arrays(model._head(one, h_enc, h_dec, src, tgt)).items():
+                # A value that no copied field reaches has no copy axis.
+                mine = got[name][c] if got[name].ndim == want.ndim + 1 else got[name]
+                assert mine.tobytes() == want.tobytes(), name
 
 
 def write_params(model, blob):

@@ -3,7 +3,9 @@
 A line counts when it holds a Python token outside comments and outside
 module, class and function docstrings; blank lines, comment lines and
 docstring lines do not count. A token that spans lines (a multi-line
-string that is not a docstring) counts every line it spans.
+string that is not a docstring) counts every line it spans. Only the
+docstring's own string tokens are skipped, so a line that holds code as
+well, such as ``def f(): "doc"``, counts.
 
 Usage: python tools/code_lines.py [PATH ...]   (default: src)
 
@@ -29,8 +31,18 @@ _NOT_CODE = {
 }
 
 
-def _docstring_lines(tree: ast.Module) -> set[int]:
-    lines: set[int] = set()
+Position = tuple[int, int]
+
+
+def _docstring_spans(tree: ast.Module, rows: list[str]) -> list[tuple[Position, Position]]:
+    """Where each docstring starts and ends, as ``tokenize`` gives positions:
+    (line, column in characters of ``rows``). ``ast`` counts columns in
+    UTF-8 bytes."""
+
+    def position(line: int, byte_col: int) -> Position:
+        return line, len(rows[line - 1].encode("utf-8")[:byte_col].decode("utf-8"))
+
+    spans = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
@@ -39,19 +51,26 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
                 and isinstance(first.value, ast.Constant)
                 and isinstance(first.value.value, str)
             ):
-                lines.update(range(first.lineno, first.end_lineno + 1))
-    return lines
+                start = position(first.lineno, first.col_offset)
+                spans.append((start, position(first.end_lineno, first.end_col_offset)))
+    return spans
 
 
 def code_lines(path: Path) -> int:
     """The number of code lines in one Python file."""
     source = path.read_bytes()
-    docstrings = _docstring_lines(ast.parse(source, str(path)))
+    tokens = list(tokenize.tokenize(io.BytesIO(source).readline))
+    # Python's line ends only: str.splitlines() also splits at form feeds.
+    text = source.decode(tokens[0].string).replace("\r\n", "\n").replace("\r", "\n")
+    docstrings = _docstring_spans(ast.parse(source, str(path)), text.split("\n"))
     lines: set[int] = set()
-    for tok in tokenize.tokenize(io.BytesIO(source).readline):
-        if tok.type not in _NOT_CODE:
-            lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstrings)
+    for tok in tokens:
+        if tok.type in _NOT_CODE:
+            continue
+        if tok.type == tokenize.STRING and any(a <= tok.start and tok.end <= b for a, b in docstrings):
+            continue  # a docstring, or one piece of an implicitly joined one
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
 
 
 def main(argv: list[str]) -> int:
