@@ -15,7 +15,6 @@ from textsql import (
     SamplerConfig,
     Table,
     TableCache,
-    TemplateQuestionGenerator,
     compose,
     execute,
     generate_silver,
@@ -64,16 +63,17 @@ for _ in range(5):
     ]
     print(f"  per-condition rows {hits} <- {text}")
 
-# generate_silver pairs each statement with its templated question and
-# de-duplicates identical statements by resampling (duplicates are kept,
-# but counted, once the retry budget runs out). The run is lazy: each
-# example is sampled only when it is read, so a long run holds no examples,
-# and its duplicates_kept counts the examples read so far.
-run = generate_silver([CLIMATE], 8, TemplateQuestionGenerator(), random.Random(3), cfg, cache)
-for ex in islice(run, 4):
+# generate_silver pairs each statement with a question from the generator it
+# is given, any function of the statement and its table, here the template.
+# It de-duplicates identical statements by resampling; once the retry budget
+# runs out a duplicate is kept, flagged `duplicate`. The run is lazy: each
+# example is sampled only when it is read, so a long run holds no examples.
+run = generate_silver([CLIMATE], 8, template_question, random.Random(3), cfg, cache)
+shown = list(islice(run, 4))  # only these four are sampled so far
+for ex in shown:
     print("  Q:", ex.question)
     print("  A:", ex.sql_text)
-rest = sum(1 for _ in run)
-print(f"generated {4 + rest} examples, {run.duplicates_kept} duplicates kept")
+examples = shown + list(run)
+print(f"generated {len(examples)} examples, {sum(ex.duplicate for ex in examples)} duplicates kept")
 
 cache.close()

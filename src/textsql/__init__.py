@@ -52,7 +52,6 @@ from .linearize import (
 from .normalize import cell_text, format_number, normalize_question, normalize_text
 from .silver import (
     SamplerConfig,
-    TemplateQuestionGenerator,
     generate_silver,
     sample_logical_form,
     template_question,
@@ -110,7 +109,6 @@ __all__ = [
     "delinearize",
     "linearize",
     "SamplerConfig",
-    "TemplateQuestionGenerator",
     "generate_silver",
     "sample_logical_form",
     "template_question",

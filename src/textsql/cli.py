@@ -41,13 +41,17 @@ A block is read whole (a malformed line) before any of its records is
 handled (an unknown table, a gold that does not compose, a table the engine
 cannot hold, in record order). So a bad record in an earlier block wins
 over a malformed line in a later one, and a malformed line wins over a bad
-record earlier in its own block. Bytes that are not UTF-8 are found as text
-is decoded, up to one 8 KiB chunk ahead of the line being read, so they can
-be reported a block early. ``silver`` checks every table before it samples
-any example. ``eval`` reads a block of predictions, then a block of
-questions; when one file ends before the other, that block is not scored,
-and the rest of the longer file is read to count it for the error ``N
-predictions for M records`` (so a malformed line there wins).
+record earlier in its own block. Every input file but ``--config`` is read
+by one reader (``data.iter_lines``): a byte-order mark at the start of the
+file, or bytes that are not UTF-8, is a data error naming its line. Bytes
+that are not UTF-8 are found as text is decoded, up to one 8 KiB chunk
+ahead of the line being read, so they can be reported a block early. An
+input that cannot be read is a data error too. ``silver`` checks every
+table before it samples any example. ``eval`` reads a block of
+predictions, then a block of questions; when one file ends before the
+other, that block is not scored, and the rest of the longer file is read to
+count it for the error ``N predictions for M records`` (so a malformed line
+there wins).
 
 Exit codes: 0 success, 1 usage error, 2 data error (or a ``gate train``
 whose loss diverged), 3 internal error.
@@ -63,18 +67,17 @@ import random
 import sys
 from collections import Counter
 from contextlib import ExitStack, closing, contextmanager, suppress
-from itertools import chain, islice, zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .data import (
     DataError,
-    DataFormatError,
     QuestionRecord,
     Table,
-    _undecodable_line,
     index_by_id,
     iter_jsonl,
+    iter_lines,
     iter_questions,
     load_questions,
     load_tables,
@@ -92,7 +95,7 @@ from .gate import (
 from .gate.model import encode_params, sidecar_path
 from .linearize import LinearizeConfig, build_example
 from .normalize import round12
-from .silver import SamplerConfig, TemplateQuestionGenerator, generate_silver
+from .silver import SamplerConfig, generate_silver, template_question
 from .sql import ComposeError, SqlStatement, compose, render
 
 
@@ -179,27 +182,6 @@ def _blocks(items: Iterable) -> Iterator[list]:
     it = iter(items)
     while block := list(islice(it, _BLOCK_LINES)):
         yield block
-
-
-def _iter_lines(path: str) -> Iterator[str]:
-    """The lines of a UTF-8 text file without their line ends, split as text
-    mode splits them: only a line feed, a carriage return or the two together
-    end one. An unreadable file, bytes that are not UTF-8 and a byte-order
-    mark at the start of the file are a ``DataError``, as the JSONL inputs
-    refuse them; a U+FEFF anywhere else is part of its line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()  # read, not sought back to: the file may be a pipe
-            if first.startswith("\ufeff"):
-                raise DataFormatError("byte-order mark at the start of the file", path, 1)
-            for line in chain([first] if first else [], fh):
-                yield line.removesuffix("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        line = _undecodable_line(path)
-        at = "" if line is None else f" line {line}"
-        raise DataError(f"{path}{at} is not UTF-8 text ({exc.reason})") from exc
 
 
 # ----------------------------------------------------------------------
@@ -327,9 +309,11 @@ def _cmd_silver(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     tables = load_tables(args.tables)
     rng = random.Random(args.seed)
+    duplicates = 0
     with closing(TableCache()) as cache, _outputs(args.out) as (out,):
-        run = generate_silver(tables, args.n, TemplateQuestionGenerator(), rng, sampler_cfg, cache)
-        for block in _blocks(run):
+        examples = generate_silver(tables, args.n, template_question, rng, sampler_cfg, cache)
+        for block in _blocks(examples):
+            duplicates += sum(ex.duplicate for ex in block)
             out.writelines(
                 _json_line(
                     {
@@ -346,18 +330,18 @@ def _cmd_silver(args: argparse.Namespace) -> int:
                 )
                 for ex in block
             )
-    _log(f"silver: wrote {args.n} examples to {args.out} ({run.duplicates_kept} duplicates kept)")
+    _log(f"silver: wrote {args.n} examples to {args.out} ({duplicates} duplicates kept)")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "preds", "questions", "tables", "out_json")
     tables = index_by_id(load_tables(args.tables))
-    n = exec_correct = hallucinations = 0
+    n = exec_correct = 0
     counts: Counter = Counter()
     with (
         closing(TableCache()) as cache,
-        closing(_iter_lines(args.preds)) as preds,
+        closing(line.removesuffix("\n") for line in iter_lines(args.preds)) as preds,
         closing(iter_questions(args.questions)) as entries,
     ):
         for texts, block in zip_longest(_blocks(preds), _blocks(entries), fillvalue=[]):
@@ -370,9 +354,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             part = execution_accuracy(texts, golds, records, tables, cache)
             n += part.n
             exec_correct += part.exec_correct
-            hallucinations += part.hallucination_count
             counts.update(part.error_counts)
-    report = EvalReport(n, exec_correct, dict(counts), hallucinations)
+    report = EvalReport(n, exec_correct, dict(counts))
     with _outputs(args.out_json, args.out_table) as (out_json, out_table):
         out_json.write(report_to_json(report))
         if out_table is not None:

@@ -125,34 +125,49 @@ _DECODER = json.JSONDecoder()
 _JSON_SPACE = " \t\n\r"
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """The objects of a JSONL file, each with its 1-based line number;
-    blank lines are skipped. A line is decoded as ``json.loads`` decodes
-    it, and a line that is not one JSON object raises ``DataFormatError``
-    naming the line."""
+def iter_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, each with its line end, split as text
+    mode splits them: only a line feed, a carriage return or the two
+    together end one, and each is read as a line feed. A byte-order mark at
+    the start of the file and bytes that are not UTF-8 raise
+    ``DataFormatError`` naming the line; a U+FEFF anywhere else is part of
+    its line. An unreadable file raises ``OSError``."""
     with open(path, encoding="utf-8") as fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    obj, end = _DECODER.raw_decode(line)
-                except (ValueError, RecursionError):
-                    obj = None
-                if type(obj) is not dict or line[end:].strip(_JSON_SPACE):
-                    # Anything but an object at the line's start with only
-                    # JSON whitespace after it: ``json.loads`` decides, so
-                    # each error keeps its own message.
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
-                        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
-                        raise DataFormatError(f"invalid JSON: {msg}", path, lineno) from exc
-                    if not isinstance(obj, dict):
-                        raise DataFormatError("line is not a JSON object", path, lineno)
-                yield lineno, obj
+            first = fh.readline()  # read, not sought back to: the file may be a pipe
+            if first.startswith("\ufeff"):
+                raise DataFormatError("byte-order mark at the start of the file", path, 1)
+            if first:
+                yield first
+            yield from fh
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"not UTF-8 text ({exc.reason})", path, _undecodable_line(path)) from exc
+
+
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """The objects of a JSONL file, read by ``iter_lines``, each with its
+    1-based line number; blank lines are skipped. A line is decoded as
+    ``json.loads`` decodes it, and a line that is not one JSON object
+    raises ``DataFormatError`` naming the line."""
+    for lineno, line in enumerate(iter_lines(path), start=1):
+        try:
+            obj, end = _DECODER.raw_decode(line)
+        except (ValueError, RecursionError):
+            obj = None
+        if type(obj) is not dict or line[end:].strip(_JSON_SPACE):
+            # Anything but an object at the line's start with only JSON
+            # whitespace after it: ``json.loads`` decides, so each error
+            # keeps its own message.
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise DataFormatError(f"invalid JSON: {msg}", path, lineno) from exc
+            if not isinstance(obj, dict):
+                raise DataFormatError("line is not a JSON object", path, lineno)
+        yield lineno, obj
 
 
 def _undecodable_line(path: str | Path) -> int | None:

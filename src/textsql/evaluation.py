@@ -195,16 +195,21 @@ class EvalReport:
     ``error_counts`` partitions the examples: Correct, ParseFailure, and the
     Invalid/Wrong slots sum to n. ``exec_correct`` is kept as an integer so
     ``exec_accuracy`` is an exact fraction of n, 0.0 when there are none.
+    ``hallucination_count`` is read off the labels: the examples that
+    ``hallucination_flag`` would flag.
     """
 
     n: int
     exec_correct: int
     error_counts: dict[ErrorClass, int]
-    hallucination_count: int
 
     @property
     def exec_accuracy(self) -> float:
         return self.exec_correct / self.n if self.n else 0.0
+
+    @property
+    def hallucination_count(self) -> int:
+        return sum(self.count(_INVALID[slot]) for slot in _HALLUCINATION_SLOTS)
 
     def count(self, cls: ErrorClass) -> int:
         return self.error_counts.get(cls, 0)
@@ -233,7 +238,6 @@ def execution_accuracy(
     if len(preds) != len(records):
         raise ValueError(f"misaligned inputs: {len(preds)} preds, {len(records)} records")
     exec_correct = 0
-    halluc = 0
     counts: Counter[ErrorClass] = Counter()
     for pred, gold_stmt, rec in zip(preds, golds, records, strict=True):
         tab = tables.get(rec.table_id)
@@ -249,11 +253,9 @@ def execution_accuracy(
         stmt = resolve(raw)
         label = _classify(raw, stmt, gold_stmt, db.headers, rec.question)
         counts[label] += 1
-        # Same as hallucination_flag, read off the label without a reparse.
-        halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
         if not isinstance(stmt, ParseFailure):
             exec_correct += agrees_with_gold(stmt, execute(stmt, db), gold_stmt, db)
-    return EvalReport(len(preds), exec_correct, dict(counts), halluc)
+    return EvalReport(len(preds), exec_correct, dict(counts))
 
 
 def report_to_dict(report: EvalReport) -> dict:

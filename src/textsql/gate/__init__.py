@@ -1,6 +1,5 @@
 """Gated extraction layer: autodiff core, layer math, host model, training."""
 
-from .autodiff import Tensor
 from .copy_task import (
     CopyTaskConfig,
     CopyVocab,
@@ -19,7 +18,6 @@ from .layers import (
     extraction_gate,
     generation_head,
     merge,
-    run_gate,
 )
 from .model import (
     GateConfig,
@@ -29,7 +27,6 @@ from .model import (
 )
 
 __all__ = [
-    "Tensor",
     "CopyTaskConfig",
     "CopyVocab",
     "TrainingDiverged",
@@ -47,7 +44,6 @@ __all__ = [
     "extraction_gate",
     "generation_head",
     "merge",
-    "run_gate",
     "GateConfig",
     "GateModel",
     "ParamsFormatError",

@@ -14,9 +14,10 @@ Generation is lazy: ``generate_silver`` returns an iterator that samples
 each example as it is read, so a run of any length holds no examples, only
 the set of statements it has rendered (for de-duplication).
 
-The neural question generator is out of scope here; the
-``QuestionGenerator`` protocol is its seam and a deterministic template
-implementation stands in for it.
+The neural question generator is out of scope here. Its seam is the
+question generator that ``generate_silver`` takes, any callable from a
+statement and its table to a question; the deterministic
+``template_question`` stands in for it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Callable, Iterator
 
 from .data import (
     AGG_AVG,
@@ -65,12 +66,6 @@ class SamplerConfig:
             raise ValueError("max_conds 0 leaves no condition count when zero conditions are disallowed")
 
 
-class QuestionGenerator(Protocol):
-    """Anything that can phrase a statement as a natural-language question."""
-
-    def question_for(self, stmt: SqlStatement, tab: Table) -> str: ...
-
-
 _AGG_PHRASES = {
     AGG_NONE: "what is the {sel}",
     AGG_COUNT: "how many {sel}",
@@ -87,20 +82,13 @@ def template_question(stmt: SqlStatement, tab: Table) -> str:
     """Deterministic English question for a statement.
 
     Every condition value appears verbatim, so extraction-style training and
-    evaluation stay well-posed. The table argument is accepted for interface
-    parity with model-backed generators.
+    evaluation stay well-posed. The table argument is accepted so that this
+    has the shape of any question generator ``generate_silver`` takes.
     """
     parts = [_AGG_PHRASES[stmt.agg].format(sel=stmt.sel_col)]
     for col, op, value in stmt.conds:
         parts.append(f"when {col} {_OP_PHRASES[op]} {cell_text(value)}")
     return " ".join(parts)
-
-
-class TemplateQuestionGenerator:
-    """Template-based stand-in for a reverse question-generation model."""
-
-    def question_for(self, stmt: SqlStatement, tab: Table) -> str:
-        return template_question(stmt, tab)
 
 
 def _cond_matches(tab: Table, col: int, op_idx: int, value, cache: TableCache) -> bool:
@@ -187,74 +175,53 @@ class SilverExample:
     sql_text: str
     table_id: str
     lf: LogicalForm
-
-
-class SilverRun:
-    """The examples of one run, an iterator that samples each as it is
-    read, and ``duplicates_kept``: how many of those read so far are
-    duplicates kept once the resampling budget ran out. Made by
-    ``generate_silver``."""
-
-    def __init__(
-        self,
-        tables: list[Table],
-        n: int,
-        qg: QuestionGenerator,
-        rng: random.Random,
-        cfg: SamplerConfig,
-        cache: TableCache,
-    ):
-        self.duplicates_kept = 0
-        self._examples = self._generate(tables, n, qg, rng, cfg, cache)
-
-    def __iter__(self) -> SilverRun:
-        return self
-
-    def __next__(self) -> SilverExample:
-        return next(self._examples)
-
-    def _generate(self, tables, n, qg, rng, cfg, cache) -> Iterator[SilverExample]:
-        seen: set[str] = set()
-        for _ in range(n):
-            for _attempt in range(_DEDUPE_RETRIES):
-                tab = tables[rng.randrange(len(tables))]
-                lf = sample_logical_form(tab, rng, cfg, cache)
-                stmt = compose(lf, tab)
-                sql_text = render(stmt)
-                if sql_text not in seen:
-                    break
-            else:
-                self.duplicates_kept += 1
-            seen.add(sql_text)
-            question = qg.question_for(stmt, tab)
-            if not question:
-                raise SamplerError("question generator returned an empty question")
-            yield SilverExample(question=question, sql_text=sql_text, table_id=tab.table_id, lf=lf)
+    # Its statement was rendered before, and kept once the resampling budget
+    # ran out.
+    duplicate: bool
 
 
 def generate_silver(
     tables: list[Table],
     n: int,
-    qg: QuestionGenerator,
+    question_for: Callable[[SqlStatement, Table], str],
     rng: random.Random,
     cfg: SamplerConfig,
     cache: TableCache,
-) -> SilverRun:
+) -> Iterator[SilverExample]:
     """Generate ``n`` silver (question, SQL, table) triples, lazily.
 
     The run is an iterator: each example is sampled, drawing from ``rng``
-    and probing in ``cache``, only when it is read, so the reader holds the
-    examples, not the run. What the run holds grows only with the set of
-    rendered statements seen. Tables are chosen uniformly. Identical
-    rendered statements are de-duplicated by resampling up to a retry
-    bound, after which the duplicate is kept and counted in the run's
-    ``duplicates_kept``. No tables, or a table the engine cannot hold, by
-    its names or by its cells, raises here, before any sampling, since no
-    statement over it could execute; an error in sampling raises when the
-    example that meets it is read.
+    and probing in ``cache``, and phrased by ``question_for(stmt, tab)``,
+    only when it is read, so the reader holds the examples, not the run.
+    What the run holds grows only with the set of rendered statements seen.
+    Tables are chosen uniformly. Identical rendered statements are
+    de-duplicated by resampling up to a retry bound, after which the
+    duplicate is kept and flagged ``duplicate``. No tables, or a table the
+    engine cannot hold, by its names or by its cells, raises here, before
+    any sampling, since no statement over it could execute; an error in
+    sampling raises when the example that meets it is read.
     """
     if not tables:
         raise SamplerError("no tables to sample from")
     for tab in tables:
         cache.check(tab)
-    return SilverRun(tables, n, qg, rng, cfg, cache)
+    return _examples(tables, n, question_for, rng, cfg, cache)
+
+
+def _examples(tables, n, question_for, rng, cfg, cache) -> Iterator[SilverExample]:
+    """``generate_silver``'s examples, each sampled as it is read."""
+    seen: set[str] = set()
+    for _ in range(n):
+        for _attempt in range(_DEDUPE_RETRIES):
+            tab = tables[rng.randrange(len(tables))]
+            lf = sample_logical_form(tab, rng, cfg, cache)
+            stmt = compose(lf, tab)
+            sql_text = render(stmt)
+            if sql_text not in seen:
+                break
+        duplicate = sql_text in seen  # only when every attempt was one
+        seen.add(sql_text)
+        question = question_for(stmt, tab)
+        if not question:
+            raise SamplerError("question generator returned an empty question")
+        yield SilverExample(question, sql_text, tab.table_id, lf, duplicate)

@@ -1221,7 +1221,8 @@ class TestStreamingBlocks:
         self._write(tmp_path, questions, preds)
         code, out_json, out_table = self._eval(tables, tmp_path)
         assert code == 2
-        assert f"preds.txt line {3 * self.B + 6} is not UTF-8 text (invalid start byte)" in capsys.readouterr().err
+        preds = tmp_path / "preds.txt"
+        assert f"not UTF-8 text (invalid start byte) ({preds}:{3 * self.B + 6})" in capsys.readouterr().err
         self._no_outputs(tmp_path, out_json, out_table)
 
     def test_eval_unreadable_predictions_file(self, tables, tmp_path, capsys):
@@ -1232,7 +1233,7 @@ class TestStreamingBlocks:
         code = main(["eval", "--preds", str(work / "preds.txt"), "--questions", str(tables), "--tables", str(tables),
                      "--out-json", str(work / "r.json")])
         assert code == 2
-        assert f"cannot read {work / 'preds.txt'}: [Errno 21] Is a directory" in capsys.readouterr().err
+        assert f"data error: [Errno 21] Is a directory: '{work / 'preds.txt'}'" in capsys.readouterr().err
         self._no_outputs(work, work / "r.json")
 
     def test_silver_engine_refusal_beats_any_sampling_error(self, tmp_path, capsys):
@@ -1253,15 +1254,15 @@ class TestStreamingBlocks:
         # block ends the run before any later one is sampled.
         calls = []
         b = self.B
+        template_question = textsql.cli.template_question
 
-        class Generator(textsql.cli.TemplateQuestionGenerator):
-            def question_for(self, stmt, tab):
-                calls.append(stmt)
-                if len(calls) == 2 * b + 1:
-                    raise AssertionError("sampled past the first bad example")
-                return "" if len(calls) == b + 5 else super().question_for(stmt, tab)
+        def question_for(stmt, tab):
+            calls.append(stmt)
+            if len(calls) == 2 * b + 1:
+                raise AssertionError("sampled past the first bad example")
+            return "" if len(calls) == b + 5 else template_question(stmt, tab)
 
-        monkeypatch.setattr(textsql.cli, "TemplateQuestionGenerator", Generator)
+        monkeypatch.setattr(textsql.cli, "template_question", question_for)
         out = tmp_path / "s.jsonl"
         out.write_bytes(b"earlier run\n")
         assert main(["silver", "--tables", str(tables), "--n", str(3 * self.B), "--out", str(out)]) == 2
@@ -2011,7 +2012,7 @@ class TestNotUtf8:
         code = main(["eval", "--preds", str(preds), "--questions", str(questions),
                      "--tables", str(tables), "--out-json", str(tmp_path / "r.json")])
         assert code == 2
-        assert f"{preds} line 2 is not UTF-8 text" in capsys.readouterr().err
+        assert f"not UTF-8 text (invalid start byte) ({preds}:2)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--tables", "--questions", "--candidates"])
     def test_jsonl_input_names_the_line(self, corpus, tmp_path, capsys, flag):
@@ -2025,6 +2026,32 @@ class TestNotUtf8:
                      "--out-report", str(tmp_path / "r")])
         assert code == 2
         assert f"not UTF-8 text (invalid start byte) ({bad}:3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["byte-order mark", "line 2"])
+    @pytest.mark.parametrize("flag", ["--tables", "--questions", "--candidates", "--preds"])
+    def test_one_message_per_fault_whatever_the_input(self, corpus, tmp_path, capsys, flag, fault):
+        """Every input file is read by one reader, so a fault is reported
+        in the same words whichever file holds it."""
+        questions, tables = corpus
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text(json.dumps({"qid": 0, "candidates": [PLATES_SQL]}) + "\n")
+        preds = tmp_path / "preds.txt"
+        preds.write_text(PLATES_SQL + "\n")
+        bad = {"--tables": tables, "--questions": questions, "--candidates": cands, "--preds": preds}[flag]
+        if fault == "byte-order mark":
+            bad.write_bytes(b"\xef\xbb\xbf" + bad.read_bytes())
+            expected = f"byte-order mark at the start of the file ({bad}:1)"
+        else:
+            bad.write_bytes(bad.read_bytes() + b"\xff\n")
+            expected = f"not UTF-8 text (invalid start byte) ({bad}:2)"
+        inputs = ["--questions", str(questions), "--tables", str(tables)]
+        if flag == "--preds":
+            argv = ["eval", "--preds", str(preds), *inputs, "--out-json", str(tmp_path / "r.json")]
+        else:
+            argv = ["eg", "--candidates", str(cands), *inputs, "--out-selections", str(tmp_path / "s"),
+                    "--out-report", str(tmp_path / "r")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {expected}\n"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("flag", ["--preds", "--candidates"])
@@ -2066,8 +2093,7 @@ class TestNotUtf8:
                 proc.kill()
                 proc.communicate()
         assert proc.returncode == 2
-        expected = f"{fifo} is not UTF-8 text" if flag == "--preds" else f"not UTF-8 text (invalid start byte) ({fifo})"
-        assert expected in err
+        assert f"not UTF-8 text (invalid start byte) ({fifo})" in err
         assert "None" not in err
 
     def test_config(self, corpus, tmp_path, capsys):

@@ -281,6 +281,8 @@ def _json_loads_reader(path):
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
+                if lineno == 1 and line.startswith("\ufeff"):
+                    raise DataFormatError("byte-order mark at the start of the file", path, 1)
                 if not line.strip():
                     continue
                 try:

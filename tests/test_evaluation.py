@@ -261,8 +261,19 @@ class TestExecutionAccuracy:
         assert report.error_counts == {}
 
     def test_accuracy_derives_from_the_counts(self):
-        assert EvalReport(n=4, exec_correct=1, error_counts={}, hallucination_count=0).exec_accuracy == 0.25
-        assert EvalReport(n=0, exec_correct=0, error_counts={}, hallucination_count=0).exec_accuracy == 0.0
+        assert EvalReport(n=4, exec_correct=1, error_counts={}).exec_accuracy == 0.25
+        assert EvalReport(n=0, exec_correct=0, error_counts={}).exec_accuracy == 0.0
+
+    def test_hallucination_count_derives_from_the_labels(self):
+        counts = {
+            CORRECT: 1,
+            PARSE_FAILURE: 2,
+            **{ErrorClass(Kind.INVALID, slot): 10 * (i + 1) for i, slot in enumerate(SLOT_ORDER)},
+            **{ErrorClass(Kind.WRONG, slot): 100 for slot in SLOT_ORDER},
+        }
+        report = EvalReport(n=sum(counts.values()), exec_correct=1, error_counts=counts)
+        # Invalid select_column, where_column and where_value; not agg_function or where_oper.
+        assert report.hallucination_count == 20 + 30 + 50
 
     def test_misaligned_inputs_rejected(self, cache):
         with pytest.raises(ValueError, match="misaligned"):
@@ -473,12 +484,7 @@ def _oracle_execution_accuracy(preds, golds, records, tables, cache):
         if not isinstance(stmt, ParseFailure):
             exec_correct += results_equal(execute(stmt, db), execute(gold_stmt, db))
     n = len(preds)
-    return EvalReport(
-        n=n,
-        exec_correct=exec_correct,
-        error_counts=dict(counts),
-        hallucination_count=halluc,
-    )
+    return EvalReport(n=n, exec_correct=exec_correct, error_counts=dict(counts)), halluc
 
 
 def _oracle_eg_select(beam, tab, cache):
@@ -576,9 +582,10 @@ class TestGoldReuse:
         tables = {tab.table_id: tab}
         gold_stmts = [compose(g, tab) for g in golds]
         with closing(TableCache()) as cache:
-            assert execution_accuracy(preds, gold_stmts, records, tables, cache) == _oracle_execution_accuracy(
-                preds, golds, records, tables, cache
-            )
+            report = execution_accuracy(preds, gold_stmts, records, tables, cache)
+            expected, halluc = _oracle_execution_accuracy(preds, golds, records, tables, cache)
+            assert report == expected
+            assert report.hallucination_count == halluc
             assert eg_gain(pred_sets, gold_stmts, [tab] * len(golds), cache) == _oracle_eg_gain(
                 pred_sets, golds, [tab] * len(golds), cache
             )
@@ -634,7 +641,9 @@ class TestSkippedGold:
         calls = count_executions(monkeypatch, textsql.evaluation, render)
         report = execution_accuracy(preds, golds, records, tables, cache)
         monkeypatch.undo()
-        assert report == _oracle_execution_accuracy(preds, [gold] * len(preds), records, tables, cache)
+        expected, halluc = _oracle_execution_accuracy(preds, [gold] * len(preds), records, tables, cache)
+        assert report == expected
+        assert report.hallucination_count == halluc
         return report, calls
 
     def test_unknown_column_costs_one_execution_and_scores_zero(self, monkeypatch, cache):

@@ -16,7 +16,6 @@ from textsql import (
     SqlStatement,
     Table,
     TableCache,
-    TemplateQuestionGenerator,
     compose,
     execute,
     generate_silver,
@@ -60,11 +59,6 @@ class TestTemplateQuestion:
         )
         q = template_question(stmt, None)
         assert q == "what is the a when b is more than 10 when c is less than 2.5 when d is tie"
-
-    def test_generator_wraps_template(self, plates_record, plates_table):
-        stmt = compose(plates_record.lf, plates_table)
-        qg = TemplateQuestionGenerator()
-        assert qg.question_for(stmt, plates_table) == template_question(stmt, plates_table)
 
 
 class TestSampleLogicalForm:
@@ -159,7 +153,7 @@ class TestNonFiniteCells:
         rows = tuple((f"p{i}", float("inf") if i == 7 else float(i)) for i in range(30))
         tab = Table("1-1", ("name", "score"), ("text", "real"), rows)
         examples = list(
-            generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(seed), SamplerConfig(), cache)
+            generate_silver([tab], 20, template_question, random.Random(seed), SamplerConfig(), cache)
         )
         assert len(examples) == 20
         assert all(c.value != float("inf") for ex in examples for c in ex.lf.conds)
@@ -178,13 +172,13 @@ class TestGenerateSilver:
 
     def test_yields_requested_count(self, cache):
         run = generate_silver(
-            self._tables(), 25, TemplateQuestionGenerator(), random.Random(0), SamplerConfig(), cache
+            self._tables(), 25, template_question, random.Random(0), SamplerConfig(), cache
         )
         assert len(list(run)) == 25
         assert next(run, None) is None
 
     def test_samples_each_example_as_it_is_read(self, cache):
-        args = (self._tables(), 10, TemplateQuestionGenerator())
+        args = (self._tables(), 10, template_question)
         whole = list(generate_silver(*args, random.Random(7), SamplerConfig(), cache))
         rng = random.Random(7)
         run = generate_silver(*args, rng, SamplerConfig(), cache)
@@ -193,18 +187,17 @@ class TestGenerateSilver:
         assert list(run) == whole[3:]
 
     def test_deterministic_given_seed(self, cache):
-        args = (self._tables(), 10, TemplateQuestionGenerator())
+        args = (self._tables(), 10, template_question)
         a = generate_silver(*args, random.Random(7), SamplerConfig(), cache)
         b = generate_silver(*args, random.Random(7), SamplerConfig(), cache)
-        assert list(a) == list(b)
-        assert a.duplicates_kept == b.duplicates_kept
+        assert list(a) == list(b)  # duplicate flags included
 
     def test_every_example_executes_cleanly(self):
         tables = self._tables(seed=1)
         by_id = {t.table_id: t for t in tables}
         cache = TableCache()
         run = generate_silver(
-            tables, 40, TemplateQuestionGenerator(), random.Random(2), SamplerConfig(), cache
+            tables, 40, template_question, random.Random(2), SamplerConfig(), cache
         )
         for ex in run:
             res = execute(ex.sql_text, cache.get(by_id[ex.table_id]))
@@ -216,7 +209,7 @@ class TestGenerateSilver:
         by_id = {t.table_id: t for t in tables}
         cache = TableCache()
         run = generate_silver(
-            tables, 40, TemplateQuestionGenerator(), random.Random(5), SamplerConfig(), cache
+            tables, 40, template_question, random.Random(5), SamplerConfig(), cache
         )
         for ex in run:
             tab = by_id[ex.table_id]
@@ -230,7 +223,7 @@ class TestGenerateSilver:
         tables = self._tables(seed=6)
         by_id = {t.table_id: t for t in tables}
         run = generate_silver(
-            tables, 40, TemplateQuestionGenerator(), random.Random(8), SamplerConfig(), cache
+            tables, 40, template_question, random.Random(8), SamplerConfig(), cache
         )
         for ex in run:
             stmt = compose(ex.lf, by_id[ex.table_id])
@@ -241,23 +234,21 @@ class TestGenerateSilver:
     def test_exhausted_statement_space_keeps_duplicates(self, cache):
         tab = Table("t-1", ("n",), ("real",), ((1.0,),))
         cfg = SamplerConfig(max_conds=0)
-        run = generate_silver([tab], 20, TemplateQuestionGenerator(), random.Random(0), cfg, cache)
+        run = generate_silver([tab], 20, template_question, random.Random(0), cfg, cache)
         examples = list(run)
         assert len(examples) == 20
         # Only six distinct statements exist (one per aggregation slot).
         assert len({ex.sql_text for ex in examples}) == 6
-        assert run.duplicates_kept == 14
+        assert sum(ex.duplicate for ex in examples) == 14
+        firsts = [ex.sql_text for ex in examples if not ex.duplicate]
+        assert sorted(firsts) == sorted({ex.sql_text for ex in examples})
 
     def test_no_tables_rejected(self, cache):
         with pytest.raises(SamplerError):
-            generate_silver([], 1, TemplateQuestionGenerator(), random.Random(0), SamplerConfig(), cache)
+            generate_silver([], 1, template_question, random.Random(0), SamplerConfig(), cache)
 
     def test_empty_question_rejected(self, cache):
-        class SilentGenerator:
-            def question_for(self, stmt, tab):
-                return ""
-
-        run = generate_silver(self._tables(), 1, SilentGenerator(), random.Random(0), SamplerConfig(), cache)
+        run = generate_silver(self._tables(), 1, lambda stmt, tab: "", random.Random(0), SamplerConfig(), cache)
         with pytest.raises(SamplerError, match="empty question"):
             next(run)
 
@@ -376,7 +367,7 @@ class TestProbeMatchesMaterializedTable:
         monkeypatch.setattr(TableCache, "probe", counting_probe)
         rng = random.Random(3)
         tables = [make_table(rng, n_cols=4, n_rows=6) for _ in range(4)]
-        run = generate_silver(tables, 60, TemplateQuestionGenerator(), random.Random(1), SamplerConfig(), cache)
+        run = generate_silver(tables, 60, template_question, random.Random(1), SamplerConfig(), cache)
         assert len(list(run)) == 60
         assert calls["probe"] > 0
         assert calls["materialize"] == 0
