@@ -14,13 +14,12 @@ from textsql import (
     QuestionRecord,
     Table,
     TableCache,
-    classify_error,
     compose,
     eg_gain,
     eg_select,
     execution_accuracy,
-    hallucination_flag,
     render_report_table,
+    score_prediction,
 )
 
 CITIES = Table(
@@ -65,14 +64,16 @@ cases = [
     ("legitimate but wrong agg", "select count([population]) from [1-demo-5] where [city] = 'richmond'"),
     ("unparseable", "select [population] from"),
 ]
+# score_prediction parses each prediction once, labels it and, when it is in
+# the dialect, executes it against the gold's table.
 print("classifications:")
+db = cache.get(CITIES)
 for label, pred in cases:
-    cls = classify_error(pred, GOLD, CITIES, QUESTION)
-    halluc = hallucination_flag(pred, CITIES, QUESTION)
-    print(f"  {label:24s} -> {cls}  hallucination={halluc}")
+    cls, correct = score_prediction(pred, gold_stmt, db, QUESTION)
+    print(f"  {label:24s} -> {cls.label:22s} execution-correct={correct}")
 
-# execution_accuracy ties it together: executable accuracy against the gold
-# result plus the full taxonomy partition.
+# execution_accuracy folds it over a batch: executable accuracy against the
+# gold result plus the full taxonomy partition.
 preds = [pred for _, pred in cases]
 records = [QuestionRecord(phase=1, table_id=CITIES.table_id, question=QUESTION, lf=GOLD)] * len(preds)
 summary = execution_accuracy(preds, [gold_stmt] * len(preds), records, {CITIES.table_id: CITIES}, cache)

@@ -36,12 +36,10 @@ from .evaluation import (
     EvalReport,
     Kind,
     Slot,
-    classify_error,
     execution_accuracy,
-    hallucination_flag,
     render_report_table,
     report_to_dict,
-    report_to_json,
+    score_prediction,
 )
 from .linearize import (
     LinearizeConfig,
@@ -98,12 +96,10 @@ __all__ = [
     "EvalReport",
     "Kind",
     "Slot",
-    "classify_error",
     "execution_accuracy",
-    "hallucination_flag",
     "render_report_table",
     "report_to_dict",
-    "report_to_json",
+    "score_prediction",
     "LinearizeConfig",
     "build_example",
     "delinearize",

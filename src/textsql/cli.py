@@ -41,14 +41,14 @@ A block is read whole (a malformed line) before any of its records is
 handled (an unknown table, a gold that does not compose, a table the engine
 cannot hold, in record order). So a bad record in an earlier block wins
 over a malformed line in a later one, and a malformed line wins over a bad
-record earlier in its own block. Every input file but ``--config`` is read
-by one reader (``data.iter_lines``): a byte-order mark at the start of the
-file, or bytes that are not UTF-8, is a data error naming its line. Bytes
-that are not UTF-8 are found as text is decoded, up to one 8 KiB chunk
-ahead of the line being read, so they can be reported a block early. An
-input that cannot be read is a data error too. ``silver`` checks every
-table before it samples any example. ``eval`` reads a block of
-predictions, then a block of questions; when one file ends before the
+record earlier in its own block. Every input file, ``--config`` too, is
+read by one reader (``data.iter_lines``): a byte-order mark at the start
+of the file, or bytes that are not UTF-8, is a data error naming its
+line. Bytes that are not UTF-8 are found as text is decoded, up to one
+8 KiB chunk ahead of the line being read, so they can be reported a block
+early. An input that cannot be read is a data error too. ``silver``
+checks every table before it samples any example. ``eval`` reads a block
+of predictions, then a block of questions; when one file ends before the
 other, that block is not scored, and the rest of the longer file is read to
 count it for the error ``N predictions for M records`` (so a malformed line
 there wins).
@@ -67,8 +67,8 @@ import random
 import sys
 from collections import Counter
 from contextlib import ExitStack, closing, contextmanager, suppress
+from dataclasses import asdict
 from itertools import islice, zip_longest
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .data import (
@@ -84,7 +84,7 @@ from .data import (
 )
 from .eg import EgGainReport, eg_gain
 from .engine import TableCache
-from .evaluation import EvalReport, execution_accuracy, render_report_table, report_to_json
+from .evaluation import EvalReport, execution_accuracy, render_report_table, report_to_dict
 from .gate import (
     CopyTaskConfig,
     TrainingDiverged,
@@ -117,6 +117,11 @@ _encode_sorted = json.JSONEncoder(sort_keys=True, ensure_ascii=True).encode
 def _json_line(obj) -> str:
     """One sorted-key JSON object and its newline."""
     return _encode_sorted(obj) + "\n"
+
+
+def _json_doc(obj) -> str:
+    """One indented, sorted-key JSON document and its newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _open_output(stack: ExitStack, path: str | None, i: int, temps: list[tuple[str, str]]):
@@ -215,12 +220,11 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     string or a number and is passed on as a string, which argparse runs
     through the flag's ``type`` when ``main`` parses again.
     """
+    # Read before decoding: the reader's faults are ValueErrors too, and
+    # keep their own wording.
+    text = "".join(iter_lines(args.config))
     try:
-        entries = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read config {args.config}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"config {args.config} is not UTF-8 text ({exc.reason})") from exc
+        entries = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise DataError(f"config {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(entries, dict):
@@ -357,7 +361,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             counts.update(part.error_counts)
     report = EvalReport(n, exec_correct, dict(counts))
     with _outputs(args.out_json, args.out_table) as (out_json, out_table):
-        out_json.write(report_to_json(report))
+        out_json.write(_json_doc(report_to_dict(report)))
         if out_table is not None:
             out_table.write(render_report_table(report))
     _log(f"eval: {report.exec_correct}/{report.n} execution-correct; report at {args.out_json}")
@@ -422,7 +426,7 @@ def _cmd_eg(args: argparse.Namespace) -> int:
             "dropped_by_kind": gain.dropped_by_kind,
             "all_failed_count": gain.all_failed_count,
         }
-        out_report.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        out_report.write(_json_doc(report))
     _log(f"eg: {gain.correct_top1}->{gain.correct_eg} correct of {gain.n}; report at {args.out_report}")
     return 0
 
@@ -440,7 +444,7 @@ def _cmd_gate_check(args: argparse.Namespace) -> int:
         )
     payload = {"epsilon": round12(args.epsilon), **dims, "per_seed": per_seed, "max_rel_error": round12(overall)}
     with _outputs(args.out) as (out,):
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(_json_doc(payload))
     _log(f"gate check: max relative error {overall:.3e} over {args.seeds} seeds; report at {args.out}")
     return 0
 
@@ -460,18 +464,8 @@ def _cmd_gate_train(args: argparse.Namespace) -> int:
     except TrainingDiverged as exc:
         raise DataError(f"gate train diverged: {exc}; try a smaller --lr") from exc
     rows: list[dict] = [{"step": step, "loss": round12(loss)} for step, loss in result.history]
-    m = result.metrics
-    rows.append(
-        {
-            "final": True,
-            "gated": not args.ablation,
-            "n_examples": m.n_examples,
-            "value_copy_accuracy": round12(m.value_copy_accuracy),
-            "sequence_exact_match": round12(m.sequence_exact_match),
-            "mean_p_ext_value": round12(m.mean_p_ext_value),
-            "mean_p_ext_keyword": round12(m.mean_p_ext_keyword),
-        }
-    )
+    metrics = {k: round12(v) if type(v) is float else v for k, v in asdict(result.metrics).items()}
+    rows.append({"final": True, "gated": not args.ablation, **metrics})
     sidecar = None if args.out_params is None else str(sidecar_path(args.out_params))
     with _outputs(args.out_metrics, args.out_params, sidecar) as (out, blob_out, sidecar_out):
         out.writelines(map(_json_line, rows))
@@ -483,7 +477,7 @@ def _cmd_gate_train(args: argparse.Namespace) -> int:
     if args.out_params is not None:
         _log(f"gate train: params at {args.out_params}")
     _log(
-        f"gate train: value copy accuracy {m.value_copy_accuracy:.3f} "
+        f"gate train: value copy accuracy {result.metrics.value_copy_accuracy:.3f} "
         f"(gated={not args.ablation}); metrics at {args.out_metrics}"
     )
     return 0

@@ -11,16 +11,15 @@ counts are mutually exclusive and reproducible.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .data import LogicalForm, QuestionRecord, Table
-from .engine import TableCache, agrees_with_gold, execute
-from .normalize import format_number, normalize_question, normalize_text, round12
-from .sql import AGG_TOKEN_INDEX, ParseFailure, RawStatement, SqlStatement, compose, parse_raw, resolve
+from .data import QuestionRecord, Table
+from .engine import TableCache, TableDb, agrees_with_gold, execute
+from .normalize import format_number, normalize_question, round12
+from .sql import AGG_TOKEN_INDEX, ParseFailure, RawStatement, SqlStatement, parse_raw, resolve
 
 
 class Kind(str, Enum):
@@ -88,11 +87,6 @@ def _value_forms(value) -> tuple[str, ...]:
     return (text,)
 
 
-def _header_set(tab: Table) -> frozenset[str]:
-    """The table's lowercased column names, as ``TableDb.headers`` holds them."""
-    return frozenset(map(normalize_text, tab.headers))
-
-
 def _first_invalid(
     raw: RawStatement, stmt: SqlStatement | ParseFailure, headers: frozenset[str], question: str
 ) -> Slot | None:
@@ -100,8 +94,9 @@ def _first_invalid(
 
     ``stmt`` is ``resolve(raw)``: its failure at ``AGG_TOKEN_INDEX`` marks
     an unknown function, any other failure an unknown operator. ``headers``
-    is the table's header set (``_header_set``); the parse lowercased the
-    column names, so they are looked up as they are.
+    is the table's set of lowercased column names (``TableDb.headers``);
+    the parse lowercased the column names, so they are looked up as they
+    are.
     """
     if isinstance(stmt, ParseFailure) and stmt.token_index == AGG_TOKEN_INDEX:
         return Slot.AGG_FUNCTION
@@ -149,43 +144,29 @@ def _first_wrong(pred: SqlStatement, gold: SqlStatement) -> Slot | None:
     return None
 
 
-def classify_error(pred_text: str, gold: LogicalForm, tab: Table, question: str) -> ErrorClass:
-    """Label one prediction against its gold logical form.
+def score_prediction(pred: str, gold: SqlStatement, db: TableDb, question: str) -> tuple[ErrorClass, bool]:
+    """Label one prediction against its composed gold and score it on
+    ``db``, the gold's materialized table.
 
-    Cascade: unparseable shape, then Invalid conditions (checked against the
-    table and question only), then Wrong slots against the composed gold.
+    The prediction is parsed once. Cascade: unparseable shape, then Invalid
+    conditions (checked against ``db.headers`` and the question only), then
+    Wrong slots against ``gold``. A prediction outside the dialect is never
+    executed and scores False; every other one runs, and
+    ``agrees_with_gold`` scores it.
     """
-    raw = parse_raw(pred_text)
+    raw = parse_raw(pred)
     if isinstance(raw, ParseFailure):
-        return PARSE_FAILURE
-    return _classify(raw, resolve(raw), compose(gold, tab), _header_set(tab), question)
-
-
-def _classify(
-    raw: RawStatement, stmt: SqlStatement | ParseFailure, gold: SqlStatement, headers: frozenset[str], question: str
-) -> ErrorClass:
-    """``classify_error`` past the parse: ``stmt`` is ``resolve(raw)``,
-    ``gold`` the composed gold statement and ``headers`` the table's header
-    set."""
-    invalid = _first_invalid(raw, stmt, headers, question)
+        return PARSE_FAILURE, False
+    stmt = resolve(raw)
+    invalid = _first_invalid(raw, stmt, db.headers, question)
     if invalid is not None:
-        return _INVALID[invalid]
-    wrong = _first_wrong(stmt, gold)
-    if wrong is not None:
-        return _WRONG[wrong]
-    return CORRECT
-
-
-def hallucination_flag(pred_text: str, tab: Table, question: str) -> bool:
-    """True when the prediction invents a column or a condition value.
-
-    Fires exactly when the Invalid cascade lands on a column or value slot;
-    unparseable predictions are not counted as hallucinations.
-    """
-    raw = parse_raw(pred_text)
-    if isinstance(raw, ParseFailure):
-        return False
-    return _first_invalid(raw, resolve(raw), _header_set(tab), question) in _HALLUCINATION_SLOTS
+        label = _INVALID[invalid]
+    else:
+        wrong = _first_wrong(stmt, gold)
+        label = CORRECT if wrong is None else _WRONG[wrong]
+    if isinstance(stmt, ParseFailure):
+        return label, False
+    return label, agrees_with_gold(stmt, execute(stmt, db), gold, db)
 
 
 @dataclass(frozen=True)
@@ -195,8 +176,8 @@ class EvalReport:
     ``error_counts`` partitions the examples: Correct, ParseFailure, and the
     Invalid/Wrong slots sum to n. ``exec_correct`` is kept as an integer so
     ``exec_accuracy`` is an exact fraction of n, 0.0 when there are none.
-    ``hallucination_count`` is read off the labels: the examples that
-    ``hallucination_flag`` would flag.
+    ``hallucination_count`` is read off the labels: the Invalid column and
+    value slots, where a prediction invents a column or a condition value.
     """
 
     n: int
@@ -222,18 +203,16 @@ def execution_accuracy(
     tables: Mapping[str, Table],
     cache: TableCache,
 ) -> EvalReport:
-    """Execute every prediction against its gold and tally the taxonomy.
+    """Fold ``score_prediction`` over the examples: the execution score
+    and the taxonomy's counts.
 
     ``golds`` are the records' composed golds, in record order. They are
     read one at a time, in step with the predictions, so an iterator that
-    composes each as it is asked for holds none of them. Each prediction
-    is parsed once; the statement feeds both the taxonomy and the
-    execution, so a prediction outside the dialect is never executed and
-    scores zero. Every other prediction runs, and ``agrees_with_gold``
-    scores it: its gold runs only when a prediction that executed is not
-    equal to it. Each score is the one executing both statements would
-    give. A missing table is a data error and raises; so does a count of
-    golds other than the predictions'.
+    composes each as it is asked for holds none of them. A prediction's
+    gold runs only when the prediction executed and is not equal to it;
+    each score is the one executing both statements would give. A missing
+    table is a data error and raises; so does a count of golds other than
+    the predictions'.
     """
     if len(preds) != len(records):
         raise ValueError(f"misaligned inputs: {len(preds)} preds, {len(records)} records")
@@ -245,16 +224,9 @@ def execution_accuracy(
             raise ValueError(f"no table {rec.table_id!r} for record {rec.question!r}")
         # Materialized even for a prediction that is never executed, so a
         # table the engine cannot hold is a data error whatever is predicted.
-        db = cache.get(tab)
-        raw = parse_raw(pred)
-        if isinstance(raw, ParseFailure):
-            counts[PARSE_FAILURE] += 1
-            continue
-        stmt = resolve(raw)
-        label = _classify(raw, stmt, gold_stmt, db.headers, rec.question)
+        label, correct = score_prediction(pred, gold_stmt, cache.get(tab), rec.question)
         counts[label] += 1
-        if not isinstance(stmt, ParseFailure):
-            exec_correct += agrees_with_gold(stmt, execute(stmt, db), gold_stmt, db)
+        exec_correct += correct
     return EvalReport(len(preds), exec_correct, dict(counts))
 
 
@@ -275,10 +247,6 @@ def report_to_dict(report: EvalReport) -> dict:
             **grid,
         },
     }
-
-
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def render_report_table(report: EvalReport) -> str:

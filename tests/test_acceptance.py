@@ -49,7 +49,6 @@ from textsql import (
     Slot,
     Table,
     TableCache,
-    classify_error,
     compose,
     eg_gain,
     eg_select,
@@ -62,6 +61,7 @@ from textsql import (
     parse,
     render,
     sample_logical_form,
+    score_prediction,
 )
 from textsql.cli import main
 from textsql.evaluation import CORRECT, PARSE_FAILURE
@@ -297,8 +297,9 @@ PLANTED = [
 class TestCriterion6Taxonomy:
     def test_planted_errors_classify_as_intended(self, announce, cache):
         assert len(PLANTED) == 20
+        gold, db = compose(CITIES_GOLD, CITIES), cache.get(CITIES)
         hits = sum(
-            classify_error(pred, CITIES_GOLD, CITIES, CITIES_QUESTION) == intended
+            score_prediction(pred, gold, db, CITIES_QUESTION)[0] == intended
             for pred, intended in PLANTED
         )
         records = [
@@ -310,9 +311,9 @@ class TestCriterion6Taxonomy:
             {CITIES.table_id: CITIES}, cache,
         )
         partition = sum(report.error_counts.values())
-        halluc_case = classify_error(
+        halluc_case, _ = score_prediction(
             "select [population] from [1-500-1] where [city] = 'norfolk'",
-            CITIES_GOLD, CITIES, CITIES_QUESTION,
+            gold, db, CITIES_QUESTION,
         )
         halluc_ok = halluc_case == ErrorClass(Kind.INVALID, Slot.WHERE_VALUE)
         ok = hits == 20 and partition == report.n and halluc_ok

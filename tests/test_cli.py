@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,19 @@ from hypothesis import strategies as st
 import textsql
 import textsql.cli
 import textsql.sql
-from textsql import Condition, LogicalForm, Table, compose, dump_tables, render
+from textsql import (
+    Condition,
+    ErrorClass,
+    Kind,
+    LogicalForm,
+    Slot,
+    Table,
+    TableCache,
+    compose,
+    dump_tables,
+    render,
+    score_prediction,
+)
 from textsql.cli import _BLOCK_LINES, build_parser, main
 from textsql.data import index_by_id, load_questions, load_tables
 from textsql.eg import eg_gain
@@ -50,6 +63,12 @@ def corpus(tmp_path, plates_table, plates_record):
     }
     questions.write_text(json.dumps(rec) + "\n")
     return questions, tables
+
+
+# Every label the taxonomy gives.
+_LABELS = [ErrorClass(Kind.CORRECT), ErrorClass(Kind.PARSE_FAILURE)] + [
+    ErrorClass(kind, slot) for kind in (Kind.INVALID, Kind.WRONG) for slot in Slot if slot is not Slot.NONE
+]
 
 
 def read_jsonl(path):
@@ -1123,6 +1142,20 @@ class TestStreamingBlocks:
         assert report["n"] == n
         if n > self.B:  # the predictions mix outcomes
             assert 0 < report["exec_correct"] < n and report["counts"]["ParseFailure"] > 0
+        # Blocks or not, the report is the fold of one score per record.
+        tabs = index_by_id(load_tables(tables))
+        preds = (tmp_path / "preds.txt").read_text().splitlines()
+        counts, exec_correct = Counter(), 0
+        with contextlib.closing(TableCache()) as cache:
+            for pred, rec in zip(preds, load_questions(tmp_path / "questions.jsonl"), strict=True):
+                tab = tabs[rec.table_id]
+                label, correct = score_prediction(pred, compose(rec.lf, tab), cache.get(tab), rec.question)
+                counts[label] += 1
+                exec_correct += correct
+        assert report["exec_correct"] == exec_correct
+        grid = {label: report["counts"][label] for label in ("Correct", "ParseFailure")}
+        grid.update((f"{kind}/{slot}", k) for kind in ("Invalid", "Wrong") for slot, k in report["counts"][kind].items())
+        assert grid == {cls.label: counts[cls] for cls in _LABELS}
 
     def test_linearize_memory_does_not_grow_with_the_records(self, tables, tmp_path):
         def peak(n):
@@ -1852,6 +1885,27 @@ class TestConfigFile:
         assert by_config.read_bytes() == by_flag.read_bytes()
         assert overridden.read_bytes() != by_config.read_bytes()
 
+    def test_byte_order_mark_is_data_error(self, corpus, tmp_path, capsys):
+        # Read by the line reader every input goes through, not by the JSON decoder.
+        _, tables = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xef\xbb\xbf{"n": 1}')
+        code = main(["silver", "--tables", str(tables), "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: byte-order mark at the start of the file ({cfg}:1)" in err
+        assert "JSON" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_file_is_data_error(self, corpus, tmp_path, capsys):
+        _, tables = corpus
+        cfg = tmp_path / "absent.json"
+        code = main(["silver", "--tables", str(tables), "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: [Errno 2] No such file or directory") and str(cfg) in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_is_usage_error(self, corpus, tmp_path):
         _, tables = corpus
         cfg = tmp_path / "cfg.json"
@@ -2103,7 +2157,7 @@ class TestNotUtf8:
         code = main(["silver", "--tables", str(tables), "--out", str(tmp_path / "o"),
                      "--config", str(cfg)])
         assert code == 2
-        assert f"config {cfg} is not UTF-8 text" in capsys.readouterr().err
+        assert f"data error: not UTF-8 text (invalid start byte) ({cfg}:1)" in capsys.readouterr().err
 
 
 class TestOutputs:

@@ -1,6 +1,5 @@
 """Execution accuracy and the Invalid/Wrong error taxonomy."""
 
-import json
 import random
 from collections import Counter
 from contextlib import closing
@@ -22,27 +21,23 @@ from textsql import (
     Slot,
     Table,
     TableCache,
-    classify_error,
     compose,
     eg_gain,
     execute,
     execution_accuracy,
-    hallucination_flag,
     parse,
-    parse_raw,
     render,
     render_report_table,
     report_to_dict,
-    report_to_json,
     sample_logical_form,
+    score_prediction,
     template_question,
 )
 from textsql.eg import CandidateOutcome, EgGainReport, EgSelection
 from textsql.engine import results_equal
-from textsql.evaluation import CORRECT, PARSE_FAILURE, SLOT_ORDER, _HALLUCINATION_SLOTS, _classify
-from textsql.normalize import normalize_text
+from textsql.evaluation import CORRECT, PARSE_FAILURE, SLOT_ORDER
 from textsql.silver import SamplerConfig
-from textsql.sql import quote_ident, resolve
+from textsql.sql import quote_ident
 
 from conftest import count_executions, make_table
 
@@ -57,8 +52,20 @@ GOLD = LogicalForm(sel=1, agg=0, conds=(Condition(0, 0, "Richmond"),))
 GOOD = "select [population] from [1-500-1] where [city] = 'richmond'"
 
 
-def classify(pred: str) -> ErrorClass:
-    return classify_error(pred, GOLD, CITIES, QUESTION)
+# The slots where a prediction invents content: a column or a condition value.
+CONTENT_SLOTS = frozenset({Slot.SELECT_COLUMN, Slot.WHERE_COLUMN, Slot.WHERE_VALUE})
+
+
+@pytest.fixture
+def classify(cache):
+    """The label of a prediction against ``gold`` (GOLD by default) on
+    CITIES, for QUESTION."""
+    db = cache.get(CITIES)
+
+    def label(pred: str, gold: LogicalForm = GOLD) -> ErrorClass:
+        return score_prediction(pred, compose(gold, CITIES), db, QUESTION)[0]
+
+    return label
 
 
 class TestErrorClass:
@@ -79,132 +86,137 @@ class TestErrorClass:
 
 
 class TestClassify:
-    def test_exact_match_is_correct(self):
+    def test_exact_match_is_correct(self, classify):
         assert classify(GOOD) == CORRECT
         assert classify(render(compose(GOLD, CITIES))) == CORRECT
 
-    def test_unparseable_prediction(self):
+    def test_unparseable_prediction(self, classify):
         assert classify("select [population] from") == PARSE_FAILURE
         assert classify("complete nonsense") == PARSE_FAILURE
 
-    def test_unknown_aggregation_is_invalid(self):
+    def test_unknown_aggregation_is_invalid(self, classify):
         pred = "select median([population]) from [1-500-1] where [city] = 'richmond'"
         assert classify(pred) == ErrorClass(Kind.INVALID, Slot.AGG_FUNCTION)
 
-    def test_fabricated_select_column_is_invalid(self):
+    def test_fabricated_select_column_is_invalid(self, classify):
         pred = "select [inhabitants] from [1-500-1] where [city] = 'richmond'"
         assert classify(pred) == ErrorClass(Kind.INVALID, Slot.SELECT_COLUMN)
 
-    def test_fabricated_where_column_is_invalid(self):
+    def test_fabricated_where_column_is_invalid(self, classify):
         pred = "select [population] from [1-500-1] where [mayor] = 'richmond'"
         assert classify(pred) == ErrorClass(Kind.INVALID, Slot.WHERE_COLUMN)
 
-    def test_unknown_operator_is_invalid(self):
+    def test_unknown_operator_is_invalid(self, classify):
         pred = "select [population] from [1-500-1] where [city] >= 'richmond'"
         assert classify(pred) == ErrorClass(Kind.INVALID, Slot.WHERE_OPER)
 
-    def test_value_absent_from_question_is_invalid(self):
+    def test_value_absent_from_question_is_invalid(self, classify):
         # The hallucination signature: a value the question never mentions.
         pred = "select [population] from [1-500-1] where [city] = 'norfolk'"
         assert classify(pred) == ErrorClass(Kind.INVALID, Slot.WHERE_VALUE)
 
-    def test_paraphrased_value_is_invalid(self):
+    def test_paraphrased_value_is_invalid(self, classify):
         pred = "select [population] from [1-500-1] where [city] = 'richmond city'"
         assert classify(pred) == ErrorClass(Kind.INVALID, Slot.WHERE_VALUE)
 
-    def test_wrong_aggregation(self):
+    def test_wrong_aggregation(self, classify):
         pred = "select count([population]) from [1-500-1] where [city] = 'richmond'"
         assert classify(pred) == ErrorClass(Kind.WRONG, Slot.AGG_FUNCTION)
 
-    def test_wrong_select_column(self):
+    def test_wrong_select_column(self, classify):
         pred = "select [area] from [1-500-1] where [city] = 'richmond'"
         assert classify(pred) == ErrorClass(Kind.WRONG, Slot.SELECT_COLUMN)
 
-    def test_wrong_where_column(self):
+    def test_wrong_where_column(self, classify):
         pred = "select [population] from [1-500-1] where [area] = 62.5"
         assert classify(pred) == ErrorClass(Kind.WRONG, Slot.WHERE_COLUMN)
 
-    def test_missing_condition_is_wrong_where_column(self):
+    def test_missing_condition_is_wrong_where_column(self, classify):
         assert classify("select [population] from [1-500-1]") == ErrorClass(
             Kind.WRONG, Slot.WHERE_COLUMN
         )
 
-    def test_duplicated_condition_is_wrong_where_column(self):
+    def test_duplicated_condition_is_wrong_where_column(self, classify):
         pred = GOOD + " and [city] = 'richmond'"
         assert classify(pred) == ErrorClass(Kind.WRONG, Slot.WHERE_COLUMN)
 
-    def test_wrong_operator(self):
+    def test_wrong_operator(self, classify):
         pred = "select [population] from [1-500-1] where [city] > 'richmond'"
         assert classify(pred) == ErrorClass(Kind.WRONG, Slot.WHERE_OPER)
 
-    def test_wrong_value(self):
+    def test_wrong_value(self, classify):
         pred = "select [population] from [1-500-1] where [city] = 'hampton'"
         assert classify(pred) == ErrorClass(Kind.WRONG, Slot.WHERE_VALUE)
 
-    def test_number_never_matches_its_quoted_form(self):
+    def test_number_never_matches_its_quoted_form(self, classify):
         gold = LogicalForm(sel=0, agg=0, conds=(Condition(1, 0, 62000),))
         pred = "select [city] from [1-500-1] where [population] = '62000'"
-        assert classify_error(pred, gold, CITIES, QUESTION) == ErrorClass(
+        assert classify(pred, gold) == ErrorClass(
             Kind.WRONG, Slot.WHERE_VALUE
         )
 
-    def test_integral_float_value_matches_bare_integer_text(self):
+    def test_integral_float_value_matches_bare_integer_text(self, classify):
         gold = LogicalForm(sel=0, agg=0, conds=(Condition(1, 0, 62000.0),))
         pred = "select [city] from [1-500-1] where [population] = 62000.0"
-        assert classify_error(pred, gold, CITIES, QUESTION) == CORRECT
+        assert classify(pred, gold) == CORRECT
 
-    def test_condition_order_is_ignored(self):
+    def test_condition_order_is_ignored(self, classify):
         gold = LogicalForm(
             sel=1, agg=0, conds=(Condition(0, 0, "Richmond"), Condition(2, 0, 62.5))
         )
         pred = "select [population] from [1-500-1] where [area] = 62.5 and [city] = 'richmond'"
-        assert classify_error(pred, gold, CITIES, QUESTION) == CORRECT
+        assert classify(pred, gold) == CORRECT
 
-    def test_aggregation_tiebreak_wins_over_value(self):
+    def test_aggregation_tiebreak_wins_over_value(self, classify):
         # Two slips at once; the fixed order reports the aggregation.
         pred = "select count([population]) from [1-500-1] where [city] = 'hampton'"
         assert classify(pred) == ErrorClass(Kind.WRONG, Slot.AGG_FUNCTION)
 
-    def test_invalid_checked_before_wrong(self):
+    def test_invalid_checked_before_wrong(self, classify):
         # Fabricated select column and a wrong value; Invalid wins.
         pred = "select [inhabitants] from [1-500-1] where [city] = 'hampton'"
         assert classify(pred) == ErrorClass(Kind.INVALID, Slot.SELECT_COLUMN)
 
-    def test_table_id_is_not_a_taxonomy_slot(self):
+    def test_table_id_is_not_a_taxonomy_slot(self, classify):
         pred = "select [population] from [9-999-9] where [city] = 'richmond'"
         assert classify(pred) == CORRECT
 
 
 class TestHallucinationFlag:
-    def flag(self, pred):
-        return hallucination_flag(pred, CITIES, QUESTION)
+    """A hallucination is an Invalid label on a column or a value slot, and
+    the report counts exactly those labels."""
 
-    def test_fires_on_invented_columns_and_values(self):
-        assert self.flag("select [inhabitants] from [1-500-1]")
-        assert self.flag("select [population] from [1-500-1] where [mayor] = 'richmond'")
-        assert self.flag("select [population] from [1-500-1] where [city] = 'norfolk'")
+    @staticmethod
+    def counted(label: ErrorClass) -> bool:
+        return EvalReport(n=1, exec_correct=0, error_counts={label: 1}).hallucination_count == 1
 
-    def test_silent_on_non_content_slots(self):
-        assert not self.flag(GOOD)
-        assert not self.flag("select median([population]) from [1-500-1]")
-        assert not self.flag("select [population] from [1-500-1] where [city] >= 'richmond'")
-        assert not self.flag("select [population] from")
-
-    def test_agrees_with_classifier(self):
-        preds = [
-            GOOD,
-            "select [inhabitants] from [1-500-1]",
-            "select [population] from [1-500-1] where [city] = 'norfolk'",
-            "select [population] from [1-500-1] where [mayor] = 'x'",
-            "select median([a]) from [1-500-1]",
-            "junk",
-            "select [area] from [1-500-1] where [city] = 'richmond'",
+    def test_fires_on_invented_columns_and_values(self, classify):
+        labels = [
+            classify("select [inhabitants] from [1-500-1]"),
+            classify("select [population] from [1-500-1] where [mayor] = 'richmond'"),
+            classify("select [population] from [1-500-1] where [city] = 'norfolk'"),
         ]
-        content = {Slot.SELECT_COLUMN, Slot.WHERE_COLUMN, Slot.WHERE_VALUE}
-        for pred in preds:
-            cls = classify(pred)
-            expected = cls.kind is Kind.INVALID and cls.slot in content
-            assert self.flag(pred) == expected, pred
+        assert [label.slot for label in labels] == [Slot.SELECT_COLUMN, Slot.WHERE_COLUMN, Slot.WHERE_VALUE]
+        for label in labels:
+            assert label.kind is Kind.INVALID and self.counted(label), label
+
+    def test_silent_on_non_content_slots(self, classify):
+        labels = [
+            classify(GOOD),
+            classify("select median([population]) from [1-500-1]"),
+            classify("select [population] from [1-500-1] where [city] >= 'richmond'"),
+            classify("select [population] from"),
+            classify("select [area] from [1-500-1] where [city] = 'richmond'"),
+        ]
+        assert labels == [
+            CORRECT,
+            ErrorClass(Kind.INVALID, Slot.AGG_FUNCTION),
+            ErrorClass(Kind.INVALID, Slot.WHERE_OPER),
+            PARSE_FAILURE,
+            ErrorClass(Kind.WRONG, Slot.SELECT_COLUMN),
+        ]
+        for label in labels:
+            assert not self.counted(label), label
 
 
 class TestExecutionAccuracy:
@@ -336,11 +348,6 @@ class TestReportEmitters:
         )
         assert total == d["n"]
 
-    def test_json_round_trips(self, cache):
-        text = report_to_json(self._report(cache))
-        assert text.endswith("\n")
-        assert json.loads(text) == report_to_dict(self._report(cache))
-
     def test_table_lists_every_slot(self, cache):
         text = render_report_table(self._report(cache))
         for slot in SLOT_ORDER:
@@ -359,10 +366,15 @@ class TestClassifierProperties:
         tab = make_table(rng, n_cols=rng.randrange(1, 5), n_rows=rng.randrange(1, 6))
         with closing(TableCache()) as cache:
             gold = sample_logical_form(tab, rng, SamplerConfig(), cache)
-        stmt = compose(gold, tab)
-        question = template_question(stmt, tab)
-        assert classify_error(render(stmt), gold, tab, question) == CORRECT
-        assert not hallucination_flag(render(stmt), tab, question)
+            stmt = compose(gold, tab)
+            question = template_question(stmt, tab)
+            label, correct = score_prediction(render(stmt), stmt, cache.get(tab), question)
+        assert label == CORRECT
+        assert correct
+
+
+# What ``_planted_pred`` writes where it invents a column or a value.
+_INVENTED = ("no such column", "ghost column", "value not in question")
 
 
 def _planted_pred(stmt, rng):
@@ -405,35 +417,51 @@ class TestSinglePassScoring:
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_hallucination_count_matches_the_flag(self, seed):
-        """execution_accuracy reads the flag off the classifier's label; the
-        standalone flag stays the reference."""
+        """A prediction hallucinates exactly when ``_planted_pred`` planted
+        an invented column or condition value in it: its label is Invalid on
+        a content slot, and the report counts it."""
         tab, preds, golds, records = _planted_batch(seed)
+        planted = [any(mark in p for mark in _INVENTED) for p in preds]
         with closing(TableCache()) as cache:
+            db = cache.get(tab)
+            for pred, gold, rec, invented in zip(preds, golds, records, planted):
+                label, _ = score_prediction(pred, compose(gold, tab), db, rec.question)
+                assert (label.kind is Kind.INVALID and label.slot in CONTENT_SLOTS) == invented, (pred, label)
             report = execution_accuracy(preds, [compose(g, tab) for g in golds], records, {tab.table_id: tab}, cache)
-        expected = sum(hallucination_flag(p, tab, r.question) for p, r in zip(preds, records))
-        assert report.hallucination_count == expected
+        assert report.hallucination_count == sum(planted)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gold_composed_once_per_example(self, seed, monkeypatch, cache):
         """The caller's composed gold serves both its execution and the
-        Wrong-slot comparison, and execution_accuracy composes nothing; the
-        labels still match classify_error's."""
+        Wrong-slot comparison, and execution_accuracy composes nothing; each
+        prediction is parsed once, and the report is the fold of one
+        score_prediction call per example."""
         import textsql.evaluation as evaluation
+        import textsql.sql
 
         tab, preds, golds, records = _planted_batch(seed, n=20)
-        expected = Counter(classify_error(p, g, tab, r.question) for p, g, r in zip(preds, golds, records))
         gold_stmts = [compose(g, tab) for g in golds]
-        calls = []
-        real_compose = evaluation.compose
+        db = cache.get(tab)
+        scores = [score_prediction(p, g, db, r.question) for p, g, r in zip(preds, gold_stmts, records)]
+        composed, parsed = [], []
+        real_compose, real_parse_raw = textsql.sql.compose, evaluation.parse_raw
 
         def counting_compose(lf, t):
-            calls.append(lf)
+            composed.append(lf)
             return real_compose(lf, t)
 
-        monkeypatch.setattr(evaluation, "compose", counting_compose)
+        def counting_parse_raw(text):
+            parsed.append(text)
+            return real_parse_raw(text)
+
+        assert "compose" not in vars(evaluation)
+        monkeypatch.setattr(textsql.sql, "compose", counting_compose)
+        monkeypatch.setattr(evaluation, "parse_raw", counting_parse_raw)
         report = execution_accuracy(preds, gold_stmts, records, {tab.table_id: tab}, cache)
-        assert calls == []
-        assert report.error_counts == dict(expected)
+        assert composed == []
+        assert parsed == preds
+        assert report.error_counts == dict(Counter(label for label, _ in scores))
+        assert report.exec_correct == sum(correct for _, correct in scores)
 
     @given(st.integers(0, 10**6), st.sampled_from([" or 1=1", ";", " and 1=1", " limit 50", " -- x"]))
     @settings(max_examples=80, deadline=None)
@@ -457,7 +485,8 @@ class TestSinglePassScoring:
 
 # ``execution_accuracy``, ``eg_select`` and ``eg_gain`` as they were before a
 # gold ran only when needed, kept as the reference: every prediction, tried
-# candidate and gold is executed, and the results are compared.
+# candidate and gold is executed, and the results are compared. The oracle
+# takes each label from ``score_prediction`` and ignores its score.
 
 
 def _oracle_execution_accuracy(preds, golds, records, tables, cache):
@@ -472,15 +501,10 @@ def _oracle_execution_accuracy(preds, golds, records, tables, cache):
         # table the engine cannot hold is a data error whatever is predicted.
         db = cache.get(tab)
         gold_stmt = compose(gold, tab)
-        raw = parse_raw(pred)
-        if isinstance(raw, ParseFailure):
-            counts[PARSE_FAILURE] += 1
-            continue
-        stmt = resolve(raw)
-        label = _classify(raw, stmt, gold_stmt, {normalize_text(h) for h in tab.headers}, rec.question)
+        label, _ = score_prediction(pred, gold_stmt, db, rec.question)
         counts[label] += 1
-        # Same as hallucination_flag, read off the label without a reparse.
-        halluc += label.kind is Kind.INVALID and label.slot in _HALLUCINATION_SLOTS
+        halluc += label.kind is Kind.INVALID and label.slot in CONTENT_SLOTS
+        stmt = parse(pred)
         if not isinstance(stmt, ParseFailure):
             exec_correct += results_equal(execute(stmt, db), execute(gold_stmt, db))
     n = len(preds)
@@ -733,9 +757,9 @@ class TestNormalForm:
         # Invalid/where_value both occur.
         question = "which " + " ".join(str(c.value) for c in lf.conds if rng.random() < 0.8)
         assert parse(text) == gold
-        assert classify_error(text, lf, tab, question) == classify_error(gold_text, lf, tab, question)
         with closing(TableCache()) as cache:
             db = cache.get(tab)
+            assert score_prediction(text, gold, db, question) == score_prediction(gold_text, gold, db, question)
             res, gold_res = execute(text, db), execute(gold_text, db)
         assert not gold_res.is_error
         assert results_equal(res, gold_res), (text, res)
